@@ -10,8 +10,10 @@
 //!   on a deterministic path must take time from `bsync::time::Clock`.
 //! * **`unwrap`** — `.unwrap()` / `.expect(` are forbidden in
 //!   non-test library code of the stream/broker hot-path crates
-//!   (core, broker, mq, analytics, corsaro, bsync); convert to typed
-//!   errors or justify with an inline `// xcheck:allow(unwrap) — why`.
+//!   (core, broker, mq, analytics, corsaro, bsync, mrt, rib) and of
+//!   `vendor/flate-lite`, the first code to touch untrusted archive
+//!   bytes; convert to typed errors or justify with an inline
+//!   `// xcheck:allow(unwrap) — why`.
 //! * **`facade`** — importing `parking_lot`, `crossbeam::channel`, or
 //!   `std::sync::{Mutex,RwLock,Condvar,atomic,mpsc,…}` anywhere but
 //!   `crates/bsync` bypasses the sync facade (and with it the
@@ -56,6 +58,11 @@ const HOT_PATH_CRATES: &[&str] = &[
     "mrt",
     "rib",
 ];
+
+/// Vendor shims that get the same `unwrap` audit (and no other line
+/// rule: they are stand-ins for external crates, outside the facade
+/// and clock conventions).
+const AUDITED_VENDOR_CRATES: &[&str] = &["flate-lite"];
 
 const WALLCLOCK_TOKENS: &[&str] = &["SystemTime::now", "Instant::now", "thread::sleep"];
 const UNWRAP_TOKENS: &[&str] = &[".unwrap()", ".expect("];
@@ -277,18 +284,30 @@ pub struct RuleScope {
 
 /// Scope from path conventions: `crates/*/src` and root `src/` get the
 /// full pass (facade excepted for `crates/bsync`, which *is* the
-/// facade; unwrap only on hot-path crates); everything else — vendor
+/// facade; unwrap only on hot-path crates); `vendor/flate-lite/src`
+/// gets the unwrap audit alone; everything else — the other vendor
 /// shims, tests/, examples/, benches/ — only sees the crate-root
 /// `unsafe-root` check, handled separately.
 pub fn scope_for(rel: &str) -> Option<RuleScope> {
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        let crate_name = rest.split('/').next().unwrap_or("");
-        if !rest
-            .strip_prefix(crate_name)
-            .is_some_and(|r| r.starts_with("/src/"))
-        {
-            return None;
-        }
+    let src_of = |parent: &str| {
+        let (crate_name, path) = rel.strip_prefix(parent)?.split_once('/')?;
+        path.starts_with("src/").then_some(crate_name)
+    };
+    if rel.starts_with("vendor/") {
+        let crate_name = src_of("vendor/")?;
+        return AUDITED_VENDOR_CRATES
+            .contains(&crate_name)
+            .then_some(RuleScope {
+                wallclock: false,
+                unwrap: true,
+                facade: false,
+                exit: false,
+                catch_unwind: false,
+                deprecated: false,
+            });
+    }
+    if rel.starts_with("crates/") {
+        let crate_name = src_of("crates/")?;
         return Some(RuleScope {
             wallclock: true,
             unwrap: HOT_PATH_CRATES.contains(&crate_name),
@@ -524,20 +543,11 @@ pub fn check_workspace(root: &Path) -> Vec<Diagnostic> {
         .unwrap_or_default();
     let mut diags = Vec::new();
 
-    // Line rules over crates/*/src and the root facade's src/.
+    // Line rules over every member's src/; `scope_for` says which.
     let mut files = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        let mut v: Vec<_> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        v.sort();
-        for dir in v {
-            collect_rs(&dir.join("src"), &mut files);
-        }
+    for dir in crate_dirs(root) {
+        collect_rs(&dir.join("src"), &mut files);
     }
-    collect_rs(&root.join("src"), &mut files);
     for path in &files {
         let rel = rel_str(root, path);
         let Some(scope) = scope_for(&rel) else {
@@ -697,5 +707,15 @@ mod tests {
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);
         assert!(scope_for("crates/broker/tests/live.rs").is_none());
         assert!(scope_for("vendor/parking_lot/src/lib.rs").is_none());
+        assert!(scope_for("vendor/flate-lite/tests/hostile.rs").is_none());
+    }
+
+    #[test]
+    fn the_vendored_inflater_gets_the_unwrap_audit_and_nothing_else() {
+        let scope = scope_for("vendor/flate-lite/src/inflate.rs").expect("in scope");
+        let bad = include_str!("../fixtures/bad.rs");
+        let diags = scan_file("vendor/flate-lite/src/bad.rs", bad, scope, &Vec::new());
+        let rules: Vec<&str> = diags.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, ["unwrap", "unwrap"], "diags: {diags:?}");
     }
 }
