@@ -15,10 +15,6 @@
 //! * community diversity per VP/collector (Figure 5d);
 //! * AS-path inflation (§4.2, Listing 1), using the [`asgraph`]
 //!   undirected AS graph in place of NetworkX.
-//!
-//! [`mapreduce`] also hosts [`mapreduce::ShardPool`], the persistent
-//! addressed worker pool that `corsaro::runtime` fans the sorted
-//! stream out over (§6's scale-out deployment).
 
 #![forbid(unsafe_code)]
 
@@ -32,4 +28,4 @@ pub use analyses::{
     TransitPoint,
 };
 pub use asgraph::AsGraph;
-pub use mapreduce::{par_map, ShardPool};
+pub use mapreduce::par_map;

@@ -1,22 +1,11 @@
-//! A thread-pool map over partitions — the Spark-skeleton substitute —
-//! plus [`ShardPool`], the persistent, addressed worker pool backing
-//! the sharded consumer runtime (`corsaro::runtime`).
+//! A thread-pool map over partitions — the Spark-skeleton substitute.
 //!
 //! [`par_map`] spawns scoped threads per call, which is fine for
 //! coarse batch jobs but too expensive for a runtime delivering many
-//! record batches per second. [`ShardPool`] keeps its workers alive
-//! for the pool's lifetime: each worker owns private mutable state
-//! (built once by an `init` closure) and drains its own **bounded**
-//! queue, so a slow worker exerts backpressure on the producer instead
-//! of letting queues grow without limit.
-//!
-//! `ShardPool` itself now lives in [`bsync::pool`] (it is built
-//! entirely from facade primitives, and `mrt::par` needs it below this
-//! crate in the dependency graph); it is re-exported here unchanged.
+//! record batches per second; the sharded consumer runtime uses the
+//! persistent [`bsync::pool::ShardPool`] instead.
 
 use bsync::channel;
-/// Re-export: the pool moved to `bsync` so `mrt::par` can reuse it.
-pub use bsync::pool::ShardPool;
 
 /// Map `f` over `items` on `workers` threads, preserving input order
 /// in the output. Panics in `f` propagate.
@@ -38,12 +27,13 @@ where
         task_tx.send(pair).expect("queue open");
     }
     drop(task_tx);
-    crossbeam::scope(|scope| {
+    // `thread::scope` joins every worker and re-raises a worker panic.
+    std::thread::scope(|scope| {
         for _ in 0..workers.min(n) {
             let task_rx = task_rx.clone();
             let res_tx = res_tx.clone();
             let f = &f;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while let Ok((idx, item)) = task_rx.recv() {
                     let out = f(item);
                     if res_tx.send((idx, out)).is_err() {
@@ -53,9 +43,7 @@ where
             });
         }
         drop(res_tx);
-    })
-    // xcheck:allow(unwrap) — propagate a worker panic to the caller
-    .expect("worker panicked");
+    });
     let mut results: Vec<(usize, R)> = res_rx.iter().collect();
     results.sort_by_key(|(i, _)| *i);
     results.into_iter().map(|(_, r)| r).collect()
@@ -90,11 +78,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_pool_reexport_still_resolves() {
-        // The pool's own unit + model tests live in bsync now; this
-        // pins the back-compat path `analytics::ShardPool`.
-        let pool: ShardPool<u32> = ShardPool::spawn(1, 1, |_| (), |_, _, _| {});
-        assert_eq!(pool.workers(), 1);
-        pool.join();
+    #[should_panic]
+    fn worker_panic_propagates_to_the_caller() {
+        par_map((0..8).collect(), 2, |x: u32| {
+            assert_ne!(x, 5, "boom");
+            x
+        });
     }
 }

@@ -1,13 +1,13 @@
 //! loom-lite model tests: ShardPool shutdown vs in-flight sends.
 //!
-//! Run with `cargo test -p analytics --features loom-lite`.
+//! Run with `cargo test -p bsync --features loom-lite`.
 #![cfg(feature = "loom-lite")]
 #![forbid(unsafe_code)]
 
 use std::sync::Arc;
 
-use analytics::ShardPool;
 use bsync::model::{explore, Builder};
+use bsync::pool::ShardPool;
 use bsync::Mutex;
 
 fn budget() -> Builder {

@@ -27,8 +27,9 @@
 //!   stepping, for tests that interleave feeding with a
 //!   manually-driven stream clock;
 //! * [`LiveFeeder::spawn_compressed`] — a wall-clock thread mapping
-//!   `speed` virtual seconds onto every wall second and driving a
-//!   shared stream clock along, for soak runs against real threads.
+//!   `speed` virtual seconds onto every wall second and handing each
+//!   virtual instant to a caller-supplied `advance` hook (typically a
+//!   stream clock's `advance_to`), for soak runs against real threads.
 
 use std::sync::Arc;
 
@@ -56,51 +57,6 @@ pub struct FaultPlan {
     /// `DumpMeta`) a little later — exercising the broker's
     /// exactly-once delivery.
     pub duplicate_prob: f64,
-    /// Consumer-side crash vocabulary. The feeder itself ignores it —
-    /// publication is not the crashing party — but carrying the crash
-    /// schedule in the same plan keeps one seeded artifact describing
-    /// the whole fault universe of a run; the supervised runtime
-    /// harness translates it into its chaos injection.
-    pub crash: CrashPlan,
-}
-
-/// Consumer-side crash schedule: which shard workers die, when, and
-/// which checkpoint writes are torn mid-flush. Pure data (no runtime
-/// dependency) so the plan stays serialisable and seedable.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CrashPlan {
-    /// Worker kills, by global record index.
-    pub kills: Vec<WorkerKill>,
-    /// `(worker, nth_checkpoint)` pairs whose checkpoint write is torn
-    /// mid-flush (truncated frame, checksum fails on read-back).
-    pub torn_checkpoints: Vec<(usize, u64)>,
-}
-
-impl CrashPlan {
-    /// No crashes.
-    pub fn none() -> Self {
-        CrashPlan::default()
-    }
-
-    /// True when the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.kills.is_empty() && self.torn_checkpoints.is_empty()
-    }
-}
-
-/// One scheduled worker kill.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerKill {
-    /// Shard worker index to kill.
-    pub worker: usize,
-    /// Global record index (session-wide, 0-based) whose processing
-    /// the worker dies in.
-    pub at_record: u64,
-    /// How many times the kill re-fires after a restart: `1` is a
-    /// one-off crash, larger values model a worker that keeps dying at
-    /// the same record (a restart storm that eventually exhausts the
-    /// retry budget).
-    pub times: u32,
 }
 
 /// One collector-wide publication stall.
@@ -122,7 +78,6 @@ impl Default for FaultPlan {
             stalls: Vec::new(),
             swap_prob: 0.0,
             duplicate_prob: 0.0,
-            crash: CrashPlan::none(),
         }
     }
 }
@@ -326,15 +281,16 @@ impl LiveFeeder {
         self.stats
     }
 
-    /// Drive the feeder (and a shared stream clock) from wall time:
-    /// every wall second maps to `speed` virtual seconds. Returns the
-    /// publisher thread's handle; it exits once the schedule is out
-    /// and the clock passed `drain_to` — or as soon as `stop` is
-    /// raised (cooperative shutdown; the thread never blocks longer
-    /// than one tick).
+    /// Drive the feeder from wall time: every wall second maps to
+    /// `speed` virtual seconds, and after each publication step the
+    /// current virtual time is passed to `advance` (e.g. a stream
+    /// clock's `advance_to`). Returns the publisher thread's handle; it
+    /// exits once the schedule is out and virtual time passed
+    /// `drain_to` — or as soon as `stop` is raised (cooperative
+    /// shutdown; the thread never blocks longer than one tick).
     pub fn spawn_compressed(
         mut self,
-        clock: bgpstream_clock::SharedClock,
+        advance: impl Fn(u64) + Send + 'static,
         speed: u64,
         drain_to: u64,
         stop: Arc<AtomicBool>,
@@ -350,7 +306,7 @@ impl LiveFeeder {
                     .saturating_mul(speed)
                     .saturating_div(1_000_000);
                 self.publish_until(virt);
-                clock.advance_to(virt);
+                advance(virt);
                 if self.done() && virt >= drain_to {
                     break;
                 }
@@ -361,41 +317,11 @@ impl LiveFeeder {
     }
 }
 
-/// Minimal clock handoff so the feeder can drive a stream clock
-/// without depending on the core crate (which depends on nothing
-/// here; a dependency cycle otherwise).
-pub mod bgpstream_clock {
-    use bsync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    /// A shared monotone virtual clock (compatible with
-    /// `bgpstream::Clock::Manual` — both sides hold the same
-    /// `Arc<AtomicU64>`).
-    #[derive(Clone)]
-    pub struct SharedClock(pub Arc<AtomicU64>);
-
-    impl SharedClock {
-        /// A clock starting at `t`.
-        pub fn new(t: u64) -> Self {
-            SharedClock(Arc::new(AtomicU64::new(t)))
-        }
-
-        /// Monotone advance.
-        pub fn advance_to(&self, t: u64) {
-            self.0.fetch_max(t, Ordering::SeqCst);
-        }
-
-        /// Current virtual time.
-        pub fn now(&self) -> u64 {
-            self.0.load(Ordering::SeqCst)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use broker::DumpType;
+    use bsync::atomic::AtomicU64;
     use std::path::PathBuf;
 
     fn meta(collector: &str, start: u64, avail: u64) -> DumpMeta {
@@ -452,7 +378,6 @@ mod tests {
                 }],
                 swap_prob: 0.5,
                 duplicate_prob: 0.3,
-                crash: CrashPlan::none(),
             };
             let idx = Index::shared();
             let mut f = LiveFeeder::new(&manifest(), idx.clone(), &plan, seed);
@@ -525,14 +450,20 @@ mod tests {
     fn compressed_thread_drives_clock_and_stops() {
         let idx = Index::shared();
         let f = LiveFeeder::new(&manifest(), idx.clone(), &FaultPlan::none(), 5);
-        let clock = bgpstream_clock::SharedClock::new(0);
+        let clock = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         // 1000 virtual seconds per wall second: the ~1000s schedule
         // drains in about a second.
-        let h = f.spawn_compressed(clock.clone(), 1000, 1000, stop);
+        let advance = {
+            let clock = clock.clone();
+            move |t| {
+                clock.fetch_max(t, Ordering::SeqCst);
+            }
+        };
+        let h = f.spawn_compressed(advance, 1000, 1000, stop);
         let stats = h.join().expect("feeder thread");
         assert_eq!(stats.published, 5);
-        assert!(clock.now() >= 950);
+        assert!(clock.load(Ordering::SeqCst) >= 950);
         assert_eq!(idx.watermark(), u64::MAX);
     }
 }

@@ -40,7 +40,7 @@ pub mod project;
 pub mod sim;
 
 pub use clients::{page_history, ClientReport, LiveTail};
-pub use feeder::{CrashPlan, FaultPlan, FeederStats, LiveFeeder, Stall, WorkerKill};
+pub use feeder::{FaultPlan, FeederStats, LiveFeeder, Stall};
 pub use project::{ProjectSpec, RIS, ROUTEVIEWS};
 pub use sim::{
     standard_collectors, CollectorSpec, FaultConfig, SimConfig, SimStats, Simulator, VpSpec,

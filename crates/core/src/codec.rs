@@ -10,8 +10,6 @@
 //! [`seal_frame`]/[`open_frame`] for the checksum envelope that turns
 //! a serialized state into a durable, torn-write-rejecting artifact
 //! (plugin checkpoints and sealed RIB snapshots alike).
-//! `corsaro::codec` re-exports everything here, so existing call
-//! sites are unaffected.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -158,4 +156,51 @@ pub fn open_frame(frame: &[u8]) -> Result<&[u8], String> {
         return Err("checkpoint frame checksum mismatch (torn write)".into());
     }
     Ok(payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn primitive_roundtrips() {
+        let mut out = BytesMut::new();
+        let p4: Prefix = "193.204.0.0/15".parse().unwrap();
+        let p6: Prefix = "2001:db8::/32".parse().unwrap();
+        let ip4: IpAddr = "192.0.2.1".parse().unwrap();
+        let ip6: IpAddr = "2001:db8::9".parse().unwrap();
+        put_prefix(&mut out, &p4);
+        put_prefix(&mut out, &p6);
+        put_ip(&mut out, &ip4);
+        put_ip(&mut out, &ip6);
+        put_route(&mut out, &None);
+        put_route(&mut out, &Some(AsPath::from_sequence([65001, 137])));
+        let bytes = out.to_vec();
+        let mut buf = &bytes[..];
+        assert_eq!(get_prefix(&mut buf).unwrap(), p4);
+        assert_eq!(get_prefix(&mut buf).unwrap(), p6);
+        assert_eq!(get_ip(&mut buf).unwrap(), ip4);
+        assert_eq!(get_ip(&mut buf).unwrap(), ip6);
+        assert_eq!(get_route(&mut buf).unwrap(), None);
+        assert_eq!(
+            get_route(&mut buf).unwrap(),
+            Some(AsPath::from_sequence([65001, 137]))
+        );
+        assert!(buf.is_empty());
+        assert!(get_prefix(&mut buf).is_err());
+    }
+
+    #[test]
+    fn sealed_frames_reject_any_torn_write() {
+        let payload = b"per-bin partial state".to_vec();
+        let frame = seal_frame(&payload);
+        assert_eq!(open_frame(&frame).unwrap(), &payload[..]);
+        // Torn anywhere: short prefix, clipped tail, flipped byte.
+        for cut in [1, 5, frame.len() - 1] {
+            assert!(open_frame(&frame[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut flipped = frame.clone();
+        flipped[6] ^= 0x40;
+        assert!(open_frame(&flipped).is_err());
+    }
 }

@@ -1,29 +1,15 @@
-//! Serialization of RT plugin output for the message queue (§6.2.2),
-//! plus the shared primitives plugin checkpoints are built from.
+//! Serialization of RT plugin output for the message queue (§6.2.2).
 //!
 //! At the end of each time bin the RT plugin transmits the *changed*
 //! portions of each VP's routing table ("diff cells"); periodically it
 //! also transmits entire routing tables so consumers can (re)sync and
-//! then apply subsequent diffs.
-//!
-//! The checkpoint/restore path (`Plugin::checkpoint`) reuses the same
-//! wire vocabulary — [`put_prefix`]/[`get_prefix`],
-//! [`put_ip`]/[`get_ip`], [`put_route`]/[`get_route`] — so a restored
-//! plugin serializes and publishes byte-identically to one that never
-//! died, and [`seal_frame`]/[`open_frame`] add the checksum envelope
-//! the supervisor uses to reject checkpoints torn mid-flush.
+//! then apply subsequent diffs. Cells are written with the
+//! [`bgpstream::codec`] primitives plugin checkpoints also use, so a
+//! restored plugin publishes byte-identically to one that never died.
 
 use bgp_types::{AsPath, Asn, Prefix};
+use bgpstream::codec::{get_prefix, get_route, put_prefix, put_route};
 use bytes::{Buf, BufMut, BytesMut};
-
-// The wire/checkpoint primitives themselves now live in the core
-// library (`bgpstream::codec`) so the RIB layer can seal snapshots
-// with the same vocabulary below the plugin runtime; re-exported here
-// so historical `corsaro::codec::*` call sites are unaffected.
-pub use bgpstream::codec::{
-    get_ip, get_prefix, get_route, ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix,
-    put_route, seal_frame,
-};
 
 /// One changed (or full-table) cell: the state of `<prefix, VP>`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -203,7 +189,6 @@ pub fn decode_meta(mut buf: &[u8]) -> Result<(String, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::IpAddr;
 
     fn cells() -> Vec<DiffCell> {
         vec![
@@ -276,47 +261,5 @@ mod tests {
         let raw = encode_meta("rrc12", 900);
         assert_eq!(decode_meta(&raw).unwrap(), ("rrc12".to_string(), 900));
         assert!(decode_meta(&[1, 2]).is_err());
-    }
-
-    #[test]
-    fn primitive_roundtrips() {
-        let mut out = BytesMut::new();
-        let p4: Prefix = "193.204.0.0/15".parse().unwrap();
-        let p6: Prefix = "2001:db8::/32".parse().unwrap();
-        let ip4: IpAddr = "192.0.2.1".parse().unwrap();
-        let ip6: IpAddr = "2001:db8::9".parse().unwrap();
-        put_prefix(&mut out, &p4);
-        put_prefix(&mut out, &p6);
-        put_ip(&mut out, &ip4);
-        put_ip(&mut out, &ip6);
-        put_route(&mut out, &None);
-        put_route(&mut out, &Some(AsPath::from_sequence([65001, 137])));
-        let bytes = out.to_vec();
-        let mut buf = &bytes[..];
-        assert_eq!(get_prefix(&mut buf).unwrap(), p4);
-        assert_eq!(get_prefix(&mut buf).unwrap(), p6);
-        assert_eq!(get_ip(&mut buf).unwrap(), ip4);
-        assert_eq!(get_ip(&mut buf).unwrap(), ip6);
-        assert_eq!(get_route(&mut buf).unwrap(), None);
-        assert_eq!(
-            get_route(&mut buf).unwrap(),
-            Some(AsPath::from_sequence([65001, 137]))
-        );
-        assert!(buf.is_empty());
-        assert!(get_prefix(&mut buf).is_err());
-    }
-
-    #[test]
-    fn sealed_frames_reject_any_torn_write() {
-        let payload = b"per-bin partial state".to_vec();
-        let frame = seal_frame(&payload);
-        assert_eq!(open_frame(&frame).unwrap(), &payload[..]);
-        // Torn anywhere: short prefix, clipped tail, flipped byte.
-        for cut in [1, 5, frame.len() - 1] {
-            assert!(open_frame(&frame[..cut]).is_err(), "cut at {cut}");
-        }
-        let mut flipped = frame.clone();
-        flipped[6] ^= 0x40;
-        assert!(open_frame(&flipped).is_err());
     }
 }

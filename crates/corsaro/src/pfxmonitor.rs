@@ -233,7 +233,7 @@ impl Plugin for PfxMonitor {
     fn checkpoint(&self) -> Vec<u8> {
         use bytes::BytesMut;
 
-        use crate::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix};
+        use bgpstream::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix};
 
         let mut out = BytesMut::new();
         out.put_u8(1); // version
@@ -288,7 +288,7 @@ impl Plugin for PfxMonitor {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use crate::codec::{get_ip, get_prefix};
+        use bgpstream::codec::{get_ip, get_prefix};
 
         fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
             if buf.len() < n {

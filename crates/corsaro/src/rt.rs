@@ -553,7 +553,7 @@ impl Plugin for RtPlugin {
     /// cadence, shard assignment), through the queue codec's own
     /// prefix/ip/route vocabulary, each section in canonical order.
     fn checkpoint(&self) -> Vec<u8> {
-        use crate::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix, put_route};
+        use bgpstream::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix, put_route};
 
         let mut out = BytesMut::new();
         out.put_u8(1); // version
@@ -629,7 +629,7 @@ impl Plugin for RtPlugin {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use crate::codec::{get_ip, get_prefix, get_route};
+        use bgpstream::codec::{get_ip, get_prefix, get_route};
 
         fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
             if buf.len() < n {

@@ -15,7 +15,7 @@
 //!    elem-less and broadcast for pennies — and broadcasts each
 //!    batch — behind an `Arc`, so a broadcast is a refcount bump per
 //!    worker — into N per-worker bounded queues
-//!    ([`analytics::mapreduce::ShardPool`]); bounded queues mean a
+//!    ([`bsync::pool::ShardPool`]); bounded queues mean a
 //!    slow worker backpressures the reader instead of buffering
 //!    without limit;
 //! 2. every worker owns one **shard instance** of each partitioned
@@ -65,14 +65,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
-use analytics::mapreduce::ShardPool;
 use bgp_types::Prefix;
+use bgpstream::codec;
 use bgpstream::{BatchStep, BgpStream, BgpStreamRecord};
 use broker::BrokerError;
 use bsync::channel::{Receiver, Sender, TryRecvError, TrySendError};
+use bsync::pool::ShardPool;
 use bsync::time::Clock;
 
-use crate::codec;
 use crate::pipeline::{Partitioning, Plugin};
 
 /// A plugin the sharded runtime can fan out.
@@ -311,17 +311,28 @@ pub struct KillSpec {
     pub times: u32,
 }
 
-/// A deterministic crash schedule injected into a supervised run —
-/// the runtime-level half of `collector-sim`'s fault vocabulary.
+/// A deterministic crash schedule injected into a supervised run:
+/// which shard workers die, when, and which checkpoint writes are torn
+/// mid-flush. The consumer-side complement of `collector-sim`'s
+/// publication-layer `FaultPlan`.
 #[derive(Clone, Default, Debug)]
 pub struct Chaos {
     /// Worker kills (see [`KillSpec`]).
     pub kills: Vec<KillSpec>,
-    /// `(worker, nth)`: tear the `nth` checkpoint (1-based) taken by
-    /// `worker` mid-write. The frame checksum rejects it and the
-    /// previous checkpoint stays authoritative, so recovery replays a
-    /// wider window — output must not change.
+    /// `(worker, nth)`: tear the `nth` checkpoint taken by `worker`
+    /// mid-write. `nth` is 1-based — the worker's first checkpoint is
+    /// `1` — and keeps counting across restarts. The frame checksum
+    /// rejects the torn one and the previous checkpoint stays
+    /// authoritative, so recovery replays a wider window — output must
+    /// not change.
     pub torn_checkpoints: Vec<(usize, u64)>,
+}
+
+impl Chaos {
+    /// True when the schedule injects no faults at all.
+    pub fn is_empty(&self) -> bool {
+        self.kills.is_empty() && self.torn_checkpoints.is_empty()
+    }
 }
 
 /// Tuning for a [`Supervisor`]. All timing flows through the injected

@@ -335,31 +335,15 @@ fn test_supervisor_config() -> corsaro::SupervisorConfig {
     }
 }
 
-/// Translate the fault plan's pure-data crash schedule into the
-/// runtime's chaos injection.
-fn chaos_from(crash: &collector_sim::CrashPlan) -> corsaro::Chaos {
-    corsaro::Chaos {
-        kills: crash
-            .kills
-            .iter()
-            .map(|k| corsaro::KillSpec {
-                worker: k.worker,
-                at_record: k.at_record,
-                times: k.times,
-            })
-            .collect(),
-        torn_checkpoints: crash.torn_checkpoints.clone(),
-    }
-}
-
 /// Replay the archive through a faulty live feeder into a fresh index
 /// and consume it with `run_live` at `workers` (under a [`Supervisor`]
-/// when the plan carries a crash schedule); returns the same
-/// comparable output as the historical runner plus the run report.
+/// when `chaos` schedules any crash); returns the same comparable
+/// output as the historical runner plus the run report.
 fn run_live_once(
     world: &World,
     workers: usize,
     plan: &collector_sim::FaultPlan,
+    chaos: &corsaro::Chaos,
     seed: u64,
     stop: u64,
 ) -> (RunOutput, corsaro::LiveRunReport) {
@@ -409,14 +393,14 @@ fn run_live_once(
         .workers(workers)
         .bin_size(300)
         .build();
-    let report = if plan.crash.is_empty() {
+    let report = if chaos.is_empty() {
         runtime
             .run_live(&mut stream, stop, None, &mut plugins)
             .expect("run_live")
     } else {
         corsaro::Supervisor::new(runtime)
             .with_config(test_supervisor_config())
-            .with_chaos(chaos_from(&plan.crash))
+            .with_chaos(chaos.clone())
             .run_live(&mut stream, stop, None, &mut plugins)
             .expect("supervised run_live")
     };
@@ -461,7 +445,6 @@ fn run_live_output_is_byte_identical_to_historical_run() {
         }],
         swap_prob: 0.25,
         duplicate_prob: 0.25,
-        crash: collector_sim::CrashPlan::none(),
     };
     for (workers, plan, seed) in [
         (1usize, &benign, 7u64),
@@ -469,7 +452,14 @@ fn run_live_output_is_byte_identical_to_historical_run() {
         (4, &faulty, 13),
         (4, &benign, 17),
     ] {
-        let (live, _report) = run_live_once(&world, workers, plan, seed, stop);
+        let (live, _report) = run_live_once(
+            &world,
+            workers,
+            plan,
+            &corsaro::Chaos::default(),
+            seed,
+            stop,
+        );
         assert_eq!(
             baseline, live,
             "live output diverged at workers={workers} seed={seed}"
@@ -492,16 +482,16 @@ fn supervised_run_is_byte_identical_under_crash_schedules() {
     let baseline = run_historical_until(&world, stop);
     assert!(baseline.records > 0);
     let n = baseline.records;
-    let kill = |worker: usize, at_record: u64| collector_sim::WorkerKill {
+    let kill = |worker: usize, at_record: u64| corsaro::KillSpec {
         worker,
         at_record,
         times: 1,
     };
-    let schedules: Vec<(usize, collector_sim::CrashPlan)> = vec![
+    let schedules: Vec<(usize, corsaro::Chaos)> = vec![
         // Single worker killed early: restore-from-scratch + replay.
         (
             1,
-            collector_sim::CrashPlan {
+            corsaro::Chaos {
                 kills: vec![kill(0, n / 5)],
                 torn_checkpoints: vec![],
             },
@@ -511,7 +501,7 @@ fn supervised_run_is_byte_identical_under_crash_schedules() {
         // replay window.
         (
             2,
-            collector_sim::CrashPlan {
+            corsaro::Chaos {
                 kills: vec![kill(0, n / 3), kill(1, 2 * n / 3)],
                 torn_checkpoints: vec![(0, 1)],
             },
@@ -520,7 +510,7 @@ fn supervised_run_is_byte_identical_under_crash_schedules() {
         // records while its neighbours keep running.
         (
             4,
-            collector_sim::CrashPlan {
+            corsaro::Chaos {
                 kills: vec![
                     kill(2, n / 6),
                     kill(2, n / 3),
@@ -533,11 +523,8 @@ fn supervised_run_is_byte_identical_under_crash_schedules() {
     ];
     for (workers, crash) in schedules {
         let expected_restarts = crash.kills.len() as u64;
-        let plan = collector_sim::FaultPlan {
-            crash: crash.clone(),
-            ..collector_sim::FaultPlan::none()
-        };
-        let (live, report) = run_live_once(&world, workers, &plan, 11, stop);
+        let plan = collector_sim::FaultPlan::none();
+        let (live, report) = run_live_once(&world, workers, &plan, &crash, 11, stop);
         assert_eq!(
             report.restarts, expected_restarts,
             "every scheduled kill restarts exactly once at workers={workers}"
@@ -564,10 +551,10 @@ fn exhausted_restart_budget_degrades_to_partial_bins_without_wedging() {
     let stop = stop_after_last_record(&world, 300);
     let baseline = run_historical_until(&world, stop);
     let budget = 2u32;
-    let crash = collector_sim::CrashPlan {
+    let crash = corsaro::Chaos {
         // times > max_restarts + 1: the kill re-fires on every replay
         // until the budget is gone.
-        kills: vec![collector_sim::WorkerKill {
+        kills: vec![corsaro::KillSpec {
             worker: 1,
             at_record: baseline.records / 4,
             times: budget + 2,
@@ -611,7 +598,7 @@ fn exhausted_restart_budget_degrades_to_partial_bins_without_wedging() {
     let report =
         corsaro::Supervisor::new(ShardedRuntime::builder().workers(2).bin_size(300).build())
             .with_config(cfg)
-            .with_chaos(chaos_from(&crash))
+            .with_chaos(crash)
             .run_live(&mut stream, stop, None, &mut plugins)
             .expect("degraded session still completes");
     driver.join().unwrap();

@@ -34,10 +34,6 @@ pub fn swallow_panics(f: impl FnOnce() + std::panic::UnwindSafe) {
     let _ = std::panic::catch_unwind(f); // catch-unwind, unjustified
 }
 
-pub fn old_interface(idx: std::sync::Arc<broker::Index>) -> broker::DataInterface {
-    broker::DataInterface::Broker(idx) // deprecated-api
-}
-
 #[cfg(test)]
 mod tests {
     // Inside cfg(test): none of these may be reported.

@@ -23,7 +23,7 @@ pub fn sanctioned_boundary(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
 }
 
 pub fn prose_only() {
-    // Mentioning Instant::now, .unwrap() or DataInterface::Broker(x)
+    // Mentioning Instant::now or .unwrap()
     // in a comment is fine.
     let doc = "and parking_lot::Mutex inside a string literal is fine";
     let raw = r#"std::sync::Condvar in a raw string is fine"#;

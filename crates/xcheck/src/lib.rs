@@ -30,11 +30,6 @@
 //!   be a reviewed recovery point justified with an inline
 //!   `// xcheck:allow(catch-unwind) — why` (the worker-loop and
 //!   prefetch boundaries that feed the supervisor).
-//! * **`deprecated-api`** — constructors kept only as back-compat
-//!   shims (`DataInterface::Broker(…)`) are forbidden in new library
-//!   code; `rustc`'s `#[deprecated]` lint already covers in-crate and
-//!   test uses, this rule makes the ban visible in the same pass as
-//!   the other workspace conventions.
 //!
 //! Suppression is explicit and reviewable: either an inline
 //! `// xcheck:allow(<rule>)` comment on (or directly above) the line,
@@ -69,7 +64,6 @@ const UNWRAP_TOKENS: &[&str] = &[".unwrap()", ".expect("];
 const EXIT_TOKENS: &[&str] = &["process::exit(", "process::abort("];
 const CATCH_UNWIND_TOKENS: &[&str] = &["catch_unwind("];
 const STD_SYNC_BANNED: &[&str] = &["Mutex", "RwLock", "Condvar", "atomic", "mpsc", "Barrier"];
-const DEPRECATED_TOKENS: &[&str] = &["DataInterface::Broker("];
 
 /// One violation, printed as `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -279,7 +273,6 @@ pub struct RuleScope {
     pub facade: bool,
     pub exit: bool,
     pub catch_unwind: bool,
-    pub deprecated: bool,
 }
 
 /// Scope from path conventions: `crates/*/src` and root `src/` get the
@@ -303,7 +296,6 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
                 facade: false,
                 exit: false,
                 catch_unwind: false,
-                deprecated: false,
             });
     }
     if rel.starts_with("crates/") {
@@ -314,10 +306,6 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: crate_name != "bsync",
             exit: true,
             catch_unwind: true,
-            // The shim's own definition lives in crates/broker (and is
-            // exercised by a #[cfg(test)] test there, which this pass
-            // skips anyway); everywhere else a new use is a violation.
-            deprecated: crate_name != "broker",
         });
     }
     if rel.starts_with("src/") {
@@ -327,7 +315,6 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: true,
             exit: true,
             catch_unwind: true,
-            deprecated: true,
         });
     }
     None
@@ -444,21 +431,6 @@ pub fn scan_file(rel: &str, content: &str, scope: RuleScope, allow: &AllowList) 
                         line: line_no,
                         rule: "catch-unwind",
                         message: "`catch_unwind` is an isolation boundary; justify with `xcheck:allow(catch-unwind) — why`".to_string(),
-                    });
-                }
-            }
-        }
-        if scope.deprecated && !marker_here("deprecated-api") {
-            for tok in DEPRECATED_TOKENS {
-                if code.contains(tok) {
-                    diags.push(Diagnostic {
-                        file: rel.to_string(),
-                        line: line_no,
-                        rule: "deprecated-api",
-                        message: format!(
-                            "`{}…)` is a back-compat shim; construct the client explicitly (`DataInterface::client(…)` or `BgpStreamBuilder::broker_client`)",
-                            tok
-                        ),
                     });
                 }
             }
@@ -585,7 +557,6 @@ mod tests {
         facade: true,
         exit: true,
         catch_unwind: true,
-        deprecated: true,
     };
 
     #[test]
@@ -598,7 +569,6 @@ mod tests {
         assert!(rules.contains(&"facade"), "diags: {diags:?}");
         assert!(rules.contains(&"exit"), "diags: {diags:?}");
         assert!(rules.contains(&"catch-unwind"), "diags: {diags:?}");
-        assert!(rules.contains(&"deprecated-api"), "diags: {diags:?}");
         assert!(
             check_crate_root("crates/core/src/bad.rs", bad).is_some(),
             "fixture must also miss forbid(unsafe_code)"
@@ -641,7 +611,6 @@ mod tests {
                 facade: true,
                 exit: true,
                 catch_unwind: true,
-                deprecated: true
             },
             &allow
         )
@@ -696,12 +665,6 @@ mod tests {
     fn scope_rules_follow_paths() {
         assert!(scope_for("crates/broker/src/service.rs").unwrap().unwrap);
         assert!(scope_for("crates/rib/src/table.rs").unwrap().unwrap);
-        assert!(
-            !scope_for("crates/broker/src/interface.rs")
-                .unwrap()
-                .deprecated
-        );
-        assert!(scope_for("crates/core/src/stream.rs").unwrap().deprecated);
         assert!(!scope_for("crates/topology/src/lib.rs").unwrap().unwrap);
         assert!(!scope_for("crates/bsync/src/lib.rs").unwrap().facade);
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);

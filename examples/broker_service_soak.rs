@@ -37,7 +37,6 @@ use bgpstream_repro::broker::{
     BrokerClient, BrokerError, BrokerService, DumpType, Index, LocalBroker, Query, ReleasePolicy,
     RemoteBroker, ServiceConfig,
 };
-use bgpstream_repro::collector_sim::feeder::bgpstream_clock::SharedClock;
 use bgpstream_repro::collector_sim::{page_history, FaultPlan, LiveTail, Stall};
 use bgpstream_repro::collector_sim::{ClientReport, LiveFeeder};
 use bgpstream_repro::mq::Cluster;
@@ -120,12 +119,10 @@ fn main() {
         }],
         swap_prob: 0.2,
         duplicate_prob: 0.2,
-        crash: collector_sim::CrashPlan::none(),
     };
     let feeder = LiveFeeder::new(&manifest, live_index.clone(), &plan, args.seed);
     let drain_to = feeder.horizon().saturating_add(1);
-    let shared = SharedClock::new(0);
-    let virtual_now: Arc<AtomicU64> = shared.0.clone();
+    let virtual_now = Arc::new(AtomicU64::new(0));
     let stop_flag = Arc::new(AtomicBool::new(false));
     let timed_out = Arc::new(AtomicBool::new(false));
     {
@@ -138,7 +135,17 @@ fn main() {
             flag.store(true, Ordering::SeqCst);
         });
     }
-    let feeder_handle = feeder.spawn_compressed(shared, args.speed, drain_to, stop_flag.clone());
+    let feeder_handle = {
+        let virtual_now = virtual_now.clone();
+        feeder.spawn_compressed(
+            move |t| {
+                virtual_now.fetch_max(t, Ordering::SeqCst);
+            },
+            args.speed,
+            drain_to,
+            stop_flag.clone(),
+        )
+    };
 
     // 4. Unleash the fleet.
     let quiesce = Arc::new(AtomicBool::new(false));

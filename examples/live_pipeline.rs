@@ -35,8 +35,7 @@ use std::sync::Arc;
 
 use bgpstream_repro::bgpstream::{BgpStream, Clock, DecodeMode};
 use bgpstream_repro::broker::{Index, LocalBroker};
-use bgpstream_repro::collector_sim::feeder::bgpstream_clock::SharedClock;
-use bgpstream_repro::collector_sim::{CrashPlan, FaultPlan, LiveFeeder, Stall, WorkerKill};
+use bgpstream_repro::collector_sim::{FaultPlan, LiveFeeder, Stall};
 use bgpstream_repro::corsaro::runtime::{ShardedPlugin, ShardedRuntime};
 use bgpstream_repro::corsaro::{
     run_pipeline_until, Chaos, ElemCounter, KillSpec, PfxMonitor, Plugin, Supervisor,
@@ -188,46 +187,10 @@ fn main() {
         }],
         swap_prob: 0.10,
         duplicate_prob: 0.20,
-        // Under --chaos, workers die mid-bin at fixed fractions of the
-        // record count — including one record that kills its worker
-        // twice in a row (a restart storm) — and two checkpoint writes
-        // are torn mid-flush. The supervisor must absorb all of it.
-        crash: if args.chaos {
-            let n = expected_records;
-            CrashPlan {
-                kills: vec![
-                    WorkerKill {
-                        worker: 0,
-                        at_record: n / 6,
-                        times: 1,
-                    },
-                    WorkerKill {
-                        worker: 1 % args.workers,
-                        at_record: n / 3,
-                        times: 1,
-                    },
-                    WorkerKill {
-                        worker: 0,
-                        at_record: n / 2,
-                        times: 1,
-                    },
-                    // Restart storm: re-fires on the post-restart replay.
-                    WorkerKill {
-                        worker: 1 % args.workers,
-                        at_record: 3 * n / 4,
-                        times: 2,
-                    },
-                ],
-                torn_checkpoints: vec![(0, 1), (1 % args.workers, 2)],
-            }
-        } else {
-            CrashPlan::none()
-        },
     };
     let feeder = LiveFeeder::new(&manifest, live_index.clone(), &plan, 7);
     let drain_to = feeder.horizon().saturating_add(1);
-    let shared = SharedClock::new(0);
-    let clock = Clock::Manual(shared.0.clone());
+    let clock = Clock::manual(0);
     let stop_flag = Arc::new(AtomicBool::new(false));
     let timed_out = Arc::new(AtomicBool::new(false));
 
@@ -257,7 +220,15 @@ fn main() {
     if args.shutdown_test {
         stop_flag.store(true, Ordering::SeqCst);
     }
-    let feeder_handle = feeder.spawn_compressed(shared, args.speed, drain_to, stop_flag.clone());
+    let feeder_handle = {
+        let clock = clock.clone();
+        feeder.spawn_compressed(
+            move |t| clock.advance_to(t),
+            args.speed,
+            drain_to,
+            stop_flag.clone(),
+        )
+    };
 
     // 4. Tail it: live stream (watermark release) into run_live.
     let ranges: Vec<_> = world
@@ -285,7 +256,38 @@ fn main() {
     let wall_start = std::time::Instant::now();
     let mut plugins: Vec<&mut dyn ShardedPlugin> = vec![&mut monitor, &mut stats];
     let report = if args.chaos {
-        let expected_fires: u64 = plan.crash.kills.iter().map(|k| k.times as u64).sum();
+        // Workers die mid-bin at fixed fractions of the record count —
+        // including one record that kills its worker twice in a row (a
+        // restart storm) — and two checkpoint writes are torn
+        // mid-flush. The supervisor must absorb all of it.
+        let n = expected_records;
+        let chaos = Chaos {
+            kills: vec![
+                KillSpec {
+                    worker: 0,
+                    at_record: n / 6,
+                    times: 1,
+                },
+                KillSpec {
+                    worker: 1 % args.workers,
+                    at_record: n / 3,
+                    times: 1,
+                },
+                KillSpec {
+                    worker: 0,
+                    at_record: n / 2,
+                    times: 1,
+                },
+                // Restart storm: re-fires on the post-restart replay.
+                KillSpec {
+                    worker: 1 % args.workers,
+                    at_record: 3 * n / 4,
+                    times: 2,
+                },
+            ],
+            torn_checkpoints: vec![(0, 1), (1 % args.workers, 2)],
+        };
+        let expected_fires: u64 = chaos.kills.iter().map(|k| k.times as u64).sum();
         let report = Supervisor::new(runtime)
             .with_config(SupervisorConfig {
                 max_restarts: 8,
@@ -294,19 +296,7 @@ fn main() {
                 stall_timeout_ms: 60_000,
                 ..SupervisorConfig::default()
             })
-            .with_chaos(Chaos {
-                kills: plan
-                    .crash
-                    .kills
-                    .iter()
-                    .map(|k| KillSpec {
-                        worker: k.worker,
-                        at_record: k.at_record,
-                        times: k.times,
-                    })
-                    .collect(),
-                torn_checkpoints: plan.crash.torn_checkpoints.clone(),
-            })
+            .with_chaos(chaos)
             .run_live(&mut stream, stop, Some(&stop_flag), &mut plugins)
             .expect("supervised run_live");
         println!(

@@ -226,7 +226,6 @@ fn live_pipeline_identical_through_local_and_remote_under_faults() {
         ],
         swap_prob: 0.5,
         duplicate_prob: 0.5,
-        crash: collector_sim::CrashPlan::none(),
     };
     let local = run_live_through(&plan, 77, 2, |idx| LocalBroker::shared(idx));
     assert_eq!(local, fx.baseline, "local live diverged from historical");

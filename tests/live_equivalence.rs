@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use bgpstream_repro::bgpstream::{BgpStream, Clock};
 use bgpstream_repro::broker::{Index, LocalBroker};
-use bgpstream_repro::collector_sim::{CrashPlan, FaultPlan, LiveFeeder, Stall, WorkerKill};
+use bgpstream_repro::collector_sim::{FaultPlan, LiveFeeder, Stall};
 use bgpstream_repro::corsaro::runtime::{ShardedPlugin, ShardedRuntime};
 use bgpstream_repro::corsaro::{
     run_pipeline_until, Chaos, ElemCounter, KillSpec, PfxMonitor, Plugin, Supervisor,
@@ -104,7 +104,7 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn run_live_under(plan: &FaultPlan, seed: u64, workers: usize) -> Output {
+fn run_live_under(plan: &FaultPlan, chaos: &Chaos, seed: u64, workers: usize) -> Output {
     let fx = fixture();
     let live_index = Arc::new(Index::with_window(900));
     let mut feeder = LiveFeeder::new(&fx.manifest, live_index.clone(), plan, seed);
@@ -137,7 +137,7 @@ fn run_live_under(plan: &FaultPlan, seed: u64, workers: usize) -> Output {
         .bin_size(BIN)
         .build();
     let mut plugins: Vec<&mut dyn ShardedPlugin> = vec![&mut pfx, &mut stats];
-    let report = if plan.crash.is_empty() {
+    let report = if chaos.is_empty() {
         runtime
             .run_live(&mut stream, fx.stop, None, &mut plugins)
             .expect("run_live")
@@ -153,27 +153,14 @@ fn run_live_under(plan: &FaultPlan, seed: u64, workers: usize) -> Output {
             clock: bgpstream_repro::bsync::time::Clock::manual(0),
             seed: seed ^ 0x5eed,
         };
-        let chaos = Chaos {
-            kills: plan
-                .crash
-                .kills
-                .iter()
-                .map(|k| KillSpec {
-                    worker: k.worker,
-                    at_record: k.at_record,
-                    times: k.times,
-                })
-                .collect(),
-            torn_checkpoints: plan.crash.torn_checkpoints.clone(),
-        };
         let report = Supervisor::new(runtime)
             .with_config(cfg)
-            .with_chaos(chaos)
+            .with_chaos(chaos.clone())
             .run_live(&mut stream, fx.stop, None, &mut plugins)
             .expect("supervised run_live");
         assert_eq!(
             report.restarts,
-            plan.crash.kills.len() as u64,
+            chaos.kills.len() as u64,
             "every scheduled kill fires exactly once"
         );
         assert!(
@@ -214,7 +201,6 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 stalls,
                 swap_prob,
                 duplicate_prob,
-                crash: CrashPlan::none(),
             },
         )
 }
@@ -232,7 +218,7 @@ proptest! {
         workers in prop_oneof![Just(1usize), Just(2), Just(4)],
     ) {
         let fx = fixture();
-        let live = run_live_under(&plan, seed, workers);
+        let live = run_live_under(&plan, &Chaos::default(), seed, workers);
         prop_assert_eq!(
             &live, &fx.baseline,
             "diverged under plan {:?} seed {} workers {}", plan, seed, workers
@@ -246,7 +232,7 @@ proptest! {
     /// historical baseline — nothing dropped, nothing duplicated.
     #[test]
     fn live_closed_bins_survive_random_crash_schedules(
-        mut plan in arb_plan(),
+        plan in arb_plan(),
         kill_fracs in proptest::collection::vec((0usize..4, 1u64..100), 1..4),
         torn in proptest::collection::vec((0usize..4, 1u64..4), 0..3),
         seed in 0u64..1_000,
@@ -255,10 +241,10 @@ proptest! {
         let fx = fixture();
         // Kill points are generated as fractions of the record count
         // so schedules stay meaningful whatever the fixture's size.
-        plan.crash = CrashPlan {
+        let chaos = Chaos {
             kills: kill_fracs
                 .iter()
-                .map(|&(w, frac)| WorkerKill {
+                .map(|&(w, frac)| KillSpec {
                     worker: w % workers,
                     at_record: fx.baseline.records * frac / 100,
                     times: 1,
@@ -266,10 +252,10 @@ proptest! {
                 .collect(),
             torn_checkpoints: torn.iter().map(|&(w, n)| (w % workers, n)).collect(),
         };
-        let live = run_live_under(&plan, seed, workers);
+        let live = run_live_under(&plan, &chaos, seed, workers);
         prop_assert_eq!(
             &live, &fx.baseline,
-            "diverged under crash plan {:?} seed {} workers {}", plan, seed, workers
+            "diverged under plan {:?} chaos {:?} seed {} workers {}", plan, chaos, seed, workers
         );
     }
 }
@@ -296,10 +282,9 @@ fn live_equals_historical_under_the_nastiest_fixed_schedule() {
         ],
         swap_prob: 0.5,
         duplicate_prob: 0.5,
-        crash: CrashPlan::none(),
     };
     for workers in [1usize, 2, 4] {
-        let live = run_live_under(&plan, 4242, workers);
+        let live = run_live_under(&plan, &Chaos::default(), 4242, workers);
         assert_eq!(live, fx.baseline, "workers={workers}");
     }
 }
@@ -321,34 +306,34 @@ fn live_equals_historical_under_publication_faults_plus_crash_storm() {
         }],
         swap_prob: 0.5,
         duplicate_prob: 0.5,
-        crash: CrashPlan {
-            kills: vec![
-                WorkerKill {
-                    worker: 0,
-                    at_record: n / 7,
-                    times: 1,
-                },
-                WorkerKill {
-                    worker: 1,
-                    at_record: n / 3,
-                    times: 1,
-                },
-                WorkerKill {
-                    worker: 0,
-                    at_record: n / 2,
-                    times: 1,
-                },
-                WorkerKill {
-                    worker: 1,
-                    at_record: 5 * n / 6,
-                    times: 1,
-                },
-            ],
-            torn_checkpoints: vec![(0, 1), (1, 2)],
-        },
+    };
+    let chaos = Chaos {
+        kills: vec![
+            KillSpec {
+                worker: 0,
+                at_record: n / 7,
+                times: 1,
+            },
+            KillSpec {
+                worker: 1,
+                at_record: n / 3,
+                times: 1,
+            },
+            KillSpec {
+                worker: 0,
+                at_record: n / 2,
+                times: 1,
+            },
+            KillSpec {
+                worker: 1,
+                at_record: 5 * n / 6,
+                times: 1,
+            },
+        ],
+        torn_checkpoints: vec![(0, 1), (1, 2)],
     };
     for workers in [2usize, 4] {
-        let live = run_live_under(&plan, 77, workers);
+        let live = run_live_under(&plan, &chaos, 77, workers);
         assert_eq!(live, fx.baseline, "workers={workers}");
     }
 }
