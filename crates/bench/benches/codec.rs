@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, PathAttributes, Prefix, PrefixTrie};
-use mrt::{Bgp4mp, MrtReader, MrtRecord, MrtWriter};
+use mrt::{Bgp4mp, ChunkedReader, MrtRecord, MrtWriter};
 
 fn sample_update(k: u32) -> MrtRecord {
     let mut attrs = PathAttributes::route(
@@ -51,7 +51,7 @@ fn bench_mrt_codec(c: &mut Criterion) {
     });
     g.bench_function("decode_1k_updates", |b| {
         b.iter(|| {
-            let (recs, err) = MrtReader::new(black_box(&file[..])).read_all();
+            let (recs, err) = ChunkedReader::from_bytes(black_box(file.clone())).read_all();
             assert!(err.is_none());
             black_box(recs.len())
         })

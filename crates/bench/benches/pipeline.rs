@@ -14,7 +14,7 @@ use bgpstream_repro::bgpstream::{BgpStream, ElemType};
 use bgpstream_repro::broker::LocalBroker;
 use bgpstream_repro::corsaro::runtime::{ShardedPlugin, ShardedRuntime};
 use bgpstream_repro::corsaro::{run_pipeline, ElemCounter, PfxMonitor, Plugin, RtPlugin};
-use bgpstream_repro::mrt::{ChunkedReader, MrtReader, ParDecoder};
+use bgpstream_repro::mrt::{ChunkedReader, ParDecoder};
 use bgpstream_repro::worlds;
 
 struct Archive {
@@ -52,7 +52,7 @@ fn bench_pipeline(c: &mut Criterion) {
             let mut n = 0u64;
             for path in &archive.files {
                 let bytes = std::fs::read(path).unwrap();
-                let (recs, err) = MrtReader::new(&bytes[..]).read_all();
+                let (recs, err) = ChunkedReader::from_bytes(bytes).read_all();
                 assert!(err.is_none());
                 n += recs.len() as u64;
             }

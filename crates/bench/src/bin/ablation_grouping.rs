@@ -15,7 +15,7 @@ use bench::{header, scaled};
 use bgpstream_repro::bgpstream::sort::{partition_overlap_groups, GroupMerger};
 use bgpstream_repro::bgpstream::Filters;
 use bgpstream_repro::broker::index::{BrokerCursor, Query};
-use bgpstream_repro::mrt::MrtReader;
+use bgpstream_repro::mrt::ChunkedReader;
 use bgpstream_repro::worlds;
 
 fn main() {
@@ -88,8 +88,7 @@ fn main() {
     let t = Instant::now();
     let mut n_c = 0u64;
     for f in &files {
-        let bytes = std::fs::read(&f.path).expect("dump file");
-        let (recs, err) = MrtReader::new(&bytes[..]).read_all();
+        let (recs, err) = ChunkedReader::open(&f.path).expect("dump file").read_all();
         assert!(err.is_none());
         n_c += recs.len() as u64;
     }

@@ -11,7 +11,7 @@ use std::time::Instant;
 use bench::{header, scaled};
 use bgpstream_repro::bgpstream::BgpStream;
 use bgpstream_repro::broker::LocalBroker;
-use bgpstream_repro::mrt::MrtReader;
+use bgpstream_repro::mrt::ChunkedReader;
 use bgpstream_repro::worlds;
 
 fn main() {
@@ -39,8 +39,7 @@ fn main() {
     let t0 = Instant::now();
     let mut raw_records = 0u64;
     for m in &manifest {
-        let file = std::fs::File::open(&m.path).expect("dump file");
-        let mut reader = MrtReader::new(std::io::BufReader::new(file));
+        let mut reader = ChunkedReader::open(&m.path).expect("dump file");
         while let Some(r) = reader.next() {
             r.expect("clean archive");
             raw_records += 1;

@@ -6,6 +6,13 @@
 //! those records and the decoder libBGPStream uses to extract elems.
 //! AS numbers are always encoded 4-byte (the `_AS4` record flavour),
 //! matching what modern collectors emit.
+//!
+//! The wire grammar lives here once. [`MessageView`], [`UpdateView`],
+//! [`walk_attrs`], [`walk_as_path`] and [`split_nlri`] frame and check
+//! every structure without allocating; the decoder materialises on top
+//! of them, and `mrt::raw`'s filter-pushdown scans walk the same
+//! functions, so "the scan accepts these bytes" and "the decoder
+//! accepts these bytes" cannot drift apart.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -183,26 +190,53 @@ impl BgpMessage {
     }
 
     /// Decode one message from `buf`, which must contain exactly one
-    /// whole message.
-    pub fn decode(mut buf: &[u8]) -> Result<BgpMessage, CodecError> {
-        if buf.len() < HEADER_LEN {
-            return Err(CodecError::Truncated("BGP header"));
+    /// whole message: [`MessageView::parse`], then the UPDATE's
+    /// sections.
+    pub fn decode(buf: &[u8]) -> Result<BgpMessage, CodecError> {
+        match MessageView::parse(buf)? {
+            MessageView::Update(update) => Ok(BgpMessage::Update(update.decode()?)),
+            MessageView::Fixed(message) => Ok(message),
         }
-        if buf[..16] != MARKER {
+    }
+}
+
+/// One BGP message after the header and fixed-size body checks, with
+/// nothing allocated: the wire grammar that both
+/// [`BgpMessage::decode`] and allocation-free scanners (MRT filter
+/// pushdown) walk.
+#[derive(Clone, Debug)]
+pub enum MessageView<'a> {
+    /// An UPDATE, split into its sections but not decoded.
+    Update(UpdateView<'a>),
+    /// An OPEN, NOTIFICATION or KEEPALIVE. Their bodies are fixed-size,
+    /// so they are decoded in full.
+    Fixed(BgpMessage),
+}
+
+impl<'a> MessageView<'a> {
+    /// Check the RFC 4271 §4.1 header of the message at the start of
+    /// `buf` (bytes past its declared length are ignored) and frame its
+    /// body.
+    #[inline]
+    pub fn parse(buf: &'a [u8]) -> Result<MessageView<'a>, CodecError> {
+        let Some((header, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
+            return Err(CodecError::Truncated("BGP header"));
+        };
+        if header[..16] != MARKER {
             return Err(CodecError::BadMarker);
         }
-        buf.advance(16);
-        let total = buf.get_u16() as usize;
+        let total = u16::from_be_bytes([header[16], header[17]]) as usize;
         if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
             return Err(CodecError::BadLength("BGP header"));
         }
-        let ty = buf.get_u8();
+        let ty = header[18];
         let body_len = total - HEADER_LEN;
-        if buf.len() < body_len {
+        if rest.len() < body_len {
             return Err(CodecError::Truncated("BGP body"));
         }
-        let mut body = &buf[..body_len];
-        match ty {
+        let mut body = &rest[..body_len];
+        let message = match ty {
+            TYPE_UPDATE => return Ok(MessageView::Update(UpdateView::split(body)?)),
             TYPE_OPEN => {
                 if body.len() < 10 {
                     return Err(CodecError::Truncated("OPEN body"));
@@ -211,25 +245,25 @@ impl BgpMessage {
                 let asn = Asn(body.get_u16() as u32);
                 let hold_time = body.get_u16();
                 let bgp_id = body.get_u32();
-                Ok(BgpMessage::Open {
+                BgpMessage::Open {
                     asn,
                     hold_time,
                     bgp_id,
-                })
+                }
             }
-            TYPE_UPDATE => Ok(BgpMessage::Update(decode_update_body(body)?)),
             TYPE_NOTIFICATION => {
                 if body.len() < 2 {
                     return Err(CodecError::Truncated("NOTIFICATION body"));
                 }
-                Ok(BgpMessage::Notification {
+                BgpMessage::Notification {
                     code: body.get_u8(),
                     subcode: body.get_u8(),
-                })
+                }
             }
-            TYPE_KEEPALIVE => Ok(BgpMessage::Keepalive),
-            other => Err(CodecError::UnknownType(other)),
-        }
+            TYPE_KEEPALIVE => BgpMessage::Keepalive,
+            other => return Err(CodecError::UnknownType(other)),
+        };
+        Ok(MessageView::Fixed(message))
     }
 }
 
@@ -367,27 +401,46 @@ fn encode_as_path(path: &AsPath, out: &mut BytesMut) {
     }
 }
 
-fn decode_as_path(mut buf: &[u8]) -> Result<AsPath, CodecError> {
-    let mut segments = Vec::new();
-    while buf.has_remaining() {
-        if buf.len() < 2 {
+/// Walk the segments of an AS_PATH value (4-byte ASNs), handing each
+/// to `f` as `(is_set, asn bytes)`. Validates exactly what
+/// [`decode_attrs`] does, without allocating.
+pub fn walk_as_path<'a>(
+    mut buf: &'a [u8],
+    mut f: impl FnMut(bool, &'a [u8]),
+) -> Result<(), CodecError> {
+    while !buf.is_empty() {
+        let Some((&[ty, count], rest)) = buf.split_first_chunk::<2>() else {
             return Err(CodecError::Truncated("AS_PATH segment header"));
-        }
-        let ty = buf.get_u8();
-        let count = buf.get_u8() as usize;
-        if buf.len() < count * 4 {
+        };
+        let len = count as usize * 4;
+        if rest.len() < len {
             return Err(CodecError::Truncated("AS_PATH segment body"));
         }
-        let mut asns = Vec::with_capacity(count);
-        for _ in 0..count {
-            asns.push(Asn(buf.get_u32()));
-        }
-        segments.push(match ty {
-            SEG_SET => AsPathSegment::Set(asns),
-            SEG_SEQUENCE => AsPathSegment::Sequence(asns),
+        let is_set = match ty {
+            SEG_SET => true,
+            SEG_SEQUENCE => false,
             _ => return Err(CodecError::Invalid("AS_PATH segment type")),
-        });
+        };
+        let (asns, rest) = rest.split_at(len);
+        f(is_set, asns);
+        buf = rest;
     }
+    Ok(())
+}
+
+fn decode_as_path(buf: &[u8]) -> Result<AsPath, CodecError> {
+    let mut segments = Vec::new();
+    walk_as_path(buf, |is_set, mut wire| {
+        let mut asns = Vec::with_capacity(wire.len() / 4);
+        while wire.has_remaining() {
+            asns.push(Asn(wire.get_u32()));
+        }
+        segments.push(if is_set {
+            AsPathSegment::Set(asns)
+        } else {
+            AsPathSegment::Sequence(asns)
+        });
+    })?;
     // Merge consecutive SEQUENCE segments re-split by the 255 limit.
     let mut merged: Vec<AsPathSegment> = Vec::with_capacity(segments.len());
     for seg in segments {
@@ -411,29 +464,46 @@ pub fn encode_nlri(p: &Prefix, out: &mut BytesMut) {
     out.put_slice(&raw[..nbytes]);
 }
 
-/// Decode one NLRI entry from `buf`, advancing it.
-pub fn decode_nlri(buf: &mut &[u8], v4: bool) -> Result<Prefix, CodecError> {
-    if buf.is_empty() {
+/// Split one NLRI entry off `buf` — its prefix length and the minimal
+/// network bytes — validating it as [`decode_nlri`] does, without
+/// building the [`Prefix`].
+#[inline]
+pub fn split_nlri<'a>(buf: &mut &'a [u8], v4: bool) -> Result<(u8, &'a [u8]), CodecError> {
+    let Some((&len, rest)) = buf.split_first() else {
         return Err(CodecError::Truncated("NLRI length"));
-    }
-    let len = buf.get_u8();
+    };
     let max = if v4 { 32 } else { 128 };
     if len > max {
         return Err(CodecError::Invalid("NLRI prefix length"));
     }
     let nbytes = (len as usize).div_ceil(8);
-    if buf.len() < nbytes {
+    if rest.len() < nbytes {
         return Err(CodecError::Truncated("NLRI body"));
     }
+    let (network, rest) = rest.split_at(nbytes);
+    *buf = rest;
+    Ok((len, network))
+}
+
+/// Decode one NLRI entry from `buf`, advancing it.
+pub fn decode_nlri(buf: &mut &[u8], v4: bool) -> Result<Prefix, CodecError> {
+    let (len, network) = split_nlri(buf, v4)?;
     let mut raw = [0u8; 16];
-    raw[..nbytes].copy_from_slice(&buf[..nbytes]);
-    buf.advance(nbytes);
+    raw[..network.len()].copy_from_slice(network);
     let bits = u128::from_be_bytes(raw);
     Ok(if v4 {
         Prefix::v4(Ipv4Addr::from((bits >> 96) as u32), len)
     } else {
         Prefix::v6(Ipv6Addr::from(bits), len)
     })
+}
+
+/// Decode a whole NLRI block onto the end of `out`.
+fn decode_nlri_block(mut block: &[u8], v4: bool, out: &mut Vec<Prefix>) -> Result<(), CodecError> {
+    while !block.is_empty() {
+        out.push(decode_nlri(&mut block, v4)?);
+    }
+    Ok(())
 }
 
 /// The result of decoding a bare path-attribute sequence.
@@ -449,163 +519,233 @@ pub struct DecodedAttrs {
     pub mp_withdrawals: Vec<Prefix>,
 }
 
-fn decode_update_body(mut body: &[u8]) -> Result<BgpUpdate, CodecError> {
-    if body.len() < 2 {
-        return Err(CodecError::Truncated("UPDATE withdrawn length"));
-    }
-    let wd_len = body.get_u16() as usize;
-    if body.len() < wd_len {
-        return Err(CodecError::BadLength("UPDATE withdrawn routes"));
-    }
-    let mut withdrawals = Vec::new();
-    {
-        let mut wd = &body[..wd_len];
-        while !wd.is_empty() {
-            withdrawals.push(decode_nlri(&mut wd, true)?);
+/// An UPDATE body (RFC 4271 §4.3) split into its three sections,
+/// borrowed and not yet decoded. IPv6 NLRI travels inside the
+/// attribute block (MP_REACH / MP_UNREACH, reached with
+/// [`walk_attrs`]).
+#[derive(Clone, Copy, Debug)]
+pub struct UpdateView<'a> {
+    /// Base withdrawn-routes NLRI (IPv4), already validated by
+    /// [`UpdateView::split`].
+    pub withdrawn: &'a [u8],
+    /// The bare path-attribute block.
+    pub attrs: &'a [u8],
+    /// Base announced NLRI (IPv4).
+    pub nlri: &'a [u8],
+}
+
+impl<'a> UpdateView<'a> {
+    /// Split an UPDATE body into its sections. The withdrawn routes
+    /// are validated on the way past, so errors surface in wire order:
+    /// [`UpdateView::decode`] then reports the attribute and NLRI
+    /// errors that follow them.
+    #[inline]
+    pub fn split(body: &'a [u8]) -> Result<UpdateView<'a>, CodecError> {
+        let Some((wd_len, rest)) = body.split_first_chunk::<2>() else {
+            return Err(CodecError::Truncated("UPDATE withdrawn length"));
+        };
+        let wd_len = u16::from_be_bytes(*wd_len) as usize;
+        if rest.len() < wd_len {
+            return Err(CodecError::BadLength("UPDATE withdrawn routes"));
         }
+        let (withdrawn, rest) = rest.split_at(wd_len);
+        let mut wd = withdrawn;
+        while !wd.is_empty() {
+            split_nlri(&mut wd, true)?;
+        }
+        let Some((attr_len, rest)) = rest.split_first_chunk::<2>() else {
+            return Err(CodecError::Truncated("UPDATE attribute length"));
+        };
+        let attr_len = u16::from_be_bytes(*attr_len) as usize;
+        if rest.len() < attr_len {
+            return Err(CodecError::BadLength("UPDATE path attributes"));
+        }
+        let (attrs, nlri) = rest.split_at(attr_len);
+        Ok(UpdateView {
+            withdrawn,
+            attrs,
+            nlri,
+        })
     }
-    body.advance(wd_len);
 
-    if body.len() < 2 {
-        return Err(CodecError::Truncated("UPDATE attribute length"));
+    /// Materialise the update.
+    pub fn decode(&self) -> Result<BgpUpdate, CodecError> {
+        let mut withdrawals = Vec::new();
+        decode_nlri_block(self.withdrawn, true, &mut withdrawals)?;
+        let decoded = decode_attrs(self.attrs)?;
+        withdrawals.extend(decoded.mp_withdrawals);
+        let mut announcements = decoded.mp_announcements;
+        decode_nlri_block(self.nlri, true, &mut announcements)?;
+        Ok(BgpUpdate {
+            withdrawals,
+            attrs: decoded.present.then_some(decoded.attrs),
+            announcements,
+        })
     }
-    let attr_len = body.get_u16() as usize;
-    if body.len() < attr_len {
-        return Err(CodecError::BadLength("UPDATE path attributes"));
-    }
-    let decoded = decode_attrs(&body[..attr_len])?;
-    body.advance(attr_len);
+}
 
-    withdrawals.extend(decoded.mp_withdrawals);
-    let mut announcements = decoded.mp_announcements;
-    while !body.is_empty() {
-        let mut b = body;
-        announcements.push(decode_nlri(&mut b, true)?);
-        body = b;
-    }
+/// One path attribute, checked the way [`decode_attrs`] checks it but
+/// not materialised. Nested variable-length structures — AS_PATH
+/// segments and MP NLRI — are left for the caller to walk, with
+/// [`walk_as_path`] and [`split_nlri`]/[`decode_nlri`], so each is
+/// walked once.
+#[derive(Clone, Copy, Debug)]
+pub enum AttrView<'a> {
+    /// ORIGIN.
+    Origin(Origin),
+    /// AS_PATH segments (unchecked until walked).
+    AsPath(&'a [u8]),
+    /// NEXT_HOP (IPv4).
+    NextHop(Ipv4Addr),
+    /// MULTI_EXIT_DISC.
+    Med(u32),
+    /// LOCAL_PREF.
+    LocalPref(u32),
+    /// COMMUNITIES values, a whole number of 4-byte communities.
+    Communities(&'a [u8]),
+    /// MP_REACH_NLRI (RFC 4760).
+    MpReach {
+        /// The IPv6 next hop, when the attribute carries one.
+        next_hop: Option<Ipv6Addr>,
+        /// Whether the NLRI is IPv4 (AFI 1); anything else is read as
+        /// IPv6.
+        v4: bool,
+        /// The announced NLRI block.
+        nlri: &'a [u8],
+    },
+    /// MP_UNREACH_NLRI (RFC 4760).
+    MpUnreach {
+        /// Whether the NLRI is IPv4 (AFI 1).
+        v4: bool,
+        /// The withdrawn NLRI block.
+        nlri: &'a [u8],
+    },
+    /// Any other type: skipped, as bgpdump does.
+    Other,
+}
 
-    Ok(BgpUpdate {
-        withdrawals,
-        attrs: if decoded.present {
-            Some(decoded.attrs)
+/// Walk a bare path-attribute block (no length prefix), handing each
+/// attribute to `f` in wire order. Stops at the first error from the
+/// walk, from an attribute's own checks, or from `f`.
+pub fn walk_attrs<'a>(
+    mut block: &'a [u8],
+    mut f: impl FnMut(AttrView<'a>) -> Result<(), CodecError>,
+) -> Result<(), CodecError> {
+    while let Some((&[flags, ty], rest)) = block.split_first_chunk::<2>() {
+        let (len, rest) = if flags & FLAG_EXT_LEN != 0 {
+            let Some((len, rest)) = rest.split_first_chunk::<2>() else {
+                return Err(CodecError::Truncated("attribute ext length"));
+            };
+            (u16::from_be_bytes(*len) as usize, rest)
         } else {
-            None
-        },
-        announcements,
+            let Some((&len, rest)) = rest.split_first() else {
+                return Err(CodecError::Truncated("attribute length"));
+            };
+            (len as usize, rest)
+        };
+        if rest.len() < len {
+            return Err(CodecError::BadLength("attribute body"));
+        }
+        let (data, rest) = rest.split_at(len);
+        block = rest;
+        f(attr_view(ty, data)?)?;
+    }
+    if block.is_empty() {
+        Ok(())
+    } else {
+        Err(CodecError::Truncated("attribute header"))
+    }
+}
+
+#[inline]
+fn attr_view(ty: u8, data: &[u8]) -> Result<AttrView<'_>, CodecError> {
+    let four =
+        |data: &[u8], what| <[u8; 4]>::try_from(data).map_err(|_| CodecError::BadLength(what));
+    Ok(match ty {
+        ATTR_ORIGIN => {
+            if data.len() != 1 {
+                return Err(CodecError::BadLength("ORIGIN"));
+            }
+            AttrView::Origin(Origin::from_code(data[0]).ok_or(CodecError::Invalid("ORIGIN code"))?)
+        }
+        ATTR_AS_PATH => AttrView::AsPath(data),
+        ATTR_NEXT_HOP => AttrView::NextHop(Ipv4Addr::from(four(data, "NEXT_HOP")?)),
+        ATTR_MED => AttrView::Med(u32::from_be_bytes(four(data, "MED")?)),
+        ATTR_LOCAL_PREF => AttrView::LocalPref(u32::from_be_bytes(four(data, "LOCAL_PREF")?)),
+        ATTR_COMMUNITIES => {
+            if !data.len().is_multiple_of(4) {
+                return Err(CodecError::BadLength("COMMUNITIES"));
+            }
+            AttrView::Communities(data)
+        }
+        ATTR_MP_REACH => {
+            // AFI, SAFI and the next-hop length; then the next hop and
+            // one reserved byte.
+            if data.len() < 5 {
+                return Err(CodecError::Truncated("MP_REACH header"));
+            }
+            let afi = u16::from_be_bytes([data[0], data[1]]);
+            let nh_len = data[3] as usize;
+            let rest = &data[4..];
+            if rest.len() < nh_len + 1 {
+                return Err(CodecError::Truncated("MP_REACH next hop"));
+            }
+            let next_hop = match rest.first_chunk::<16>() {
+                Some(nh) if afi == AFI_IPV6 && nh_len >= 16 => Some(Ipv6Addr::from(*nh)),
+                _ => None,
+            };
+            AttrView::MpReach {
+                next_hop,
+                v4: afi == AFI_IPV4,
+                nlri: &rest[nh_len + 1..],
+            }
+        }
+        ATTR_MP_UNREACH => {
+            let Some((&[afi_hi, afi_lo, _safi], nlri)) = data.split_first_chunk::<3>() else {
+                return Err(CodecError::Truncated("MP_UNREACH header"));
+            };
+            AttrView::MpUnreach {
+                v4: u16::from_be_bytes([afi_hi, afi_lo]) == AFI_IPV4,
+                nlri,
+            }
+        }
+        _ => AttrView::Other,
     })
 }
 
 /// Decode a bare path-attribute sequence (no length prefix).
-pub fn decode_attrs(mut attrs_raw: &[u8]) -> Result<DecodedAttrs, CodecError> {
-    let mut attrs = PathAttributes::default();
-    let mut saw_attr = false;
-    let mut mp_announcements: Vec<Prefix> = Vec::new();
-    let mut withdrawals: Vec<Prefix> = Vec::new();
-    while !attrs_raw.is_empty() {
-        if attrs_raw.len() < 2 {
-            return Err(CodecError::Truncated("attribute header"));
-        }
-        let flags = attrs_raw.get_u8();
-        let ty = attrs_raw.get_u8();
-        let len = if flags & FLAG_EXT_LEN != 0 {
-            if attrs_raw.len() < 2 {
-                return Err(CodecError::Truncated("attribute ext length"));
-            }
-            attrs_raw.get_u16() as usize
-        } else {
-            if attrs_raw.is_empty() {
-                return Err(CodecError::Truncated("attribute length"));
-            }
-            attrs_raw.get_u8() as usize
-        };
-        if attrs_raw.len() < len {
-            return Err(CodecError::BadLength("attribute body"));
-        }
-        let mut data = &attrs_raw[..len];
-        attrs_raw.advance(len);
-        saw_attr = true;
-        match ty {
-            ATTR_ORIGIN => {
-                if data.len() != 1 {
-                    return Err(CodecError::BadLength("ORIGIN"));
-                }
-                attrs.origin =
-                    Origin::from_code(data[0]).ok_or(CodecError::Invalid("ORIGIN code"))?;
-            }
-            ATTR_AS_PATH => attrs.as_path = decode_as_path(data)?,
-            ATTR_NEXT_HOP => {
-                if data.len() != 4 {
-                    return Err(CodecError::BadLength("NEXT_HOP"));
-                }
-                attrs.next_hop = Some(IpAddr::V4(Ipv4Addr::new(
-                    data[0], data[1], data[2], data[3],
-                )));
-            }
-            ATTR_MED => {
-                if data.len() != 4 {
-                    return Err(CodecError::BadLength("MED"));
-                }
-                attrs.med = Some(data.get_u32());
-            }
-            ATTR_LOCAL_PREF => {
-                if data.len() != 4 {
-                    return Err(CodecError::BadLength("LOCAL_PREF"));
-                }
-                attrs.local_pref = Some(data.get_u32());
-            }
-            ATTR_COMMUNITIES => {
-                if !data.len().is_multiple_of(4) {
-                    return Err(CodecError::BadLength("COMMUNITIES"));
-                }
-                let mut cs = Vec::with_capacity(data.len() / 4);
-                while data.has_remaining() {
-                    cs.push(Community::from_u32(data.get_u32()));
+pub fn decode_attrs(block: &[u8]) -> Result<DecodedAttrs, CodecError> {
+    let mut out = DecodedAttrs::default();
+    walk_attrs(block, |attr| {
+        out.present = true;
+        let attrs = &mut out.attrs;
+        match attr {
+            AttrView::Origin(origin) => attrs.origin = origin,
+            AttrView::AsPath(segments) => attrs.as_path = decode_as_path(segments)?,
+            AttrView::NextHop(nh) => attrs.next_hop = Some(IpAddr::V4(nh)),
+            AttrView::Med(med) => attrs.med = Some(med),
+            AttrView::LocalPref(lp) => attrs.local_pref = Some(lp),
+            AttrView::Communities(mut values) => {
+                let mut cs = Vec::with_capacity(values.len() / 4);
+                while values.has_remaining() {
+                    cs.push(Community::from_u32(values.get_u32()));
                 }
                 attrs.communities = CommunitySet::from_iter(cs);
             }
-            ATTR_MP_REACH => {
-                if data.len() < 5 {
-                    return Err(CodecError::Truncated("MP_REACH header"));
+            AttrView::MpReach { next_hop, v4, nlri } => {
+                if let Some(nh) = next_hop {
+                    attrs.next_hop = Some(IpAddr::V6(nh));
                 }
-                let afi = data.get_u16();
-                let _safi = data.get_u8();
-                let nh_len = data.get_u8() as usize;
-                if data.len() < nh_len + 1 {
-                    return Err(CodecError::Truncated("MP_REACH next hop"));
-                }
-                if afi == AFI_IPV6 && nh_len >= 16 {
-                    let mut nh = [0u8; 16];
-                    nh.copy_from_slice(&data[..16]);
-                    attrs.next_hop = Some(IpAddr::V6(Ipv6Addr::from(nh)));
-                }
-                data.advance(nh_len);
-                let _reserved = data.get_u8();
-                let v4 = afi == AFI_IPV4;
-                while !data.is_empty() {
-                    mp_announcements.push(decode_nlri(&mut data, v4)?);
-                }
+                decode_nlri_block(nlri, v4, &mut out.mp_announcements)?;
             }
-            ATTR_MP_UNREACH => {
-                if data.len() < 3 {
-                    return Err(CodecError::Truncated("MP_UNREACH header"));
-                }
-                let afi = data.get_u16();
-                let _safi = data.get_u8();
-                let v4 = afi == AFI_IPV4;
-                while !data.is_empty() {
-                    withdrawals.push(decode_nlri(&mut data, v4)?);
-                }
+            AttrView::MpUnreach { v4, nlri } => {
+                decode_nlri_block(nlri, v4, &mut out.mp_withdrawals)?;
             }
-            _ => {} // unknown attributes are skipped, as bgpdump does
+            AttrView::Other => {}
         }
-    }
-
-    Ok(DecodedAttrs {
-        attrs,
-        present: saw_attr,
-        mp_announcements,
-        mp_withdrawals: withdrawals,
-    })
+        Ok(())
+    })?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -764,6 +904,30 @@ mod tests {
             BgpMessage::decode(&wire),
             Err(CodecError::Invalid("NLRI prefix length"))
         ));
+    }
+
+    #[test]
+    fn attribute_errors_name_the_first_broken_field() {
+        // (flags, type, value) → the error decode_attrs reports.
+        let cases: [(&[u8], CodecError); 5] = [
+            (&[0x40], CodecError::Truncated("attribute header")),
+            (&[0x50, 2, 0], CodecError::Truncated("attribute ext length")),
+            (
+                &[0x80, 14, 4, 0, 2, 1, 16],
+                CodecError::Truncated("MP_REACH header"),
+            ),
+            (
+                &[0x80, 14, 5, 0, 2, 1, 16, 0],
+                CodecError::Truncated("MP_REACH next hop"),
+            ),
+            (
+                &[0x80, 15, 2, 0, 2],
+                CodecError::Truncated("MP_UNREACH header"),
+            ),
+        ];
+        for (block, want) in cases {
+            assert_eq!(decode_attrs(block), Err(want), "{block:?}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A pull parser for BMP byte streams.
 //!
-//! Mirrors [`mrt::MrtReader`]: wraps any [`std::io::Read`], yields one
+//! Mirrors [`mrt::ChunkedReader`]: wraps any [`std::io::Read`], yields one
 //! message at a time, and — critically for the BGPStream error-checking
 //! contract (§3.3.3) — distinguishes a clean end-of-stream from a
 //! corrupted read so downstream code can mark records not-valid rather
@@ -94,7 +94,7 @@ impl<R: Read> BmpReader<R> {
             return None;
         }
         let mut header = [0u8; COMMON_HEADER_LEN];
-        match read_exact_or_eof(&mut self.inner, &mut header) {
+        match fill_or_eof(&mut self.inner, &mut header) {
             Ok(0) => return None,
             Ok(n) if n < COMMON_HEADER_LEN => {
                 self.poisoned = true;
@@ -116,7 +116,7 @@ impl<R: Read> BmpReader<R> {
             return Some(Err(BmpError::BadLength(length as u32)));
         }
         let mut body = vec![0u8; length - COMMON_HEADER_LEN];
-        match read_exact_or_eof(&mut self.inner, &mut body) {
+        match fill_or_eof(&mut self.inner, &mut body) {
             Ok(n) if n < body.len() => {
                 self.poisoned = true;
                 return Some(Err(BmpError::Truncated("message body")));
@@ -156,7 +156,7 @@ impl<R: Read> BmpReader<R> {
 
 /// Read exactly `buf.len()` bytes unless EOF intervenes; returns the
 /// number of bytes actually read.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
+fn fill_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {

@@ -781,9 +781,12 @@ fn withdraw_record(
     )
 }
 
+/// Records that decode before the first corrupted read, if any.
 fn count_records(bytes: &[u8]) -> u64 {
-    let (recs, _) = mrt::MrtReader::new(bytes).read_all();
-    recs.len() as u64
+    let mut reader = mrt::ChunkedReader::from_bytes(bytes.to_vec());
+    std::iter::from_fn(|| reader.next())
+        .take_while(Result::is_ok)
+        .count() as u64
 }
 
 /// Build a standard multi-project collector deployment: `n_ris` RIS
@@ -839,7 +842,7 @@ pub fn standard_collectors(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrt::MrtReader;
+    use mrt::ChunkedReader;
     use std::sync::Arc;
     use topology::events::EventKind;
     use topology::gen::{generate, TopologyConfig};
@@ -881,8 +884,7 @@ mod tests {
         assert_eq!(ribs.len(), 1);
         assert_eq!(ribs[0].interval_start, 0);
         // The RIB parses and contains a peer table + rows.
-        let bytes = std::fs::read(&ribs[0].path).unwrap();
-        let (recs, err) = MrtReader::new(&bytes[..]).read_all();
+        let (recs, err) = ChunkedReader::open(&ribs[0].path).unwrap().read_all();
         assert!(err.is_none());
         assert!(recs.len() > 1);
         assert!(matches!(
@@ -938,8 +940,7 @@ mod tests {
             .iter()
             .find(|m| m.dump_type == DumpType::Updates && m.interval_start == 0)
             .unwrap();
-        let bytes = std::fs::read(&upd.path).unwrap();
-        let (recs, err) = MrtReader::new(&bytes[..]).read_all();
+        let (recs, err) = ChunkedReader::open(&upd.path).unwrap().read_all();
         assert!(err.is_none());
         let mut found = false;
         for r in recs {
@@ -983,8 +984,7 @@ mod tests {
             .iter()
             .filter(|m| m.dump_type == DumpType::Updates)
         {
-            let bytes = std::fs::read(&m.path).unwrap();
-            let (recs, err) = MrtReader::new(&bytes[..]).read_all();
+            let (recs, err) = ChunkedReader::open(&m.path).unwrap().read_all();
             assert!(err.is_none());
             let ts: Vec<u32> = recs.iter().map(|r| r.timestamp).collect();
             let mut sorted = ts.clone();
@@ -1045,8 +1045,7 @@ mod tests {
             .iter()
             .find(|m| m.dump_type == DumpType::Updates && m.interval_start == 0)
             .unwrap();
-        let bytes = std::fs::read(&upd.path).unwrap();
-        let (recs, _) = MrtReader::new(&bytes[..]).read_all();
+        let (recs, _) = ChunkedReader::open(&upd.path).unwrap().read_all();
         let mut state_changes = 0;
         let mut announcements = 0;
         for r in &recs {
@@ -1083,8 +1082,7 @@ mod tests {
             .iter()
             .find(|m| m.dump_type == DumpType::Rib)
             .unwrap();
-        let bytes = std::fs::read(&rib.path).unwrap();
-        let (_, err) = MrtReader::new(&bytes[..]).read_all();
+        let (_, err) = ChunkedReader::open(&rib.path).unwrap().read_all();
         assert!(err.is_some(), "truncated file parsed cleanly");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -10,7 +10,7 @@ use bgp_types::{AsPath, Asn, Prefix};
 use broker::DumpType;
 use collector_sim::{standard_collectors, SimConfig, Simulator};
 use mrt::table_dump_v2::TableDumpV2;
-use mrt::{MrtBody, MrtReader};
+use mrt::{ChunkedReader, MrtBody};
 use topology::control::ControlPlane;
 use topology::events::Scenario;
 use topology::gen::{generate, TopologyConfig};
@@ -31,8 +31,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Parse one RIB dump into (peer_asn, prefix) → AS path.
 fn parse_rib(path: &std::path::Path) -> HashMap<(Asn, Prefix), AsPath> {
-    let bytes = std::fs::read(path).unwrap();
-    let (records, err) = MrtReader::new(&bytes[..]).read_all();
+    let (records, err) = ChunkedReader::open(path).unwrap().read_all();
     assert!(err.is_none(), "corrupt RIB: {err:?}");
     let mut pit = None;
     let mut out = HashMap::new();
@@ -161,8 +160,7 @@ fn replaying_updates_reaches_rib_state() {
         if u.interval_start >= ribs[1].interval_start {
             break;
         }
-        let bytes = std::fs::read(&u.path).unwrap();
-        let (records, err) = MrtReader::new(&bytes[..]).read_all();
+        let (records, err) = ChunkedReader::open(&u.path).unwrap().read_all();
         assert!(err.is_none());
         for rec in records {
             if let MrtBody::Bgp4mp(mrt::Bgp4mp::Message {

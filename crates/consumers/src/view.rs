@@ -62,24 +62,7 @@ impl GlobalView {
     /// Drain new messages from the `rt.tables` topic for a consumer
     /// group, applying them in order; returns how many were applied.
     pub fn consume(&mut self, mq: &Cluster, group: &str) -> u64 {
-        let mut n = 0;
-        for part in 0..mq.partitions("rt.tables").max(1) {
-            let from = mq.committed(group, "rt.tables", part);
-            loop {
-                let msgs = mq.fetch("rt.tables", part, from + n, 64);
-                if msgs.is_empty() {
-                    break;
-                }
-                for m in &msgs {
-                    if let Ok(rt) = RtMessage::decode(&m.payload) {
-                        self.apply(&rt);
-                    }
-                    n += 1;
-                }
-            }
-            mq.commit(group, "rt.tables", part, from + n);
-        }
-        n
+        crate::drain_rt(mq, group, |m| self.apply(m))
     }
 
     /// Messages applied so far.
@@ -247,19 +230,33 @@ mod tests {
 
     #[test]
     fn consume_drains_queue_with_group_offsets() {
-        let mq = Cluster::shared();
-        let msg = RtMessage::Full {
-            collector: "rrc00".into(),
-            bin: 0,
-            cells: vec![cell(1, "10.0.0.0/8", Some(137))],
-        };
-        mq.produce("rt.tables", "rrc00", 0, msg.encode());
-        let mut v = GlobalView::new();
-        assert_eq!(v.consume(&mq, "g1"), 1);
-        assert_eq!(v.consume(&mq, "g1"), 0, "offset not committed");
-        // A different group re-reads from zero.
-        let mut v2 = GlobalView::new();
-        assert_eq!(v2.consume(&mq, "g2"), 1);
+        // One partition, and four: every partition drains from its own
+        // committed offset.
+        for (partitions, collectors) in [(1, 1), (4, 4)] {
+            let mq = Cluster::new();
+            mq.create_topic("rt.tables", partitions);
+            let mut produced = 0;
+            for c in 0..collectors {
+                let collector = format!("rrc{c:02}");
+                for bin in 0..(5 + 3 * c as u64) {
+                    let msg = RtMessage::Full {
+                        collector: collector.clone(),
+                        bin,
+                        cells: vec![cell(1, "10.0.0.0/8", Some(137))],
+                    };
+                    mq.produce("rt.tables", &collector, bin, msg.encode());
+                    produced += 1;
+                }
+            }
+            let mut v = GlobalView::new();
+            assert_eq!(v.consume(&mq, "g1"), produced);
+            assert_eq!(v.applied(), produced);
+            assert_eq!(v.consume(&mq, "g1"), 0, "offset not committed");
+            // A different group re-reads from zero.
+            let mut v2 = GlobalView::new();
+            assert_eq!(v2.consume(&mq, "g2"), produced);
+            assert_eq!(v2.collectors().len(), collectors);
+        }
     }
 
     #[test]

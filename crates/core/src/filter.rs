@@ -370,10 +370,10 @@ impl CompiledFilters {
     /// Rejection additionally guarantees the record body would have
     /// *decoded cleanly* (the underlying
     /// [`RawUpdate::prefilter_scan`] / [`RawRibRow::prefilter_scan`]
-    /// validate as they scan): skipping the decode can therefore
-    /// never hide a corrupted read, a poisoned dump, or a
-    /// missing-peer flag that the decode-then-filter path would have
-    /// signalled.
+    /// walk the decoder's own checks as they scan): skipping the
+    /// decode can therefore never hide a corrupted read, a poisoned
+    /// dump, or a missing-peer flag that the decode-then-filter path
+    /// would have signalled.
     pub fn record_may_match(&self, view: &RawMrtView<'_>, pit: Option<&PeerIndexTable>) -> bool {
         if self.pass_all {
             return true;
@@ -381,13 +381,13 @@ impl CompiledFilters {
         match view {
             // The peer index table must always reach the decoder (RIB
             // rows need it); it produces no elems either way.
-            RawMrtView::PeerIndexTable => true,
+            RawMrtView::PeerIndexTable(_) => true,
             // No elems can come out of these at all.
-            RawMrtView::Unknown | RawMrtView::NonUpdateMessage => false,
-            RawMrtView::StateChange { peer_asn } => {
+            RawMrtView::Unknown(_) | RawMrtView::NonUpdateMessage(_) => false,
+            RawMrtView::StateChange(state) => {
                 // State elems are exempt from prefix / community /
                 // AS-path / family constraints (see `matches`).
-                self.type_allowed(ElemType::PeerState) && self.peer_allowed(*peer_asn)
+                self.type_allowed(ElemType::PeerState) && self.peer_allowed(state.peer_asn())
             }
             RawMrtView::Update(u) => self.update_may_match(u),
             RawMrtView::RibRow(r) => self.rib_row_may_match(r, pit),

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use broker::index::DumpMeta;
 use broker::SourceId;
 use mrt::record::MrtType;
-use mrt::table_dump_v2::{TableDumpV2, SUBTYPE_PEER_INDEX_TABLE};
+use mrt::table_dump_v2::TableDumpV2;
 use mrt::{
     ChunkCtx, ChunkedReader, DecodeMode, MrtBody, MrtHeader, MrtRecord, ParDecoder, PeerIndexTable,
     RawMrtView, Step,
@@ -120,13 +120,15 @@ impl Decoded {
 /// the sequential reader calls it inline, parallel workers call it
 /// from the [`ParDecoder`] map — so the two modes cannot drift apart.
 ///
-/// Filter pushdown happens here: when the compiled filters can prove
-/// from the raw bytes that no elem of the record will pass
-/// ([`CompiledFilters::record_may_match`]), the full decode — and
+/// Each record is parsed once, into a [`RawMrtView`]. Filter pushdown
+/// reads that view: when the compiled filters can prove from the raw
+/// bytes that no elem of the record will pass
+/// ([`CompiledFilters::record_may_match`]), the materialisation — and
 /// every allocation it implies — is skipped and an elem-less envelope
 /// is emitted instead. The envelope sequence (timestamps, positions,
 /// dump annotations) is identical to the decode-then-filter path;
-/// only the wasted work is gone.
+/// only the wasted work is gone. A kept record is materialised from
+/// the same view.
 ///
 /// `pit` is the `PEER_INDEX_TABLE` in effect *before* this record;
 /// if the record is itself a PIT it is installed into the slot (the
@@ -141,35 +143,27 @@ fn decode_one(
     body: &[u8],
 ) -> Step<Decoded> {
     let ts = header.timestamp as u64;
-    if !filters.is_pass_all() {
-        match header.mrt_type {
-            // Unsupported record types never decompose into elems;
-            // skip even the body-preserving copy the decoder does.
-            MrtType::Other(_) => {
-                return Step::Item(Decoded::empty(ts, RecordStatus::Unsupported));
-            }
-            // The peer index table must always be decoded (RIB
-            // rows that follow resolve peers through it).
-            MrtType::TableDumpV2 if header.subtype == SUBTYPE_PEER_INDEX_TABLE => {}
-            _ => {
-                if let Some(view) = RawMrtView::parse(header, body) {
-                    // A rejection also certifies the body would
-                    // have decoded cleanly (the prefilter scans
-                    // validate as they go), so skipping the decode
-                    // can never hide a corrupted read that the
-                    // unfiltered path would have signalled.
-                    if !filters.record_may_match(&view, pit.as_deref()) {
-                        return Step::Item(Decoded::empty(ts, RecordStatus::Valid));
-                    }
-                }
-                // Unparseable or possibly-corrupt views fall
-                // through to the full decode, which owns
-                // corruption signalling.
-            }
-        }
+    let Ok(view) = RawMrtView::parse(header, body) else {
+        return Step::Terminal(Decoded::corrupt_tail());
+    };
+    if !filters.record_may_match(&view, pit.as_deref()) {
+        // A rejection also certifies the body would have decoded
+        // cleanly (the prefilter scans walk the decoder's own
+        // checks), so skipping the materialisation can never hide a
+        // corrupted read that the unfiltered path would have
+        // signalled. Unsupported record types never decompose into
+        // elems; they keep their status without the body copy.
+        let status = match view {
+            RawMrtView::Unknown(_) => RecordStatus::Unsupported,
+            _ => RecordStatus::Valid,
+        };
+        return Step::Item(Decoded::empty(ts, status));
     }
-    let rec = match MrtRecord::decode(header, body) {
-        Ok(rec) => rec,
+    let rec = match view.materialise() {
+        Ok(body) => MrtRecord {
+            timestamp: header.timestamp,
+            body,
+        },
         Err(_) => return Step::Terminal(Decoded::corrupt_tail()),
     };
     if let MrtBody::TableDumpV2(TableDumpV2::PeerIndexTable(p)) = &rec.body {

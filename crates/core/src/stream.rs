@@ -884,7 +884,7 @@ impl BgpStream {
     }
 
     /// Hand already-pulled records back to the stream; subsequent
-    /// [`BgpStream::next_record`]/[`BgpStream::next_batch`] calls
+    /// [`BgpStream::next_record`]/[`BgpStream::next_batch_step`] calls
     /// deliver them again, in the given (stream) order, before
     /// anything else. Used by consumers that read ahead in batches
     /// and hit a stop condition mid-batch — the unconsumed tail goes
@@ -902,54 +902,16 @@ impl BgpStream {
         }
     }
 
-    /// Pull up to `max` records of the sorted stream in one call.
-    ///
-    /// Batch handoff for multi-threaded consumers (the sharded
-    /// BGPCorsaro runtime): pulling a batch and handing it to worker
-    /// queues as one unit amortises per-record channel traffic. The
-    /// batch preserves stream order and never blocks once at least one
-    /// record has been read — in live mode a partially filled batch is
-    /// returned as soon as the next record would block on the broker,
-    /// so batching adds no latency at bin boundaries.
-    ///
-    /// Returns `None` only when the stream is exhausted (`max == 0`
-    /// also returns `None`).
-    pub fn next_batch(&mut self, max: usize) -> Option<Vec<BgpStreamRecord>> {
-        if max == 0 {
-            return None;
-        }
-        let first = self.next_record()?;
-        let mut out = Vec::with_capacity(max.clamp(1, 4096));
-        out.push(first);
-        while out.len() < max {
-            // Only continue while a record is ready without blocking:
-            // an unread record is buffered, the current merger has one
-            // primed, or a fully materialised group is queued locally.
-            // An in-flight prefetch does NOT count — collecting it
-            // waits on the worker's file reads, and this method
-            // promises to return the partial batch instead of
-            // stalling once at least one record is in hand.
-            let ready = !self.lookahead.is_empty()
-                || self.merger.as_ref().map(|m| m.has_next()).unwrap_or(false)
-                || !self.groups.is_empty();
-            if !ready {
-                break;
-            }
-            match self.next_record() {
-                Some(rec) => out.push(rec),
-                None => break,
-            }
-        }
-        Some(out)
-    }
-
-    /// One bounded step of batched reading: like
-    /// [`BgpStream::next_batch`], but instead of blocking indefinitely
-    /// when a live stream runs dry it returns [`BatchStep::Idle`]
-    /// (after waiting at most one poll interval), handing the caller
-    /// the completeness watermark so live time bins can close during
-    /// quiet periods. The sharded corsaro runtime's `run_live` loop is
-    /// the intended driver.
+    /// Pull up to `max` records of the sorted stream in one bounded
+    /// step — the batch handoff of the sharded corsaro runtime, whose
+    /// `run` and `run_live` loops drive it: pulling a batch and handing
+    /// it to worker queues as one unit amortises per-record channel
+    /// traffic. The batch preserves stream order and never blocks once
+    /// at least one record has been read, so batching adds no latency
+    /// at bin boundaries. Instead of blocking indefinitely when a live
+    /// stream runs dry it returns [`BatchStep::Idle`] (after waiting at
+    /// most one poll interval), handing the caller the completeness
+    /// watermark so live time bins can close during quiet periods.
     ///
     /// `max == 0` returns `Idle` without touching the stream.
     pub fn next_batch_step(&mut self, max: usize) -> BatchStep {
@@ -965,9 +927,11 @@ impl BgpStream {
                 out.push(rec);
                 continue;
             }
-            // Mirror `next_batch`: once at least one record is in
-            // hand, only continue while another is ready without
-            // waiting on the prefetch worker's file reads.
+            // Once at least one record is in hand, only continue
+            // while another is ready without blocking: the current
+            // merger has one primed, or a fully materialised group is
+            // queued locally. An in-flight prefetch does NOT count —
+            // collecting it waits on the worker's file reads.
             if !out.is_empty() {
                 let ready = self.merger.as_ref().map(|m| m.has_next()).unwrap_or(false)
                     || !self.groups.is_empty();
@@ -1178,7 +1142,7 @@ mod tests {
     }
 
     #[test]
-    fn next_batch_preserves_order_and_exhausts() {
+    fn next_batch_step_preserves_order_and_exhausts() {
         use mrt::{Bgp4mp, MrtRecord, MrtWriter};
         let dir = std::env::temp_dir().join(format!("next_batch_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1211,6 +1175,11 @@ mod tests {
                 .interval(0, Some(1000))
                 .start()
         };
+        let batch = |s: &mut BgpStream| match s.next_batch_step(4) {
+            BatchStep::Records(recs) => Some(recs),
+            BatchStep::End => None,
+            BatchStep::Idle { .. } => panic!("a historical stream never idles"),
+        };
         // Batched timestamps must equal record-at-a-time timestamps.
         let mut one_by_one = Vec::new();
         let mut s = build();
@@ -1219,21 +1188,19 @@ mod tests {
         }
         let mut batched = Vec::new();
         let mut s = build();
-        while let Some(batch) = s.next_batch(4) {
-            assert!(!batch.is_empty() && batch.len() <= 4);
-            batched.extend(batch.into_iter().map(|r| r.timestamp));
+        while let Some(recs) = batch(&mut s) {
+            assert!(!recs.is_empty() && recs.len() <= 4);
+            batched.extend(recs.into_iter().map(|r| r.timestamp));
         }
         assert_eq!(batched, one_by_one);
         assert!(!batched.is_empty());
-        let mut s = build();
-        assert!(s.next_batch(0).is_none());
 
         // Unread: a consumed tail handed back is re-delivered in
         // order, ahead of everything else, without double-counting.
         let mut s = build();
-        let mut batch = s.next_batch(4).unwrap();
+        let mut recs = batch(&mut s).unwrap();
         let counted = s.stats().records;
-        let tail = batch.split_off(2);
+        let tail = recs.split_off(2);
         let tail_ts: Vec<u64> = tail.iter().map(|r| r.timestamp).collect();
         s.unread(tail);
         assert_eq!(s.stats().records, counted - tail_ts.len() as u64);
@@ -1243,8 +1210,7 @@ mod tests {
         }
         assert_eq!(&redelivered[..tail_ts.len()], &tail_ts[..]);
         assert_eq!(
-            batch
-                .iter()
+            recs.iter()
                 .map(|r| r.timestamp)
                 .chain(redelivered.iter().copied())
                 .collect::<Vec<_>>(),

@@ -150,7 +150,6 @@ pub fn run_pipeline_until(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpstream::record::{DumpPosition, RecordStatus};
     use broker::{DataInterface, DumpType, Index, LocalBroker};
 
     /// Collects the (record timestamps, bin boundaries) it sees.
@@ -186,93 +185,18 @@ mod tests {
         assert!(probe.bins.is_empty());
     }
 
-    // Bin-boundary logic is easier to test directly against the
-    // closing rules than through a full archive; synthesise the runner
-    // behaviour by feeding records through a tiny fake "stream".
-    fn fake_record(ts: u64) -> BgpStreamRecord {
-        BgpStreamRecord::new(
-            "ris",
-            "rrc00",
-            DumpType::Updates,
-            0,
-            ts,
-            DumpPosition::Middle,
-            RecordStatus::Valid,
-            vec![],
-        )
-    }
-
-    /// Re-implementation of the runner's bin arithmetic over a plain
-    /// iterator, used to pin the binning contract.
-    fn drive(timestamps: &[u64], bin: u64, probe: &mut Probe) {
-        let mut current: Option<u64> = None;
-        for &ts in timestamps {
-            let rec = fake_record(ts);
-            let b = ts - ts % bin;
-            match current {
-                None => current = Some(b),
-                Some(cur) if b > cur => {
-                    let mut x = cur;
-                    while x < b {
-                        probe.end_bin(x, x + bin);
-                        x += bin;
-                    }
-                    current = Some(b);
-                }
-                _ => {}
-            }
-            probe.process_record(&rec);
-        }
-        if let Some(cur) = current {
-            probe.end_bin(cur, cur + bin);
-        }
-    }
-
-    #[test]
-    fn bins_close_in_order_including_empty_ones() {
-        let mut probe = Probe {
-            seen: vec![],
-            bins: vec![],
-        };
-        drive(&[10, 65, 300], 60, &mut probe);
-        assert_eq!(probe.seen, vec![10, 65, 300]);
-        // Bins: [0,60) closed at 65; [60,120), [120..300) empties,
-        // then final [300,360).
-        assert_eq!(
-            probe.bins,
-            vec![
-                (0, 60),
-                (60, 120),
-                (120, 180),
-                (180, 240),
-                (240, 300),
-                (300, 360)
-            ]
-        );
-    }
-
-    #[test]
-    fn single_bin_closes_once_at_end() {
-        let mut probe = Probe {
-            seen: vec![],
-            bins: vec![],
-        };
-        drive(&[5, 6, 7], 60, &mut probe);
-        assert_eq!(probe.bins, vec![(0, 60)]);
-    }
-
-    #[test]
-    fn run_until_stops_before_processing_the_stop_record() {
-        // A single-file stream with records straddling the stop time:
-        // the runner must process strictly-before-stop records only.
+    /// Drive a [`Probe`] with [`run_pipeline_until`] over a
+    /// single-file stream of state-change records stamped `stamps`;
+    /// returns the processed-record count and the probe.
+    fn run_probe(tag: &str, stamps: &[u32], bin_size: u64, stop: u64) -> (u64, Probe) {
         use mrt::{Bgp4mp, MrtRecord, MrtWriter};
 
-        let dir = std::env::temp_dir().join(format!("pipeline_until_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("pipeline_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("updates.mrt");
         {
             let mut w = MrtWriter::new(std::fs::File::create(&path).unwrap());
-            for ts in [100u32, 200, 300, 400] {
+            for &ts in stamps {
                 w.write(&MrtRecord::bgp4mp(
                     ts,
                     Bgp4mp::StateChange {
@@ -291,8 +215,8 @@ mod tests {
             .data_interface(DataInterface::SingleFile {
                 dump_type: DumpType::Updates,
                 path,
-                interval_start: 100,
-                duration: 300,
+                interval_start: 0,
+                duration: 1000,
             })
             .interval(0, Some(1000))
             .start();
@@ -300,9 +224,42 @@ mod tests {
             seen: vec![],
             bins: vec![],
         };
-        let n = run_pipeline_until(&mut stream, 60, 300, &mut [&mut probe]);
+        let n = run_pipeline_until(&mut stream, bin_size, stop, &mut [&mut probe]);
+        std::fs::remove_dir_all(&dir).ok();
+        (n, probe)
+    }
+
+    #[test]
+    fn bins_close_in_order_including_empty_ones() {
+        let (_, probe) = run_probe("gaps", &[10, 65, 300], 60, u64::MAX);
+        assert_eq!(probe.seen, vec![10, 65, 300]);
+        // Bins: [0,60) closed at 65; [60,120), [120..300) empties,
+        // then final [300,360).
+        assert_eq!(
+            probe.bins,
+            vec![
+                (0, 60),
+                (60, 120),
+                (120, 180),
+                (180, 240),
+                (240, 300),
+                (300, 360)
+            ]
+        );
+    }
+
+    #[test]
+    fn single_bin_closes_once_at_end() {
+        let (_, probe) = run_probe("single", &[5, 6, 7], 60, u64::MAX);
+        assert_eq!(probe.bins, vec![(0, 60)]);
+    }
+
+    #[test]
+    fn run_until_stops_before_processing_the_stop_record() {
+        // Records straddling the stop time: the runner must process
+        // strictly-before-stop records only.
+        let (n, probe) = run_probe("until", &[100, 200, 300, 400], 60, 300);
         assert_eq!(n, 2);
         assert_eq!(probe.seen, vec![100, 200]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

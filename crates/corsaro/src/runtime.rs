@@ -9,7 +9,7 @@
 //! but fans the *processing* out:
 //!
 //! 1. the coordinator (the calling thread) pulls record **batches**
-//!    from the stream ([`BgpStream::next_batch`]) — under selective
+//!    from the stream ([`BgpStream::next_batch_step`]) — under selective
 //!    filters the stream's compiled pushdown has already rejected
 //!    non-matching records before decode, so most envelopes arrive
 //!    elem-less and broadcast for pennies — and broadcasts each

@@ -109,23 +109,6 @@ impl Plugin for ElemCounter {
     /// partial's per-collector layout (BTreeMap keeps collector order
     /// canonical, so equal state ⇒ equal bytes).
     fn checkpoint(&self) -> Vec<u8> {
-        fn put_counters(out: &mut BytesMut, per_collector: &BTreeMap<String, BinCounters>) {
-            out.put_u32(per_collector.len() as u32);
-            for (name, c) in per_collector {
-                out.put_u16(name.len() as u16);
-                out.put_slice(name.as_bytes());
-                for v in [
-                    c.records,
-                    c.invalid_records,
-                    c.announcements,
-                    c.withdrawals,
-                    c.rib_entries,
-                    c.state_messages,
-                ] {
-                    out.put_u64(v);
-                }
-            }
-        }
         let mut out = BytesMut::new();
         out.put_u8(1); // version
         put_counters(&mut out, &self.current);
@@ -138,36 +121,6 @@ impl Plugin for ElemCounter {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
-            if buf.len() < n {
-                Err(format!("stats checkpoint: truncated {what}"))
-            } else {
-                Ok(())
-            }
-        }
-        fn get_counters(buf: &mut &[u8]) -> Result<BTreeMap<String, BinCounters>, String> {
-            need(buf, 4, "collector count")?;
-            let n = buf.get_u32() as usize;
-            let mut per_collector = BTreeMap::new();
-            for _ in 0..n {
-                need(buf, 2, "collector name length")?;
-                let len = buf.get_u16() as usize;
-                need(buf, len + 48, "collector entry")?;
-                let name = String::from_utf8_lossy(&buf[..len]).into_owned();
-                buf.advance(len);
-                let c = BinCounters {
-                    records: buf.get_u64(),
-                    invalid_records: buf.get_u64(),
-                    announcements: buf.get_u64(),
-                    withdrawals: buf.get_u64(),
-                    rib_entries: buf.get_u64(),
-                    state_messages: buf.get_u64(),
-                };
-                per_collector.insert(name, c);
-            }
-            Ok(per_collector)
-        }
-
         let mut buf = bytes;
         need(buf, 1, "header")?;
         let version = buf.get_u8();
@@ -195,6 +148,59 @@ impl Plugin for ElemCounter {
     }
 }
 
+/// The per-collector counter layout shared by checkpoints and
+/// partials: the collector count, then per collector (in name order)
+/// its name and six counters.
+fn put_counters(out: &mut BytesMut, per_collector: &BTreeMap<String, BinCounters>) {
+    out.put_u32(per_collector.len() as u32);
+    for (name, c) in per_collector {
+        out.put_u16(name.len() as u16);
+        out.put_slice(name.as_bytes());
+        for v in [
+            c.records,
+            c.invalid_records,
+            c.announcements,
+            c.withdrawals,
+            c.rib_entries,
+            c.state_messages,
+        ] {
+            out.put_u64(v);
+        }
+    }
+}
+
+/// Read back what [`put_counters`] wrote, refusing truncated input.
+fn get_counters(buf: &mut &[u8]) -> Result<BTreeMap<String, BinCounters>, String> {
+    need(buf, 4, "collector count")?;
+    let n = buf.get_u32() as usize;
+    let mut per_collector = BTreeMap::new();
+    for _ in 0..n {
+        need(buf, 2, "collector name length")?;
+        let len = buf.get_u16() as usize;
+        need(buf, len + 48, "collector entry")?;
+        let name = String::from_utf8_lossy(&buf[..len]).into_owned();
+        buf.advance(len);
+        let c = BinCounters {
+            records: buf.get_u64(),
+            invalid_records: buf.get_u64(),
+            announcements: buf.get_u64(),
+            withdrawals: buf.get_u64(),
+            rib_entries: buf.get_u64(),
+            state_messages: buf.get_u64(),
+        };
+        per_collector.insert(name, c);
+    }
+    Ok(per_collector)
+}
+
+fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
+    if buf.len() < n {
+        Err(format!("stats checkpoint: truncated {what}"))
+    } else {
+        Ok(())
+    }
+}
+
 impl ShardedPlugin for ElemCounter {
     fn fork(&self, _shard: usize, _shards: usize) -> Box<dyn ShardedPlugin> {
         Box::new(ElemCounter::new())
@@ -209,21 +215,7 @@ impl ShardedPlugin for ElemCounter {
         let point = self.series.pop().expect("take_partial follows end_bin");
         let mut out = BytesMut::new();
         out.put_u64(point.time);
-        out.put_u32(point.per_collector.len() as u32);
-        for (name, c) in &point.per_collector {
-            out.put_u16(name.len() as u16);
-            out.put_slice(name.as_bytes());
-            for v in [
-                c.records,
-                c.invalid_records,
-                c.announcements,
-                c.withdrawals,
-                c.rib_entries,
-                c.state_messages,
-            ] {
-                out.put_u64(v);
-            }
-        }
+        put_counters(&mut out, &point.per_collector);
         out.to_vec()
     }
 
@@ -231,23 +223,10 @@ impl ShardedPlugin for ElemCounter {
         // Pinned: exactly one partial, decoded back into the series.
         let mut per_collector = BTreeMap::new();
         for partial in &partials {
-            let mut buf = &partial[..];
-            let _time = buf.get_u64();
-            let n = buf.get_u32();
-            for _ in 0..n {
-                let len = buf.get_u16() as usize;
-                let name = String::from_utf8_lossy(&buf[..len]).into_owned();
-                buf.advance(len);
-                let c = BinCounters {
-                    records: buf.get_u64(),
-                    invalid_records: buf.get_u64(),
-                    announcements: buf.get_u64(),
-                    withdrawals: buf.get_u64(),
-                    rib_entries: buf.get_u64(),
-                    state_messages: buf.get_u64(),
-                };
-                per_collector.insert(name, c);
-            }
+            // Skip the bin time; the counters follow.
+            let mut buf = &partial[8..];
+            // xcheck:allow(unwrap) — partials are take_partial's own output
+            per_collector.extend(get_counters(&mut buf).expect("partial from take_partial"));
         }
         self.series.push(StatsPoint {
             time: bin_start,

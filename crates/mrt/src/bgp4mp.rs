@@ -10,8 +10,10 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use bytes::{Buf, BufMut, BytesMut};
 
+use bgp_types::message::MessageView;
 use bgp_types::{Asn, BgpMessage, SessionState};
 
+use crate::raw::{RawMrtView, RawUpdate};
 use crate::reader::MrtError;
 
 /// Subtype codes.
@@ -103,46 +105,63 @@ impl Bgp4mp {
             }
         }
     }
+}
 
-    /// Decode a body given its header subtype.
-    pub fn decode(subtype: u16, mut body: &[u8]) -> Result<Bgp4mp, MrtError> {
-        match subtype {
-            SUBTYPE_MESSAGE_AS4 | SUBTYPE_STATE_CHANGE_AS4 => {}
-            SUBTYPE_MESSAGE | SUBTYPE_STATE_CHANGE => {
-                return Err(MrtError::Unsupported("2-byte ASN BGP4MP subtypes"))
-            }
-            _ => return Err(MrtError::Unsupported("unknown BGP4MP subtype")),
+/// Parse a `BGP4MP` body (RFC 6396 §4.4) given its header subtype:
+/// the session header, then either the state change (decoded in full)
+/// or the embedded message's framing ([`MessageView::parse`]).
+pub(crate) fn parse(subtype: u16, mut body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
+    match subtype {
+        SUBTYPE_MESSAGE_AS4 | SUBTYPE_STATE_CHANGE_AS4 => {}
+        SUBTYPE_MESSAGE | SUBTYPE_STATE_CHANGE => {
+            return Err(MrtError::Unsupported("2-byte ASN BGP4MP subtypes"))
         }
-        let (peer_asn, local_asn, peer_ip, local_ip) = decode_session_header(&mut body)?;
-        match subtype {
-            SUBTYPE_MESSAGE_AS4 => {
-                let message = BgpMessage::decode(body).map_err(MrtError::Bgp)?;
-                Ok(Bgp4mp::Message {
-                    peer_asn,
-                    local_asn,
-                    peer_ip,
-                    local_ip,
-                    message,
-                })
-            }
-            _ => {
-                if body.len() < 4 {
-                    return Err(MrtError::Truncated("BGP4MP state change"));
-                }
-                let old = body.get_u16();
-                let new = body.get_u16();
-                Ok(Bgp4mp::StateChange {
-                    peer_asn,
-                    local_asn,
-                    peer_ip,
-                    local_ip,
-                    old_state: SessionState::from_code(old)
-                        .ok_or(MrtError::Invalid("old FSM state"))?,
-                    new_state: SessionState::from_code(new)
-                        .ok_or(MrtError::Invalid("new FSM state"))?,
-                })
-            }
+        _ => return Err(MrtError::Unsupported("unknown BGP4MP subtype")),
+    }
+    let (peer_asn, local_asn, peer_ip, local_ip) = decode_session_header(&mut body)?;
+    if subtype == SUBTYPE_STATE_CHANGE_AS4 {
+        if body.len() < 4 {
+            return Err(MrtError::Truncated("BGP4MP state change"));
         }
+        let old = body.get_u16();
+        let new = body.get_u16();
+        return Ok(RawMrtView::StateChange(Bgp4mp::StateChange {
+            peer_asn,
+            local_asn,
+            peer_ip,
+            local_ip,
+            old_state: SessionState::from_code(old).ok_or(MrtError::Invalid("old FSM state"))?,
+            new_state: SessionState::from_code(new).ok_or(MrtError::Invalid("new FSM state"))?,
+        }));
+    }
+    Ok(match MessageView::parse(body).map_err(MrtError::Bgp)? {
+        MessageView::Update(update) => RawMrtView::Update(RawUpdate {
+            peer_asn,
+            local_asn,
+            peer_ip,
+            local_ip,
+            update,
+        }),
+        MessageView::Fixed(message) => RawMrtView::NonUpdateMessage(Bgp4mp::Message {
+            peer_asn,
+            local_asn,
+            peer_ip,
+            local_ip,
+            message,
+        }),
+    })
+}
+
+impl RawUpdate<'_> {
+    /// Materialise the record: decode the update's sections.
+    pub(crate) fn materialise(&self) -> Result<Bgp4mp, MrtError> {
+        Ok(Bgp4mp::Message {
+            peer_asn: self.peer_asn,
+            local_asn: self.local_asn,
+            peer_ip: self.peer_ip,
+            local_ip: self.local_ip,
+            message: BgpMessage::Update(self.update.decode().map_err(MrtError::Bgp)?),
+        })
     }
 }
 
@@ -177,9 +196,7 @@ fn to_v6(ip: IpAddr) -> Ipv6Addr {
     }
 }
 
-pub(crate) fn decode_session_header(
-    body: &mut &[u8],
-) -> Result<(Asn, Asn, IpAddr, IpAddr), MrtError> {
+fn decode_session_header(body: &mut &[u8]) -> Result<(Asn, Asn, IpAddr, IpAddr), MrtError> {
     if body.len() < 12 {
         return Err(MrtError::Truncated("BGP4MP session header"));
     }
@@ -220,16 +237,30 @@ pub(crate) fn decode_session_header(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{MrtBody, MrtHeader, MrtRecord, MrtType};
     use bgp_types::{AsPath, BgpUpdate, PathAttributes, Prefix};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
     }
 
+    fn decode(subtype: u16, body: &[u8]) -> Result<Bgp4mp, MrtError> {
+        let header = MrtHeader {
+            timestamp: 0,
+            mrt_type: MrtType::Bgp4mp,
+            subtype,
+            length: body.len() as u32,
+        };
+        match MrtRecord::decode(&header, body)?.body {
+            MrtBody::Bgp4mp(b) => Ok(b),
+            other => panic!("not a BGP4MP body: {other:?}"),
+        }
+    }
+
     fn roundtrip(b: &Bgp4mp) -> Bgp4mp {
         let mut buf = BytesMut::new();
         let subtype = b.encode(&mut buf);
-        Bgp4mp::decode(subtype, &buf).unwrap()
+        decode(subtype, &buf).unwrap()
     }
 
     #[test]
@@ -279,7 +310,7 @@ mod tests {
     #[test]
     fn rejects_two_byte_subtypes() {
         assert!(matches!(
-            Bgp4mp::decode(SUBTYPE_MESSAGE, &[0u8; 20]),
+            decode(SUBTYPE_MESSAGE, &[0u8; 20]),
             Err(MrtError::Unsupported(_))
         ));
     }
@@ -298,16 +329,13 @@ mod tests {
         let subtype = b.encode(&mut buf);
         let n = buf.len();
         buf[n - 1] = 99; // corrupt the new_state code
-        assert!(matches!(
-            Bgp4mp::decode(subtype, &buf),
-            Err(MrtError::Invalid(_))
-        ));
+        assert!(matches!(decode(subtype, &buf), Err(MrtError::Invalid(_))));
     }
 
     #[test]
     fn truncated_session_header() {
         assert!(matches!(
-            Bgp4mp::decode(SUBTYPE_MESSAGE_AS4, &[0u8; 6]),
+            decode(SUBTYPE_MESSAGE_AS4, &[0u8; 6]),
             Err(MrtError::Truncated(_))
         ));
     }

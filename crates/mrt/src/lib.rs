@@ -11,23 +11,23 @@
 //! * [`table_dump_v2`] — `TABLE_DUMP_V2` bodies: the `PEER_INDEX_TABLE`
 //!   that heads every RIB dump and the per-prefix `RIB_IPV4_UNICAST` /
 //!   `RIB_IPV6_UNICAST` rows;
-//! * [`reader::MrtReader`] — a pull parser over any [`std::io::Read`]
-//!   that distinguishes clean end-of-file from *corrupted reads*. The
-//!   paper extends libBGPdump to "signal a corrupted read" so that
-//!   libBGPStream can mark records not-valid; [`MrtError`] is that
-//!   signal here;
-//! * [`raw::RawMrtView`] — borrowed, decode-free record views for
-//!   filter pushdown: classify a record and scan its peer, NLRI and
-//!   community bytes without building any owned structure;
-//! * [`reader::ChunkedReader`] — the streaming front-end: frames
-//!   records out of a bounded window refilled from any byte source,
-//!   sniffing and decompressing gzip on the fly, so dump files are
-//!   never slurped whole into memory;
+//! * [`raw::RawMrtView`] — the first half of the decoder: a view that
+//!   frames a record body without decoding its UPDATE or RIB-row
+//!   content, which filter pushdown scans for peers, NLRI and
+//!   communities and which [`MrtRecord::decode`] then materialises —
+//!   one grammar for both;
+//! * [`reader::ChunkedReader`] — the record reader: frames records out
+//!   of a bounded window refilled from any byte source (or an
+//!   in-memory dump), sniffing and decompressing gzip on the fly, so
+//!   dump files are never slurped whole into memory. It distinguishes
+//!   clean end-of-file from *corrupted reads*: the paper extends
+//!   libBGPdump to "signal a corrupted read" so that libBGPStream can
+//!   mark records not-valid; [`MrtError`] is that signal here;
 //! * [`par`] — parallel record decode: sequential framing feeds
 //!   record-boundary chunks to a worker pool and a reorder buffer
 //!   releases results strictly in input order, so
 //!   [`par::ParDecoder`] is byte-for-byte equivalent to the
-//!   sequential readers (select it with [`par::DecodeMode`]);
+//!   sequential reader (select it with [`par::DecodeMode`]);
 //! * [`writer::MrtWriter`] — the encoder used by the collector
 //!   simulator to produce archives.
 //!
@@ -49,7 +49,7 @@ pub mod writer;
 pub use bgp4mp::Bgp4mp;
 pub use par::{ChunkCtx, DecodeMode, ParDecoder, Reorder, Step};
 pub use raw::RawMrtView;
-pub use reader::{ChunkedReader, MrtError, MrtReader, MrtSliceReader, RawRecord};
+pub use reader::{ChunkedReader, MrtError, RawRecord};
 pub use record::{MrtBody, MrtHeader, MrtRecord, MrtType};
 pub use table_dump_v2::{PeerEntry, PeerIndexTable, RibEntry, RibRow};
 pub use writer::MrtWriter;

@@ -1,56 +1,42 @@
-//! Borrowed, decode-free views of MRT record bodies.
+//! Borrowed, decode-free views of MRT record bodies — the first half
+//! of the decoder.
 //!
 //! The filter-pushdown hot path wants to reject a record *before* any
-//! owned [`MrtBody`](crate::MrtBody) structure (heap-backed AS paths,
-//! community sets, NLRI vectors) is built. [`RawMrtView::parse`] reads
-//! just enough out of a record's body slice to answer the questions a
-//! record-level prefilter asks — which elem kinds the record can
-//! decompose into, the VP identity, and the NLRI prefixes /
-//! communities it carries — without allocating.
+//! owned [`MrtBody`] structure (heap-backed AS paths, community sets,
+//! NLRI vectors) is built. [`RawMrtView::parse`] frames a record's
+//! body slice just far enough to answer the questions a record-level
+//! prefilter asks — which elem kinds the record can decompose into,
+//! the VP identity, and the NLRI prefixes / communities it carries —
+//! without allocating.
 //!
-//! Contract with the full decoder ([`crate::MrtRecord::decode`]):
-//! `parse` is **conservative**. It
-//! returns `Some` only when the framing it inspected is exactly what
-//! the full decoder would accept; anything surprising (unknown
-//! subtype, truncation, bad marker, bogus NLRI length) yields `None`
-//! so the caller falls back to the full decode and its established
-//! corrupted-read signalling. The prefilter scans go one step
-//! further: a [`ScanVerdict::Reject`] certifies the whole body would
-//! have decoded cleanly (every decoder content check is mirrored
-//! in-pass, with [`ScanVerdict::Unsure`] the moment anything stops
-//! parsing), so a prefilter can only ever *skip* a record it has
-//! proven both boring and well-formed.
+//! Contract with the full decoder: there is only one.
+//! [`crate::MrtRecord::decode`] *is* [`RawMrtView::parse`] followed by
+//! [`RawMrtView::materialise`], and both halves — like the prefilter
+//! scans here — walk the single copy of the wire grammar: the RFC 4271
+//! functions in [`bgp_types::message`] and the RFC 6396 ones in
+//! [`crate::bgp4mp`] / [`crate::table_dump_v2`]. So `parse` fails
+//! exactly when the decoder would fail on framing, with the same
+//! [`MrtError`], and a [`ScanVerdict::Reject`] — reached only after the
+//! scan has walked the whole body through the decoder's own checks —
+//! certifies the record would have decoded cleanly: a prefilter can
+//! only ever *skip* a record it has proven both boring and well-formed.
+//!
+//! This module keeps only what is prefilter-specific: the
+//! `prefilter_scan` predicates with their early accept,
+//! [`any_community_in_attrs`], and the NLRI block scan.
 
-use bgp_types::message::{decode_nlri, HEADER_LEN, MAX_MESSAGE_LEN};
-use bgp_types::{Asn, Community, Prefix, SessionState};
-use bytes::Buf;
+use std::net::IpAddr;
 
-use crate::bgp4mp::{decode_session_header, SUBTYPE_MESSAGE_AS4, SUBTYPE_STATE_CHANGE_AS4};
-use crate::record::{MrtHeader, MrtType};
-use crate::table_dump_v2::{
-    SUBTYPE_PEER_INDEX_TABLE, SUBTYPE_RIB_IPV4_UNICAST, SUBTYPE_RIB_IPV6_UNICAST,
+use bgp_types::message::{
+    decode_nlri, split_nlri, walk_as_path, walk_attrs, AttrView, CodecError, UpdateView,
 };
+use bgp_types::{Asn, Community, Prefix};
+use bytes::{Buf, Bytes};
 
-// RFC 4271 wire constants re-stated locally: the raw scanner walks the
-// same structures the codec does, but must not depend on the codec's
-// private internals.
-const MARKER: [u8; 16] = [0xFF; 16];
-const TYPE_OPEN: u8 = 1;
-const TYPE_UPDATE: u8 = 2;
-const TYPE_NOTIFICATION: u8 = 3;
-const TYPE_KEEPALIVE: u8 = 4;
-const ATTR_ORIGIN: u8 = 1;
-const ATTR_AS_PATH: u8 = 2;
-const ATTR_NEXT_HOP: u8 = 3;
-const ATTR_MED: u8 = 4;
-const ATTR_LOCAL_PREF: u8 = 5;
-const ATTR_COMMUNITIES: u8 = 8;
-const ATTR_MP_REACH: u8 = 14;
-const ATTR_MP_UNREACH: u8 = 15;
-const FLAG_EXT_LEN: u8 = 0x10;
-const AFI_IPV4: u16 = 1;
-const SEG_SET: u8 = 1;
-const SEG_SEQUENCE: u8 = 2;
+use crate::bgp4mp::{self, Bgp4mp};
+use crate::reader::MrtError;
+use crate::record::{MrtBody, MrtHeader, MrtType};
+use crate::table_dump_v2::{self, next_rib_entry, PeerIndexTable, TableDumpV2};
 
 /// Outcome of a single-pass prefilter scan
 /// ([`RawUpdate::prefilter_scan`] / [`RawRibRow::prefilter_scan`]).
@@ -66,149 +52,76 @@ pub enum ScanVerdict {
     Unsure,
 }
 
-/// A decode-free classification of one MRT record body.
+/// A framed MRT record body. Variable-length bodies (UPDATEs, RIB
+/// rows, unknown types) stay borrowed; fixed-size ones, and the peer
+/// index table every reader needs anyway, are held decoded.
 pub enum RawMrtView<'a> {
     /// `BGP4MP_MESSAGE_AS4` wrapping a BGP UPDATE.
     Update(RawUpdate<'a>),
-    /// `BGP4MP_MESSAGE_AS4` wrapping a well-formed non-UPDATE message
-    /// (OPEN / NOTIFICATION / KEEPALIVE) — decomposes into no elems.
-    NonUpdateMessage,
-    /// `BGP4MP_STATE_CHANGE_AS4` with valid FSM codes.
-    StateChange {
-        /// The VP whose session moved.
-        peer_asn: Asn,
-    },
+    /// `BGP4MP_MESSAGE_AS4` wrapping an OPEN, NOTIFICATION or
+    /// KEEPALIVE — decomposes into no elems.
+    NonUpdateMessage(Bgp4mp),
+    /// `BGP4MP_STATE_CHANGE_AS4`.
+    StateChange(Bgp4mp),
     /// A `TABLE_DUMP_V2` RIB row.
     RibRow(RawRibRow<'a>),
-    /// The `TABLE_DUMP_V2` peer index table. Callers must always run
-    /// the full decode on these: later RIB rows need the table.
-    PeerIndexTable,
+    /// The `TABLE_DUMP_V2` peer index table. Callers must always
+    /// materialise these: later RIB rows need the table.
+    PeerIndexTable(PeerIndexTable),
     /// An MRT type this build does not interpret — never any elems.
-    Unknown,
+    Unknown(&'a [u8]),
 }
 
 impl<'a> RawMrtView<'a> {
-    /// Classify a framed record without decoding it. `None` means the
-    /// body did not look exactly like something the full decoder
-    /// accepts — the caller must fall back to
-    /// [`crate::MrtRecord::decode`] (and its error signalling).
-    pub fn parse(header: &MrtHeader, body: &'a [u8]) -> Option<RawMrtView<'a>> {
+    /// Frame a record body without decoding it. Fails exactly where
+    /// [`crate::MrtRecord::decode`] fails on framing, with the same
+    /// error.
+    pub fn parse(header: &MrtHeader, body: &'a [u8]) -> Result<RawMrtView<'a>, MrtError> {
+        if body.len() != header.length as usize {
+            return Err(MrtError::Truncated("MRT body"));
+        }
         match header.mrt_type {
-            MrtType::Bgp4mp => Self::parse_bgp4mp(header.subtype, body),
-            MrtType::TableDumpV2 => Self::parse_table_dump_v2(header.subtype, body),
-            MrtType::Other(_) => Some(RawMrtView::Unknown),
+            MrtType::Bgp4mp => bgp4mp::parse(header.subtype, body),
+            MrtType::TableDumpV2 => table_dump_v2::parse(header.subtype, body),
+            MrtType::Other(_) => Ok(RawMrtView::Unknown(body)),
         }
     }
 
-    fn parse_bgp4mp(subtype: u16, body: &'a [u8]) -> Option<RawMrtView<'a>> {
-        let mut b = body;
-        match subtype {
-            SUBTYPE_STATE_CHANGE_AS4 => {
-                let (peer_asn, ..) = decode_session_header(&mut b).ok()?;
-                if b.len() < 4 {
-                    return None;
-                }
-                SessionState::from_code(b.get_u16())?;
-                SessionState::from_code(b.get_u16())?;
-                Some(RawMrtView::StateChange { peer_asn })
-            }
-            SUBTYPE_MESSAGE_AS4 => {
-                let (peer_asn, ..) = decode_session_header(&mut b).ok()?;
-                if b.len() < HEADER_LEN || b[..16] != MARKER {
-                    return None;
-                }
-                let total = u16::from_be_bytes([b[16], b[17]]) as usize;
-                if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-                    return None;
-                }
-                let msg_type = b[18];
-                let body_len = total - HEADER_LEN;
-                if b.len() - HEADER_LEN < body_len {
-                    return None;
-                }
-                let msg = &b[HEADER_LEN..HEADER_LEN + body_len];
-                match msg_type {
-                    TYPE_UPDATE => {
-                        let (withdrawals, attrs, announcements) = split_update(msg)?;
-                        Some(RawMrtView::Update(RawUpdate {
-                            peer_asn,
-                            withdrawals,
-                            attrs,
-                            announcements,
-                        }))
-                    }
-                    // Non-UPDATE messages carry no elems, but only
-                    // count as "boring" when the full decode would
-                    // have succeeded on them too.
-                    TYPE_OPEN if msg.len() >= 10 => Some(RawMrtView::NonUpdateMessage),
-                    TYPE_NOTIFICATION if msg.len() >= 2 => Some(RawMrtView::NonUpdateMessage),
-                    TYPE_KEEPALIVE => Some(RawMrtView::NonUpdateMessage),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
+    /// The second half of the decoder: build the owned body, reporting
+    /// the content errors `parse` left unchecked (attributes, NLRI,
+    /// RIB entries) in wire order.
+    pub fn materialise(self) -> Result<MrtBody, MrtError> {
+        Ok(match self {
+            RawMrtView::Update(u) => MrtBody::Bgp4mp(u.materialise()?),
+            RawMrtView::NonUpdateMessage(b) | RawMrtView::StateChange(b) => MrtBody::Bgp4mp(b),
+            RawMrtView::RibRow(r) => MrtBody::TableDumpV2(TableDumpV2::RibRow(r.materialise()?)),
+            RawMrtView::PeerIndexTable(t) => MrtBody::TableDumpV2(TableDumpV2::PeerIndexTable(t)),
+            RawMrtView::Unknown(body) => MrtBody::Unknown(Bytes::copy_from_slice(body)),
+        })
     }
 
-    /// Would [`crate::MrtRecord::decode`] accept this body?
-    ///
-    /// `parse` validates *framing*; the full decoder additionally
-    /// validates *content* it materialises (ORIGIN codes, AS_PATH
-    /// segment types, fixed attribute lengths, every NLRI entry…).
-    /// A prefilter may only skip the decode of a record it can prove
-    /// would have decoded cleanly — otherwise the decode-then-filter
-    /// path's corruption signalling (poisoned dump, `CorruptedRecord`
-    /// placeholder) would silently disappear under filters. This walk
-    /// mirrors the decoder's error checks, still without allocating;
-    /// the mutation tests below enforce the mirror.
+    /// Would [`RawMrtView::materialise`] succeed? Walks what `parse`
+    /// left unchecked through the decoder's own checks, without
+    /// allocating.
     pub fn decodes_cleanly(&self) -> bool {
         match self {
-            // Validated during `parse`, or (Unknown) never fails.
-            RawMrtView::NonUpdateMessage
-            | RawMrtView::StateChange { .. }
-            | RawMrtView::PeerIndexTable
-            | RawMrtView::Unknown => true,
             RawMrtView::Update(u) => u.decodes_cleanly(),
             RawMrtView::RibRow(r) => r.decodes_cleanly(),
-        }
-    }
-
-    fn parse_table_dump_v2(subtype: u16, body: &'a [u8]) -> Option<RawMrtView<'a>> {
-        match subtype {
-            SUBTYPE_PEER_INDEX_TABLE => Some(RawMrtView::PeerIndexTable),
-            SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST => {
-                let v4 = subtype == SUBTYPE_RIB_IPV4_UNICAST;
-                let mut b = body;
-                if b.len() < 4 {
-                    return None;
-                }
-                let _sequence = b.get_u32();
-                let prefix = decode_nlri(&mut b, v4).ok()?;
-                if b.len() < 2 {
-                    return None;
-                }
-                let entry_count = b.get_u16() as usize;
-                Some(RawMrtView::RibRow(RawRibRow {
-                    prefix,
-                    entry_count,
-                    entries: b,
-                }))
-            }
-            _ => None,
+            _ => true,
         }
     }
 }
 
-/// Section offsets of one BGP UPDATE inside a `BGP4MP_MESSAGE_AS4`
-/// body: the base withdrawn-routes NLRI, the bare path-attribute
-/// block, and the base announcement NLRI. IPv6 NLRI (MP_REACH /
+/// One BGP UPDATE inside a `BGP4MP_MESSAGE_AS4` body: the session
+/// header plus the update's sections. IPv6 NLRI (MP_REACH /
 /// MP_UNREACH) is reached by walking the attribute block on demand.
 pub struct RawUpdate<'a> {
     /// The VP the update was received from.
     pub peer_asn: Asn,
-    withdrawals: &'a [u8],
-    attrs: &'a [u8],
-    announcements: &'a [u8],
+    pub(crate) local_asn: Asn,
+    pub(crate) peer_ip: IpAddr,
+    pub(crate) local_ip: IpAddr,
+    pub(crate) update: UpdateView<'a>,
 }
 
 impl RawUpdate<'_> {
@@ -216,7 +129,7 @@ impl RawUpdate<'_> {
     /// only decompose into elems when they do (a bare NLRI without
     /// attributes yields nothing, matching the decoder).
     pub fn has_attrs(&self) -> bool {
-        !self.attrs.is_empty()
+        !self.update.attrs.is_empty()
     }
 
     /// Whether the full decoder would accept this update body (see
@@ -242,137 +155,47 @@ impl RawUpdate<'_> {
     /// passes (remaining bytes left to the decoder),
     /// [`ScanVerdict::Unsure`] the moment anything fails to parse, and
     /// [`ScanVerdict::Reject`] only after the *entire* body — base
-    /// NLRI, every attribute, MP NLRI — has passed the same content
-    /// checks the decoder applies. A `Reject` therefore guarantees
+    /// NLRI, every attribute, MP NLRI — has been walked through the
+    /// decoder's own checks. A `Reject` therefore guarantees
     /// [`crate::MrtRecord::decode`] would have succeeded: skipping it
     /// cannot hide a corrupted read.
-    pub fn prefilter_scan(
+    pub fn prefilter_scan<'p>(
         &self,
-        mut wd_accepts: Option<&mut dyn FnMut(&Prefix) -> bool>,
-        mut ann_accepts: Option<&mut dyn FnMut(&Prefix) -> bool>,
-        mut comm_gate: Option<&mut dyn FnMut(Community) -> bool>,
+        wd_accepts: Option<&'p mut dyn FnMut(&Prefix) -> bool>,
+        ann_accepts: Option<&'p mut dyn FnMut(&Prefix) -> bool>,
+        comm_gate: Option<&'p mut dyn FnMut(Community) -> bool>,
     ) -> ScanVerdict {
-        // No community constraint = the gate is already satisfied.
-        let mut comm_ok = comm_gate.is_none();
-        // An interesting announcement seen before the community gate
-        // resolved (attribute order is not fixed on the wire).
-        let mut ann_pending = false;
-        let mut accepted = false;
-        if !self.has_attrs() {
-            // Without attributes announcements yield no elems: drop
-            // to validate-only NLRI scanning for them.
-            ann_accepts = None;
-        }
-
-        // Base withdrawn NLRI. A hit is a definite accept: withdrawals
-        // are exempt from the community gate.
-        let mut wd = self.withdrawals;
-        match scan_nlri_block(&mut wd, true, &mut wd_accepts) {
-            Err(()) => return ScanVerdict::Unsure,
-            Ok(true) => return ScanVerdict::Accept,
-            Ok(false) => {}
-        }
-
-        // One validating walk over the attribute block, doing triple
-        // duty: content validation (decoder mirror), the community
-        // gate, and the MP-attribute NLRI predicates.
-        let walk = walk_attrs(self.attrs, |ty, mut data| {
-            if accepted {
-                return Some(());
-            }
-            match ty {
-                ATTR_COMMUNITIES => {
-                    if !simple_attr_content_ok(ty, data) {
-                        return None;
-                    }
-                    if let Some(pred) = comm_gate.as_deref_mut() {
-                        while !data.is_empty() {
-                            if pred(Community::from_u32(data.get_u32())) {
-                                comm_ok = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-                ATTR_MP_REACH => {
-                    let v4 = parse_mp_header(true, &mut data)?;
-                    while !data.is_empty() {
-                        if let Some(pred) = ann_accepts.as_deref_mut() {
-                            let Ok(p) = decode_nlri(&mut data, v4) else {
-                                return None;
-                            };
-                            if pred(&p) {
-                                if comm_ok {
-                                    accepted = true;
-                                    return Some(());
-                                }
-                                ann_pending = true;
-                            }
-                        } else if !skip_nlri(&mut data, v4) {
-                            return None;
-                        }
-                    }
-                }
-                ATTR_MP_UNREACH => {
-                    let v4 = parse_mp_header(false, &mut data)?;
-                    let mut block = data;
-                    match scan_nlri_block(&mut block, v4, &mut wd_accepts) {
-                        Err(()) => return None,
-                        Ok(true) => {
-                            accepted = true;
-                            return Some(());
-                        }
-                        Ok(false) => {}
-                    }
-                }
-                // Everything else (incl. unknown types, skipped by the
-                // decoder) reduces to the shared content check.
-                _ if !simple_attr_content_ok(ty, data) => return None,
-                _ => {}
-            }
-            Some(())
-        });
-        if walk.is_none() {
-            return ScanVerdict::Unsure;
-        }
-        if accepted {
-            return ScanVerdict::Accept;
-        }
-
-        // Base announcement NLRI: validated by the decoder regardless
-        // of attribute presence, elems only when attributes exist
-        // (`ann_accepts` was dropped above otherwise).
-        let mut ann = self.announcements;
-        while !ann.is_empty() {
-            if let Some(pred) = ann_accepts.as_deref_mut() {
-                let Ok(p) = decode_nlri(&mut ann, true) else {
-                    return ScanVerdict::Unsure;
-                };
-                if pred(&p) {
-                    if comm_ok {
-                        return ScanVerdict::Accept;
-                    }
-                    ann_pending = true;
-                }
-            } else if !skip_nlri(&mut ann, true) {
-                return ScanVerdict::Unsure;
-            }
-        }
-        if ann_pending && comm_ok {
-            ScanVerdict::Accept
-        } else {
-            ScanVerdict::Reject
+        let mut scan = Scan {
+            wd: wd_accepts,
+            // Without attributes announcements yield no elems: their
+            // NLRI is only validated.
+            ann: ann_accepts.filter(|_| self.has_attrs()),
+            // No community constraint = the gate is already satisfied.
+            comm_ok: comm_gate.is_none(),
+            comm: comm_gate,
+            ann_pending: false,
+        };
+        let u = &self.update;
+        let accepted = scan
+            .withdrawn(u.withdrawn, true)
+            .and_then(|hit| Ok(hit || scan.attrs(u.attrs)? || scan.announced(u.nlri, true)?));
+        match accepted {
+            Err(_) => ScanVerdict::Unsure,
+            Ok(true) => ScanVerdict::Accept,
+            Ok(false) if scan.ann_pending && scan.comm_ok => ScanVerdict::Accept,
+            Ok(false) => ScanVerdict::Reject,
         }
     }
 }
 
-/// The fixed head of one `TABLE_DUMP_V2` RIB row plus its undecoded
-/// entry block.
+/// A `TABLE_DUMP_V2` RIB row: its fixed head plus the undecoded entry
+/// block.
 pub struct RawRibRow<'a> {
     /// The prefix every entry of the row routes to.
     pub prefix: Prefix,
-    entry_count: usize,
-    entries: &'a [u8],
+    pub(crate) sequence: u32,
+    pub(crate) entry_count: usize,
+    pub(crate) entries: &'a [u8],
 }
 
 impl RawRibRow<'_> {
@@ -383,7 +206,7 @@ impl RawRibRow<'_> {
 
     /// Whether the full decoder would accept this row (see
     /// [`RawMrtView::decodes_cleanly`]): every declared entry frames
-    /// and its attribute block passes the decoder's content checks.
+    /// and its attribute block passes the decoder's checks.
     pub fn decodes_cleanly(&self) -> bool {
         self.prefilter_scan(|_, _| false) == ScanVerdict::Reject
     }
@@ -394,25 +217,17 @@ impl RawRibRow<'_> {
     /// stops — the decoder validates the rest). Same `Reject`
     /// guarantee as [`RawUpdate::prefilter_scan`]: rejection implies
     /// every entry framed and its attributes passed the decoder's
-    /// content checks.
+    /// checks.
     pub fn prefilter_scan(&self, mut entry_accepts: impl FnMut(u16, &[u8]) -> bool) -> ScanVerdict {
-        let mut b = self.entries;
+        let mut entries = self.entries;
         for _ in 0..self.entry_count {
-            if b.len() < 8 {
+            let Ok((peer_index, _, attrs)) = next_rib_entry(&mut entries) else {
                 return ScanVerdict::Unsure;
-            }
-            let peer_index = b.get_u16();
-            let _originated_time = b.get_u32();
-            let attr_len = b.get_u16() as usize;
-            if b.len() < attr_len {
-                return ScanVerdict::Unsure;
-            }
-            let attrs = &b[..attr_len];
-            b.advance(attr_len);
+            };
             if entry_accepts(peer_index, attrs) {
                 return ScanVerdict::Accept;
             }
-            if !attrs_decode_cleanly(attrs) {
+            if Scan::default().attrs(attrs).is_err() {
                 return ScanVerdict::Unsure;
             }
         }
@@ -421,226 +236,117 @@ impl RawRibRow<'_> {
 }
 
 /// Scan a bare path-attribute block for a community satisfying `pred`.
-/// Shared by UPDATE attribute blocks and RIB-entry attribute blocks.
+/// Shared by UPDATE attribute blocks and RIB-entry attribute blocks;
+/// `None` when the block does not decode.
 pub fn any_community_in_attrs(
     attrs: &[u8],
     mut pred: impl FnMut(Community) -> bool,
 ) -> Option<bool> {
     let mut hit = false;
-    walk_attrs(attrs, |ty, mut data| {
-        if hit || ty != ATTR_COMMUNITIES {
-            return Some(());
+    walk_attrs(attrs, |attr| {
+        if let AttrView::Communities(values) = attr {
+            hit = hit || communities(values).any(&mut pred);
         }
-        if !data.len().is_multiple_of(4) {
-            return None;
-        }
-        while !data.is_empty() {
-            if pred(Community::from_u32(data.get_u32())) {
-                hit = true;
-                return Some(());
-            }
-        }
-        Some(())
-    })?;
+        Ok(())
+    })
+    .ok()?;
     Some(hit)
 }
 
-/// Mirror of the decoder's per-attribute *content* checks
-/// (`bgp_types::message::decode_attrs`) for the attribute types whose
-/// value carries no nested NLRI, allocation-free. The single source of
-/// truth for these checks — both [`attrs_decode_cleanly`] and the
-/// update [`RawUpdate::prefilter_scan`] route through it. Unknown
-/// attribute types are skipped by the decoder and always pass.
-fn simple_attr_content_ok(ty: u8, data: &[u8]) -> bool {
-    match ty {
-        ATTR_ORIGIN => data.len() == 1 && data[0] <= 2,
-        ATTR_AS_PATH => as_path_decodes_cleanly(data),
-        ATTR_NEXT_HOP | ATTR_MED | ATTR_LOCAL_PREF => data.len() == 4,
-        ATTR_COMMUNITIES => data.len().is_multiple_of(4),
-        _ => true,
-    }
-}
-
-/// Validate an `MP_REACH`/`MP_UNREACH` attribute header (`reach`
-/// selects which) and advance `data` to its NLRI block; returns
-/// whether the NLRI is IPv4. `None` mirrors the decoder's truncation
-/// errors. The single source of truth for the MP header layout.
-fn parse_mp_header(reach: bool, data: &mut &[u8]) -> Option<bool> {
-    if reach {
-        if data.len() < 5 {
-            return None;
-        }
-        let afi = data.get_u16();
-        let _safi = data.get_u8();
-        let nh_len = data.get_u8() as usize;
-        if data.len() < nh_len + 1 {
-            return None;
-        }
-        data.advance(nh_len);
-        let _reserved = data.get_u8();
-        Some(afi == AFI_IPV4)
-    } else {
-        if data.len() < 3 {
-            return None;
-        }
-        let afi = data.get_u16();
-        let _safi = data.get_u8();
-        Some(afi == AFI_IPV4)
-    }
-}
-
-/// Whole-block form of the decoder mirror: true iff
-/// `bgp_types::message::decode_attrs` would return `Ok` for this bare
-/// attribute block. Used for RIB-entry attribute blocks, whose NLRI
-/// carries no filterable information.
-fn attrs_decode_cleanly(attrs: &[u8]) -> bool {
-    walk_attrs(attrs, |ty, mut data| match ty {
-        ATTR_MP_REACH | ATTR_MP_UNREACH => {
-            let v4 = parse_mp_header(ty == ATTR_MP_REACH, &mut data)?;
-            if nlri_block_decodes_cleanly(data, v4) {
-                Some(())
-            } else {
-                None
-            }
-        }
-        _ => {
-            if simple_attr_content_ok(ty, data) {
-                Some(())
-            } else {
-                None
-            }
-        }
+fn communities(mut values: &[u8]) -> impl Iterator<Item = Community> + '_ {
+    std::iter::from_fn(move || {
+        values
+            .has_remaining()
+            .then(|| Community::from_u32(values.get_u32()))
     })
-    .is_some()
 }
 
-fn nlri_block_decodes_cleanly(mut block: &[u8], v4: bool) -> bool {
-    while !block.is_empty() {
-        if decode_nlri(&mut block, v4).is_err() {
-            return false;
+/// The state of one prefilter scan: the caller's predicates, and the
+/// community gate as the walk resolves it.
+#[derive(Default)]
+struct Scan<'p> {
+    wd: Option<&'p mut dyn FnMut(&Prefix) -> bool>,
+    ann: Option<&'p mut dyn FnMut(&Prefix) -> bool>,
+    comm: Option<&'p mut dyn FnMut(Community) -> bool>,
+    /// The community gate is satisfied (or absent).
+    comm_ok: bool,
+    /// An announcement passed its prefix predicate before the gate
+    /// resolved (attribute order is not fixed on the wire).
+    ann_pending: bool,
+}
+
+impl Scan<'_> {
+    /// Withdrawn NLRI: a hit is a definite accept — withdrawals are
+    /// exempt from the community gate.
+    fn withdrawn(&mut self, mut block: &[u8], v4: bool) -> Result<bool, CodecError> {
+        scan_nlri_block(&mut block, v4, &mut self.wd)
+    }
+
+    /// Announced NLRI: a hit accepts once the community gate is
+    /// satisfied, else waits for it while the rest of the block is
+    /// still validated.
+    fn announced(&mut self, mut block: &[u8], v4: bool) -> Result<bool, CodecError> {
+        if scan_nlri_block(&mut block, v4, &mut self.ann)? {
+            if self.comm_ok {
+                return Ok(true);
+            }
+            self.ann_pending = true;
+            scan_nlri_block(&mut block, v4, &mut None)?;
         }
+        Ok(false)
     }
-    true
-}
 
-/// Validate-and-advance one NLRI entry *without* materialising the
-/// `Prefix` (the validate-only fast path of the prefilter scans).
-/// Mirrors [`decode_nlri`]'s error conditions exactly.
-fn skip_nlri(buf: &mut &[u8], v4: bool) -> bool {
-    let Some(&len) = buf.first() else {
-        return false;
-    };
-    let max = if v4 { 32 } else { 128 };
-    if len > max {
-        return false;
+    /// One walk over an attribute block doing triple duty: the
+    /// decoder's checks, the community gate, and the MP NLRI
+    /// predicates. Attributes after an accept are still checked.
+    fn attrs(&mut self, block: &[u8]) -> Result<bool, CodecError> {
+        let mut accepted = false;
+        walk_attrs(block, |attr| {
+            if accepted {
+                return Ok(());
+            }
+            match attr {
+                AttrView::AsPath(segments) => walk_as_path(segments, |_, _| {})?,
+                AttrView::Communities(values) => {
+                    if let Some(pred) = self.comm.as_deref_mut() {
+                        self.comm_ok = self.comm_ok || communities(values).any(pred);
+                    }
+                }
+                AttrView::MpReach { v4, nlri, .. } => accepted = self.announced(nlri, v4)?,
+                AttrView::MpUnreach { v4, nlri } => accepted = self.withdrawn(nlri, v4)?,
+                _ => {}
+            }
+            Ok(())
+        })?;
+        Ok(accepted)
     }
-    let nbytes = 1 + (len as usize).div_ceil(8);
-    if buf.len() < nbytes {
-        return false;
-    }
-    *buf = &buf[nbytes..];
-    true
 }
 
 /// Scan one NLRI block: with a predicate, decode each prefix and stop
 /// at the first hit (`Ok(true)`); without one, validate-and-skip.
-/// `Err(())` = malformed NLRI (decoder would reject).
 fn scan_nlri_block(
     block: &mut &[u8],
     v4: bool,
     pred: &mut Option<&mut dyn FnMut(&Prefix) -> bool>,
-) -> Result<bool, ()> {
+) -> Result<bool, CodecError> {
     while !block.is_empty() {
         if let Some(p) = pred.as_deref_mut() {
-            let prefix = decode_nlri(block, v4).map_err(|_| ())?;
-            if p(&prefix) {
+            if p(&decode_nlri(block, v4)?) {
                 return Ok(true);
             }
-        } else if !skip_nlri(block, v4) {
-            return Err(());
+        } else {
+            split_nlri(block, v4)?;
         }
     }
     Ok(false)
 }
 
-fn as_path_decodes_cleanly(mut seg: &[u8]) -> bool {
-    while !seg.is_empty() {
-        if seg.len() < 2 {
-            return false;
-        }
-        let ty = seg.get_u8();
-        if ty != SEG_SET && ty != SEG_SEQUENCE {
-            return false;
-        }
-        let count = seg.get_u8() as usize;
-        if seg.len() < count * 4 {
-            return false;
-        }
-        seg.advance(count * 4);
-    }
-    true
-}
-
-/// Walk attribute headers, handing `(type, value bytes)` to `f`;
-/// `None` on truncation (from the walk or propagated from `f`).
-fn walk_attrs(mut a: &[u8], mut f: impl FnMut(u8, &[u8]) -> Option<()>) -> Option<()> {
-    while !a.is_empty() {
-        if a.len() < 2 {
-            return None;
-        }
-        let flags = a.get_u8();
-        let ty = a.get_u8();
-        let len = if flags & FLAG_EXT_LEN != 0 {
-            if a.len() < 2 {
-                return None;
-            }
-            a.get_u16() as usize
-        } else {
-            if a.is_empty() {
-                return None;
-            }
-            a.get_u8() as usize
-        };
-        if a.len() < len {
-            return None;
-        }
-        f(ty, &a[..len])?;
-        a.advance(len);
-    }
-    Some(())
-}
-
-/// Split a BGP UPDATE body into its three sections.
-fn split_update(msg: &[u8]) -> Option<(&[u8], &[u8], &[u8])> {
-    if msg.len() < 2 {
-        return None;
-    }
-    let wd_len = u16::from_be_bytes([msg[0], msg[1]]) as usize;
-    let rest = &msg[2..];
-    if rest.len() < wd_len {
-        return None;
-    }
-    let withdrawals = &rest[..wd_len];
-    let rest = &rest[wd_len..];
-    if rest.len() < 2 {
-        return None;
-    }
-    let attr_len = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-    let rest = &rest[2..];
-    if rest.len() < attr_len {
-        return None;
-    }
-    Some((withdrawals, &rest[..attr_len], &rest[attr_len..]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp4mp::Bgp4mp;
-    use crate::record::{MrtBody, MrtRecord};
-    use crate::table_dump_v2::{PeerEntry, PeerIndexTable, RibEntry, RibRow, TableDumpV2};
-    use bgp_types::{AsPath, BgpMessage, BgpUpdate, PathAttributes};
-    use bytes::Bytes;
+    use crate::record::MrtRecord;
+    use crate::table_dump_v2::{PeerEntry, RibEntry, RibRow};
+    use bgp_types::{AsPath, BgpMessage, BgpUpdate, PathAttributes, SessionState};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -679,7 +385,7 @@ mod tests {
     #[test]
     fn update_view_sees_all_nlri_and_communities() {
         let (header, body) = frame(&update_record(&[(3356, 666)]));
-        let Some(RawMrtView::Update(u)) = RawMrtView::parse(&header, &body) else {
+        let Ok(RawMrtView::Update(u)) = RawMrtView::parse(&header, &body) else {
             panic!("expected update view");
         };
         assert_eq!(u.peer_asn, Asn(65001));
@@ -747,7 +453,7 @@ mod tests {
         let (header, body) = frame(&rec);
         assert!(matches!(
             RawMrtView::parse(&header, &body),
-            Some(RawMrtView::NonUpdateMessage)
+            Ok(RawMrtView::NonUpdateMessage(_))
         ));
     }
 
@@ -767,12 +473,30 @@ mod tests {
         let (header, mut body) = frame(&rec);
         assert!(matches!(
             RawMrtView::parse(&header, &body),
-            Some(RawMrtView::StateChange { peer_asn }) if peer_asn == Asn(64999)
+            Ok(RawMrtView::StateChange(b)) if b.peer_asn() == Asn(64999)
         ));
-        // Corrupt FSM code: the view refuses, mirroring the decoder.
+        // Corrupt FSM code: the view refuses with the decoder's error.
         let n = body.len();
         body[n - 1] = 99;
-        assert!(RawMrtView::parse(&header, &body).is_none());
+        assert!(matches!(
+            RawMrtView::parse(&header, &body),
+            Err(MrtError::Invalid("new FSM state"))
+        ));
+    }
+
+    fn pit_record() -> MrtRecord {
+        MrtRecord::table_dump_v2(
+            0,
+            TableDumpV2::PeerIndexTable(PeerIndexTable {
+                collector_bgp_id: 1,
+                view_name: String::new(),
+                peers: vec![PeerEntry {
+                    bgp_id: 1,
+                    ip: "192.0.2.1".parse().unwrap(),
+                    asn: Asn(65001),
+                }],
+            }),
+        )
     }
 
     fn rib_record() -> MrtRecord {
@@ -808,7 +532,7 @@ mod tests {
     #[test]
     fn rib_row_view_walks_entries() {
         let (header, body) = frame(&rib_record());
-        let Some(RawMrtView::RibRow(r)) = RawMrtView::parse(&header, &body) else {
+        let Ok(RawMrtView::RibRow(r)) = RawMrtView::parse(&header, &body) else {
             panic!("expected rib row view");
         };
         assert_eq!(r.prefix, p("193.204.0.0/15"));
@@ -833,22 +557,10 @@ mod tests {
 
     #[test]
     fn pit_and_unknown_classify_without_decode() {
-        let pit = MrtRecord::table_dump_v2(
-            0,
-            TableDumpV2::PeerIndexTable(PeerIndexTable {
-                collector_bgp_id: 1,
-                view_name: String::new(),
-                peers: vec![PeerEntry {
-                    bgp_id: 1,
-                    ip: "192.0.2.1".parse().unwrap(),
-                    asn: Asn(65001),
-                }],
-            }),
-        );
-        let (header, body) = frame(&pit);
+        let (header, body) = frame(&pit_record());
         assert!(matches!(
             RawMrtView::parse(&header, &body),
-            Some(RawMrtView::PeerIndexTable)
+            Ok(RawMrtView::PeerIndexTable(_))
         ));
         let unk = MrtRecord {
             timestamp: 5,
@@ -857,20 +569,32 @@ mod tests {
         let (header, body) = frame(&unk);
         assert!(matches!(
             RawMrtView::parse(&header, &body),
-            Some(RawMrtView::Unknown)
+            Ok(RawMrtView::Unknown(b"opaque"))
         ));
     }
 
-    #[test]
-    fn decodes_cleanly_never_outruns_the_decoder() {
-        // The implication the lazy-decode path relies on: whenever the
-        // raw view classifies a body AND declares it clean, the full
-        // decoder must succeed on it. Exhaustively mutate every body
-        // byte of representative records (several XOR masks each) and
-        // check the implication; the reverse direction (decoder ok,
-        // view conservative) is allowed and not asserted.
-        let mut samples = vec![update_record(&[(3356, 666)]), rib_record()];
-        samples.push(MrtRecord::bgp4mp(
+    /// `parse` + `decodes_cleanly` and the decoder agree on `bytes`,
+    /// in both directions; the prefilter scans never panic on them.
+    fn assert_view_agrees_with_decoder(header: &MrtHeader, body: &[u8], what: &str) {
+        let view = RawMrtView::parse(header, body);
+        if let Ok(RawMrtView::Update(u)) = &view {
+            let mut wd = |_: &Prefix| false;
+            let mut ann = |_: &Prefix| false;
+            let mut comm = |_: Community| false;
+            let _ = u.prefilter_scan(Some(&mut wd), Some(&mut ann), Some(&mut comm));
+        }
+        if let Ok(RawMrtView::RibRow(r)) = &view {
+            let _ = r.prefilter_scan(|_, attrs| any_community_in_attrs(attrs, |_| false).is_none());
+        }
+        assert_eq!(
+            view.is_ok_and(|v| v.decodes_cleanly()),
+            MrtRecord::decode(header, body).is_ok(),
+            "view and decoder disagree on {what}"
+        );
+    }
+
+    fn samples() -> Vec<MrtRecord> {
+        let state_change = MrtRecord::bgp4mp(
             2,
             Bgp4mp::StateChange {
                 peer_asn: Asn(65001),
@@ -880,22 +604,31 @@ mod tests {
                 old_state: SessionState::OpenConfirm,
                 new_state: SessionState::Established,
             },
-        ));
-        for rec in samples {
+        );
+        vec![
+            update_record(&[(3356, 666)]),
+            rib_record(),
+            state_change,
+            pit_record(),
+        ]
+    }
+
+    #[test]
+    fn decodes_cleanly_never_outruns_the_decoder() {
+        // Exhaustively mutate every body byte of representative
+        // records (several XOR masks each): the view declares a body
+        // clean exactly when the decoder accepts it.
+        for rec in samples() {
             let (header, body) = frame(&rec);
             for i in 0..body.len() {
                 for mask in [0x01u8, 0x80, 0xFF] {
                     let mut mutated = body.clone();
                     mutated[i] ^= mask;
-                    let Some(view) = RawMrtView::parse(&header, &mutated) else {
-                        continue;
-                    };
-                    if view.decodes_cleanly() {
-                        assert!(
-                            MrtRecord::decode(&header, &mutated).is_ok(),
-                            "raw view declared byte {i} (^{mask:#04x}) clean but the decoder rejects it"
-                        );
-                    }
+                    assert_view_agrees_with_decoder(
+                        &header,
+                        &mutated,
+                        &format!("byte {i} ^{mask:#04x}"),
+                    );
                 }
             }
         }
@@ -903,27 +636,16 @@ mod tests {
 
     #[test]
     fn truncated_bodies_never_panic_and_stay_conservative() {
-        for rec in [update_record(&[(3356, 666)]), rib_record()] {
+        // Every cut of every sample, with the header's length fixed
+        // up to match (else framing alone rejects the cut).
+        for rec in samples() {
             let (header, body) = frame(&rec);
             for cut in 0..body.len() {
-                // A shortened body must either fail to classify (full
-                // decode takes over) or classify with visitors that
-                // themselves fail conservatively — never panic.
-                if let Some(view) = RawMrtView::parse(&header, &body[..cut]) {
-                    match view {
-                        RawMrtView::Update(u) => {
-                            let mut wd = |_: &Prefix| false;
-                            let mut ann = |_: &Prefix| false;
-                            let mut comm = |_: Community| false;
-                            let _ =
-                                u.prefilter_scan(Some(&mut wd), Some(&mut ann), Some(&mut comm));
-                        }
-                        RawMrtView::RibRow(r) => {
-                            let _ = r.prefilter_scan(|_, _| false);
-                        }
-                        _ => {}
-                    }
-                }
+                let header = MrtHeader {
+                    length: cut as u32,
+                    ..header
+                };
+                assert_view_agrees_with_decoder(&header, &body[..cut], &format!("cut at {cut}"));
             }
         }
     }

@@ -1,10 +1,10 @@
-//! Pull parser for MRT dump files with corruption signalling.
+//! The MRT record reader, with corruption signalling.
 //!
 //! The paper (§3.3.3) extends libBGPdump to "signal a corrupted read"
 //! so libBGPStream can mark records not-valid instead of silently
-//! skipping them. [`MrtReader`] does the same: every `next()` yields
-//! `Some(Ok(record))`, `Some(Err(error))` (corrupted read — the stream
-//! is not advanced further), or `None` (clean end of file).
+//! skipping them. [`ChunkedReader`] does the same: every `next()`
+//! yields `Some(Ok(record))`, `Some(Err(error))` (corrupted read — the
+//! stream is not advanced further), or `None` (clean end of file).
 
 use std::io::Read;
 
@@ -48,10 +48,40 @@ impl std::error::Error for MrtError {}
 /// a larger value almost certainly indicates a corrupt length field.
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
 
-/// A streaming MRT record reader.
+/// One framed-but-undecoded record handed out by
+/// [`ChunkedReader::next_raw`]: the decoded 12-byte header plus the
+/// body bytes, borrowed straight from the reader's window.
+#[derive(Debug)]
+pub struct RawRecord<'a> {
+    /// The record's common header.
+    pub header: MrtHeader,
+    /// The undecoded body (exactly `header.length` bytes).
+    pub body: &'a [u8],
+}
+
+/// The MRT record reader: streaming, with transparent gzip
+/// decompression and a **bounded** window.
+///
+/// On open, the first two bytes of the source are sniffed: a gzip
+/// magic routes the stream through `flate-lite`'s streaming
+/// [`MultiGzDecoder`](flate_lite::read::MultiGzDecoder) (concatenated
+/// members decode back-to-back, exactly how collectors publish
+/// rotated archives), anything else is read as plain MRT. Either way
+/// the decompressed stream is framed incrementally: the window holds
+/// only the records currently being framed (compacted as the cursor
+/// advances), so peak memory is `O(read_size + largest record)`
+/// regardless of dump size.
+///
+/// `next_raw` frames without decoding, `next` decodes, clean EOF at a
+/// record boundary yields `None`, and any framing/IO/decompression or
+/// decode fault yields `Some(Err(_))` exactly once before poisoning
+/// the reader. Compression faults (truncated member, trailing garbage,
+/// CRC mismatch) surface as [`MrtError::Io`]. An in-memory plain dump
+/// ([`ChunkedReader::from_bytes`]) is framed in place, one window, no
+/// refills and no per-record copies.
 ///
 /// ```
-/// use mrt::{MrtReader, MrtRecord, MrtWriter, Bgp4mp};
+/// use mrt::{Bgp4mp, ChunkedReader, MrtRecord, MrtWriter};
 /// use bgp_types::{Asn, BgpMessage};
 ///
 /// let mut buf = Vec::new();
@@ -64,249 +94,11 @@ pub const MAX_RECORD_LEN: u32 = 1 << 20;
 ///         message: BgpMessage::Keepalive,
 ///     })).unwrap();
 /// }
-/// let mut r = MrtReader::new(&buf[..]);
+/// let mut r = ChunkedReader::from_bytes(buf);
 /// let rec = r.next().unwrap().unwrap();
 /// assert_eq!(rec.timestamp, 10);
 /// assert!(r.next().is_none());
 /// ```
-pub struct MrtReader<R> {
-    inner: R,
-    /// Set after a fatal error; all further reads yield `None`.
-    poisoned: bool,
-    /// Records successfully produced so far.
-    count: u64,
-}
-
-impl<R: Read> MrtReader<R> {
-    /// Wrap a byte source.
-    pub fn new(inner: R) -> Self {
-        MrtReader {
-            inner,
-            poisoned: false,
-            count: 0,
-        }
-    }
-
-    /// Number of records read so far.
-    pub fn records_read(&self) -> u64 {
-        self.count
-    }
-
-    /// Read the next record.
-    ///
-    /// Returns `None` at a clean end of input, `Some(Err(_))` exactly
-    /// once on a corrupted read (the reader is then poisoned), and
-    /// `Some(Ok(_))` otherwise.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Result<MrtRecord, MrtError>> {
-        if self.poisoned {
-            return None;
-        }
-        let mut header_buf = [0u8; MrtHeader::LEN];
-        match read_exact_or_eof(&mut self.inner, &mut header_buf) {
-            Ok(0) => return None, // clean EOF at record boundary
-            Ok(n) if n < MrtHeader::LEN => {
-                self.poisoned = true;
-                return Some(Err(MrtError::Truncated("MRT header")));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.poisoned = true;
-                return Some(Err(MrtError::Io(e.to_string())));
-            }
-        }
-        let header = match MrtHeader::decode(&header_buf) {
-            Ok(h) => h,
-            Err(e) => {
-                self.poisoned = true;
-                return Some(Err(e));
-            }
-        };
-        if header.length > MAX_RECORD_LEN {
-            self.poisoned = true;
-            return Some(Err(MrtError::OversizedRecord(header.length)));
-        }
-        let mut body = vec![0u8; header.length as usize];
-        match read_exact_or_eof(&mut self.inner, &mut body) {
-            Ok(n) if n < body.len() => {
-                self.poisoned = true;
-                return Some(Err(MrtError::Truncated("MRT body")));
-            }
-            Ok(_) => {}
-            Err(e) => {
-                self.poisoned = true;
-                return Some(Err(MrtError::Io(e.to_string())));
-            }
-        }
-        match MrtRecord::decode(&header, &body) {
-            Ok(rec) => {
-                self.count += 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Some(Err(e))
-            }
-        }
-    }
-
-    /// Drain the remaining records, collecting successes; a corrupted
-    /// read is returned as the error alongside everything read before
-    /// it. Convenience for tests and small files.
-    pub fn read_all(mut self) -> (Vec<MrtRecord>, Option<MrtError>) {
-        let mut out = Vec::new();
-        while let Some(item) = self.next() {
-            match item {
-                Ok(r) => out.push(r),
-                Err(e) => return (out, Some(e)),
-            }
-        }
-        (out, None)
-    }
-}
-
-/// An MRT record reader over an in-memory buffer.
-///
-/// Same contract as [`MrtReader`] (clean EOF vs poisoning corrupted
-/// read), but record bodies are sliced out of the buffer instead of
-/// being copied into a per-record `Vec` — the sorted-stream merge
-/// path slurps each dump file once and then parses allocation-free up
-/// to the decoded structures themselves. [`MrtSliceReader::next_raw`]
-/// exposes the framing step on its own, so filter pushdown can
-/// inspect a record (via [`crate::raw::RawMrtView`]) and skip the full
-/// decode entirely.
-pub struct MrtSliceReader {
-    buf: Vec<u8>,
-    pos: usize,
-    poisoned: bool,
-    count: u64,
-}
-
-/// One framed-but-undecoded record handed out by
-/// [`MrtSliceReader::next_raw`]: the decoded 12-byte header plus the
-/// body bytes, borrowed straight from the reader's buffer.
-#[derive(Debug)]
-pub struct RawRecord<'a> {
-    /// The record's common header.
-    pub header: MrtHeader,
-    /// The undecoded body (exactly `header.length` bytes).
-    pub body: &'a [u8],
-}
-
-impl MrtSliceReader {
-    /// Wrap a fully loaded dump file.
-    pub fn new(buf: Vec<u8>) -> Self {
-        MrtSliceReader {
-            buf,
-            pos: 0,
-            poisoned: false,
-            count: 0,
-        }
-    }
-
-    /// Number of records read so far.
-    pub fn records_read(&self) -> u64 {
-        self.count
-    }
-
-    /// Frame the next record: decode the header, bounds-check the
-    /// body, advance the cursor past it. Framing errors poison the
-    /// reader (same semantics as a corrupted read in `next`).
-    fn frame_next(&mut self) -> Option<Result<(MrtHeader, std::ops::Range<usize>), MrtError>> {
-        if self.poisoned {
-            return None;
-        }
-        let remaining = self.buf.len() - self.pos;
-        if remaining == 0 {
-            return None; // clean EOF at record boundary
-        }
-        if remaining < MrtHeader::LEN {
-            self.poisoned = true;
-            return Some(Err(MrtError::Truncated("MRT header")));
-        }
-        let header = match MrtHeader::decode(&self.buf[self.pos..self.pos + MrtHeader::LEN]) {
-            Ok(h) => h,
-            Err(e) => {
-                self.poisoned = true;
-                return Some(Err(e));
-            }
-        };
-        if header.length > MAX_RECORD_LEN {
-            self.poisoned = true;
-            return Some(Err(MrtError::OversizedRecord(header.length)));
-        }
-        let body_start = self.pos + MrtHeader::LEN;
-        let body_end = body_start + header.length as usize;
-        if body_end > self.buf.len() {
-            self.poisoned = true;
-            return Some(Err(MrtError::Truncated("MRT body")));
-        }
-        self.pos = body_end;
-        Some(Ok((header, body_start..body_end)))
-    }
-
-    /// Frame the next record without decoding its body.
-    ///
-    /// Framing errors (truncated/oversized/garbled header, body past
-    /// the end of the buffer) poison the reader exactly as
-    /// [`MrtSliceReader::next`] does; whether and how to decode the
-    /// returned body — and how to signal *decode* errors — is the
-    /// caller's business. This is the filter-pushdown entry point: a
-    /// caller can classify the body with [`crate::raw::RawMrtView`]
-    /// and never build the owned record at all.
-    pub fn next_raw(&mut self) -> Option<Result<RawRecord<'_>, MrtError>> {
-        match self.frame_next()? {
-            Ok((header, range)) => {
-                self.count += 1;
-                Some(Ok(RawRecord {
-                    header,
-                    body: &self.buf[range],
-                }))
-            }
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    /// Read the next record (same semantics as [`MrtReader::next`]).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Result<MrtRecord, MrtError>> {
-        let (header, range) = match self.frame_next()? {
-            Ok(framed) => framed,
-            Err(e) => return Some(Err(e)),
-        };
-        match MrtRecord::decode(&header, &self.buf[range]) {
-            Ok(rec) => {
-                self.count += 1;
-                Some(Ok(rec))
-            }
-            Err(e) => {
-                self.poisoned = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// A streaming MRT record reader with transparent gzip decompression
-/// and a **bounded** window — the no-slurp replacement for feeding
-/// whole files into [`MrtSliceReader`].
-///
-/// On open, the first two bytes of the source are sniffed: a gzip
-/// magic routes the stream through `flate-lite`'s streaming
-/// [`MultiGzDecoder`](flate_lite::read::MultiGzDecoder) (concatenated
-/// members decode back-to-back, exactly how collectors publish
-/// rotated archives), anything else is read as plain MRT. Either way
-/// the decompressed stream is framed incrementally: the window holds
-/// only the records currently being framed (compacted as the cursor
-/// advances), so peak memory is `O(read_size + largest record)`
-/// regardless of dump size.
-///
-/// The record contract is identical to [`MrtSliceReader`]: `next_raw`
-/// frames without decoding, `next` decodes, clean EOF at a record
-/// boundary yields `None`, and any framing/IO/decompression fault
-/// yields `Some(Err(_))` exactly once before poisoning the reader.
-/// Compression faults (truncated member, trailing garbage, CRC
-/// mismatch) surface as [`MrtError::Io`].
 pub struct ChunkedReader {
     src: Box<dyn Read + Send>,
     /// Window storage. `start..filled` is live (decompressed but
@@ -492,8 +284,9 @@ impl ChunkedReader {
         Ok(())
     }
 
-    /// Frame the next record against the streaming window; same
-    /// semantics as [`MrtSliceReader`]'s framing.
+    /// Frame the next record against the streaming window: decode the
+    /// header, bounds-check the body, advance past it. Framing errors
+    /// poison the reader.
     fn frame_next(&mut self) -> Option<Result<(MrtHeader, std::ops::Range<usize>), MrtError>> {
         if self.poisoned {
             return None;
@@ -532,8 +325,15 @@ impl ChunkedReader {
         Some(Ok((header, body_start..body_end)))
     }
 
-    /// Frame the next record without decoding its body (see
-    /// [`MrtSliceReader::next_raw`] — identical contract).
+    /// Frame the next record without decoding its body.
+    ///
+    /// Framing errors (truncated/oversized/garbled header, body past
+    /// the end of the input) poison the reader exactly as
+    /// [`ChunkedReader::next`] does; whether and how to decode the
+    /// returned body — and how to signal *decode* errors — is the
+    /// caller's business. This is the filter-pushdown entry point: a
+    /// caller can classify the body with [`crate::raw::RawMrtView`]
+    /// and never build the owned record at all.
     pub fn next_raw(&mut self) -> Option<Result<RawRecord<'_>, MrtError>> {
         match self.frame_next()? {
             Ok((header, range)) => {
@@ -547,7 +347,11 @@ impl ChunkedReader {
         }
     }
 
-    /// Read the next record (same semantics as [`MrtReader::next`]).
+    /// Read the next record.
+    ///
+    /// Returns `None` at a clean end of input, `Some(Err(_))` exactly
+    /// once on a corrupted read (the reader is then poisoned), and
+    /// `Some(Ok(_))` otherwise.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Result<MrtRecord, MrtError>> {
         let (header, range) = match self.frame_next()? {
@@ -566,6 +370,20 @@ impl ChunkedReader {
         }
     }
 
+    /// Drain the remaining records, collecting successes; a corrupted
+    /// read is returned as the error alongside everything read before
+    /// it. Convenience for tests and small files.
+    pub fn read_all(mut self) -> (Vec<MrtRecord>, Option<MrtError>) {
+        let mut out = Vec::new();
+        while let Some(item) = self.next() {
+            match item {
+                Ok(r) => out.push(r),
+                Err(e) => return (out, Some(e)),
+            }
+        }
+        (out, None)
+    }
+
     /// Decode the first record header without consuming it — the
     /// gzip-aware probe behind `looks_like_mrt`-style sniffing. Does
     /// not poison the reader; an empty source is `Ok(None)`.
@@ -579,21 +397,6 @@ impl ChunkedReader {
         }
         MrtHeader::decode(&self.window[self.start..self.start + MrtHeader::LEN]).map(Some)
     }
-}
-
-/// Like `read_exact`, but reports how many bytes were read when the
-/// input ends early instead of erroring.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
 }
 
 #[cfg(test)]
@@ -625,6 +428,28 @@ mod tests {
         buf
     }
 
+    /// A source that hands out one byte per read.
+    struct Trickle(std::io::Cursor<Vec<u8>>);
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    /// The same bytes read with the whole buffer as one window, and
+    /// refilled one byte at a time so every record straddles refills.
+    fn readers(buf: &[u8]) -> [ChunkedReader; 2] {
+        let trickle = Trickle(std::io::Cursor::new(buf.to_vec()));
+        [
+            ChunkedReader::from_bytes(buf.to_vec()),
+            ChunkedReader::from_reader(trickle)
+                .unwrap()
+                .with_read_size(1),
+        ]
+    }
+
     #[test]
     fn reads_sequence_then_clean_eof() {
         let recs = vec![
@@ -632,44 +457,61 @@ mod tests {
             keepalive_record(2),
             keepalive_record(3),
         ];
-        let buf = encode_all(&recs);
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
-        assert!(err.is_none());
-        assert_eq!(out, recs);
+        for r in readers(&encode_all(&recs)) {
+            let (out, err) = r.read_all();
+            assert!(err.is_none());
+            assert_eq!(out, recs);
+        }
     }
 
     #[test]
     fn empty_input_is_clean_eof() {
-        let mut r = MrtReader::new(&[][..]);
-        assert!(r.next().is_none());
-        assert_eq!(r.records_read(), 0);
+        for mut r in readers(&[]) {
+            assert!(r.next().is_none());
+            assert_eq!(r.records_read(), 0);
+        }
     }
 
     #[test]
     fn truncated_header_is_corrupt() {
         let buf = encode_all(&[keepalive_record(1)]);
-        let cut = &buf[..MrtHeader::LEN - 3];
-        let (out, err) = MrtReader::new(cut).read_all();
-        assert!(out.is_empty());
-        assert_eq!(err, Some(MrtError::Truncated("MRT header")));
+        for r in readers(&buf[..MrtHeader::LEN - 3]) {
+            let (out, err) = r.read_all();
+            assert!(out.is_empty());
+            assert_eq!(err, Some(MrtError::Truncated("MRT header")));
+        }
     }
 
     #[test]
     fn truncated_body_is_corrupt_after_good_records() {
         let buf = encode_all(&[keepalive_record(1), keepalive_record(2)]);
-        let cut = &buf[..buf.len() - 4];
-        let (out, err) = MrtReader::new(cut).read_all();
-        assert_eq!(out.len(), 1);
-        assert_eq!(err, Some(MrtError::Truncated("MRT body")));
+        for r in readers(&buf[..buf.len() - 4]) {
+            let (out, err) = r.read_all();
+            assert_eq!(out.len(), 1);
+            assert_eq!(err, Some(MrtError::Truncated("MRT body")));
+        }
     }
 
     #[test]
     fn poisoned_reader_stops() {
         let buf = encode_all(&[keepalive_record(1)]);
-        let cut = &buf[..5];
-        let mut r = MrtReader::new(cut);
-        assert!(r.next().unwrap().is_err());
-        assert!(r.next().is_none());
+        for mut r in readers(&buf[..5]) {
+            assert!(r.next().unwrap().is_err());
+            assert!(r.next().is_none());
+        }
+        // A body that frames but does not decode poisons too: corrupt
+        // the second record's BGP marker.
+        let mut buf = encode_all(&[keepalive_record(1), keepalive_record(2)]);
+        let second = buf.len() / 2;
+        buf[second + MrtHeader::LEN + 20] ^= 0xFF;
+        for mut r in readers(&buf) {
+            assert!(r.next().unwrap().is_ok());
+            assert_eq!(
+                r.next().unwrap().unwrap_err(),
+                MrtError::Bgp(CodecError::BadMarker)
+            );
+            assert!(r.next().is_none());
+        }
     }
 
     #[test]
@@ -677,76 +519,79 @@ mod tests {
         let mut buf = encode_all(&[keepalive_record(1)]);
         // Overwrite the body length field (bytes 8..12) with 8 MiB.
         buf[8..12].copy_from_slice(&(8u32 << 20).to_be_bytes());
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
-        assert!(out.is_empty());
-        assert!(matches!(err, Some(MrtError::OversizedRecord(_))));
+        for r in readers(&buf) {
+            let (out, err) = r.read_all();
+            assert!(out.is_empty());
+            assert!(matches!(err, Some(MrtError::OversizedRecord(_))));
+        }
     }
 
     #[test]
     fn slice_reader_matches_stream_reader() {
+        // The in-memory window and the trickled stream agree record
+        // for record, and count what they produced.
         let recs = vec![
             keepalive_record(1),
             keepalive_record(2),
             keepalive_record(3),
         ];
-        let buf = encode_all(&recs);
-        let mut r = MrtSliceReader::new(buf.clone());
-        let mut out = Vec::new();
-        while let Some(item) = r.next() {
-            out.push(item.unwrap());
+        for mut r in readers(&encode_all(&recs)) {
+            let out: Vec<MrtRecord> = std::iter::from_fn(|| r.next().map(Result::unwrap)).collect();
+            assert_eq!(out, recs);
+            assert_eq!(r.records_read(), 3);
+            assert!(r.next().is_none());
         }
-        assert_eq!(out, recs);
-        assert_eq!(r.records_read(), 3);
-        assert!(r.next().is_none());
     }
 
     #[test]
     fn slice_reader_next_raw_frames_without_decoding() {
         let recs = vec![keepalive_record(4), keepalive_record(9)];
-        let buf = encode_all(&recs);
-        let mut r = MrtSliceReader::new(buf.clone());
-        // Raw framing sees the same records the decoding path does.
-        let raw = r.next_raw().unwrap().unwrap();
-        assert_eq!(raw.header.timestamp, 4);
-        let decoded = MrtRecord::decode(&raw.header, raw.body).unwrap();
-        assert_eq!(decoded, recs[0]);
-        // Interleaving raw and decoded reads keeps the cursor in sync.
-        assert_eq!(r.next().unwrap().unwrap(), recs[1]);
-        assert!(r.next_raw().is_none());
-        assert_eq!(r.records_read(), 2);
+        for mut r in readers(&encode_all(&recs)) {
+            // Raw framing sees the same records the decoding path does.
+            let raw = r.next_raw().unwrap().unwrap();
+            assert_eq!(raw.header.timestamp, 4);
+            let decoded = MrtRecord::decode(&raw.header, raw.body).unwrap();
+            assert_eq!(decoded, recs[0]);
+            // Interleaving raw and decoded reads keeps the cursor in sync.
+            assert_eq!(r.next().unwrap().unwrap(), recs[1]);
+            assert!(r.next_raw().is_none());
+            assert_eq!(r.records_read(), 2);
+        }
 
         // Framing errors poison next_raw exactly like next.
         let mut cut = encode_all(&recs);
         cut.truncate(cut.len() - 4);
-        let mut r = MrtSliceReader::new(cut);
-        assert!(r.next_raw().unwrap().is_ok());
-        assert_eq!(
-            r.next_raw().unwrap().unwrap_err(),
-            MrtError::Truncated("MRT body")
-        );
-        assert!(r.next_raw().is_none());
-        assert!(r.next().is_none());
+        for mut r in readers(&cut) {
+            assert!(r.next_raw().unwrap().is_ok());
+            assert_eq!(
+                r.next_raw().unwrap().unwrap_err(),
+                MrtError::Truncated("MRT body")
+            );
+            assert!(r.next_raw().is_none());
+            assert!(r.next().is_none());
+        }
     }
 
     #[test]
     fn slice_reader_signals_truncation_and_poisons() {
         let buf = encode_all(&[keepalive_record(1), keepalive_record(2)]);
-        let cut = buf[..buf.len() - 4].to_vec();
-        let mut r = MrtSliceReader::new(cut);
-        assert!(r.next().unwrap().is_ok());
-        assert_eq!(
-            r.next().unwrap().unwrap_err(),
-            MrtError::Truncated("MRT body")
-        );
-        assert!(r.next().is_none());
+        for mut r in readers(&buf[..buf.len() - 4]) {
+            assert!(r.next().unwrap().is_ok());
+            assert_eq!(
+                r.next().unwrap().unwrap_err(),
+                MrtError::Truncated("MRT body")
+            );
+            assert!(r.next().is_none());
+        }
         // Oversized length field.
         let mut buf = encode_all(&[keepalive_record(1)]);
         buf[8..12].copy_from_slice(&(8u32 << 20).to_be_bytes());
-        let mut r = MrtSliceReader::new(buf);
-        assert!(matches!(
-            r.next().unwrap().unwrap_err(),
-            MrtError::OversizedRecord(_)
-        ));
+        for mut r in readers(&buf) {
+            assert!(matches!(
+                r.next().unwrap().unwrap_err(),
+                MrtError::OversizedRecord(_)
+            ));
+        }
     }
 
     #[test]
@@ -762,9 +607,10 @@ mod tests {
                 new_state: SessionState::Idle,
             },
         );
-        let buf = encode_all(std::slice::from_ref(&rec));
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
-        assert!(err.is_none());
-        assert_eq!(out, vec![rec]);
+        for r in readers(&encode_all(std::slice::from_ref(&rec))) {
+            let (out, err) = r.read_all();
+            assert!(err.is_none());
+            assert_eq!(out, vec![rec.clone()]);
+        }
     }
 }

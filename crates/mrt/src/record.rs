@@ -3,6 +3,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::bgp4mp::Bgp4mp;
+use crate::raw::RawMrtView;
 use crate::reader::MrtError;
 use crate::table_dump_v2::TableDumpV2;
 
@@ -140,21 +141,12 @@ impl MrtRecord {
         out.freeze()
     }
 
-    /// Decode a record from a header and its body bytes.
+    /// Decode a record from a header and its body bytes:
+    /// [`RawMrtView::parse`], then [`RawMrtView::materialise`].
     pub fn decode(header: &MrtHeader, body: &[u8]) -> Result<MrtRecord, MrtError> {
-        if body.len() != header.length as usize {
-            return Err(MrtError::Truncated("MRT body"));
-        }
-        let decoded = match header.mrt_type {
-            MrtType::TableDumpV2 => {
-                MrtBody::TableDumpV2(TableDumpV2::decode(header.subtype, body)?)
-            }
-            MrtType::Bgp4mp => MrtBody::Bgp4mp(Bgp4mp::decode(header.subtype, body)?),
-            MrtType::Other(_) => MrtBody::Unknown(Bytes::copy_from_slice(body)),
-        };
         Ok(MrtRecord {
             timestamp: header.timestamp,
-            body: decoded,
+            body: RawMrtView::parse(header, body)?.materialise()?,
         })
     }
 }

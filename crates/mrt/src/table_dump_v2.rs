@@ -15,6 +15,7 @@ use bytes::{Buf, BufMut, BytesMut};
 use bgp_types::message::{decode_attrs, decode_nlri, encode_attrs, encode_nlri};
 use bgp_types::{Asn, PathAttributes, Prefix};
 
+use crate::raw::{RawMrtView, RawRibRow};
 use crate::reader::MrtError;
 
 /// Subtype codes.
@@ -135,108 +136,145 @@ impl TableDumpV2 {
             }
         }
     }
+}
 
-    /// Decode a body given its header subtype.
-    pub fn decode(subtype: u16, mut body: &[u8]) -> Result<TableDumpV2, MrtError> {
-        match subtype {
-            SUBTYPE_PEER_INDEX_TABLE => {
-                if body.len() < 8 {
-                    return Err(MrtError::Truncated("peer index table header"));
-                }
-                let collector_bgp_id = body.get_u32();
-                let name_len = body.get_u16() as usize;
-                if body.len() < name_len + 2 {
-                    return Err(MrtError::Truncated("peer index view name"));
-                }
-                let view_name = String::from_utf8_lossy(&body[..name_len]).into_owned();
-                body.advance(name_len);
-                let count = body.get_u16() as usize;
-                let mut peers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    if body.is_empty() {
-                        return Err(MrtError::Truncated("peer entry flags"));
-                    }
-                    let flags = body.get_u8();
-                    let addr_len = if flags & PEER_FLAG_V6 != 0 { 16 } else { 4 };
-                    let asn_len = if flags & PEER_FLAG_AS4 != 0 { 4 } else { 2 };
-                    if body.len() < 4 + addr_len + asn_len {
-                        return Err(MrtError::Truncated("peer entry body"));
-                    }
-                    let bgp_id = body.get_u32();
-                    let ip = if addr_len == 16 {
-                        let mut a = [0u8; 16];
-                        a.copy_from_slice(&body[..16]);
-                        body.advance(16);
-                        IpAddr::V6(Ipv6Addr::from(a))
-                    } else {
-                        let mut a = [0u8; 4];
-                        a.copy_from_slice(&body[..4]);
-                        body.advance(4);
-                        IpAddr::V4(Ipv4Addr::from(a))
-                    };
-                    let asn = if asn_len == 4 {
-                        Asn(body.get_u32())
-                    } else {
-                        Asn(body.get_u16() as u32)
-                    };
-                    peers.push(PeerEntry { bgp_id, ip, asn });
-                }
-                Ok(TableDumpV2::PeerIndexTable(PeerIndexTable {
-                    collector_bgp_id,
-                    view_name,
-                    peers,
-                }))
+/// Parse a `TABLE_DUMP_V2` body given its header subtype. A RIB row
+/// is framed up to its entry block, which [`next_rib_entry`] walks on
+/// demand; the peer index table — one record per dump, which every
+/// reader needs — is decoded in full.
+pub(crate) fn parse(subtype: u16, mut body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
+    match subtype {
+        SUBTYPE_PEER_INDEX_TABLE => {
+            if body.len() < 8 {
+                return Err(MrtError::Truncated("peer index table header"));
             }
-            SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST => {
-                let v4 = subtype == SUBTYPE_RIB_IPV4_UNICAST;
-                if body.len() < 4 {
-                    return Err(MrtError::Truncated("RIB row header"));
-                }
-                let sequence = body.get_u32();
-                let prefix = decode_nlri(&mut body, v4).map_err(MrtError::Bgp)?;
-                if body.len() < 2 {
-                    return Err(MrtError::Truncated("RIB entry count"));
-                }
-                let count = body.get_u16() as usize;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    if body.len() < 8 {
-                        return Err(MrtError::Truncated("RIB entry header"));
-                    }
-                    let peer_index = body.get_u16();
-                    let originated_time = body.get_u32();
-                    let attr_len = body.get_u16() as usize;
-                    if body.len() < attr_len {
-                        return Err(MrtError::Truncated("RIB entry attributes"));
-                    }
-                    let decoded = decode_attrs(&body[..attr_len]).map_err(MrtError::Bgp)?;
-                    body.advance(attr_len);
-                    entries.push(RibEntry {
-                        peer_index,
-                        originated_time,
-                        attrs: decoded.attrs,
-                    });
-                }
-                Ok(TableDumpV2::RibRow(RibRow {
-                    sequence,
-                    prefix,
-                    entries,
-                }))
+            let collector_bgp_id = body.get_u32();
+            let name_len = body.get_u16() as usize;
+            if body.len() < name_len + 2 {
+                return Err(MrtError::Truncated("peer index view name"));
             }
-            _ => Err(MrtError::Unsupported("unknown TABLE_DUMP_V2 subtype")),
+            let view_name = String::from_utf8_lossy(&body[..name_len]).into_owned();
+            body.advance(name_len);
+            let count = body.get_u16() as usize;
+            let mut peers = Vec::with_capacity(count);
+            for _ in 0..count {
+                if body.is_empty() {
+                    return Err(MrtError::Truncated("peer entry flags"));
+                }
+                let flags = body.get_u8();
+                let addr_len = if flags & PEER_FLAG_V6 != 0 { 16 } else { 4 };
+                let asn_len = if flags & PEER_FLAG_AS4 != 0 { 4 } else { 2 };
+                if body.len() < 4 + addr_len + asn_len {
+                    return Err(MrtError::Truncated("peer entry body"));
+                }
+                let bgp_id = body.get_u32();
+                let ip = if addr_len == 16 {
+                    let mut a = [0u8; 16];
+                    a.copy_from_slice(&body[..16]);
+                    body.advance(16);
+                    IpAddr::V6(Ipv6Addr::from(a))
+                } else {
+                    let mut a = [0u8; 4];
+                    a.copy_from_slice(&body[..4]);
+                    body.advance(4);
+                    IpAddr::V4(Ipv4Addr::from(a))
+                };
+                let asn = if asn_len == 4 {
+                    Asn(body.get_u32())
+                } else {
+                    Asn(body.get_u16() as u32)
+                };
+                peers.push(PeerEntry { bgp_id, ip, asn });
+            }
+            Ok(RawMrtView::PeerIndexTable(PeerIndexTable {
+                collector_bgp_id,
+                view_name,
+                peers,
+            }))
         }
+        SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST => {
+            let v4 = subtype == SUBTYPE_RIB_IPV4_UNICAST;
+            if body.len() < 4 {
+                return Err(MrtError::Truncated("RIB row header"));
+            }
+            let sequence = body.get_u32();
+            let prefix = decode_nlri(&mut body, v4).map_err(MrtError::Bgp)?;
+            if body.len() < 2 {
+                return Err(MrtError::Truncated("RIB entry count"));
+            }
+            let entry_count = body.get_u16() as usize;
+            Ok(RawMrtView::RibRow(RawRibRow {
+                sequence,
+                prefix,
+                entry_count,
+                entries: body,
+            }))
+        }
+        _ => Err(MrtError::Unsupported("unknown TABLE_DUMP_V2 subtype")),
+    }
+}
+
+/// Split the next entry off a RIB row's entry block (RFC 6396
+/// §4.3.4): `(peer index, originated time, bare attribute block)`.
+pub(crate) fn next_rib_entry<'a>(entries: &mut &'a [u8]) -> Result<(u16, u32, &'a [u8]), MrtError> {
+    if entries.len() < 8 {
+        return Err(MrtError::Truncated("RIB entry header"));
+    }
+    let peer_index = entries.get_u16();
+    let originated_time = entries.get_u32();
+    let attr_len = entries.get_u16() as usize;
+    if entries.len() < attr_len {
+        return Err(MrtError::Truncated("RIB entry attributes"));
+    }
+    let (attrs, rest) = entries.split_at(attr_len);
+    *entries = rest;
+    Ok((peer_index, originated_time, attrs))
+}
+
+impl RawRibRow<'_> {
+    /// Materialise the row: frame and decode every declared entry.
+    pub(crate) fn materialise(&self) -> Result<RibRow, MrtError> {
+        let mut block = self.entries;
+        let mut entries = Vec::with_capacity(self.entry_count);
+        for _ in 0..self.entry_count {
+            let (peer_index, originated_time, attrs) = next_rib_entry(&mut block)?;
+            entries.push(RibEntry {
+                peer_index,
+                originated_time,
+                attrs: decode_attrs(attrs).map_err(MrtError::Bgp)?.attrs,
+            });
+        }
+        Ok(RibRow {
+            sequence: self.sequence,
+            prefix: self.prefix,
+            entries,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::{MrtBody, MrtHeader, MrtRecord, MrtType};
     use bgp_types::{AsPath, Community};
+
+    fn decode(subtype: u16, body: &[u8]) -> Result<TableDumpV2, MrtError> {
+        let header = MrtHeader {
+            timestamp: 0,
+            mrt_type: MrtType::TableDumpV2,
+            subtype,
+            length: body.len() as u32,
+        };
+        match MrtRecord::decode(&header, body)?.body {
+            MrtBody::TableDumpV2(t) => Ok(t),
+            other => panic!("not a TABLE_DUMP_V2 body: {other:?}"),
+        }
+    }
 
     fn roundtrip(t: &TableDumpV2) -> TableDumpV2 {
         let mut buf = BytesMut::new();
         let subtype = t.encode(&mut buf);
-        TableDumpV2::decode(subtype, &buf).unwrap()
+        decode(subtype, &buf).unwrap()
     }
 
     fn sample_peers() -> PeerIndexTable {
@@ -349,10 +387,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_unknown_subtype() {
-        assert!(matches!(
-            TableDumpV2::decode(99, &[]),
-            Err(MrtError::Unsupported(_))
-        ));
+        assert!(matches!(decode(99, &[]), Err(MrtError::Unsupported(_))));
     }
 
     #[test]
@@ -369,10 +404,7 @@ mod tests {
         let mut buf = BytesMut::new();
         let subtype = t.encode(&mut buf);
         for cut in [2, 6, 9, buf.len() - 1] {
-            assert!(
-                TableDumpV2::decode(subtype, &buf[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(decode(subtype, &buf[..cut]).is_err(), "cut at {cut}");
         }
     }
 }

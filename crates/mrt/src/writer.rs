@@ -52,7 +52,7 @@ impl<W: Write> MrtWriter<W> {
 mod tests {
     use super::*;
     use crate::bgp4mp::Bgp4mp;
-    use crate::reader::MrtReader;
+    use crate::reader::ChunkedReader;
     use bgp_types::{Asn, BgpMessage};
 
     #[test]
@@ -73,7 +73,7 @@ mod tests {
         w.write(&rec).unwrap();
         assert_eq!(w.records_written(), 2);
         assert_eq!(w.bytes_written() as usize, buf.len());
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
+        let (out, err) = ChunkedReader::from_bytes(buf).read_all();
         assert!(err.is_none());
         assert_eq!(out.len(), 2);
     }

@@ -11,8 +11,7 @@
 use bgp_types::{Asn, BgpMessage, SessionState};
 use mrt::table_dump_v2::{PeerEntry, PeerIndexTable, RibEntry, RibRow, TableDumpV2};
 use mrt::{
-    Bgp4mp, ChunkCtx, ChunkedReader, MrtError, MrtHeader, MrtRecord, MrtSliceReader, MrtWriter,
-    ParDecoder, Step,
+    Bgp4mp, ChunkCtx, ChunkedReader, MrtError, MrtHeader, MrtRecord, MrtWriter, ParDecoder, Step,
 };
 use proptest::prelude::*;
 
@@ -152,10 +151,34 @@ fn corrupt(mut bytes: Vec<u8>, c: &Corruption) -> Vec<u8> {
 
 type Outcome = Vec<Result<MrtRecord, MrtError>>;
 
-/// Gold reference: the slurping slice reader.
-fn decode_slice(bytes: &[u8]) -> Outcome {
-    let mut r = MrtSliceReader::new(bytes.to_vec());
-    std::iter::from_fn(|| r.next()).collect()
+/// Gold reference: an independent whole-buffer framer — the RFC 6396
+/// common header, the reader's body-size cap, poisoned after the first
+/// error — decoding each body with `MrtRecord::decode`.
+fn decode_slice(mut bytes: &[u8]) -> Outcome {
+    let mut out = Vec::new();
+    while !bytes.is_empty() {
+        let item = if bytes.len() < MrtHeader::LEN {
+            Err(MrtError::Truncated("MRT header"))
+        } else {
+            let header = MrtHeader::decode(bytes).unwrap();
+            let end = MrtHeader::LEN + header.length as usize;
+            if header.length > mrt::reader::MAX_RECORD_LEN {
+                Err(MrtError::OversizedRecord(header.length))
+            } else if bytes.len() < end {
+                Err(MrtError::Truncated("MRT body"))
+            } else {
+                let rec = MrtRecord::decode(&header, &bytes[MrtHeader::LEN..end]);
+                bytes = &bytes[end..];
+                rec
+            }
+        };
+        let failed = item.is_err();
+        out.push(item);
+        if failed {
+            break;
+        }
+    }
+    out
 }
 
 /// The streaming sequential reader, with a tiny refill window so
@@ -188,7 +211,7 @@ fn assert_equivalent(bytes: &[u8]) {
         assert_eq!(
             decode_chunked(bytes, read_size),
             gold,
-            "chunked reader (read_size {read_size}) diverged from slice reader"
+            "chunked reader (read_size {read_size}) diverged from the reference framer"
         );
     }
     for workers in [1, 2, 4, 8] {

@@ -3,7 +3,9 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, PathAttributes, Prefix, SessionState};
-use mrt::{Bgp4mp, MrtReader, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibRow};
+use mrt::{
+    Bgp4mp, ChunkedReader, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibRow,
+};
 use proptest::prelude::*;
 
 fn arb_prefix_v4() -> impl Strategy<Value = Prefix> {
@@ -118,7 +120,7 @@ proptest! {
                 w.write(r).unwrap();
             }
         }
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
+        let (out, err) = ChunkedReader::from_bytes(buf).read_all();
         prop_assert!(err.is_none());
         prop_assert_eq!(out, recs);
     }
@@ -136,7 +138,7 @@ proptest! {
             }
         }
         let cut = ((buf.len() as f64) * frac) as usize;
-        let (out, err) = MrtReader::new(&buf[..cut]).read_all();
+        let (out, err) = ChunkedReader::from_bytes(buf[..cut].to_vec()).read_all();
         // Either the cut landed on a record boundary (clean prefix) or
         // the reader reports corruption; it must never fabricate records.
         prop_assert!(out.len() <= recs.len());
@@ -164,7 +166,7 @@ proptest! {
     /// either decodes or reports an error.
     #[test]
     fn reader_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let (_out, _err) = MrtReader::new(&bytes[..]).read_all();
+        let (_out, _err) = ChunkedReader::from_bytes(bytes).read_all();
     }
 
     /// Single-byte corruption anywhere in a valid file never panics
@@ -185,7 +187,7 @@ proptest! {
         }
         let pos = pos_seed % buf.len();
         buf[pos] ^= xor;
-        let (out, err) = MrtReader::new(&buf[..]).read_all();
+        let (out, err) = ChunkedReader::from_bytes(buf).read_all();
         // Corrupting a length field may cause over-read (reported as
         // corruption), but never fabrication of extra valid records
         // beyond the encoded count.

@@ -42,9 +42,11 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Crates whose non-test library code must not panic via
-/// `.unwrap()`/`.expect(` (the stream/broker hot paths).
+/// `.unwrap()`/`.expect(` (the stream/broker hot paths, and the BGP
+/// wire grammar every record is parsed with).
 const HOT_PATH_CRATES: &[&str] = &[
     "analytics",
+    "bgp-types",
     "broker",
     "bsync",
     "core",
@@ -665,6 +667,7 @@ mod tests {
     fn scope_rules_follow_paths() {
         assert!(scope_for("crates/broker/src/service.rs").unwrap().unwrap);
         assert!(scope_for("crates/rib/src/table.rs").unwrap().unwrap);
+        assert!(scope_for("crates/bgp-types/src/message.rs").unwrap().unwrap);
         assert!(!scope_for("crates/topology/src/lib.rs").unwrap().unwrap);
         assert!(!scope_for("crates/bsync/src/lib.rs").unwrap().facade);
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);
