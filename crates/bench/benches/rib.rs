@@ -11,7 +11,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 
 use bgpstream_repro::bgpstream::BgpStream;
 use bgpstream_repro::broker::LocalBroker;
-use bgpstream_repro::rib::{MemoryRibStore, RibFold, RibQuery, RibStore, RibTable};
+use bgpstream_repro::corsaro::{run_pipeline, RibFeeder};
+use bgpstream_repro::rib::{MemoryRibStore, RibQuery, RibStore, RibTable};
 use bgpstream_repro::topology::events::Scenario;
 use bgpstream_repro::worlds;
 
@@ -24,6 +25,15 @@ fn mk_stream(world: &worlds::World) -> BgpStream {
         .broker_client(LocalBroker::shared(world.index.clone()))
         .interval(0, Some(HORIZON))
         .start()
+}
+
+/// Fold the whole archive into a fresh store the way historical runs
+/// do: the `RibFeeder` plugin under `run_pipeline`.
+fn fold_archive(world: &worlds::World) -> (std::sync::Arc<MemoryRibStore>, RibFeeder) {
+    let store = MemoryRibStore::shared();
+    let mut feeder = RibFeeder::new(SNAPSHOT_EVERY, store.clone());
+    run_pipeline(&mut mk_stream(world), BIN, &mut [&mut feeder]);
+    (store, feeder)
 }
 
 fn bench_rib(c: &mut Criterion) {
@@ -58,26 +68,18 @@ fn bench_rib(c: &mut Criterion) {
     // Loc-RIB state, journal + sealed snapshots published per bin.
     g.bench_function("fold_throughput", |b| {
         b.iter(|| {
-            let store = MemoryRibStore::shared();
-            let mut fold = RibFold::new(SNAPSHOT_EVERY).with_store(store.clone());
-            let mut stream = mk_stream(&world);
-            let stats = fold.ingest(&mut stream, BIN);
-            fold.finish();
-            black_box((stats.records, store.event_count()))
+            let (store, feeder) = fold_archive(&world);
+            black_box((feeder.fold().stats().records, store.event_count()))
         })
     });
 
     // One folded store shared by the query benches: what a long-lived
     // service holds after ingesting the archive.
-    let store = MemoryRibStore::shared();
-    let mut fold = RibFold::new(SNAPSHOT_EVERY).with_store(store.clone());
-    let mut stream = mk_stream(&world);
-    fold.ingest(&mut stream, BIN);
-    fold.finish();
-    // Query late in the archive: the worst case for a replay (longest
-    // journal prefix), the typical case for snapshot+delta (one
-    // sealed frame + under one cadence worth of events).
-    let t = HORIZON - 300;
+    let (store, _) = fold_archive(&world);
+    // Query at the last complete instant: the worst case for a replay
+    // (longest journal prefix), the typical case for snapshot+delta
+    // (one sealed frame + under one cadence worth of events).
+    let t = store.watermark() - 1;
 
     // The old answer: replay the whole journal from genesis.
     g.bench_function("full_replay", |b| {

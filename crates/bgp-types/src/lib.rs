@@ -35,6 +35,6 @@ pub use asn::{AsPath, AsPathSegment, Asn};
 pub use attrs::{Origin, PathAttributes};
 pub use community::{Community, CommunitySet, BLACKHOLE_VALUE};
 pub use fsm::SessionState;
-pub use message::{BgpMessage, BgpUpdate};
+pub use message::{BgpMessage, BgpUpdate, CodecError};
 pub use prefix::{Prefix, PrefixParseError};
 pub use trie::PrefixTrie;

@@ -55,7 +55,9 @@ const SAFI_UNICAST: u8 = 1;
 const SEG_SET: u8 = 1;
 const SEG_SEQUENCE: u8 = 2;
 
-/// Errors raised while decoding BGP wire data.
+/// Errors raised while decoding BGP wire data, and every serialized
+/// state decoded through `bgpstream::codec::Reader` (checkpoints,
+/// shard partials, queue messages, RIB journals and snapshots).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
     /// Fewer bytes than a structure requires.

@@ -1,20 +1,29 @@
-//! Shared binary-codec primitives: the wire vocabulary checkpoints,
-//! queue payloads and RIB snapshots are built from.
+//! The state codec: the one binary vocabulary plugin checkpoints,
+//! shard partials, queue payloads and RIB journals and snapshots are
+//! written in.
 //!
-//! Grown out of the BGPCorsaro queue codec (§6.2.2) and the PR 9
-//! checkpoint frames, these moved into the core library once the RIB
-//! layer needed the same primitives below the plugin runtime:
-//! [`put_prefix`]/[`get_prefix`], [`put_ip`]/[`get_ip`],
-//! [`put_route`]/[`get_route`] for the values, canonical sort keys so
-//! independently produced sections serialize byte-identically, and
-//! [`seal_frame`]/[`open_frame`] for the checksum envelope that turns
-//! a serialized state into a durable, torn-write-rejecting artifact
-//! (plugin checkpoints and sealed RIB snapshots alike).
+//! Encoders append to a `BytesMut` through the `BufMut` integer
+//! writers plus [`put_prefix`], [`put_ip`] and [`put_route`]. Every
+//! decoder reads through one [`Reader`], which indexes the input slice
+//! instead of advancing a `Buf` cursor, so no read can panic. Its
+//! [`count`](Reader::count) refuses an item count whose items could
+//! not fit in the bytes left, so no allocation is sized from an
+//! unvalidated length, and [`finish`](Reader::finish) refuses trailing
+//! bytes. Every failure is a [`CodecError`], the error the BGP wire
+//! grammar returns too, so one error vocabulary runs from the wire up
+//! to the RIB.
+//!
+//! [`seal_frame`]/[`open_frame`] wrap a serialized state in the
+//! checksum envelope that turns it into a durable, torn-write-rejecting
+//! artifact (plugin checkpoints and sealed RIB snapshots alike), and
+//! the canonical sort keys make independently produced sections
+//! serialize byte-identically.
 
+use std::borrow::Cow;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bgp_types::{AsPath, Asn, Prefix};
-use bytes::{Buf, BufMut, BytesMut};
+use bgp_types::{AsPath, Asn, CodecError, Prefix};
+use bytes::{BufMut, BytesMut};
 
 /// Append a prefix in the queue wire form (`v4 flag, length, raw
 /// bits`).
@@ -22,21 +31,6 @@ pub fn put_prefix(out: &mut BytesMut, prefix: &Prefix) {
     out.put_u8(prefix.is_ipv4() as u8);
     out.put_u8(prefix.len());
     out.put_u128(prefix.raw_bits());
-}
-
-/// Decode a [`put_prefix`] prefix, advancing `buf` past it.
-pub fn get_prefix(buf: &mut &[u8]) -> Result<Prefix, String> {
-    if buf.len() < 1 + 1 + 16 {
-        return Err("truncated prefix".into());
-    }
-    let v4 = buf.get_u8() == 1;
-    let len = buf.get_u8();
-    let bits = buf.get_u128();
-    Ok(if v4 {
-        Prefix::v4(Ipv4Addr::from((bits >> 96) as u32), len)
-    } else {
-        Prefix::v6(Ipv6Addr::from(bits), len)
-    })
 }
 
 /// Append an IP address (`v4 flag` + 16 bytes; v4 occupies the high
@@ -54,20 +48,6 @@ pub fn put_ip(out: &mut BytesMut, ip: &IpAddr) {
     }
 }
 
-/// Decode a [`put_ip`] address, advancing `buf` past it.
-pub fn get_ip(buf: &mut &[u8]) -> Result<IpAddr, String> {
-    if buf.len() < 1 + 16 {
-        return Err("truncated ip".into());
-    }
-    let v4 = buf.get_u8() == 1;
-    let bits = buf.get_u128();
-    Ok(if v4 {
-        IpAddr::V4(Ipv4Addr::from((bits >> 96) as u32))
-    } else {
-        IpAddr::V6(Ipv6Addr::from(bits))
-    })
-}
-
 /// Append an optional AS path in the queue wire form: hop count (or
 /// `u16::MAX` for "withdrawn"/absent) then one `u32` per hop.
 pub fn put_route(out: &mut BytesMut, path: &Option<AsPath>) {
@@ -83,23 +63,132 @@ pub fn put_route(out: &mut BytesMut, path: &Option<AsPath>) {
     }
 }
 
-/// Decode a [`put_route`] optional path, advancing `buf` past it.
-pub fn get_route(buf: &mut &[u8]) -> Result<Option<AsPath>, String> {
-    if buf.len() < 2 {
-        return Err("truncated path count".into());
+/// The checked decoder every serialized state is read through. Each
+/// read returns the value and moves past it, or fails with
+/// [`CodecError::Truncated`] naming the structure being decoded.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    what: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over `buf`; `what` names the structure in its errors.
+    pub fn new(buf: &'a [u8], what: &'static str) -> Self {
+        Reader { buf, what }
     }
-    let hop_count = buf.get_u16();
-    if hop_count == u16::MAX {
-        return Ok(None);
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated(self.what))?;
+        self.buf = rest;
+        Ok(*head)
     }
-    if buf.len() < hop_count as usize * 4 {
-        return Err("truncated path".into());
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CodecError> {
+        Ok(self.array::<1>()?[0])
     }
-    let mut hops = Vec::with_capacity(hop_count as usize);
-    for _ in 0..hop_count {
-        hops.push(buf.get_u32());
+
+    /// A big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, CodecError> {
+        self.array().map(u16::from_be_bytes)
     }
-    Ok(Some(AsPath::from_sequence(hops)))
+
+    /// A big-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// A big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CodecError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    fn u128(&mut self) -> Result<u128, CodecError> {
+        self.array().map(u128::from_be_bytes)
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let (head, rest) = self
+            .buf
+            .split_at_checked(n)
+            .ok_or(CodecError::Truncated(self.what))?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    /// A `u16`-length-prefixed name, decoded as lossy UTF-8.
+    pub fn str16(&mut self) -> Result<Cow<'a, str>, CodecError> {
+        let n = self.u16()? as usize;
+        self.bytes(n).map(String::from_utf8_lossy)
+    }
+
+    /// A `u32` item count, refused when that many items of at least
+    /// `min_item_len` bytes each cannot fit in the bytes left — so a
+    /// collection sized from it is bounded by the input length.
+    pub fn count(&mut self, min_item_len: usize) -> Result<usize, CodecError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_item_len) > self.buf.len() {
+            return Err(CodecError::Truncated(self.what));
+        }
+        Ok(n)
+    }
+
+    /// A [`put_prefix`] prefix.
+    pub fn prefix(&mut self) -> Result<Prefix, CodecError> {
+        let v4 = self.u8()? == 1;
+        let len = self.u8()?;
+        let bits = self.u128()?;
+        if len > if v4 { 32 } else { 128 } {
+            return Err(CodecError::Invalid("prefix length"));
+        }
+        Ok(if v4 {
+            Prefix::v4(Ipv4Addr::from((bits >> 96) as u32), len)
+        } else {
+            Prefix::v6(Ipv6Addr::from(bits), len)
+        })
+    }
+
+    /// A [`put_ip`] address.
+    pub fn ip(&mut self) -> Result<IpAddr, CodecError> {
+        let v4 = self.u8()? == 1;
+        let bits = self.u128()?;
+        Ok(if v4 {
+            IpAddr::V4(Ipv4Addr::from((bits >> 96) as u32))
+        } else {
+            IpAddr::V6(Ipv6Addr::from(bits))
+        })
+    }
+
+    /// A [`put_route`] optional path (`u16::MAX` hops = no path).
+    pub fn route(&mut self) -> Result<Option<AsPath>, CodecError> {
+        let hops = self.u16()?;
+        if hops == u16::MAX {
+            return Ok(None);
+        }
+        let (hops, _) = self.bytes(hops as usize * 4)?.as_chunks::<4>();
+        Ok(Some(AsPath::from_sequence(
+            hops.iter().map(|h| u32::from_be_bytes(*h)),
+        )))
+    }
+
+    /// Everything left, consuming the reader.
+    pub fn rest(self) -> &'a [u8] {
+        self.buf
+    }
+
+    /// End of input: refuse trailing bytes.
+    pub fn finish(self) -> Result<(), CodecError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(CodecError::BadLength(self.what))
+        }
+    }
 }
 
 /// The canonical ordering key for prefix-keyed serialized sections
@@ -138,22 +227,14 @@ pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// Validate and unwrap a [`seal_frame`] envelope.
-pub fn open_frame(frame: &[u8]) -> Result<&[u8], String> {
-    if frame.len() < 12 {
-        return Err("checkpoint frame truncated".into());
-    }
-    let mut buf = frame;
-    let len = buf.get_u32() as usize;
-    if buf.len() != len + 8 {
-        return Err(format!(
-            "checkpoint frame length mismatch: header says {len}, {} present",
-            buf.len().saturating_sub(8)
-        ));
-    }
-    let (payload, mut tail) = buf.split_at(len);
-    let want = tail.get_u64();
-    if fnv1a(payload) != want {
-        return Err("checkpoint frame checksum mismatch (torn write)".into());
+pub fn open_frame(frame: &[u8]) -> Result<&[u8], CodecError> {
+    let mut r = Reader::new(frame, "checkpoint frame");
+    let len = r.u32()? as usize;
+    let payload = r.bytes(len)?;
+    let checksum = r.u64()?;
+    r.finish()?;
+    if fnv1a(payload) != checksum {
+        return Err(CodecError::Invalid("checkpoint frame checksum"));
     }
     Ok(payload)
 }
@@ -176,18 +257,47 @@ mod tests {
         put_route(&mut out, &None);
         put_route(&mut out, &Some(AsPath::from_sequence([65001, 137])));
         let bytes = out.to_vec();
-        let mut buf = &bytes[..];
-        assert_eq!(get_prefix(&mut buf).unwrap(), p4);
-        assert_eq!(get_prefix(&mut buf).unwrap(), p6);
-        assert_eq!(get_ip(&mut buf).unwrap(), ip4);
-        assert_eq!(get_ip(&mut buf).unwrap(), ip6);
-        assert_eq!(get_route(&mut buf).unwrap(), None);
+        let mut r = Reader::new(&bytes, "primitives");
+        assert_eq!(r.prefix().unwrap(), p4);
+        assert_eq!(r.prefix().unwrap(), p6);
+        assert_eq!(r.ip().unwrap(), ip4);
+        assert_eq!(r.ip().unwrap(), ip6);
+        assert_eq!(r.route().unwrap(), None);
         assert_eq!(
-            get_route(&mut buf).unwrap(),
+            r.route().unwrap(),
             Some(AsPath::from_sequence([65001, 137]))
         );
-        assert!(buf.is_empty());
-        assert!(get_prefix(&mut buf).is_err());
+        assert_eq!(r.prefix(), Err(CodecError::Truncated("primitives")));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn reader_refuses_what_would_panic_or_overallocate() {
+        // A prefix length past the family's width is refused, not
+        // handed to the asserting `Prefix` constructors.
+        let mut out = BytesMut::new();
+        out.put_u8(1);
+        out.put_u8(33);
+        out.put_u128(0);
+        let hostile = out.to_vec();
+        assert_eq!(
+            Reader::new(&hostile, "p").prefix(),
+            Err(CodecError::Invalid("prefix length"))
+        );
+        // A count is bounded by the bytes left: four items of at
+        // least two bytes need eight.
+        let counted = [0, 0, 0, 4, 1, 2, 3, 4, 5, 6, 7];
+        assert_eq!(
+            Reader::new(&counted, "list").count(2),
+            Err(CodecError::Truncated("list"))
+        );
+        assert_eq!(Reader::new(&counted, "list").count(1), Ok(4));
+        let huge = [0xff; 4];
+        assert!(Reader::new(&huge, "list").count(1).is_err());
+        // Names decode lossily; trailing bytes fail `finish`.
+        let mut r = Reader::new(&[0, 2, b'o', 0xff, 9], "name");
+        assert_eq!(r.str16().unwrap(), "o\u{fffd}");
+        assert_eq!(r.finish(), Err(CodecError::BadLength("name")));
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! also transmits entire routing tables so consumers can (re)sync and
 //! then apply subsequent diffs. Cells are written with the
 //! [`bgpstream::codec`] primitives plugin checkpoints also use, so a
-//! restored plugin publishes byte-identically to one that never died.
+//! restored plugin publishes byte-identically to one that never died,
+//! and read back through its checked [`Reader`].
 
-use bgp_types::{AsPath, Asn, Prefix};
-use bgpstream::codec::{get_prefix, get_route, put_prefix, put_route};
-use bytes::{Buf, BufMut, BytesMut};
+use bgp_types::{AsPath, Asn, CodecError, Prefix};
+use bgpstream::codec::{put_prefix, put_route, Reader};
+use bytes::{BufMut, BytesMut};
 
 /// One changed (or full-table) cell: the state of `<prefix, VP>`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -52,21 +53,17 @@ pub fn encode_cells(out: &mut BytesMut, cells: &[DiffCell]) {
     }
 }
 
-/// Decode a count-prefixed cell list, advancing `buf` past it.
-pub fn decode_cells(buf: &mut &[u8]) -> Result<Vec<DiffCell>, String> {
-    if buf.len() < 4 {
-        return Err("truncated cell count".into());
-    }
-    let count = buf.get_u32() as usize;
-    let mut cells = Vec::with_capacity(count.min(1 << 20));
+/// Decode a count-prefixed cell list.
+pub fn decode_cells(r: &mut Reader<'_>) -> Result<Vec<DiffCell>, CodecError> {
+    // vp + prefix + the 2-byte "no path" route
+    let count = r.count(4 + 18 + 2)?;
+    let mut cells = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.len() < 4 {
-            return Err("truncated cell".into());
-        }
-        let vp = Asn(buf.get_u32());
-        let prefix = get_prefix(buf)?;
-        let path = get_route(buf)?;
-        cells.push(DiffCell { vp, prefix, path });
+        cells.push(DiffCell {
+            vp: Asn(r.u32()?),
+            prefix: r.prefix()?,
+            path: r.route()?,
+        });
     }
     Ok(cells)
 }
@@ -140,19 +137,13 @@ impl RtMessage {
     }
 
     /// Binary decoding.
-    pub fn decode(mut buf: &[u8]) -> Result<RtMessage, String> {
-        if buf.len() < 15 {
-            return Err("rt message too short".into());
-        }
-        let kind = buf.get_u8();
-        let bin = buf.get_u64();
-        let name_len = buf.get_u16() as usize;
-        if buf.len() < name_len + 4 {
-            return Err("truncated collector name".into());
-        }
-        let collector = String::from_utf8_lossy(&buf[..name_len]).into_owned();
-        buf.advance(name_len);
-        let cells = decode_cells(&mut buf)?;
+    pub fn decode(buf: &[u8]) -> Result<RtMessage, CodecError> {
+        let mut r = Reader::new(buf, "rt message");
+        let kind = r.u8()?;
+        let bin = r.u64()?;
+        let collector = r.str16()?.into_owned();
+        let cells = decode_cells(&mut r)?;
+        r.finish()?;
         match kind {
             0 => Ok(RtMessage::Diff {
                 collector,
@@ -164,7 +155,7 @@ impl RtMessage {
                 bin,
                 cells,
             }),
-            k => Err(format!("unknown rt message kind {k}")),
+            _ => Err(CodecError::Invalid("rt message kind")),
         }
     }
 }
@@ -177,13 +168,11 @@ pub fn encode_meta(collector: &str, bin: u64) -> Vec<u8> {
     out.to_vec()
 }
 
-/// Decode a sync meta-data marker.
-pub fn decode_meta(mut buf: &[u8]) -> Result<(String, u64), String> {
-    if buf.len() < 8 {
-        return Err("meta too short".into());
-    }
-    let bin = buf.get_u64();
-    Ok((String::from_utf8_lossy(buf).into_owned(), bin))
+/// Decode a sync meta-data marker (the name runs to the end).
+pub fn decode_meta(buf: &[u8]) -> Result<(String, u64), CodecError> {
+    let mut r = Reader::new(buf, "rt meta marker");
+    let bin = r.u64()?;
+    Ok((String::from_utf8_lossy(r.rest()).into_owned(), bin))
 }
 
 #[cfg(test)]

@@ -13,13 +13,14 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use bgp_types::trie::PrefixMatch;
-use bgp_types::{Asn, Prefix, PrefixTrie};
+use bgp_types::{Asn, CodecError, Prefix, PrefixTrie};
+use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use fxhash::FxHashMap;
 
 use crate::pipeline::{Partitioning, Plugin};
-use crate::runtime::{shard_of_prefix, ShardedPlugin};
+use crate::runtime::ShardedPlugin;
 
 /// One output point of the plugin's two time series.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -55,9 +56,6 @@ pub struct PfxMonitor {
     prefix_refs: FxHashMap<Prefix, u32>,
     /// Origin → number of table entries carrying it.
     origin_refs: FxHashMap<Asn, u32>,
-    /// `Some((shard, shards))` on a shard instance of the sharded
-    /// runtime: only elems whose prefix hashes to `shard` are applied.
-    shard: Option<(usize, usize)>,
     /// Shard instances record the bin's origin-presence transitions
     /// here (the partial shipped at each barrier); `None` on
     /// sequential/root instances.
@@ -90,7 +88,6 @@ impl PfxMonitor {
             table: FxHashMap::default(),
             prefix_refs: FxHashMap::default(),
             origin_refs: FxHashMap::default(),
-            shard: None,
             delta: None,
             delta_ops: 0,
             shard_prefix_counts: Vec::new(),
@@ -195,14 +192,6 @@ impl Plugin for PfxMonitor {
     fn process_record(&mut self, record: &BgpStreamRecord) {
         for elem in record.elems() {
             let Some(prefix) = elem.prefix else { continue };
-            // Shard gate (only on shard instances driven outside the
-            // runtime's mask path; the runtime precomputes ownership
-            // per record instead of hashing here per plugin).
-            if let Some((shard, shards)) = self.shard {
-                if shard_of_prefix(&prefix, shards) != shard {
-                    continue;
-                }
-            }
             self.apply_elem(prefix, elem);
         }
     }
@@ -288,81 +277,48 @@ impl Plugin for PfxMonitor {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use bgpstream::codec::{get_ip, get_prefix};
+        self.restore_from(bytes).map_err(|e| e.to_string())
+    }
+}
 
-        fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
-            if buf.len() < n {
-                Err(format!("pfxmonitor checkpoint: truncated {what}"))
-            } else {
-                Ok(())
+impl PfxMonitor {
+    /// [`Plugin::restore`] with the codec's own error. Nothing is
+    /// applied unless the whole checkpoint decodes.
+    fn restore_from(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(bytes, "pfxmonitor checkpoint");
+        if r.u8()? != 1 {
+            return Err(CodecError::Invalid("pfxmonitor checkpoint version"));
+        }
+        let table = (0..r.count(18 + 17 + 4)?)
+            .map(|_| Ok(((r.prefix()?, r.ip()?), Asn(r.u32()?))))
+            .collect::<Result<_, CodecError>>()?;
+        let prefix_refs = (0..r.count(18 + 4)?)
+            .map(|_| Ok((r.prefix()?, r.u32()?)))
+            .collect::<Result<_, CodecError>>()?;
+        let origin_refs = (0..r.count(4 + 4)?)
+            .map(|_| Ok((Asn(r.u32()?), r.u32()?)))
+            .collect::<Result<_, CodecError>>()?;
+        let (delta, delta_ops) = match r.u8()? {
+            1 => {
+                let len = r.u32()? as usize;
+                (Some(r.bytes(len)?.to_vec()), r.u32()?)
             }
-        }
-
-        let mut buf = bytes;
-        need(buf, 1, "version")?;
-        let version = buf.get_u8();
-        if version != 1 {
-            return Err(format!("pfxmonitor checkpoint: unknown version {version}"));
-        }
-
-        need(buf, 4, "table count")?;
-        let n = buf.get_u32() as usize;
-        let mut table = FxHashMap::default();
-        for _ in 0..n {
-            let prefix = get_prefix(&mut buf)?;
-            let vp = get_ip(&mut buf)?;
-            need(buf, 4, "table origin")?;
-            table.insert((prefix, vp), Asn(buf.get_u32()));
-        }
-
-        need(buf, 4, "prefix ref count")?;
-        let n = buf.get_u32() as usize;
-        let mut prefix_refs = FxHashMap::default();
-        for _ in 0..n {
-            let prefix = get_prefix(&mut buf)?;
-            need(buf, 4, "prefix refcount")?;
-            prefix_refs.insert(prefix, buf.get_u32());
-        }
-
-        need(buf, 4, "origin ref count")?;
-        let n = buf.get_u32() as usize;
-        let mut origin_refs = FxHashMap::default();
-        for _ in 0..n {
-            need(buf, 8, "origin refcount")?;
-            origin_refs.insert(Asn(buf.get_u32()), buf.get_u32());
-        }
-
-        need(buf, 1, "delta flag")?;
-        let (delta, delta_ops) = if buf.get_u8() == 1 {
-            need(buf, 4, "delta length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len + 4, "delta body")?;
-            let body = buf[..len].to_vec();
-            buf.advance(len);
-            (Some(body), buf.get_u32())
-        } else {
-            (None, 0)
+            _ => (None, 0),
         };
-
-        need(buf, 4, "shard count list")?;
-        let n = buf.get_u32() as usize;
-        need(buf, n * 4, "shard counts")?;
-        let shard_prefix_counts = (0..n).map(|_| buf.get_u32()).collect();
-
-        need(buf, 4, "series count")?;
-        let n = buf.get_u32() as usize;
-        need(buf, n * 24, "series points")?;
-        let series = (0..n)
-            .map(|_| PfxPoint {
-                time: buf.get_u64(),
-                prefixes: buf.get_u64() as usize,
-                origins: buf.get_u64() as usize,
+        let shard_prefix_counts = (0..r.count(4)?)
+            .map(|_| r.u32())
+            .collect::<Result<_, _>>()?;
+        let series = (0..r.count(24)?)
+            .map(|_| {
+                Ok(PfxPoint {
+                    time: r.u64()?,
+                    prefixes: r.u64()? as usize,
+                    origins: r.u64()? as usize,
+                })
             })
-            .collect();
+            .collect::<Result<_, CodecError>>()?;
+        r.finish()?;
 
-        if !buf.is_empty() {
-            return Err("pfxmonitor checkpoint: trailing bytes".into());
-        }
         self.table = table;
         self.prefix_refs = prefix_refs;
         self.origin_refs = origin_refs;
@@ -372,14 +328,34 @@ impl Plugin for PfxMonitor {
         self.series = series;
         Ok(())
     }
+
+    /// Fold one shard's partial (see `take_partial`) into the root's
+    /// per-shard prefix counts and origin presence.
+    fn apply_partial(&mut self, shard: usize, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(bytes, "pfxmonitor partial");
+        self.shard_prefix_counts[shard] = r.u32()?;
+        // tag + origin
+        for _ in 0..r.count(1 + 4)? {
+            let tag = r.u8()?;
+            let origin = Asn(r.u32()?);
+            // `origin_refs` on the root counts shards where the origin
+            // is present; transitions from different shards commute,
+            // so replay order across partials is irrelevant.
+            if tag == 0 {
+                incref(&mut self.origin_refs, origin);
+            } else {
+                decref(&mut self.origin_refs, origin);
+            }
+        }
+        r.finish()
+    }
 }
 
 impl ShardedPlugin for PfxMonitor {
-    fn fork(&self, shard: usize, shards: usize) -> Box<dyn ShardedPlugin> {
+    fn fork(&self, _shard: usize, _shards: usize) -> Box<dyn ShardedPlugin> {
         // Forks share the root's range trie by refcount: forking N
         // shards costs N `Arc` clones, not N trie rebuilds.
         let mut fresh = PfxMonitor::with_shared_ranges(self.ranges.clone());
-        fresh.shard = Some((shard, shards));
         fresh.delta = Some(Vec::new());
         Box::new(fresh)
     }
@@ -414,22 +390,9 @@ impl ShardedPlugin for PfxMonitor {
     fn merge_bin(&mut self, bin_start: u64, _bin_end: u64, partials: Vec<Vec<u8>>) {
         self.shard_prefix_counts.resize(partials.len(), 0);
         for (shard, partial) in partials.iter().enumerate() {
-            let mut buf = &partial[..];
-            self.shard_prefix_counts[shard] = buf.get_u32();
-            let ops = buf.get_u32();
-            for _ in 0..ops {
-                let tag = buf.get_u8();
-                let origin = Asn(buf.get_u32());
-                // `origin_refs` on the root counts shards where the
-                // origin is present; transitions from different shards
-                // commute, so replay order across partials is
-                // irrelevant.
-                if tag == 0 {
-                    incref(&mut self.origin_refs, origin);
-                } else {
-                    decref(&mut self.origin_refs, origin);
-                }
-            }
+            let applied = self.apply_partial(shard, partial);
+            // xcheck:allow(unwrap) — partials are produced by our own take_partial
+            applied.expect("well-formed shard partial");
         }
         self.series.push(PfxPoint {
             time: bin_start,
@@ -557,6 +520,28 @@ mod tests {
         // A torn restore is rejected, not half-applied.
         assert!(fresh.restore(&ckpt[..ckpt.len() - 3]).is_err());
         assert!(PfxMonitor::new([]).restore(&[9, 9]).is_err());
+    }
+
+    #[test]
+    fn shard_partials_refuse_every_truncation() {
+        let mut shard = PfxMonitor::new([p("193.204.0.0/15")]);
+        shard.delta = Some(Vec::new());
+        shard.process_record(&rec(1, vec![ann("193.204.10.0/24", "10.0.0.1", 137)]));
+        shard.end_bin(0, 300);
+        let partial = shard.take_partial();
+        let root = || {
+            let mut root = PfxMonitor::new([]);
+            root.shard_prefix_counts = vec![0];
+            root
+        };
+        for cut in 0..partial.len() {
+            let applied = root().apply_partial(0, &partial[..cut]);
+            assert!(applied.is_err(), "{cut}-byte prefix accepted");
+        }
+        let mut whole = root();
+        whole.apply_partial(0, &partial).unwrap();
+        assert_eq!(whole.shard_prefix_counts, [1]);
+        assert_eq!(whole.current_origins(), BTreeSet::from([Asn(137)]));
     }
 
     #[test]

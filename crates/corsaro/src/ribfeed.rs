@@ -74,7 +74,7 @@ impl Plugin for RibFeeder {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.fold.restore(bytes)
+        self.fold.restore(bytes).map_err(|e| e.to_string())
     }
 }
 

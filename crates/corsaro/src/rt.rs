@@ -28,16 +28,17 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::{AsPath, Asn, Prefix};
+use bgp_types::{AsPath, Asn, CodecError, Prefix};
+use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
 use broker::DumpType;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;
 use mq::Cluster;
 
 use crate::codec::{decode_cells, encode_cells, encode_meta, sort_cells, DiffCell, RtMessage};
 use crate::pipeline::{Partitioning, Plugin};
-use crate::runtime::{shard_of_peer, ShardedPlugin};
+use crate::runtime::ShardedPlugin;
 
 /// The Figure 8 macro states.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -138,11 +139,6 @@ pub struct RtPlugin {
     /// Publish a full table every this many bins (0 = never).
     full_every_bins: u64,
     bins_since_full: u64,
-    /// `Some((shard, shards))` on a shard instance of the sharded
-    /// runtime: only elems whose VP hashes to `shard` are applied
-    /// (record-level events — E1/E3 corruption, RIB dump start/end —
-    /// replay on every shard).
-    shard: Option<(usize, usize)>,
     /// Shard instances retain each bin's outputs for
     /// [`ShardedPlugin::take_partial`].
     collect_partials: bool,
@@ -171,7 +167,6 @@ impl RtPlugin {
             mq: None,
             full_every_bins: 0,
             bins_since_full: 0,
-            shard: None,
             collect_partials: false,
             pending_partial: None,
             err_reported: RtErrorStats::default(),
@@ -207,14 +202,6 @@ impl RtPlugin {
 
     fn vp_entry(&mut self, ip: IpAddr, asn: Asn) -> &mut VpTable {
         vp_entry_in(&mut self.vps, self.rib_active, ip, asn)
-    }
-
-    /// Shard gate: does this instance own the VP's state?
-    fn owns_peer(&self, ip: &IpAddr) -> bool {
-        match self.shard {
-            Some((shard, shards)) => shard_of_peer(ip, shards) == shard,
-            None => true,
-        }
     }
 
     fn mark_dirty(
@@ -317,18 +304,15 @@ impl RtPlugin {
 }
 
 impl RtPlugin {
-    /// Shared body of `process_record` (elem gate: peer-shard hash)
-    /// and `process_sharded` (elem gate: the runtime's precomputed
-    /// ownership mask). Record-level events — E1/E3 corruption, RIB
-    /// dump start/end — always apply, whatever the gate.
+    /// Shared body of `process_record` (every elem) and
+    /// `process_sharded` (the elems the runtime's ownership mask gives
+    /// this shard). Record-level events — E1/E3 corruption, RIB dump
+    /// start/end — always apply, whatever the mask.
     fn process_impl(&mut self, record: &BgpStreamRecord, mask: Option<&[bool]>) {
         if record.collector() != self.collector {
             return;
         }
-        let owned = |rt: &RtPlugin, i: usize, ip: &IpAddr| match mask {
-            Some(m) => m[i],
-            None => rt.owns_peer(ip),
-        };
+        let owned = |i: usize| mask.is_none_or(|m| m[i]);
         match record.dump_type() {
             DumpType::Rib => {
                 if record.position.is_start() && !self.rib_active {
@@ -339,7 +323,7 @@ impl RtPlugin {
                 }
                 if self.rib_active {
                     for (i, elem) in record.elems().iter().enumerate() {
-                        if !owned(self, i, &elem.peer_address) {
+                        if !owned(i) {
                             continue;
                         }
                         if elem.elem_type != ElemType::RibEntry {
@@ -369,7 +353,7 @@ impl RtPlugin {
                     return;
                 }
                 for (i, elem) in record.elems().iter().enumerate() {
-                    if !owned(self, i, &elem.peer_address) {
+                    if !owned(i) {
                         continue;
                     }
                     match elem.elem_type {
@@ -629,72 +613,51 @@ impl Plugin for RtPlugin {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use bgpstream::codec::{get_ip, get_prefix, get_route};
+        self.restore_from(bytes).map_err(|e| e.to_string())
+    }
+}
 
-        fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
-            if buf.len() < n {
-                Err(format!("rt checkpoint: truncated {what}"))
-            } else {
-                Ok(())
-            }
+impl RtPlugin {
+    /// [`Plugin::restore`] with the codec's own error. Nothing is
+    /// applied unless the whole checkpoint decodes.
+    fn restore_from(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(bytes, "rt checkpoint");
+        if r.u8()? != 1 {
+            return Err(CodecError::Invalid("rt checkpoint version"));
+        }
+        if r.str16()? != self.collector {
+            return Err(CodecError::Invalid("rt checkpoint collector"));
         }
 
-        let mut buf = bytes;
-        need(buf, 3, "header")?;
-        let version = buf.get_u8();
-        if version != 1 {
-            return Err(format!("rt checkpoint: unknown version {version}"));
-        }
-        let name_len = buf.get_u16() as usize;
-        need(buf, name_len, "collector name")?;
-        let collector = String::from_utf8_lossy(&buf[..name_len]).into_owned();
-        buf.advance(name_len);
-        if collector != self.collector {
-            return Err(format!(
-                "rt checkpoint: collector mismatch (checkpoint {collector:?}, instance {:?})",
-                self.collector
-            ));
-        }
-
-        need(buf, 4, "vp count")?;
-        let n = buf.get_u32() as usize;
+        // ip + asn + state/rib_seen/check_ok + cell count
+        let n = r.count(17 + 4 + 3 + 4)?;
         let mut vps = FxHashMap::default();
         for _ in 0..n {
-            let ip = get_ip(&mut buf)?;
-            need(buf, 4 + 3, "vp header")?;
-            let asn = Asn(buf.get_u32());
-            let state = match buf.get_u8() {
+            let ip = r.ip()?;
+            let asn = Asn(r.u32()?);
+            let state = match r.u8()? {
                 0 => MacroState::Down,
                 1 => MacroState::DownRibApplication,
                 2 => MacroState::Up,
                 3 => MacroState::UpRibApplication,
-                s => return Err(format!("rt checkpoint: unknown macro state {s}")),
+                _ => return Err(CodecError::Invalid("rt checkpoint macro state")),
             };
-            let rib_seen = buf.get_u8() == 1;
-            let check_ok = buf.get_u8() == 1;
-            need(buf, 4, "cell count")?;
-            let cell_count = buf.get_u32() as usize;
+            let rib_seen = r.u8()? == 1;
+            let check_ok = r.u8()? == 1;
+            // prefix + route + main_ts + shadow flag
+            let cell_count = r.count(18 + 2 + 8 + 1)?;
             let mut cells = FxHashMap::default();
             for _ in 0..cell_count {
-                let prefix = get_prefix(&mut buf)?;
-                let main = get_route(&mut buf)?.map(|path| CellRoute { path });
-                need(buf, 8 + 1, "cell timestamps")?;
-                let main_ts = buf.get_u64();
-                let shadow = if buf.get_u8() == 1 {
-                    let route = get_route(&mut buf)?.map(|path| CellRoute { path });
-                    need(buf, 8, "shadow timestamp")?;
-                    Some((route, buf.get_u64()))
-                } else {
-                    None
-                };
-                cells.insert(
-                    prefix,
-                    Cell {
-                        main,
-                        main_ts,
-                        shadow,
+                let prefix = r.prefix()?;
+                let cell = Cell {
+                    main: r.route()?.map(|path| CellRoute { path }),
+                    main_ts: r.u64()?,
+                    shadow: match r.u8()? {
+                        1 => Some((r.route()?.map(|path| CellRoute { path }), r.u64()?)),
+                        _ => None,
                     },
-                );
+                };
+                cells.insert(prefix, cell);
             }
             vps.insert(
                 ip,
@@ -708,54 +671,44 @@ impl Plugin for RtPlugin {
             );
         }
 
-        need(buf, 4, "dirty count")?;
-        let n = buf.get_u32() as usize;
+        let n = r.count(17 + 18 + 2)?;
         let mut dirty = FxHashMap::default();
         for _ in 0..n {
-            let ip = get_ip(&mut buf)?;
-            let prefix = get_prefix(&mut buf)?;
-            let prev = get_route(&mut buf)?.map(|path| CellRoute { path });
-            dirty.insert((ip, prefix), prev);
+            let key = (r.ip()?, r.prefix()?);
+            dirty.insert(key, r.route()?.map(|path| CellRoute { path }));
         }
 
-        need(buf, 8 + 1 + 1 + 8 + 1 + 8 + 1, "scalar state")?;
-        let elems_in_bin = buf.get_u64();
-        let rib_active = buf.get_u8() == 1;
-        let rib_corrupted = buf.get_u8() == 1;
-        let rib_start_ts = buf.get_u64();
-        let updates_poisoned = buf.get_u8() == 1;
-        let bins_since_full = buf.get_u64();
-        let pending_partial = if buf.get_u8() == 1 {
-            need(buf, 4, "partial length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "partial body")?;
-            let body = buf[..len].to_vec();
-            buf.advance(len);
-            Some(body)
-        } else {
-            None
+        let elems_in_bin = r.u64()?;
+        let rib_active = r.u8()? == 1;
+        let rib_corrupted = r.u8()? == 1;
+        let rib_start_ts = r.u64()?;
+        let updates_poisoned = r.u8()? == 1;
+        let bins_since_full = r.u64()?;
+        let pending_partial = match r.u8()? {
+            1 => {
+                let len = r.u32()? as usize;
+                Some(r.bytes(len)?.to_vec())
+            }
+            _ => None,
         };
-        need(buf, 32 + 4, "counters")?;
         let err_reported = RtErrorStats {
-            cells_checked: buf.get_u64(),
-            cells_mismatched: buf.get_u64(),
+            cells_checked: r.u64()?,
+            cells_mismatched: r.u64()?,
         };
         let error_stats = RtErrorStats {
-            cells_checked: buf.get_u64(),
-            cells_mismatched: buf.get_u64(),
+            cells_checked: r.u64()?,
+            cells_mismatched: r.u64()?,
         };
-        let n = buf.get_u32() as usize;
-        need(buf, n * 24, "bin series")?;
-        let bin_series = (0..n)
-            .map(|_| RtBinStats {
-                bin: buf.get_u64(),
-                elems: buf.get_u64(),
-                diff_cells: buf.get_u64(),
-            })
-            .collect();
-        if !buf.is_empty() {
-            return Err("rt checkpoint: trailing bytes".into());
+        let n = r.count(24)?;
+        let mut bin_series = Vec::with_capacity(n);
+        for _ in 0..n {
+            bin_series.push(RtBinStats {
+                bin: r.u64()?,
+                elems: r.u64()?,
+                diff_cells: r.u64()?,
+            });
         }
+        r.finish()?;
 
         self.vps = vps;
         self.dirty = dirty;
@@ -771,9 +724,7 @@ impl Plugin for RtPlugin {
         self.error_stats = error_stats;
         Ok(())
     }
-}
 
-impl RtPlugin {
     /// Every announced cell of every available VP (the `Full` message
     /// body), unsorted.
     fn full_cells(&self) -> Vec<DiffCell> {
@@ -824,7 +775,7 @@ impl RtPlugin {
 }
 
 impl ShardedPlugin for RtPlugin {
-    fn fork(&self, shard: usize, shards: usize) -> Box<dyn ShardedPlugin> {
+    fn fork(&self, _shard: usize, _shards: usize) -> Box<dyn ShardedPlugin> {
         let mut fresh = RtPlugin::new(&self.collector);
         // Shards compute full-table cells only if the root will
         // actually publish them.
@@ -833,7 +784,6 @@ impl ShardedPlugin for RtPlugin {
         } else {
             0
         };
-        fresh.shard = Some((shard, shards));
         fresh.collect_partials = true;
         Box::new(fresh)
     }
@@ -850,24 +800,15 @@ impl ShardedPlugin for RtPlugin {
     }
 
     fn merge_bin(&mut self, bin_start: u64, _bin_end: u64, partials: Vec<Vec<u8>>) {
-        let mut elems = 0u64;
-        let mut checked = 0u64;
-        let mut mismatched = 0u64;
+        let mut counts = [0u64; 3];
         let mut diff: Vec<DiffCell> = Vec::new();
         let mut full: Option<Vec<DiffCell>> = None;
         for partial in &partials {
-            let mut buf = &partial[..];
-            elems += buf.get_u64();
-            checked += buf.get_u64();
-            mismatched += buf.get_u64();
+            let merged = merge_partial(partial, &mut counts, &mut diff, &mut full);
             // xcheck:allow(unwrap) — partials are produced by our own take_partial
-            diff.extend(decode_cells(&mut buf).expect("well-formed shard partial"));
-            if buf.get_u8() == 1 {
-                full.get_or_insert_with(Vec::new)
-                    // xcheck:allow(unwrap) — same encoder wrote this buffer
-                    .extend(decode_cells(&mut buf).expect("well-formed shard partial"));
-            }
+            merged.expect("well-formed shard partial");
         }
+        let [elems, checked, mismatched] = counts;
         // VPs are disjoint across shards, so concatenation + canonical
         // sort reproduces the sequential cell lists exactly.
         sort_cells(&mut diff);
@@ -883,6 +824,27 @@ impl ShardedPlugin for RtPlugin {
         self.error_stats.cells_mismatched += mismatched;
         self.publish(bin_start, diff, full);
     }
+}
+
+/// Add one shard partial, as a shard's `end_bin` writes it, to a bin's
+/// merge: the elem, checked and mismatched counters, the diff cells,
+/// and the full-table cells when the bin published one.
+fn merge_partial(
+    bytes: &[u8],
+    counts: &mut [u64; 3],
+    diff: &mut Vec<DiffCell>,
+    full: &mut Option<Vec<DiffCell>>,
+) -> Result<(), CodecError> {
+    let mut r = Reader::new(bytes, "rt shard partial");
+    for count in counts.iter_mut() {
+        *count += r.u64()?;
+    }
+    diff.extend(decode_cells(&mut r)?);
+    if r.u8()? == 1 {
+        full.get_or_insert_with(Vec::new)
+            .extend(decode_cells(&mut r)?);
+    }
+    r.finish()
 }
 
 fn vp_entry_in(
@@ -1277,6 +1239,23 @@ mod tests {
         other.source = broker::SourceId::intern("ris", "rrc99", DumpType::Updates);
         rt.process_record(&other);
         assert_eq!(rt.vp_state(vp_ip()), None);
+    }
+
+    #[test]
+    fn shard_partials_refuse_every_truncation() {
+        let mut shard = RtPlugin::new("rrc00").with_queue(Cluster::shared(), 1);
+        shard.collect_partials = true;
+        feed_rib(&mut shard, 0, "10.0.0.0/8", &[65001, 137]);
+        shard.end_bin(0, 60);
+        let partial = shard.take_partial();
+        for cut in 0..partial.len() {
+            let merged = merge_partial(&partial[..cut], &mut [0; 3], &mut vec![], &mut None);
+            assert!(merged.is_err(), "{cut}-byte prefix accepted");
+        }
+        let (mut diff, mut full) = (vec![], None);
+        merge_partial(&partial, &mut [0; 3], &mut diff, &mut full).unwrap();
+        assert_eq!(diff.len(), 1);
+        assert_eq!(full.map(|cells| cells.len()), Some(1));
     }
 
     #[test]

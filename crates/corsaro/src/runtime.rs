@@ -90,7 +90,10 @@ use crate::pipeline::{Partitioning, Plugin};
 pub trait ShardedPlugin: Plugin + Send {
     /// A fresh instance that owns shard `shard` of `shards` (same
     /// configuration, empty state). Pinned plugins are forked as
-    /// `fork(0, 1)`.
+    /// `fork(0, 1)`. A partitioned fork is driven only through
+    /// [`process_sharded`](ShardedPlugin::process_sharded): the
+    /// runtime's ownership mask is its one shard gate, so a fork need
+    /// not remember which shard it is.
     fn fork(&self, shard: usize, shards: usize) -> Box<dyn ShardedPlugin>;
 
     /// Process a record on a shard instance: `mask[i]` is true iff
@@ -1537,7 +1540,7 @@ impl<'rt> LiveSession<'rt> {
                         last.truncate(cut);
                     }
                 }
-                let opened: Result<Vec<Vec<u8>>, String> = frames
+                let opened: Result<Vec<Vec<u8>>, _> = frames
                     .iter()
                     .map(|f| codec::open_frame(f).map(|p| p.to_vec()))
                     .collect();

@@ -6,8 +6,10 @@
 
 use std::collections::BTreeMap;
 
+use bgp_types::CodecError;
+use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use crate::pipeline::Plugin;
 use crate::runtime::ShardedPlugin;
@@ -121,27 +123,29 @@ impl Plugin for ElemCounter {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut buf = bytes;
-        need(buf, 1, "header")?;
-        let version = buf.get_u8();
-        if version != 1 {
-            return Err(format!("stats checkpoint: unknown version {version}"));
+        self.restore_from(bytes).map_err(|e| e.to_string())
+    }
+}
+
+impl ElemCounter {
+    /// [`Plugin::restore`] with the codec's own error. Nothing is
+    /// applied unless the whole checkpoint decodes.
+    fn restore_from(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(bytes, "stats checkpoint");
+        if r.u8()? != 1 {
+            return Err(CodecError::Invalid("stats checkpoint version"));
         }
-        let current = get_counters(&mut buf)?;
-        need(buf, 4, "series count")?;
-        let n = buf.get_u32() as usize;
-        let mut series = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            need(buf, 8, "series point time")?;
-            let time = buf.get_u64();
-            series.push(StatsPoint {
-                time,
-                per_collector: get_counters(&mut buf)?,
-            });
-        }
-        if !buf.is_empty() {
-            return Err("stats checkpoint: trailing bytes".into());
-        }
+        let current = get_counters(&mut r)?;
+        // time + collector count
+        let series = (0..r.count(8 + 4)?)
+            .map(|_| {
+                Ok(StatsPoint {
+                    time: r.u64()?,
+                    per_collector: get_counters(&mut r)?,
+                })
+            })
+            .collect::<Result<_, CodecError>>()?;
+        r.finish()?;
         self.current = current;
         self.series = series;
         Ok(())
@@ -169,36 +173,33 @@ fn put_counters(out: &mut BytesMut, per_collector: &BTreeMap<String, BinCounters
     }
 }
 
-/// Read back what [`put_counters`] wrote, refusing truncated input.
-fn get_counters(buf: &mut &[u8]) -> Result<BTreeMap<String, BinCounters>, String> {
-    need(buf, 4, "collector count")?;
-    let n = buf.get_u32() as usize;
-    let mut per_collector = BTreeMap::new();
-    for _ in 0..n {
-        need(buf, 2, "collector name length")?;
-        let len = buf.get_u16() as usize;
-        need(buf, len + 48, "collector entry")?;
-        let name = String::from_utf8_lossy(&buf[..len]).into_owned();
-        buf.advance(len);
-        let c = BinCounters {
-            records: buf.get_u64(),
-            invalid_records: buf.get_u64(),
-            announcements: buf.get_u64(),
-            withdrawals: buf.get_u64(),
-            rib_entries: buf.get_u64(),
-            state_messages: buf.get_u64(),
-        };
-        per_collector.insert(name, c);
-    }
-    Ok(per_collector)
+/// Read back what [`put_counters`] wrote.
+fn get_counters(r: &mut Reader<'_>) -> Result<BTreeMap<String, BinCounters>, CodecError> {
+    // name length + six counters
+    (0..r.count(2 + 48)?)
+        .map(|_| {
+            let name = r.str16()?.into_owned();
+            let c = BinCounters {
+                records: r.u64()?,
+                invalid_records: r.u64()?,
+                announcements: r.u64()?,
+                withdrawals: r.u64()?,
+                rib_entries: r.u64()?,
+                state_messages: r.u64()?,
+            };
+            Ok((name, c))
+        })
+        .collect()
 }
 
-fn need(buf: &[u8], n: usize, what: &str) -> Result<(), String> {
-    if buf.len() < n {
-        Err(format!("stats checkpoint: truncated {what}"))
-    } else {
-        Ok(())
-    }
+/// Decode a [`take_partial`](ShardedPlugin::take_partial) partial: the
+/// bin time (unused by the merge), then the counters.
+fn decode_partial(bytes: &[u8]) -> Result<BTreeMap<String, BinCounters>, CodecError> {
+    let mut r = Reader::new(bytes, "stats partial");
+    r.u64()?;
+    let per_collector = get_counters(&mut r)?;
+    r.finish()?;
+    Ok(per_collector)
 }
 
 impl ShardedPlugin for ElemCounter {
@@ -223,10 +224,8 @@ impl ShardedPlugin for ElemCounter {
         // Pinned: exactly one partial, decoded back into the series.
         let mut per_collector = BTreeMap::new();
         for partial in &partials {
-            // Skip the bin time; the counters follow.
-            let mut buf = &partial[8..];
             // xcheck:allow(unwrap) — partials are take_partial's own output
-            per_collector.extend(get_counters(&mut buf).expect("partial from take_partial"));
+            per_collector.extend(decode_partial(partial).expect("partial from take_partial"));
         }
         self.series.push(StatsPoint {
             time: bin_start,
@@ -308,6 +307,22 @@ mod tests {
         p.end_bin(60, 120);
         assert_eq!(p.series.len(), 2);
         assert!(p.series[1].per_collector.is_empty());
+    }
+
+    #[test]
+    fn partials_refuse_every_truncation() {
+        let mut shard = ElemCounter::new();
+        shard.process_record(&rec(
+            "rrc00",
+            RecordStatus::Valid,
+            vec![elem(ElemType::Announcement)],
+        ));
+        shard.end_bin(0, 60);
+        let partial = shard.take_partial();
+        for cut in 0..partial.len() {
+            assert!(decode_partial(&partial[..cut]).is_err(), "cut {cut}");
+        }
+        assert_eq!(decode_partial(&partial).unwrap()["rrc00"].announcements, 1);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! state plus journal/snapshot publications out.
 //!
 //! [`RibFold`] is the single producer implementation behind every
-//! ingestion mode: the historical driver ([`RibFold::ingest`]), the
-//! live plugin (`corsaro::RibFeeder` delegates record processing and
-//! bin closes here), and crash recovery (checkpoint/restore reuse the
-//! sealed-frame codec, so a restored fold publishes byte-identically
-//! to one that never died).
+//! ingestion mode: `corsaro::RibFeeder` delegates record processing
+//! and bin closes here under the sequential pipeline, the sharded
+//! runtime and the supervised live runtime alike, and crash recovery
+//! (checkpoint/restore reuse the sealed-frame codec, so a restored
+//! fold publishes byte-identically to one that never died).
 //!
 //! Elems fold as the paper's case studies need them to: RIB-dump rows
 //! (`DumpType::Rib` walks) bootstrap the table exactly like
@@ -20,9 +20,10 @@
 
 use std::sync::Arc;
 
-use bgp_types::SessionState;
-use bgpstream::{BgpStream, BgpStreamElem, BgpStreamRecord, ElemType};
-use bytes::{Buf, BufMut, BytesMut};
+use bgp_types::{CodecError, SessionState};
+use bgpstream::codec::{open_frame, seal_frame, Reader};
+use bgpstream::{BgpStreamElem, BgpStreamRecord, ElemType};
+use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;
 
 use crate::store::{RibStore, Snapshot};
@@ -206,35 +207,6 @@ impl RibFold {
         }
     }
 
-    /// Drive a historical stream to exhaustion, closing `bin_size`
-    /// bins exactly like the plugin runtime does (aligned to
-    /// `timestamp - timestamp % bin_size`; every elapsed bin closes,
-    /// empty or not, before the record that outlived it folds) and
-    /// finishing at stream end. Returns the fold's counters.
-    pub fn ingest(&mut self, stream: &mut BgpStream, bin_size: u64) -> FoldStats {
-        let bin_size = bin_size.max(1);
-        let mut bin_end: Option<u64> = None;
-        while let Some(record) = stream.next_record() {
-            let t = record.timestamp;
-            match bin_end {
-                None => bin_end = Some(t - t % bin_size + bin_size),
-                Some(mut e) => {
-                    while t >= e {
-                        self.advance_watermark(e);
-                        e += bin_size;
-                    }
-                    bin_end = Some(e);
-                }
-            }
-            self.apply_record(&record);
-        }
-        if let Some(e) = bin_end {
-            self.advance_watermark(e);
-        }
-        self.finish();
-        self.stats
-    }
-
     /// Serialize the fold's full state as a sealed checkpoint frame.
     /// Canonical: two folds that processed the same records produce
     /// identical frames regardless of restore history.
@@ -251,7 +223,7 @@ impl RibFold {
         for ev in &self.pending {
             ev.encode_into(&mut out);
         }
-        bgpstream::codec::seal_frame(&out)
+        seal_frame(&out)
     }
 
     /// Restore from a [`checkpoint`](RibFold::checkpoint) frame. The
@@ -259,36 +231,24 @@ impl RibFold {
     /// snapshot cadence and phase, pending events — comes from the
     /// frame, so post-restore publications line up with pre-crash
     /// ones.
-    pub fn restore(&mut self, frame: &[u8]) -> Result<(), String> {
-        let payload = bgpstream::codec::open_frame(frame)?;
-        let mut buf = payload;
-        if buf.len() < 1 + 8 + 8 + 8 + 4 {
-            return Err("rib fold checkpoint truncated".into());
+    pub fn restore(&mut self, frame: &[u8]) -> Result<(), CodecError> {
+        let mut r = Reader::new(open_frame(frame)?, "rib fold checkpoint");
+        if r.u8()? != FOLD_VERSION {
+            return Err(CodecError::Invalid("rib fold checkpoint version"));
         }
-        let version = buf.get_u8();
-        if version != FOLD_VERSION {
-            return Err(format!("unsupported rib fold checkpoint version {version}"));
+        let watermark = r.u64()?;
+        let snapshot_every = r.u64()?;
+        let last_snapshot_at = r.u64()?;
+        let table_len = r.u32()? as usize;
+        let table = RibTable::decode(r.bytes(table_len)?)?;
+        // the smallest event: kind, time, name length, peer, asn
+        let n = r.count(1 + 8 + 2 + 17 + 4)?;
+        let mut pending = Vec::with_capacity(n);
+        let mut events = r.rest();
+        for _ in 0..n {
+            pending.push(RibEvent::decode(&mut events)?);
         }
-        let watermark = buf.get_u64();
-        let snapshot_every = buf.get_u64();
-        let last_snapshot_at = buf.get_u64();
-        let table_len = buf.get_u32() as usize;
-        if buf.len() < table_len {
-            return Err("rib fold checkpoint: truncated table".into());
-        }
-        let table = RibTable::decode(&buf[..table_len])?;
-        buf.advance(table_len);
-        if buf.len() < 4 {
-            return Err("rib fold checkpoint: truncated pending count".into());
-        }
-        let pending_count = buf.get_u32() as usize;
-        let mut pending = Vec::with_capacity(pending_count.min(1 << 20));
-        for _ in 0..pending_count {
-            pending.push(RibEvent::decode(&mut buf)?);
-        }
-        if !buf.is_empty() {
-            return Err("rib fold checkpoint: trailing bytes".into());
-        }
+        Reader::new(events, "rib fold checkpoint").finish()?;
         self.table = table;
         self.watermark = watermark;
         self.snapshot_every = snapshot_every;

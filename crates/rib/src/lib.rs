@@ -18,8 +18,8 @@
 //! * [`table`] — the Loc-RIB state, the [`RibEvent`] journal
 //!   vocabulary, and canonical (order-independent) serialization;
 //! * [`fold`] — [`RibFold`]: stream in, state + publications out;
-//!   drives historical runs directly ([`RibFold::ingest`]) and backs
-//!   the live `corsaro` plugin; checkpoint/restore for supervision;
+//!   driven by the `corsaro::RibFeeder` plugin under every runtime;
+//!   checkpoint/restore for supervision;
 //! * [`store`] — [`RibStore`] (idempotent watermark-guarded
 //!   publication; journal + snapshot retrieval) and the in-memory
 //!   [`MemoryRibStore`] backend;
@@ -32,7 +32,7 @@
 //!
 //! let store = MemoryRibStore::shared();
 //! // ... feed a RibFold::new(900).with_store(store.clone()) from a
-//! // stream (historical ingest or the live RibFeeder plugin) ...
+//! // stream (corsaro::RibFeeder under run_pipeline or run_live) ...
 //! # let mut fold = RibFold::new(900).with_store(store.clone());
 //! # fold.advance_watermark(1800);
 //! let table = RibQuery::new().at(900).table(&*store)?;

@@ -17,7 +17,7 @@ use std::fmt;
 use std::net::IpAddr;
 
 use bgp_types::trie::PrefixMatch;
-use bgp_types::{Asn, Prefix};
+use bgp_types::{Asn, CodecError, Prefix};
 
 use crate::store::RibStore;
 use crate::table::{RibAction, RibEvent, RibTable, TableView};
@@ -39,7 +39,7 @@ pub enum RibError {
     /// [`history`](RibQuery::history) range.
     MissingHistoryRange,
     /// A stored snapshot failed to open (torn write, version skew).
-    Corrupt(String),
+    Corrupt(CodecError),
 }
 
 impl fmt::Display for RibError {
@@ -56,7 +56,7 @@ impl fmt::Display for RibError {
             RibError::MissingHistoryRange => {
                 write!(f, "events() needs a history(from, to) range")
             }
-            RibError::Corrupt(msg) => write!(f, "corrupt RIB artifact: {msg}"),
+            RibError::Corrupt(e) => write!(f, "corrupt RIB artifact: {e}"),
         }
     }
 }

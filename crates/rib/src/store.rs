@@ -18,6 +18,8 @@
 
 use std::sync::Arc;
 
+use bgp_types::CodecError;
+
 use crate::table::{RibEvent, RibTable};
 
 /// A sealed point-in-time snapshot: the restartable artifact.
@@ -52,7 +54,7 @@ impl Snapshot {
     }
 
     /// Open the frame back into a table, rejecting torn writes.
-    pub fn table(&self) -> Result<RibTable, String> {
+    pub fn table(&self) -> Result<RibTable, CodecError> {
         RibTable::unseal(&self.frame)
     }
 }

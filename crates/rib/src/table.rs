@@ -18,12 +18,11 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::{AsPath, Asn, Community, CommunitySet, Prefix};
+use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bgpstream::codec::{
-    get_ip, get_prefix, get_route, ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix,
-    put_route, seal_frame,
+    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, seal_frame, Reader,
 };
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;
 
 /// Table serialization format version.
@@ -122,37 +121,26 @@ impl RibEvent {
     }
 
     /// Decode one event, advancing `buf` past it.
-    pub fn decode(buf: &mut &[u8]) -> Result<RibEvent, String> {
-        if buf.len() < 1 + 8 + 2 {
-            return Err("truncated rib event header".into());
-        }
-        let kind = buf.get_u8();
-        let time = buf.get_u64();
-        let name_len = buf.get_u16() as usize;
-        if buf.len() < name_len {
-            return Err("truncated rib event collector".into());
-        }
-        let collector: Arc<str> = String::from_utf8_lossy(&buf[..name_len])
-            .into_owned()
-            .into();
-        buf.advance(name_len);
-        let peer = get_ip(buf)?;
-        if buf.len() < 4 {
-            return Err("truncated rib event peer asn".into());
-        }
-        let peer_asn = Asn(buf.get_u32());
+    pub fn decode(buf: &mut &[u8]) -> Result<RibEvent, CodecError> {
+        let mut r = Reader::new(buf, "rib event");
+        let kind = r.u8()?;
+        let time = r.u64()?;
+        let collector = r.str16()?.into();
+        let peer = r.ip()?;
+        let peer_asn = Asn(r.u32()?);
         let action = match kind {
             0 => RibAction::Announce {
-                prefix: get_prefix(buf)?,
-                route: get_rib_route(buf)?,
+                prefix: r.prefix()?,
+                route: get_rib_route(&mut r)?,
             },
             1 => RibAction::Withdraw {
-                prefix: get_prefix(buf)?,
+                prefix: r.prefix()?,
             },
             2 => RibAction::PeerUp,
             3 => RibAction::PeerDown,
-            k => return Err(format!("unknown rib event kind {k}")),
+            _ => return Err(CodecError::Invalid("rib event kind")),
         };
+        *buf = r.rest();
         Ok(RibEvent {
             time,
             collector,
@@ -181,38 +169,25 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
     out.put_u64(route.updated_at);
 }
 
-/// Decode a [`put_rib_route`] route, advancing `buf` past it.
-fn get_rib_route(buf: &mut &[u8]) -> Result<RibRoute, String> {
-    let path = get_route(buf)?;
-    if buf.is_empty() {
-        return Err("truncated route next-hop flag".into());
-    }
-    let next_hop = if buf.get_u8() == 1 {
-        Some(get_ip(buf)?)
-    } else {
-        None
+/// Decode a [`put_rib_route`] route.
+fn get_rib_route(r: &mut Reader<'_>) -> Result<RibRoute, CodecError> {
+    let path = r.route()?;
+    let next_hop = match r.u8()? {
+        1 => Some(r.ip()?),
+        _ => None,
     };
-    if buf.len() < 2 {
-        return Err("truncated route community count".into());
-    }
-    let n = buf.get_u16() as usize;
-    if buf.len() < n * 4 {
-        return Err("truncated route communities".into());
-    }
-    let mut comms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let asn = buf.get_u16();
-        let value = buf.get_u16();
-        comms.push(Community { asn, value });
-    }
-    if buf.len() < 8 {
-        return Err("truncated route timestamp".into());
-    }
+    let n = r.u16()? as usize;
+    let (communities, _) = r.bytes(n * 4)?.as_chunks::<4>();
     Ok(RibRoute {
         path,
         next_hop,
-        communities: CommunitySet::from_iter(comms),
-        updated_at: buf.get_u64(),
+        communities: CommunitySet::from_iter(communities.iter().map(|&[a0, a1, v0, v1]| {
+            Community {
+                asn: u16::from_be_bytes([a0, a1]),
+                value: u16::from_be_bytes([v0, v1]),
+            }
+        })),
+        updated_at: r.u64()?,
     })
 }
 
@@ -391,49 +366,31 @@ impl RibTable {
     }
 
     /// Decode an [`encode`](RibTable::encode)d table.
-    pub fn decode(mut buf: &[u8]) -> Result<RibTable, String> {
-        if buf.len() < 5 {
-            return Err("truncated rib table header".into());
+    pub fn decode(buf: &[u8]) -> Result<RibTable, CodecError> {
+        let mut r = Reader::new(buf, "rib table");
+        if r.u8()? != TABLE_VERSION {
+            return Err(CodecError::Invalid("rib table version"));
         }
-        let version = buf.get_u8();
-        if version != TABLE_VERSION {
-            return Err(format!("unsupported rib table version {version}"));
-        }
-        let peer_count = buf.get_u32() as usize;
+        // name length + peer + asn + up + route count
+        let peer_count = r.count(2 + 17 + 4 + 1 + 4)?;
         let mut table = RibTable::new();
         for _ in 0..peer_count {
-            if buf.len() < 2 {
-                return Err("truncated rib table collector".into());
-            }
-            let name_len = buf.get_u16() as usize;
-            if buf.len() < name_len {
-                return Err("truncated rib table collector name".into());
-            }
-            let name: Arc<str> = String::from_utf8_lossy(&buf[..name_len])
-                .into_owned()
-                .into();
-            buf.advance(name_len);
-            let peer = get_ip(&mut buf)?;
-            if buf.len() < 4 + 1 + 4 {
-                return Err("truncated rib table peer".into());
-            }
-            let peer_asn = Asn(buf.get_u32());
-            let up = buf.get_u8() == 1;
-            let route_count = buf.get_u32() as usize;
-            let cid = table.intern(&name);
-            let mut rib = LocRib::new(peer_asn);
-            rib.up = up;
+            let name: Arc<str> = r.str16()?.into();
+            let peer = r.ip()?;
+            let mut rib = LocRib::new(Asn(r.u32()?));
+            rib.up = r.u8()? == 1;
+            // prefix + the smallest route: no path, no next hop, no
+            // communities, a timestamp
+            let route_count = r.count(18 + 2 + 1 + 2 + 8)?;
             rib.routes.reserve(route_count);
             for _ in 0..route_count {
-                let prefix = get_prefix(&mut buf)?;
-                let route = get_rib_route(&mut buf)?;
-                rib.routes.insert(prefix, route);
+                let prefix = r.prefix()?;
+                rib.routes.insert(prefix, get_rib_route(&mut r)?);
             }
+            let cid = table.intern(&name);
             table.peers.insert((cid, peer), rib);
         }
-        if !buf.is_empty() {
-            return Err("rib table: trailing bytes".into());
-        }
+        r.finish()?;
         Ok(table)
     }
 
@@ -445,7 +402,7 @@ impl RibTable {
 
     /// Open and decode a [`seal`](RibTable::seal)ed frame, rejecting
     /// torn writes.
-    pub fn unseal(frame: &[u8]) -> Result<RibTable, String> {
+    pub fn unseal(frame: &[u8]) -> Result<RibTable, CodecError> {
         RibTable::decode(open_frame(frame)?)
     }
 }
@@ -684,6 +641,29 @@ mod tests {
         }
         assert!(buf.is_empty());
         assert!(RibEvent::decode(&mut buf).is_err());
+    }
+
+    #[test]
+    fn a_hostile_route_count_is_refused_not_allocated() {
+        // Version 1, one peer: a 1-byte collector name, an IPv4 peer
+        // address, an ASN, `up`, then a route count of u32::MAX. The
+        // count used to size a reservation straight off the wire and
+        // abort the process; 34 bytes cannot hold that many routes.
+        let mut out = BytesMut::new();
+        out.put_u8(TABLE_VERSION);
+        out.put_u32(1);
+        out.put_u16(1);
+        out.put_u8(b'c');
+        put_ip(&mut out, &"10.0.0.9".parse().unwrap());
+        out.put_u32(65001);
+        out.put_u8(1);
+        out.put_u32(u32::MAX);
+        let hostile = out.to_vec();
+        assert_eq!(hostile.len(), 34);
+        assert_eq!(
+            RibTable::decode(&hostile).unwrap_err(),
+            CodecError::Truncated("rib table")
+        );
     }
 
     #[test]

@@ -34,6 +34,16 @@ pub fn swallow_panics(f: impl FnOnce() + std::panic::UnwindSafe) {
     let _ = std::panic::catch_unwind(f); // catch-unwind, unjustified
 }
 
+pub fn cursor_decode(mut buf: &[u8]) -> u128 {
+    let kind = buf.get_u8(); // buf-getter
+    let len = buf.get_u16(); // buf-getter
+    let asn = buf.get_u32(); // buf-getter
+    let time = buf.get_u64(); // buf-getter
+    let bits = buf.get_u128(); // buf-getter
+    buf.advance(len as usize); // buf-getter (advance)
+    bits ^ (kind as u128) ^ (asn as u128) ^ (time as u128)
+}
+
 #[cfg(test)]
 mod tests {
     // Inside cfg(test): none of these may be reported.

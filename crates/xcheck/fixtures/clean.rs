@@ -22,6 +22,15 @@ pub fn sanctioned_boundary(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
     std::panic::catch_unwind(f).is_ok()
 }
 
+pub fn checked_decode(bytes: &[u8]) -> Result<u64, bgp_types::CodecError> {
+    // Calling .get_u32() on a Buf would panic on short input; the
+    // Reader returns an error instead.
+    let mut r = bgpstream::codec::Reader::new(bytes, "example");
+    let time = r.u64()?;
+    r.finish()?;
+    Ok(time)
+}
+
 pub fn prose_only() {
     // Mentioning Instant::now or .unwrap()
     // in a comment is fine.

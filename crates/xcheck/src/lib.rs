@@ -30,6 +30,11 @@
 //!   be a reviewed recovery point justified with an inline
 //!   `// xcheck:allow(catch-unwind) — why` (the worker-loop and
 //!   prefetch boundaries that feed the supervisor).
+//! * **`buf-getter`** — `bytes::Buf` getters (`.get_u8()` …
+//!   `.get_u128()`) and `.advance(` are forbidden in non-test library
+//!   code of `core`, `corsaro` and `rib`: each panics on short input,
+//!   and those crates decode their state through
+//!   `bgpstream::codec::Reader`, whose reads fail with a `CodecError`.
 //!
 //! Suppression is explicit and reviewable: either an inline
 //! `// xcheck:allow(<rule>)` comment on (or directly above) the line,
@@ -56,6 +61,10 @@ const HOT_PATH_CRATES: &[&str] = &[
     "rib",
 ];
 
+/// Crates whose serialized state decodes through the one checked
+/// `bgpstream::codec::Reader`, never a panicking `Buf` cursor.
+const STATE_CODEC_CRATES: &[&str] = &["core", "corsaro", "rib"];
+
 /// Vendor shims that get the same `unwrap` audit (and no other line
 /// rule: they are stand-ins for external crates, outside the facade
 /// and clock conventions).
@@ -65,6 +74,14 @@ const WALLCLOCK_TOKENS: &[&str] = &["SystemTime::now", "Instant::now", "thread::
 const UNWRAP_TOKENS: &[&str] = &[".unwrap()", ".expect("];
 const EXIT_TOKENS: &[&str] = &["process::exit(", "process::abort("];
 const CATCH_UNWIND_TOKENS: &[&str] = &["catch_unwind("];
+const BUF_GETTER_TOKENS: &[&str] = &[
+    ".get_u8()",
+    ".get_u16()",
+    ".get_u32()",
+    ".get_u64()",
+    ".get_u128()",
+    ".advance(",
+];
 const STD_SYNC_BANNED: &[&str] = &["Mutex", "RwLock", "Condvar", "atomic", "mpsc", "Barrier"];
 
 /// One violation, printed as `file:line: [rule] message`.
@@ -275,11 +292,13 @@ pub struct RuleScope {
     pub facade: bool,
     pub exit: bool,
     pub catch_unwind: bool,
+    pub buf_getter: bool,
 }
 
 /// Scope from path conventions: `crates/*/src` and root `src/` get the
 /// full pass (facade excepted for `crates/bsync`, which *is* the
-/// facade; unwrap only on hot-path crates); `vendor/flate-lite/src`
+/// facade; unwrap only on hot-path crates, buf-getter only on the
+/// state-codec crates); `vendor/flate-lite/src`
 /// gets the unwrap audit alone; everything else — the other vendor
 /// shims, tests/, examples/, benches/ — only sees the crate-root
 /// `unsafe-root` check, handled separately.
@@ -298,6 +317,7 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
                 facade: false,
                 exit: false,
                 catch_unwind: false,
+                buf_getter: false,
             });
     }
     if rel.starts_with("crates/") {
@@ -308,6 +328,7 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: crate_name != "bsync",
             exit: true,
             catch_unwind: true,
+            buf_getter: STATE_CODEC_CRATES.contains(&crate_name),
         });
     }
     if rel.starts_with("src/") {
@@ -317,6 +338,7 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: true,
             exit: true,
             catch_unwind: true,
+            buf_getter: false,
         });
     }
     None
@@ -433,6 +455,21 @@ pub fn scan_file(rel: &str, content: &str, scope: RuleScope, allow: &AllowList) 
                         line: line_no,
                         rule: "catch-unwind",
                         message: "`catch_unwind` is an isolation boundary; justify with `xcheck:allow(catch-unwind) — why`".to_string(),
+                    });
+                }
+            }
+        }
+        if scope.buf_getter && !marker_here("buf-getter") {
+            for tok in BUF_GETTER_TOKENS {
+                if code.contains(tok) {
+                    diags.push(Diagnostic {
+                        file: rel.to_string(),
+                        line: line_no,
+                        rule: "buf-getter",
+                        message: format!(
+                            "`{}` panics on short input; decode through bgpstream::codec::Reader",
+                            tok.trim_end_matches(['(', ')'])
+                        ),
                     });
                 }
             }
@@ -559,6 +596,7 @@ mod tests {
         facade: true,
         exit: true,
         catch_unwind: true,
+        buf_getter: true,
     };
 
     #[test]
@@ -571,6 +609,8 @@ mod tests {
         assert!(rules.contains(&"facade"), "diags: {diags:?}");
         assert!(rules.contains(&"exit"), "diags: {diags:?}");
         assert!(rules.contains(&"catch-unwind"), "diags: {diags:?}");
+        let getters = rules.iter().filter(|&&r| r == "buf-getter").count();
+        assert_eq!(getters, BUF_GETTER_TOKENS.len(), "diags: {diags:?}");
         assert!(
             check_crate_root("crates/core/src/bad.rs", bad).is_some(),
             "fixture must also miss forbid(unsafe_code)"
@@ -613,6 +653,7 @@ mod tests {
                 facade: true,
                 exit: true,
                 catch_unwind: true,
+                buf_getter: true,
             },
             &allow
         )
@@ -670,6 +711,15 @@ mod tests {
         assert!(scope_for("crates/bgp-types/src/message.rs").unwrap().unwrap);
         assert!(!scope_for("crates/topology/src/lib.rs").unwrap().unwrap);
         assert!(!scope_for("crates/bsync/src/lib.rs").unwrap().facade);
+        for state in [
+            "crates/core/src/codec.rs",
+            "crates/corsaro/src/rt.rs",
+            "crates/rib/src/table.rs",
+        ] {
+            assert!(scope_for(state).unwrap().buf_getter, "{state}");
+        }
+        assert!(!scope_for("crates/mrt/src/reader.rs").unwrap().buf_getter);
+        assert!(!scope_for("src/worlds.rs").unwrap().buf_getter);
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);
         assert!(scope_for("crates/broker/tests/live.rs").is_none());
         assert!(scope_for("vendor/parking_lot/src/lib.rs").is_none());
