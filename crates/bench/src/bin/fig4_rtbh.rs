@@ -129,5 +129,22 @@ fn main() {
         band(&during_origin, 0.9999, 1.1),
         band(&after_origin, 0.9999, 1.1)
     );
+
+    // The paper's shape, asserted.
+    assert!(
+        !after_dest.is_empty(),
+        "no black-holed destination measured"
+    );
+    for (i, (during, after)) in during_dest.iter().zip(&after_dest).enumerate() {
+        assert!(
+            after >= during,
+            "destination {i} reached by fewer probes after RTBH ({after:.2}) than during ({during:.2})"
+        );
+    }
+    let recovered = band(&after_dest, 0.95, 1.1);
+    assert!(
+        recovered > 50.0,
+        "only {recovered:.0}% of destinations reached by >=95% of probes after RTBH"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

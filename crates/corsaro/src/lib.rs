@@ -18,8 +18,9 @@
 //!   diffs (§6.2.2, Figure 9) and tracks its own accuracy;
 //! * [`codec`] — the diff/full-table serialization used for the
 //!   Kafka-like queue;
-//! * [`tag`] — stateless classification/tagging plugins and the
-//!   tag-aware pipeline runner (§6.1's stateless plugin class);
+//! * [`tag`] — §6.1's stateless classification/tagging class: taggers,
+//!   the [`tag::Tagged`] gate that runs under every runner, and a
+//!   per-bin tag counter;
 //! * [`ribfeed`] — the RIB-feeding plugin: runs a `rib::RibFold`
 //!   inside either runtime so live bin closes advance the queryable
 //!   RIB watermark (`rib::RibQuery` resolves against the same store);
@@ -50,7 +51,4 @@ pub use runtime::{
     ShardedRuntimeBuilder, Supervisor, SupervisorConfig,
 };
 pub use stats::{BinCounters, ElemCounter, StatsPoint};
-pub use tag::{
-    run_tagged_pipeline, ClassifierTagger, GeoTagger, TagCounter, TagGate, TagSet, TaggedPlugin,
-    Tagger,
-};
+pub use tag::{tag_record, ClassifierTagger, GeoTagger, TagCounter, TagSet, Tagged, Tagger};

@@ -112,39 +112,94 @@ pub fn run_pipeline_until(
     stop: u64,
     plugins: &mut [&mut dyn Plugin],
 ) -> u64 {
-    let bin_size = bin_size.max(1);
-    let mut current_bin: Option<u64> = None;
+    let mut bins = BinCursor::new(bin_size);
     let mut records = 0u64;
     while let Some(rec) = stream.next_record() {
         if rec.timestamp >= stop {
             break;
         }
-        let bin = rec.timestamp - rec.timestamp % bin_size;
-        match current_bin {
-            None => current_bin = Some(bin),
-            Some(cur) if bin > cur => {
-                let mut b = cur;
-                while b < bin {
-                    for p in plugins.iter_mut() {
-                        p.end_bin(b, b + bin_size);
-                    }
-                    b += bin_size;
-                }
-                current_bin = Some(bin);
-            }
-            _ => {}
-        }
+        end_bins(plugins, bins.enter(rec.timestamp));
         for p in plugins.iter_mut() {
             p.process_record(&rec);
         }
         records += 1;
     }
-    if let Some(cur) = current_bin {
+    end_bins(plugins, bins.finish());
+    records
+}
+
+fn end_bins(plugins: &mut [&mut dyn Plugin], closing: impl Iterator<Item = (u64, u64)>) {
+    for (bin_start, bin_end) in closing {
         for p in plugins.iter_mut() {
-            p.end_bin(cur, cur + bin_size);
+            p.end_bin(bin_start, bin_end);
         }
     }
-    records
+}
+
+/// Where a runner stands in time: the one place that says which bins
+/// close. Bins are `[start, start + size)` with `start` a multiple of
+/// `size`; every elapsed bin closes, in order, so series stay dense.
+/// Each call returns the bins it closes, oldest first, as
+/// `(bin_start, bin_end)`.
+pub(crate) struct BinCursor {
+    size: u64,
+    /// The bin receiving records; `None` until the first record.
+    open: Option<u64>,
+    /// At least one record fell into the open bin. Only such a bin
+    /// closes at the end of the run.
+    dirty: bool,
+}
+
+impl BinCursor {
+    pub(crate) fn new(size: u64) -> Self {
+        BinCursor {
+            size: size.max(1),
+            open: None,
+            dirty: false,
+        }
+    }
+
+    /// A record stamped `ts` arrived: close the bins before its own.
+    pub(crate) fn enter(&mut self, ts: u64) -> impl Iterator<Item = (u64, u64)> {
+        let bin = ts - ts % self.size;
+        let from = self.open.unwrap_or(bin);
+        self.open = Some(from.max(bin));
+        self.dirty = true;
+        self.closing(from, bin)
+    }
+
+    /// Everything stamped below `watermark` has been delivered: close
+    /// the bins ending at or below it, empty ones included. A
+    /// `u64::MAX` watermark is an end-of-feed signal, not a bin
+    /// boundary, so it closes nothing.
+    pub(crate) fn release(&mut self, watermark: u64) -> impl Iterator<Item = (u64, u64)> {
+        let from = match self.open {
+            Some(open) if watermark != u64::MAX && watermark.saturating_sub(open) >= self.size => {
+                open
+            }
+            // No record yet, end of feed, or the watermark lies inside
+            // the open bin: it stays open.
+            _ => return self.closing(0, 0),
+        };
+        let to = watermark - (watermark - from) % self.size;
+        self.open = Some(to);
+        self.dirty = false;
+        self.closing(from, to)
+    }
+
+    /// The run ended: close the open bin if a record fell into it.
+    pub(crate) fn finish(&mut self) -> impl Iterator<Item = (u64, u64)> {
+        match self.open.take() {
+            Some(open) if self.dirty => self.closing(open, open + self.size),
+            _ => self.closing(0, 0),
+        }
+    }
+
+    /// The bins in `[from, to)`.
+    fn closing(&self, from: u64, to: u64) -> impl Iterator<Item = (u64, u64)> {
+        let size = self.size;
+        (0..to.saturating_sub(from) / size).map(move |i| (from + i * size, from + (i + 1) * size))
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +222,101 @@ mod tests {
         }
         fn end_bin(&mut self, s: u64, e: u64) {
             self.bins.push((s, e));
+        }
+    }
+
+    /// One [`BinCursor`] call and the bins it must close.
+    enum Step {
+        Enter(u64),
+        Release(u64),
+        Finish,
+    }
+    use Step::*;
+
+    /// A named run of steps, each with the bins it must close.
+    type Case = (&'static str, u64, &'static [(Step, &'static [(u64, u64)])]);
+
+    #[test]
+    fn bin_cursor_closes_each_bin_once_in_order() {
+        let cases: &[Case] = &[
+            (
+                "a gap closes its empty bins in order",
+                60,
+                &[
+                    (Enter(10), &[]),
+                    (Enter(65), &[(0, 60)]),
+                    (Enter(300), &[(60, 120), (120, 180), (180, 240), (240, 300)]),
+                    (Finish, &[(300, 360)]),
+                ],
+            ),
+            (
+                "a watermark inside the open bin keeps it open",
+                60,
+                &[
+                    (Enter(70), &[]),
+                    (Release(100), &[]),
+                    (Release(119), &[]),
+                    (Enter(130), &[(60, 120)]),
+                    (Release(150), &[]),
+                    (Finish, &[(120, 180)]),
+                ],
+            ),
+            (
+                "a watermark closes every bin ending at or below it",
+                60,
+                &[
+                    (Enter(10), &[]),
+                    (Release(130), &[(0, 60), (60, 120)]),
+                    (Release(130), &[]),
+                    (Enter(200), &[(120, 180)]),
+                    (Finish, &[(180, 240)]),
+                ],
+            ),
+            (
+                "u64::MAX closes nothing",
+                60,
+                &[
+                    (Enter(10), &[]),
+                    (Release(u64::MAX), &[]),
+                    (Finish, &[(0, 60)]),
+                ],
+            ),
+            (
+                "finishing after a watermark close, with no new record, closes nothing",
+                60,
+                &[(Enter(10), &[]), (Release(60), &[(0, 60)]), (Finish, &[])],
+            ),
+            (
+                "finishing closes the open bin exactly once",
+                60,
+                &[(Enter(10), &[]), (Finish, &[(0, 60)]), (Finish, &[])],
+            ),
+            (
+                "nothing closes before the first record",
+                60,
+                &[
+                    (Release(600), &[]),
+                    (Finish, &[]),
+                    (Enter(610), &[]),
+                    (Finish, &[(600, 660)]),
+                ],
+            ),
+            (
+                "a zero size is clamped to one second",
+                0,
+                &[(Enter(5), &[]), (Enter(7), &[(5, 6), (6, 7)])],
+            ),
+        ];
+        for (name, size, steps) in cases {
+            let mut bins = BinCursor::new(*size);
+            for (i, (step, want)) in steps.iter().enumerate() {
+                let got: Vec<(u64, u64)> = match step {
+                    Enter(ts) => bins.enter(*ts).collect(),
+                    Release(watermark) => bins.release(*watermark).collect(),
+                    Finish => bins.finish().collect(),
+                };
+                assert_eq!(&got, want, "{name}: step {i}");
+            }
         }
     }
 

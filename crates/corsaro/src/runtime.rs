@@ -73,7 +73,7 @@ use bsync::channel::{Receiver, Sender, TryRecvError, TrySendError};
 use bsync::pool::ShardPool;
 use bsync::time::Clock;
 
-use crate::pipeline::{Partitioning, Plugin};
+use crate::pipeline::{BinCursor, Partitioning, Plugin};
 
 /// A plugin the sharded runtime can fan out.
 ///
@@ -119,6 +119,52 @@ pub trait ShardedPlugin: Plugin + Send {
     /// canonical output for `[bin_start, bin_end)`, recording it on
     /// `self` exactly as a sequential `end_bin` would have.
     fn merge_bin(&mut self, bin_start: u64, bin_end: u64, partials: Vec<Vec<u8>>);
+}
+
+/// A fork is a plugin too, so an adapter's fork can wrap its inner
+/// plugin's fork (see [`crate::tag::Tagged`]).
+impl Plugin for Box<dyn ShardedPlugin> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn process_record(&mut self, record: &BgpStreamRecord) {
+        (**self).process_record(record);
+    }
+
+    fn end_bin(&mut self, bin_start: u64, bin_end: u64) {
+        (**self).end_bin(bin_start, bin_end);
+    }
+
+    fn partitioning(&self) -> Partitioning {
+        (**self).partitioning()
+    }
+
+    fn checkpoint(&self) -> Vec<u8> {
+        (**self).checkpoint()
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        (**self).restore(bytes)
+    }
+}
+
+impl ShardedPlugin for Box<dyn ShardedPlugin> {
+    fn fork(&self, shard: usize, shards: usize) -> Box<dyn ShardedPlugin> {
+        (**self).fork(shard, shards)
+    }
+
+    fn process_sharded(&mut self, record: &BgpStreamRecord, mask: &[bool]) {
+        (**self).process_sharded(record, mask);
+    }
+
+    fn take_partial(&mut self) -> Vec<u8> {
+        (**self).take_partial()
+    }
+
+    fn merge_bin(&mut self, bin_start: u64, bin_end: u64, partials: Vec<Vec<u8>>) {
+        (**self).merge_bin(bin_start, bin_end, partials);
+    }
 }
 
 /// Stable shard hash for a prefix (a splitmix64-style mix over the
@@ -191,7 +237,7 @@ impl ShardedRuntimeBuilder {
     /// Time-bin size in seconds (default 60), aligned like
     /// [`run_pipeline`](crate::run_pipeline).
     pub fn bin_size(mut self, seconds: u64) -> Self {
-        self.bin_size = seconds.max(1);
+        self.bin_size = seconds;
         self
     }
 
@@ -834,14 +880,9 @@ impl ShardedRuntime {
         roots: &mut [&mut dyn ShardedPlugin],
         sup: Option<(&SupervisorConfig, &Chaos)>,
     ) -> Result<LiveRunReport, RuntimeError> {
-        let bin_size = self.cfg.bin_size.max(1);
         let supervised = sup.is_some();
         let mut session = LiveSession::new(self, roots, sup);
-        // The bin currently receiving records; `dirty` = at least one
-        // record fell into it since it opened (only dirty bins close
-        // at session end, mirroring the sequential runner's EOF close).
-        let mut current_bin: Option<u64> = None;
-        let mut dirty = false;
+        let mut bins = BinCursor::new(self.cfg.bin_size);
         let mut batch: Vec<BgpStreamRecord> = Vec::with_capacity(self.cfg.batch_records);
 
         'read: loop {
@@ -857,21 +898,7 @@ impl ShardedRuntime {
                             stream.unread(recs.collect());
                             break 'read;
                         }
-                        let bin = rec.timestamp - rec.timestamp % bin_size;
-                        match current_bin {
-                            None => current_bin = Some(bin),
-                            Some(cur) if bin > cur => {
-                                session.flush(&mut batch, roots)?;
-                                let mut b = cur;
-                                while b < bin {
-                                    session.close_bin(roots, b, b + bin_size)?;
-                                    b += bin_size;
-                                }
-                                current_bin = Some(bin);
-                            }
-                            _ => {}
-                        }
-                        dirty = true;
+                        session.close_bins(&mut batch, roots, bins.enter(rec.timestamp))?;
                         batch.push(rec);
                         session.report.records += 1;
                         if batch.len() >= self.cfg.batch_records {
@@ -884,24 +911,8 @@ impl ShardedRuntime {
                     // Watermark-driven closing: everything below the
                     // watermark has been delivered, so bins ending at
                     // or below it are complete — including empty ones.
-                    // A `u64::MAX` limit is not a bin boundary but an
-                    // end-of-feed signal (provider parked the
-                    // watermark at the end of time with nothing left,
-                    // or `stop == u64::MAX` on an open-ended session):
-                    // closing empty bins toward it would spin forever,
-                    // so it only ever terminates via the break below.
-                    let limit = released_through.min(stop);
-                    if limit != u64::MAX && current_bin.is_some_and(|cur| cur + bin_size <= limit) {
-                        session.flush(&mut batch, roots)?;
-                        while let Some(cur) = current_bin {
-                            if cur + bin_size > limit {
-                                break;
-                            }
-                            session.close_bin(roots, cur, cur + bin_size)?;
-                            current_bin = Some(cur + bin_size);
-                            dirty = false;
-                        }
-                    }
+                    let closing = bins.release(released_through.min(stop));
+                    session.close_bins(&mut batch, roots, closing)?;
                     session.drain_results(roots, false)?;
                     if supervised {
                         // Heartbeat check: a worker sitting on
@@ -924,10 +935,8 @@ impl ShardedRuntime {
             }
         }
         session.flush(&mut batch, roots)?;
-        if dirty && !session.report.shutdown {
-            if let Some(cur) = current_bin {
-                session.close_bin(roots, cur, cur + bin_size)?;
-            }
+        if !session.report.shutdown {
+            session.close_bins(&mut batch, roots, bins.finish())?;
         }
         session.finish(roots)
     }
@@ -1223,6 +1232,21 @@ impl<'rt> LiveSession<'rt> {
         self.next_base += recs.len() as u64;
         let seq = self.alloc_seq();
         self.broadcast(ShardMsg::Batch { seq, base, recs }, roots)
+    }
+
+    /// Close every bin in `closing`, after shipping the records that
+    /// precede the first boundary.
+    fn close_bins(
+        &mut self,
+        batch: &mut Vec<BgpStreamRecord>,
+        roots: &mut [&mut dyn ShardedPlugin],
+        closing: impl Iterator<Item = (u64, u64)>,
+    ) -> Result<(), RuntimeError> {
+        for (bin_start, bin_end) in closing {
+            self.flush(batch, roots)?;
+            self.close_bin(roots, bin_start, bin_end)?;
+        }
+        Ok(())
     }
 
     fn close_bin(

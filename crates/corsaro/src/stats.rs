@@ -1,7 +1,7 @@
-//! A stateless classification plugin (§6.1's "stateless" plugin
-//! category): counts records and elems per bin, per collector and per
-//! class. Downstream plugins (or operators) use these series to watch
-//! feed health — e.g. a collector going quiet, or a burst of
+//! A stateful per-bin aggregator (§6.1's second plugin class; the
+//! stateless taggers live in [`crate::tag`]): counts records and elems
+//! per bin, per collector and per class. Operators use these series to
+//! watch feed health — e.g. a collector going quiet, or a burst of
 //! withdrawals.
 
 use std::collections::BTreeMap;

@@ -1,38 +1,35 @@
-//! Stateless classification/tagging plugins (§6.1).
+//! Stateless classification/tagging (§6.1).
 //!
 //! The paper's BGPCorsaro pipeline distinguishes *stateless* plugins —
 //! "performing classification and tagging of BGP records; plugins
 //! following in the pipeline can use such tags to inform their
-//! processing" — from stateful aggregators. This module implements
-//! that tag flow:
+//! processing" — from stateful aggregators. Tags are a pure function
+//! of the record, so a plugin that wants them computes them with
+//! [`tag_record`], under the one [`Plugin`] contract every runner
+//! drives.
 //!
-//! * [`TagSet`] — the tags attached to one record as it moves down the
-//!   pipeline;
+//! * [`TagSet`] — the tags of one record;
 //! * [`Tagger`] — the stateless classifier interface;
 //! * [`ClassifierTagger`] — protocol-level tags (dump type, address
 //!   family, black-holing communities, private ASNs, session state);
 //! * [`GeoTagger`] — origin-AS → country tags from a configurable map;
-//! * [`TaggedPlugin`] / [`run_tagged_pipeline`] — the tag-aware
-//!   pipeline runner;
-//! * [`TagGate`] — adapts any plain [`Plugin`] into a tagged pipeline,
-//!   forwarding only records bearing a required tag;
-//! * [`TagCounter`] — a stateful downstream plugin producing per-bin
+//! * [`Tagged`] — gates any plugin on a tag, under every runner;
+//! * [`TagCounter`] — a stateful plugin producing per-bin
 //!   tag-frequency series.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use bgp_types::{Asn, BLACKHOLE_VALUE};
-use bgpstream::{BgpStream, BgpStreamRecord, ElemType};
+use bgpstream::{BgpStreamRecord, ElemType};
 use broker::DumpType;
 
-use crate::pipeline::Plugin;
+use crate::pipeline::{Partitioning, Plugin};
+use crate::runtime::ShardedPlugin;
 
-/// The tags attached to one record. Tags are short strings; well-known
-/// ones are defined as constants here, plugins may add their own.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TagSet {
-    tags: BTreeSet<String>,
-}
+/// The tags of one record. Tags are short strings; well-known ones are
+/// defined as constants here, taggers may add their own.
+pub type TagSet = BTreeSet<String>;
 
 /// Record came from a RIB dump.
 pub const TAG_RIB: &str = "rib";
@@ -55,53 +52,20 @@ pub const TAG_V6: &str = "v6";
 /// The record is marked not-valid.
 pub const TAG_NOT_VALID: &str = "not-valid";
 
-impl TagSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a tag; returns whether it was new.
-    pub fn add(&mut self, tag: impl Into<String>) -> bool {
-        self.tags.insert(tag.into())
-    }
-
-    /// Whether a tag is present.
-    pub fn has(&self, tag: &str) -> bool {
-        self.tags.contains(tag)
-    }
-
-    /// Number of tags.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether no tags are set.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Iterate tags in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = &str> {
-        self.tags.iter().map(String::as_str)
-    }
-
-    /// Tags with the given prefix (e.g. `geo:`), values only.
-    pub fn values_of(&self, prefix: &str) -> Vec<&str> {
-        self.tags
-            .iter()
-            .filter_map(|t| t.strip_prefix(prefix))
-            .collect()
-    }
+/// A stateless classifier: inspects a record, adds tags. Shared by
+/// every shard of a sharded run, hence `Send + Sync`.
+pub trait Tagger: Send + Sync {
+    /// Add tags for `record` to `tags`.
+    fn tag(&self, record: &BgpStreamRecord, tags: &mut TagSet);
 }
 
-/// A stateless classifier: inspects a record, adds tags.
-pub trait Tagger {
-    /// Short name for logs.
-    fn name(&self) -> &'static str;
-
-    /// Add tags for `record` to `tags`.
-    fn tag(&mut self, record: &BgpStreamRecord, tags: &mut TagSet);
+/// The tags `taggers` give `record`.
+pub fn tag_record(taggers: &[Box<dyn Tagger>], record: &BgpStreamRecord) -> TagSet {
+    let mut tags = TagSet::new();
+    for t in taggers {
+        t.tag(record, &mut tags);
+    }
+    tags
 }
 
 /// Protocol-level classification: dump type, elem types, address
@@ -110,42 +74,35 @@ pub trait Tagger {
 pub struct ClassifierTagger;
 
 impl Tagger for ClassifierTagger {
-    fn name(&self) -> &'static str {
-        "classifier"
-    }
-
-    fn tag(&mut self, record: &BgpStreamRecord, tags: &mut TagSet) {
-        match record.dump_type() {
-            DumpType::Rib => tags.add(TAG_RIB),
-            DumpType::Updates => tags.add(TAG_UPDATES),
+    fn tag(&self, record: &BgpStreamRecord, tags: &mut TagSet) {
+        let mut add = |tag: &str| {
+            tags.insert(tag.to_string());
         };
+        add(match record.dump_type() {
+            DumpType::Rib => TAG_RIB,
+            DumpType::Updates => TAG_UPDATES,
+        });
         if !record.status.is_valid() {
-            tags.add(TAG_NOT_VALID);
+            add(TAG_NOT_VALID);
         }
         for elem in record.elems() {
             match elem.elem_type {
-                ElemType::Announcement => {
-                    tags.add(TAG_ANNOUNCE);
-                }
-                ElemType::Withdrawal => {
-                    tags.add(TAG_WITHDRAW);
-                }
-                ElemType::PeerState => {
-                    tags.add(TAG_STATE);
-                }
+                ElemType::Announcement => add(TAG_ANNOUNCE),
+                ElemType::Withdrawal => add(TAG_WITHDRAW),
+                ElemType::PeerState => add(TAG_STATE),
                 ElemType::RibEntry => {}
             }
             if let Some(p) = &elem.prefix {
-                tags.add(if p.is_ipv4() { TAG_V4 } else { TAG_V6 });
+                add(if p.is_ipv4() { TAG_V4 } else { TAG_V6 });
             }
             if let Some(cs) = &elem.communities {
                 if cs.iter().any(|c| c.value == BLACKHOLE_VALUE) {
-                    tags.add(TAG_BLACKHOLE);
+                    add(TAG_BLACKHOLE);
                 }
             }
             if let Some(path) = &elem.as_path {
                 if path.asns().any(|a| a.is_private()) {
-                    tags.add(TAG_PRIVATE_ASN);
+                    add(TAG_PRIVATE_ASN);
                 }
             }
         }
@@ -167,11 +124,6 @@ impl GeoTagger {
         }
     }
 
-    /// Number of mapped origins.
-    pub fn len(&self) -> usize {
-        self.origins.len()
-    }
-
     /// Whether the map is empty.
     pub fn is_empty(&self) -> bool {
         self.origins.is_empty()
@@ -179,55 +131,36 @@ impl GeoTagger {
 }
 
 impl Tagger for GeoTagger {
-    fn name(&self) -> &'static str {
-        "geo"
-    }
-
-    fn tag(&mut self, record: &BgpStreamRecord, tags: &mut TagSet) {
+    fn tag(&self, record: &BgpStreamRecord, tags: &mut TagSet) {
         for elem in record.elems() {
             if let Some(cc) = elem.origin_asn().and_then(|o| self.origins.get(&o)) {
-                tags.add(format!("geo:{}", String::from_utf8_lossy(cc)));
+                tags.insert(format!("geo:{}", String::from_utf8_lossy(cc)));
             }
         }
     }
 }
 
-/// A plugin that sees the tags added by upstream taggers.
-pub trait TaggedPlugin {
-    /// Short name for logs.
-    fn name(&self) -> &'static str;
-
-    /// One record plus its tags.
-    fn process_record(&mut self, record: &BgpStreamRecord, tags: &TagSet);
-
-    /// The bin `[bin_start, bin_end)` closed.
-    fn end_bin(&mut self, bin_start: u64, bin_end: u64);
-}
-
-/// Adapt a plain [`Plugin`] into a tagged pipeline: the inner plugin
-/// receives only records bearing `required` (pass `None` to forward
-/// everything).
-pub struct TagGate<P> {
-    required: Option<String>,
+/// Gates a plugin on a tag: the inner plugin receives only records
+/// that `taggers` give `required`; everything else — bins, partitioning,
+/// checkpoints, forks, partials and merges — is the inner plugin's.
+///
+/// Under the sharded runtime every shard tags the whole record before
+/// the elem mask applies, so all shards take the same gate decision
+/// and the merged output equals the sequential one.
+pub struct Tagged<P> {
+    taggers: Arc<[Box<dyn Tagger>]>,
+    required: String,
     inner: P,
-    forwarded: u64,
-    dropped: u64,
 }
 
-impl<P: Plugin> TagGate<P> {
-    /// Gate `inner` on the presence of `required`.
-    pub fn new(required: Option<&str>, inner: P) -> Self {
-        TagGate {
-            required: required.map(str::to_string),
+impl<P> Tagged<P> {
+    /// Forward to `inner` only the records tagged `required`.
+    pub fn new(taggers: Arc<[Box<dyn Tagger>]>, required: &str, inner: P) -> Self {
+        Tagged {
+            taggers,
+            required: required.to_string(),
             inner,
-            forwarded: 0,
-            dropped: 0,
         }
-    }
-
-    /// `(forwarded, dropped)` record counts.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.forwarded, self.dropped)
     }
 
     /// The wrapped plugin.
@@ -235,44 +168,79 @@ impl<P: Plugin> TagGate<P> {
         &self.inner
     }
 
-    /// The wrapped plugin, mutable.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
+    fn passes(&self, record: &BgpStreamRecord) -> bool {
+        tag_record(&self.taggers, record).contains(&self.required)
     }
 }
 
-impl<P: Plugin> TaggedPlugin for TagGate<P> {
+impl<P: Plugin> Plugin for Tagged<P> {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
 
-    fn process_record(&mut self, record: &BgpStreamRecord, tags: &TagSet) {
-        let pass = self.required.as_deref().is_none_or(|t| tags.has(t));
-        if pass {
-            self.forwarded += 1;
+    fn process_record(&mut self, record: &BgpStreamRecord) {
+        if self.passes(record) {
             self.inner.process_record(record);
-        } else {
-            self.dropped += 1;
         }
     }
 
-    fn end_bin(&mut self, s: u64, e: u64) {
-        self.inner.end_bin(s, e);
+    fn end_bin(&mut self, bin_start: u64, bin_end: u64) {
+        self.inner.end_bin(bin_start, bin_end);
+    }
+
+    fn partitioning(&self) -> Partitioning {
+        self.inner.partitioning()
+    }
+
+    fn checkpoint(&self) -> Vec<u8> {
+        self.inner.checkpoint()
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
+        self.inner.restore(bytes)
+    }
+}
+
+impl<P: ShardedPlugin> ShardedPlugin for Tagged<P> {
+    fn fork(&self, shard: usize, shards: usize) -> Box<dyn ShardedPlugin> {
+        Box::new(Tagged {
+            taggers: self.taggers.clone(),
+            required: self.required.clone(),
+            inner: self.inner.fork(shard, shards),
+        })
+    }
+
+    fn process_sharded(&mut self, record: &BgpStreamRecord, mask: &[bool]) {
+        if self.passes(record) {
+            self.inner.process_sharded(record, mask);
+        }
+    }
+
+    fn take_partial(&mut self) -> Vec<u8> {
+        self.inner.take_partial()
+    }
+
+    fn merge_bin(&mut self, bin_start: u64, bin_end: u64, partials: Vec<Vec<u8>>) {
+        self.inner.merge_bin(bin_start, bin_end, partials);
     }
 }
 
 /// Per-bin tag frequencies: one `(bin_start, tag → records)` row per
 /// closed bin.
-#[derive(Default)]
 pub struct TagCounter {
+    taggers: Arc<[Box<dyn Tagger>]>,
     current: BTreeMap<String, u64>,
     rows: Vec<(u64, BTreeMap<String, u64>)>,
 }
 
 impl TagCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        Self::default()
+    /// Count the tags `taggers` give each record.
+    pub fn new(taggers: Arc<[Box<dyn Tagger>]>) -> Self {
+        TagCounter {
+            taggers,
+            current: BTreeMap::new(),
+            rows: Vec::new(),
+        }
     }
 
     /// Closed rows so far.
@@ -281,14 +249,14 @@ impl TagCounter {
     }
 }
 
-impl TaggedPlugin for TagCounter {
+impl Plugin for TagCounter {
     fn name(&self) -> &'static str {
         "tag-counter"
     }
 
-    fn process_record(&mut self, _record: &BgpStreamRecord, tags: &TagSet) {
-        for t in tags.iter() {
-            *self.current.entry(t.to_string()).or_insert(0) += 1;
+    fn process_record(&mut self, record: &BgpStreamRecord) {
+        for t in tag_record(&self.taggers, record) {
+            *self.current.entry(t).or_insert(0) += 1;
         }
     }
 
@@ -296,52 +264,6 @@ impl TaggedPlugin for TagCounter {
         self.rows
             .push((bin_start, std::mem::take(&mut self.current)));
     }
-}
-
-/// Drive a tagged pipeline: every record is first passed through all
-/// `taggers` (accumulating one [`TagSet`]), then to all `plugins`.
-/// Binning matches [`crate::pipeline::run_pipeline`]: bins aligned to
-/// `bin_size`, empty bins closed in order.
-pub fn run_tagged_pipeline(
-    stream: &mut BgpStream,
-    bin_size: u64,
-    taggers: &mut [&mut dyn Tagger],
-    plugins: &mut [&mut dyn TaggedPlugin],
-) -> u64 {
-    let bin_size = bin_size.max(1);
-    let mut current_bin: Option<u64> = None;
-    let mut records = 0u64;
-    while let Some(rec) = stream.next_record() {
-        let bin = rec.timestamp - rec.timestamp % bin_size;
-        match current_bin {
-            None => current_bin = Some(bin),
-            Some(cur) if bin > cur => {
-                let mut b = cur;
-                while b < bin {
-                    for p in plugins.iter_mut() {
-                        p.end_bin(b, b + bin_size);
-                    }
-                    b += bin_size;
-                }
-                current_bin = Some(bin);
-            }
-            _ => {}
-        }
-        let mut tags = TagSet::new();
-        for t in taggers.iter_mut() {
-            t.tag(&rec, &mut tags);
-        }
-        for p in plugins.iter_mut() {
-            p.process_record(&rec, &tags);
-        }
-        records += 1;
-    }
-    if let Some(cur) = current_bin {
-        for p in plugins.iter_mut() {
-            p.end_bin(cur, cur + bin_size);
-        }
-    }
-    records
 }
 
 #[cfg(test)]
@@ -381,22 +303,25 @@ mod tests {
         )
     }
 
+    fn classifier() -> Arc<[Box<dyn Tagger>]> {
+        Arc::new([Box::new(ClassifierTagger) as Box<dyn Tagger>])
+    }
+
     #[test]
     fn classifier_tags_protocol_features() {
         let rec = record(
             DumpType::Updates,
             vec![elem("10.0.0.0/8", &[65001, 3356, 137], &[(3356, 666)])],
         );
-        let mut tags = TagSet::new();
-        ClassifierTagger.tag(&rec, &mut tags);
-        assert!(tags.has(TAG_UPDATES));
-        assert!(tags.has(TAG_ANNOUNCE));
-        assert!(tags.has(TAG_BLACKHOLE));
-        assert!(tags.has(TAG_V4));
-        assert!(tags.has(TAG_PRIVATE_ASN), "65001 is private");
-        assert!(!tags.has(TAG_RIB));
-        assert!(!tags.has(TAG_V6));
-        assert!(!tags.has(TAG_STATE));
+        let tags = tag_record(&classifier(), &rec);
+        assert!(tags.contains(TAG_UPDATES));
+        assert!(tags.contains(TAG_ANNOUNCE));
+        assert!(tags.contains(TAG_BLACKHOLE));
+        assert!(tags.contains(TAG_V4));
+        assert!(tags.contains(TAG_PRIVATE_ASN), "65001 is private");
+        assert!(!tags.contains(TAG_RIB));
+        assert!(!tags.contains(TAG_V6));
+        assert!(!tags.contains(TAG_STATE));
     }
 
     #[test]
@@ -410,25 +335,23 @@ mod tests {
                 e
             }],
         );
-        let mut tags = TagSet::new();
-        ClassifierTagger.tag(&rec, &mut tags);
-        assert!(tags.has(TAG_RIB));
-        assert!(tags.has(TAG_V6));
-        assert!(!tags.has(TAG_ANNOUNCE));
-        assert!(!tags.has(TAG_PRIVATE_ASN));
+        let tags = tag_record(&classifier(), &rec);
+        assert!(tags.contains(TAG_RIB));
+        assert!(tags.contains(TAG_V6));
+        assert!(!tags.contains(TAG_ANNOUNCE));
+        assert!(!tags.contains(TAG_PRIVATE_ASN));
     }
 
     #[test]
     fn geo_tagger_maps_origins() {
-        let mut g = GeoTagger::new([(Asn(137), *b"IT"), (Asn(9), *b"AU")]);
+        let g = GeoTagger::new([(Asn(137), *b"IT"), (Asn(9), *b"AU")]);
         let rec = record(
             DumpType::Updates,
             vec![elem("10.0.0.0/8", &[1, 3356, 137], &[])],
         );
         let mut tags = TagSet::new();
         g.tag(&rec, &mut tags);
-        assert!(tags.has("geo:IT"));
-        assert_eq!(tags.values_of("geo:"), vec!["IT"]);
+        assert_eq!(tags.into_iter().collect::<Vec<_>>(), vec!["geo:IT"]);
     }
 
     /// Minimal inner plugin counting records it received.
@@ -445,55 +368,28 @@ mod tests {
 
     #[test]
     fn tag_gate_filters_on_required_tag() {
-        let mut gate = TagGate::new(Some(TAG_BLACKHOLE), Count(0));
+        let mut gate = Tagged::new(classifier(), TAG_BLACKHOLE, Count(0));
         let bh = record(
             DumpType::Updates,
             vec![elem("10.0.0.0/8", &[1, 2], &[(3356, 666)])],
         );
         let plain = record(DumpType::Updates, vec![elem("10.0.0.0/8", &[1, 2], &[])]);
-        let mut tags = TagSet::new();
-        ClassifierTagger.tag(&bh, &mut tags);
-        gate.process_record(&bh, &tags);
-        let mut tags = TagSet::new();
-        ClassifierTagger.tag(&plain, &mut tags);
-        gate.process_record(&plain, &tags);
-        assert_eq!(gate.stats(), (1, 1));
+        gate.process_record(&bh);
+        gate.process_record(&plain);
         assert_eq!(gate.inner().0, 1);
     }
 
     #[test]
-    fn tag_gate_without_requirement_forwards_all() {
-        let mut gate = TagGate::new(None, Count(0));
-        let rec = record(DumpType::Updates, vec![]);
-        gate.process_record(&rec, &TagSet::new());
-        assert_eq!(gate.stats(), (1, 0));
-    }
-
-    #[test]
     fn tag_counter_rows_per_bin() {
-        let mut c = TagCounter::new();
-        let mut tags = TagSet::new();
-        tags.add(TAG_UPDATES);
-        tags.add(TAG_ANNOUNCE);
-        let rec = record(DumpType::Updates, vec![]);
-        c.process_record(&rec, &tags);
-        c.process_record(&rec, &tags);
+        let mut c = TagCounter::new(classifier());
+        let rec = record(DumpType::Updates, vec![elem("10.0.0.0/8", &[1, 2], &[])]);
+        c.process_record(&rec);
+        c.process_record(&rec);
         c.end_bin(0, 60);
-        c.process_record(&rec, &tags);
+        c.process_record(&rec);
         c.end_bin(60, 120);
         assert_eq!(c.rows().len(), 2);
         assert_eq!(c.rows()[0].1[TAG_UPDATES], 2);
         assert_eq!(c.rows()[1].1[TAG_ANNOUNCE], 1);
-    }
-
-    #[test]
-    fn tagset_basics() {
-        let mut t = TagSet::new();
-        assert!(t.is_empty());
-        assert!(t.add("a"));
-        assert!(!t.add("a"));
-        assert_eq!(t.len(), 1);
-        assert!(t.has("a") && !t.has("b"));
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec!["a"]);
     }
 }

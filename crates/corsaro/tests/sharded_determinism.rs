@@ -11,15 +11,23 @@
 //! Nothing observed downstream may depend on that drift.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bgpstream::BgpStream;
-use broker::{Index, LocalBroker};
+use broker::{
+    BrokerClient, BrokerCursor, BrokerError, Index, LeaseId, LivePoll, LocalBroker, Query,
+    ReleasePolicy, Response,
+};
 use bytes::{Buf, BufMut, BytesMut};
 use collector_sim::{standard_collectors, SimConfig, Simulator};
 use corsaro::runtime::{shard_of_prefix, ShardedPlugin, ShardedRuntime};
+use corsaro::tag::{ClassifierTagger, Tagged, Tagger, TAG_ANNOUNCE};
 use corsaro::{
-    run_pipeline, ElemCounter, Partitioning, PfxMonitor, Plugin, RtBinStats, RtErrorStats, RtPlugin,
+    run_pipeline, ElemCounter, Partitioning, PfxMonitor, PfxPoint, Plugin, RtBinStats,
+    RtErrorStats, RtPlugin,
 };
 use mq::Cluster;
 use topology::control::ControlPlane;
@@ -49,6 +57,9 @@ struct Jitter {
     owned_elems: u64,
     /// Cumulative owned-elem count at each bin close.
     pub series: Vec<u64>,
+    /// The root reports the end of every bin it merges here: the
+    /// signal a lockstep feeder waits on.
+    merged: Option<Sender<u64>>,
 }
 
 impl Jitter {
@@ -57,6 +68,7 @@ impl Jitter {
             shard: None,
             owned_elems: 0,
             series: Vec::new(),
+            merged: None,
         }
     }
 }
@@ -130,9 +142,12 @@ impl ShardedPlugin for Jitter {
         out.to_vec()
     }
 
-    fn merge_bin(&mut self, _s: u64, _e: u64, partials: Vec<Vec<u8>>) {
+    fn merge_bin(&mut self, _s: u64, bin_end: u64, partials: Vec<Vec<u8>>) {
         let total: u64 = partials.iter().map(|p| (&p[..]).get_u64()).sum();
         self.series.push(total);
+        if let Some(merged) = &self.merged {
+            let _ = merged.send(bin_end);
+        }
     }
 }
 
@@ -143,6 +158,8 @@ impl ShardedPlugin for Jitter {
 struct RunOutput {
     records: u64,
     pfx_bytes: Vec<u8>,
+    /// The `PfxMonitor` behind an announcement gate.
+    gated_pfx: Vec<PfxPoint>,
     rt_series: Vec<RtBinStats>,
     rt_errors: Vec<RtErrorStats>,
     stats_bytes: Vec<u8>,
@@ -218,56 +235,101 @@ fn build_world(seed: u64) -> World {
     }
 }
 
+/// The plugin set every determinism run drives, built in one place so
+/// the sequential, sharded, live and supervised runs compare like with
+/// like.
+struct Plugins {
+    mq: Arc<Cluster>,
+    pfx: PfxMonitor,
+    /// A second `PfxMonitor` that sees only records carrying an
+    /// announcement (no RIB dump, no withdrawal-only update): every
+    /// shard must take the same gate decision.
+    gated_pfx: Tagged<PfxMonitor>,
+    rts: Vec<RtPlugin>,
+    stats: ElemCounter,
+    jitter: Jitter,
+}
+
+impl Plugins {
+    fn new(world: &World) -> Self {
+        let mq = Cluster::shared();
+        let taggers: Arc<[Box<dyn Tagger>]> = Arc::new([Box::new(ClassifierTagger) as _]);
+        Plugins {
+            pfx: PfxMonitor::new(world.ranges.iter().copied()),
+            gated_pfx: Tagged::new(
+                taggers,
+                TAG_ANNOUNCE,
+                PfxMonitor::new(world.ranges.iter().copied()),
+            ),
+            rts: world
+                .collectors
+                .iter()
+                .map(|c| RtPlugin::new(c).with_queue(mq.clone(), 3))
+                .collect(),
+            stats: ElemCounter::new(),
+            jitter: Jitter::new(),
+            mq,
+        }
+    }
+
+    fn sequential(&mut self) -> Vec<&mut dyn Plugin> {
+        self.sharded()
+            .into_iter()
+            .map(|p| p as &mut dyn Plugin)
+            .collect()
+    }
+
+    fn sharded(&mut self) -> Vec<&mut dyn ShardedPlugin> {
+        let mut plugins: Vec<&mut dyn ShardedPlugin> = vec![
+            &mut self.pfx,
+            &mut self.stats,
+            &mut self.jitter,
+            &mut self.gated_pfx,
+        ];
+        for rt in self.rts.iter_mut() {
+            plugins.push(rt);
+        }
+        plugins
+    }
+
+    fn output(&self, records: u64) -> RunOutput {
+        let mut mq_payloads = drain_topic(&self.mq, "rt.tables");
+        mq_payloads.extend(drain_topic(&self.mq, "rt.meta"));
+        RunOutput {
+            records,
+            pfx_bytes: format!("{:?}", self.pfx.series).into_bytes(),
+            gated_pfx: self.gated_pfx.inner().series.clone(),
+            rt_series: self
+                .rts
+                .iter()
+                .flat_map(|rt| rt.bin_series.clone())
+                .collect(),
+            rt_errors: self.rts.iter().map(|rt| rt.error_stats).collect(),
+            stats_bytes: format!("{:?}", self.stats.series).into_bytes(),
+            jitter_series: self.jitter.series.clone(),
+            mq_payloads,
+        }
+    }
+}
+
 /// Run the plugin set sequentially (`workers == None`) or sharded.
 fn run_once(world: &World, workers: Option<(usize, usize, usize)>) -> RunOutput {
     let mut stream = BgpStream::builder()
         .broker_client(LocalBroker::shared(world.index.clone()))
         .interval(0, Some(world.horizon))
         .start();
-    let mq = Cluster::shared();
-    let mut pfx = PfxMonitor::new(world.ranges.iter().copied());
-    let mut rts: Vec<RtPlugin> = world
-        .collectors
-        .iter()
-        .map(|c| RtPlugin::new(c).with_queue(mq.clone(), 3))
-        .collect();
-    let mut stats = ElemCounter::new();
-    let mut jitter = Jitter::new();
-
+    let mut plugins = Plugins::new(world);
     let records = match workers {
-        None => {
-            let mut plugins: Vec<&mut dyn Plugin> = vec![&mut pfx, &mut stats, &mut jitter];
-            for rt in rts.iter_mut() {
-                plugins.push(rt);
-            }
-            run_pipeline(&mut stream, 300, &mut plugins)
-        }
-        Some((n, batch, queue)) => {
-            let mut plugins: Vec<&mut dyn ShardedPlugin> = vec![&mut pfx, &mut stats, &mut jitter];
-            for rt in rts.iter_mut() {
-                plugins.push(rt);
-            }
-            ShardedRuntime::builder()
-                .workers(n)
-                .bin_size(300)
-                .batch_records(batch)
-                .queue_batches(queue)
-                .build()
-                .run(&mut stream, &mut plugins)
-        }
+        None => run_pipeline(&mut stream, 300, &mut plugins.sequential()),
+        Some((n, batch, queue)) => ShardedRuntime::builder()
+            .workers(n)
+            .bin_size(300)
+            .batch_records(batch)
+            .queue_batches(queue)
+            .build()
+            .run(&mut stream, &mut plugins.sharded()),
     };
-
-    let mut mq_payloads = drain_topic(&mq, "rt.tables");
-    mq_payloads.extend(drain_topic(&mq, "rt.meta"));
-    RunOutput {
-        records,
-        pfx_bytes: format!("{:?}", pfx.series).into_bytes(),
-        rt_series: rts.iter().flat_map(|rt| rt.bin_series.clone()).collect(),
-        rt_errors: rts.iter().map(|rt| rt.error_stats).collect(),
-        stats_bytes: format!("{:?}", stats.series).into_bytes(),
-        jitter_series: jitter.series.clone(),
-        mq_payloads,
-    }
+    plugins.output(records)
 }
 
 /// Last bin boundary strictly above every record of the archive —
@@ -292,31 +354,9 @@ fn run_historical_until(world: &World, stop: u64) -> RunOutput {
         .broker_client(LocalBroker::shared(world.index.clone()))
         .interval(0, Some(world.horizon))
         .start();
-    let mq = Cluster::shared();
-    let mut pfx = PfxMonitor::new(world.ranges.iter().copied());
-    let mut rts: Vec<RtPlugin> = world
-        .collectors
-        .iter()
-        .map(|c| RtPlugin::new(c).with_queue(mq.clone(), 3))
-        .collect();
-    let mut stats = ElemCounter::new();
-    let mut jitter = Jitter::new();
-    let mut plugins: Vec<&mut dyn Plugin> = vec![&mut pfx, &mut stats, &mut jitter];
-    for rt in rts.iter_mut() {
-        plugins.push(rt);
-    }
-    let records = corsaro::run_pipeline_until(&mut stream, 300, stop, &mut plugins);
-    let mut mq_payloads = drain_topic(&mq, "rt.tables");
-    mq_payloads.extend(drain_topic(&mq, "rt.meta"));
-    RunOutput {
-        records,
-        pfx_bytes: format!("{:?}", pfx.series).into_bytes(),
-        rt_series: rts.iter().flat_map(|rt| rt.bin_series.clone()).collect(),
-        rt_errors: rts.iter().map(|rt| rt.error_stats).collect(),
-        stats_bytes: format!("{:?}", stats.series).into_bytes(),
-        jitter_series: jitter.series.clone(),
-        mq_payloads,
-    }
+    let mut plugins = Plugins::new(world);
+    let records = corsaro::run_pipeline_until(&mut stream, 300, stop, &mut plugins.sequential());
+    plugins.output(records)
 }
 
 /// Supervisor settings for deterministic tests: a manual clock makes
@@ -376,50 +416,27 @@ fn run_live_once(
         .clock(clock)
         .poll_interval(std::time::Duration::from_millis(1))
         .start();
-    let mq = Cluster::shared();
-    let mut pfx = PfxMonitor::new(world.ranges.iter().copied());
-    let mut rts: Vec<RtPlugin> = world
-        .collectors
-        .iter()
-        .map(|c| RtPlugin::new(c).with_queue(mq.clone(), 3))
-        .collect();
-    let mut stats = ElemCounter::new();
-    let mut jitter = Jitter::new();
-    let mut plugins: Vec<&mut dyn ShardedPlugin> = vec![&mut pfx, &mut stats, &mut jitter];
-    for rt in rts.iter_mut() {
-        plugins.push(rt);
-    }
+    let mut plugins = Plugins::new(world);
     let runtime = ShardedRuntime::builder()
         .workers(workers)
         .bin_size(300)
         .build();
     let report = if chaos.is_empty() {
         runtime
-            .run_live(&mut stream, stop, None, &mut plugins)
+            .run_live(&mut stream, stop, None, &mut plugins.sharded())
             .expect("run_live")
     } else {
         corsaro::Supervisor::new(runtime)
             .with_config(test_supervisor_config())
             .with_chaos(chaos.clone())
-            .run_live(&mut stream, stop, None, &mut plugins)
+            .run_live(&mut stream, stop, None, &mut plugins.sharded())
             .expect("supervised run_live")
     };
     let feeder_stats = driver.join().expect("feeder driver");
     assert!(feeder_stats.published > 0);
     assert!(!report.shutdown);
     assert!(report.bins_closed > 0, "live run must close bins");
-
-    let mut mq_payloads = drain_topic(&mq, "rt.tables");
-    mq_payloads.extend(drain_topic(&mq, "rt.meta"));
-    let out = RunOutput {
-        records: report.records,
-        pfx_bytes: format!("{:?}", pfx.series).into_bytes(),
-        rt_series: rts.iter().flat_map(|rt| rt.bin_series.clone()).collect(),
-        rt_errors: rts.iter().map(|rt| rt.error_stats).collect(),
-        stats_bytes: format!("{:?}", stats.series).into_bytes(),
-        jitter_series: jitter.series.clone(),
-        mq_payloads,
-    };
+    let out = plugins.output(report.records);
     (out, report)
 }
 
@@ -463,6 +480,185 @@ fn run_live_output_is_byte_identical_to_historical_run() {
         assert_eq!(
             baseline, live,
             "live output diverged at workers={workers} seed={seed}"
+        );
+    }
+    std::fs::remove_dir_all(&world.dir).ok();
+}
+
+/// A local broker that reports each idle wait of the stream reading
+/// from it: `BgpStream::next_batch_step` calls `wait_for_new` only when
+/// it has nothing to deliver, and returns `BatchStep::Idle` with its
+/// last polled watermark right after.
+struct IdleProbe {
+    broker: Arc<LocalBroker>,
+    idle: Sender<()>,
+}
+
+impl BrokerClient for IdleProbe {
+    fn query(
+        &self,
+        query: &Query,
+        cursor: &mut BrokerCursor,
+        now: u64,
+    ) -> Result<Response, BrokerError> {
+        self.broker.query(query, cursor, now)
+    }
+
+    fn open_live(
+        &self,
+        query: &Query,
+        policy: ReleasePolicy,
+        resume: Option<LeaseId>,
+    ) -> Result<LeaseId, BrokerError> {
+        self.broker.open_live(query, policy, resume)
+    }
+
+    fn poll_live(&self, lease: LeaseId, now: u64) -> Result<LivePoll, BrokerError> {
+        self.broker.poll_live(lease, now)
+    }
+
+    fn renew_lease(&self, lease: LeaseId) -> Result<(), BrokerError> {
+        self.broker.renew_lease(lease)
+    }
+
+    fn close_lease(&self, lease: LeaseId) -> Result<(), BrokerError> {
+        self.broker.close_lease(lease)
+    }
+
+    fn version(&self) -> u64 {
+        self.broker.version()
+    }
+
+    fn wait_for_new(&self, last_version: u64, timeout: Duration) -> bool {
+        let _ = self.idle.send(());
+        self.broker.wait_for_new(last_version, timeout)
+    }
+}
+
+/// Receive on `rx`, or shut the session down and fail after a minute:
+/// a guard against a wedged consumer, not a synchronisation step.
+fn recv_or_give_up<T>(rx: &Receiver<T>, give_up: &AtomicBool, what: &str) -> T {
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|_| {
+            give_up.store(true, Ordering::SeqCst);
+            panic!("lockstep feeder timed out waiting for {what}");
+        })
+}
+
+/// A live run in lockstep with its feeder, on 900-second broker
+/// windows: one RouteViews updates dump or three RIS ones, so a window
+/// never releases records past its end. Each time the stream's
+/// watermark moves, the feeder waits until the root has merged the bin
+/// the watermark closed, and then for one more idle step of the
+/// stream: that step re-reports the same watermark, which now lies
+/// inside the open bin. So the consumer idles with an open bin between
+/// records, deterministically, before the next window is published.
+/// Returns the output, the report and the number of such steps.
+fn run_lockstep_once(
+    world: &World,
+    workers: usize,
+    stop: u64,
+) -> (RunOutput, corsaro::LiveRunReport, u32) {
+    const BIN: u64 = 300;
+    const WINDOW: u64 = 900;
+    // No bin closes before the first record's bin has ended.
+    let first_close = {
+        let mut stream = BgpStream::builder()
+            .broker_client(LocalBroker::shared(world.index.clone()))
+            .interval(0, Some(world.horizon))
+            .start();
+        let first = stream.next_record().expect("archive has records").timestamp;
+        first - first % BIN + BIN
+    };
+    let live_index = Arc::new(Index::with_window(WINDOW));
+    let mut feeder = collector_sim::LiveFeeder::new(
+        &world.manifest,
+        live_index.clone(),
+        &collector_sim::FaultPlan::none(),
+        5,
+    );
+    let clock = bgpstream::Clock::manual(0);
+    let (merged_tx, merged_rx) = mpsc::channel::<u64>();
+    let (idle_tx, idle_rx) = mpsc::channel::<()>();
+    let give_up = Arc::new(AtomicBool::new(false));
+    let driver = {
+        let clock = clock.clone();
+        let index = live_index.clone();
+        let give_up = give_up.clone();
+        std::thread::spawn(move || {
+            let (mut t, mut waited_through, mut steps) = (0u64, 0u64, 0u32);
+            while !feeder.done() {
+                t += 60;
+                feeder.publish_until(t);
+                clock.advance_to(t);
+                let watermark = index.watermark();
+                let through = watermark - watermark % WINDOW;
+                if watermark == u64::MAX
+                    || through >= stop
+                    || through < first_close
+                    || through <= waited_through
+                {
+                    continue;
+                }
+                // The stream releases through `through`; no record at
+                // or past it exists yet, so the watermark closes the
+                // bin ending there.
+                while recv_or_give_up(&merged_rx, &give_up, "the closed bin") < through {}
+                while idle_rx.try_recv().is_ok() {}
+                recv_or_give_up(&idle_rx, &give_up, "an idle step");
+                waited_through = through;
+                steps += 1;
+            }
+            clock.advance_to(feeder.horizon().saturating_add(1));
+            steps
+        })
+    };
+
+    let probe = Arc::new(IdleProbe {
+        broker: LocalBroker::shared(live_index),
+        idle: idle_tx,
+    });
+    let mut stream = BgpStream::builder()
+        .broker_client(probe)
+        .live(0)
+        .watermark_release()
+        .clock(clock)
+        .poll_interval(Duration::from_millis(1))
+        .start();
+    let mut plugins = Plugins::new(world);
+    plugins.jitter.merged = Some(merged_tx);
+    let report = ShardedRuntime::builder()
+        .workers(workers)
+        .bin_size(BIN)
+        .build()
+        .run_live(&mut stream, stop, Some(&give_up), &mut plugins.sharded())
+        .expect("run_live");
+    let steps = driver.join().expect("lockstep feeder");
+    assert!(!report.shutdown);
+    let out = plugins.output(report.records);
+    (out, report, steps)
+}
+
+#[test]
+fn lockstep_live_run_idles_in_open_bins_and_matches_the_historical_run() {
+    // The live loop's quiet-period path: between two records the
+    // stream idles with a watermark inside the open bin, which must
+    // close nothing and keep that bin open. A backlog replay never
+    // idles between records; the lockstep feeder forces it every bin.
+    let world = build_world(83);
+    let stop = stop_after_last_record(&world, 300);
+    let baseline = run_historical_until(&world, stop);
+    assert!(baseline.records > 0);
+    for workers in [1usize, 3] {
+        let (live, report, steps) = run_lockstep_once(&world, workers, stop);
+        assert!(
+            steps >= 5,
+            "only {steps} lockstep steps at workers={workers}"
+        );
+        assert!(report.bins_closed > 0);
+        assert_eq!(
+            baseline, live,
+            "lockstep output diverged at workers={workers}"
         );
     }
     std::fs::remove_dir_all(&world.dir).ok();
@@ -790,6 +986,15 @@ fn sharded_outputs_are_byte_identical_to_sequential() {
         assert!(
             !sequential.mq_payloads.concat().is_empty(),
             "rt plugins must publish"
+        );
+        assert!(
+            sequential.gated_pfx.iter().any(|p| p.prefixes > 0),
+            "the gated monitor must see prefixes"
+        );
+        assert_ne!(
+            format!("{:?}", sequential.gated_pfx).into_bytes(),
+            sequential.pfx_bytes,
+            "the announcement gate must change the series"
         );
         // Worker counts {1, 2, 4} across queue/batch shapes from
         // maximally contended (1, 1) to coarse (512, 8).
