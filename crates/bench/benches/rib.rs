@@ -5,7 +5,9 @@
 //! beat replaying the whole journal from genesis
 //! (`rib/full_replay`). CI gates the latter pair at >=5x via
 //! `bench_gate --min-speedup` (same-run ratio, no parallelism, never
-//! self-skips).
+//! self-skips). A prefix query at the same instant
+//! (`rib/narrowed_query`) decodes only the rows it keeps, so CI also
+//! gates it against the full-table `rib/time_travel_query`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -97,6 +99,25 @@ fn bench_rib(c: &mut Criterion) {
         b.iter(|| {
             let view = RibQuery::new()
                 .at(t)
+                .table(&*store)
+                .expect("below watermark");
+            black_box(view.encode().len())
+        })
+    });
+
+    // The same instant narrowed to one prefix: the snapshot walk skips
+    // every other row undecoded and the delta touches only its cells.
+    let prefix = RibQuery::new()
+        .at(t)
+        .table(&*store)
+        .expect("below watermark")
+        .rows[0]
+        .prefix;
+    g.bench_function("narrowed_query", |b| {
+        b.iter(|| {
+            let view = RibQuery::new()
+                .at(t)
+                .prefix(prefix)
                 .table(&*store)
                 .expect("below watermark");
             black_box(view.encode().len())

@@ -6,21 +6,33 @@
 //! ([`history`](RibQuery::history)), narrow by
 //! [`prefix`](RibQuery::prefix) / [`origin_asn`](RibQuery::origin_asn)
 //! / [`peer`](RibQuery::peer) / [`collector`](RibQuery::collector),
-//! then resolve: [`table`](RibQuery::table) materializes the routing
+//! then resolve: [`table`](RibQuery::table) answers with the routing
 //! table *as of* the instant (time-travel), [`events`](RibQuery::events)
-//! returns the journal slice (what changed, when). Resolution is
-//! O(snapshot + delta): restore the latest sealed snapshot at or
-//! before the instant, replay the journal tail through the same
-//! transition function the fold used.
+//! returns the journal slice (what changed, when).
+//!
+//! Resolution narrows while it reads, never after. It walks the
+//! latest sealed snapshot at or before the instant and decodes only
+//! the rows the query admits, then visits the journal tail by
+//! reference, applying to the admitted cells the transition rules
+//! [`RibTable::apply`] applies to the whole table. An unnarrowed
+//! query is the predicate that admits everything; there is no second
+//! path.
+//!
+//! [`RibTable::apply`]: crate::RibTable::apply
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix};
+use bgpstream::codec::{ip_sort_key, open_frame, prefix_sort_key};
 
 use crate::store::RibStore;
-use crate::table::{RibAction, RibEvent, RibTable, TableView};
+use crate::table::{
+    walk_table, RibAction, RibEvent, RibRoute, Section, TableRow, TableView, TableVisitor,
+};
 
 /// Why a query could not resolve.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -127,9 +139,12 @@ impl RibQuery {
         self
     }
 
-    /// Materialize the routing table as of the queried instant:
-    /// latest snapshot `S ≤ T`, journal replay of `[S, T]`, canonical
-    /// row order, then the query's narrowing filters.
+    /// The routing table as of the queried instant, narrowed by the
+    /// query's filters: the latest snapshot `S ≤ T` walked with only
+    /// the admitted rows decoded, the journal slice `[S, T]` applied to
+    /// those rows, canonical row order. The snapshot's checksum is
+    /// checked on every call, and a snapshot the full decode refuses
+    /// fails every query with the same error.
     pub fn table(&self, store: &dyn RibStore) -> Result<TableView, RibError> {
         let watermark = store.watermark();
         if watermark == 0 {
@@ -142,28 +157,25 @@ impl RibQuery {
                 watermark,
             });
         }
-        let (mut table, from) = match store.snapshot_at(at) {
-            Some(snap) => (snap.table().map_err(RibError::Corrupt)?, snap.at),
-            None => (RibTable::new(), 0),
+        let mut resolver = Resolver::new(self);
+        let from = match store.snapshot_at(at) {
+            Some(snap) => {
+                open_frame(snap.frame())
+                    .and_then(|payload| walk_table(payload, &mut resolver))
+                    .map_err(RibError::Corrupt)?;
+                snap.at
+            }
+            None => 0,
         };
         // The snapshot holds events with time < from; the journal
         // tail [from, at] is exactly what is missing.
-        for ev in store.events_in(from, at) {
-            table.apply(&ev);
-        }
-        let mut view = table.view(at);
-        view.rows.retain(|row| {
-            self.matches_meta(&row.collector, &row.peer)
-                && self.matches_prefix(&row.prefix)
-                && self
-                    .origin
-                    .is_none_or(|o| row.route.origin_asn() == Some(o))
-        });
-        Ok(view)
+        store.visit_events_in(from, at, &mut |ev| resolver.apply(ev));
+        Ok(resolver.view(at))
     }
 
     /// The journal slice for the [`history`](RibQuery::history)
-    /// range, narrowed by the query's filters.
+    /// range, narrowed by the query's filters. An inverted range
+    /// (`from > to`) has no events.
     pub fn events(&self, store: &dyn RibStore) -> Result<Vec<RibEvent>, RibError> {
         let (from, to) = self.history.ok_or(RibError::MissingHistoryRange)?;
         let watermark = store.watermark();
@@ -176,11 +188,13 @@ impl RibQuery {
                 watermark,
             });
         }
-        Ok(store
-            .events_in(from, to)
-            .into_iter()
-            .filter(|ev| self.matches_event(ev))
-            .collect())
+        let mut events = Vec::new();
+        store.visit_events_in(from, to, &mut |ev| {
+            if self.matches_event(ev) {
+                events.push(ev.clone());
+            }
+        });
+        Ok(events)
     }
 
     fn matches_meta(&self, collector: &str, peer: &IpAddr) -> bool {
@@ -198,6 +212,10 @@ impl RibQuery {
             PrefixMatch::LessSpecific => prefix.contains(f),
             PrefixMatch::Any => f.overlaps(prefix),
         }
+    }
+
+    fn matches_route(&self, prefix: &Prefix, route: &RibRoute) -> bool {
+        self.matches_prefix(prefix) && self.origin.is_none_or(|o| route.origin_asn() == Some(o))
     }
 
     fn matches_event(&self, ev: &RibEvent) -> bool {
@@ -232,12 +250,135 @@ impl RibQuery {
     }
 }
 
+/// One admitted vantage point's admitted rows, keyed canonically.
+struct PeerRows {
+    peer: IpAddr,
+    peer_asn: Asn,
+    rows: BTreeMap<(bool, u8, u128), (Prefix, RibRoute)>,
+}
+
+/// The one resolution path of [`RibQuery::table`]: a [`TableVisitor`]
+/// over the snapshot that keeps only the admitted rows, then the
+/// journal tail applied to them, then the rows moved out in canonical
+/// `(collector, peer, prefix)` order.
+///
+/// On the admitted cells it applies what [`RibTable::apply`] does to
+/// the whole table. Every event of an admitted vantage point sets its
+/// ASN; an announcement the query admits installs its row, one it does
+/// not admit removes the cell (the route it replaced may have been
+/// admitted); a withdrawal removes the cell; peer-down clears the peer.
+///
+/// [`RibTable::apply`]: crate::RibTable::apply
+struct Resolver<'q> {
+    query: &'q RibQuery,
+    /// Admitted vantage points by collector and canonical address.
+    peers: BTreeMap<(Arc<str>, (bool, u128)), PeerRows>,
+    /// The snapshot section being read, when the query admits it.
+    open: Option<(Arc<str>, PeerRows)>,
+}
+
+impl<'q> Resolver<'q> {
+    fn new(query: &'q RibQuery) -> Self {
+        Resolver {
+            query,
+            peers: BTreeMap::new(),
+            open: None,
+        }
+    }
+
+    /// Apply one journal event to the admitted cells.
+    fn apply(&mut self, ev: &RibEvent) {
+        if !self.query.matches_meta(&ev.collector, &ev.peer) {
+            return;
+        }
+        let peer = self
+            .peers
+            .entry((ev.collector.clone(), ip_sort_key(&ev.peer)))
+            .or_insert_with(|| PeerRows {
+                peer: ev.peer,
+                peer_asn: ev.peer_asn,
+                rows: BTreeMap::new(),
+            });
+        peer.peer_asn = ev.peer_asn;
+        match &ev.action {
+            RibAction::Announce { prefix, route } if self.query.matches_route(prefix, route) => {
+                peer.rows
+                    .insert(prefix_sort_key(prefix), (*prefix, route.clone()));
+            }
+            RibAction::Announce { prefix, .. } | RibAction::Withdraw { prefix } => {
+                peer.rows.remove(&prefix_sort_key(prefix));
+            }
+            RibAction::PeerDown => peer.rows.clear(),
+            RibAction::PeerUp => {}
+        }
+    }
+
+    /// Move the admitted rows out in canonical order.
+    fn view(self, at: u64) -> TableView {
+        let mut rows = Vec::with_capacity(self.peers.values().map(|p| p.rows.len()).sum());
+        for ((collector, _), peer) in self.peers {
+            rows.extend(peer.rows.into_values().map(|(prefix, route)| TableRow {
+                collector: collector.clone(),
+                peer: peer.peer,
+                peer_asn: peer.peer_asn,
+                prefix,
+                route,
+            }));
+        }
+        TableView { at, rows }
+    }
+}
+
+impl TableVisitor for Resolver<'_> {
+    fn section(&mut self, section: Section<'_>) {
+        self.open = self
+            .query
+            .matches_meta(&section.collector, &section.peer)
+            .then(|| {
+                (
+                    section.collector.into(),
+                    PeerRows {
+                        peer: section.peer,
+                        peer_asn: section.peer_asn,
+                        rows: BTreeMap::new(),
+                    },
+                )
+            });
+    }
+
+    fn wants(&self, prefix: &Prefix) -> bool {
+        self.open.is_some() && self.query.matches_prefix(prefix)
+    }
+
+    fn row(&mut self, prefix: Prefix, route: RibRoute) {
+        let Some((_, peer)) = &mut self.open else {
+            return;
+        };
+        let key = prefix_sort_key(&prefix);
+        if self.query.matches_route(&prefix, &route) {
+            peer.rows.insert(key, (prefix, route));
+        } else {
+            // A repeated prefix replaces the earlier row.
+            peer.rows.remove(&key);
+        }
+    }
+
+    fn end_section(&mut self) {
+        if let Some((collector, peer)) = self.open.take() {
+            // A repeated section replaces the earlier one.
+            self.peers
+                .insert((collector, ip_sort_key(&peer.peer)), peer);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::{MemoryRibStore, Snapshot};
-    use crate::table::{RibAction, RibRoute};
+    use crate::table::RibTable;
     use bgp_types::AsPath;
+    use bgpstream::codec::seal_frame;
     use std::sync::Arc;
 
     fn announce(
@@ -410,5 +551,124 @@ mod tests {
         snapped.publish(200, store.events_in(100, 199), None);
         let via_snapshot = RibQuery::new().at(199).table(&snapped).unwrap();
         assert_eq!(via_snapshot.encode(), full.encode());
+    }
+
+    #[test]
+    fn an_inverted_history_range_has_no_events() {
+        // An empty range has no events, whichever way it is inverted.
+        let store = seeded_store();
+        assert_eq!(
+            RibQuery::new().history(200, 100).events(&*store),
+            Ok(vec![])
+        );
+        assert_eq!(RibQuery::new().history(150, 20).events(&*store), Ok(vec![]));
+    }
+
+    /// Every table query kind over `store`, at an instant the snapshot
+    /// at 100 answers.
+    fn every_kind(store: &MemoryRibStore) -> Vec<Result<TableView, RibError>> {
+        let p: Prefix = "1.0.0.0/8".parse().unwrap();
+        let mut queries = vec![
+            RibQuery::new(),
+            RibQuery::new().origin_asn(Asn(99)),
+            RibQuery::new().peer("10.0.1.9".parse().unwrap()),
+            RibQuery::new().collector("rrc00"),
+            RibQuery::new().prefix(p).collector("route-views2"),
+        ];
+        for mode in [
+            PrefixMatch::Exact,
+            PrefixMatch::MoreSpecific,
+            PrefixMatch::LessSpecific,
+            PrefixMatch::Any,
+        ] {
+            queries.push(RibQuery::new().prefix_matching(p, mode));
+        }
+        queries
+            .into_iter()
+            .map(|q| q.at(150).table(store))
+            .collect()
+    }
+
+    /// A store whose only snapshot is `frame`, sealed at 100, with one
+    /// journal event after it.
+    fn store_over(frame: Vec<u8>) -> (MemoryRibStore, Snapshot) {
+        let snap = Snapshot::from_frame(100, frame);
+        let store = MemoryRibStore::new();
+        store.publish(100, vec![], Some(snap.clone()));
+        store.publish(
+            200,
+            vec![withdraw(120, "rrc00", "10.0.0.9", 65001, "2.0.0.0/8")],
+            None,
+        );
+        (store, snap)
+    }
+
+    #[test]
+    fn a_snapshot_the_full_decode_refuses_fails_every_query_alike() {
+        let mut table = RibTable::new();
+        for ev in seeded_store().events_in(0, 99) {
+            table.apply(&ev);
+        }
+        let payload = table.encode();
+        // A payload cut anywhere, re-sealed so the checksum passes.
+        for cut in 0..payload.len() {
+            let (store, snap) = store_over(seal_frame(&payload[..cut]));
+            let want = snap.table().unwrap_err();
+            for got in every_kind(&store) {
+                assert_eq!(got, Err(RibError::Corrupt(want.clone())), "cut at {cut}");
+            }
+        }
+        // A flipped checksum byte.
+        let mut frame = table.seal();
+        *frame.last_mut().unwrap() ^= 1;
+        let (store, snap) = store_over(frame);
+        let want = snap.table().unwrap_err();
+        for got in every_kind(&store) {
+            assert_eq!(got, Err(RibError::Corrupt(want.clone())));
+        }
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_answers_as_the_full_decode_does() {
+        // Flips that still decode can repeat a section or a prefix, or
+        // break the canonical order: narrowed answers must still equal
+        // the full decode's, resolved and then filtered.
+        let mut table = RibTable::new();
+        for ev in seeded_store().events_in(0, 99) {
+            table.apply(&ev);
+        }
+        let payload = table.encode();
+        for at in 0..payload.len() {
+            let mut flipped = payload.clone();
+            flipped[at] ^= 0x01;
+            let (store, snap) = store_over(seal_frame(&flipped));
+            let got = every_kind(&store);
+            let Ok(mut decoded) = snap.table() else {
+                let want = snap.table().unwrap_err();
+                assert!(got
+                    .iter()
+                    .all(|g| *g == Err(RibError::Corrupt(want.clone()))));
+                continue;
+            };
+            decoded.apply(&withdraw(120, "rrc00", "10.0.0.9", 65001, "2.0.0.0/8"));
+            let full = decoded.view(150);
+            let p: Prefix = "1.0.0.0/8".parse().unwrap();
+            let keeps: [&dyn Fn(&TableRow) -> bool; 9] = [
+                &|_| true,
+                &|r| r.route.origin_asn() == Some(Asn(99)),
+                &|r| r.peer == "10.0.1.9".parse::<IpAddr>().unwrap(),
+                &|r| &*r.collector == "rrc00",
+                &|r| r.prefix == p && &*r.collector == "route-views2",
+                &|r| r.prefix == p,
+                &|r| p.contains(&r.prefix),
+                &|r| r.prefix.contains(&p),
+                &|r| p.overlaps(&r.prefix),
+            ];
+            for (got, keep) in got.into_iter().zip(keeps) {
+                let mut want = full.clone();
+                want.rows.retain(keep);
+                assert_eq!(got.unwrap().encode(), want.encode(), "flip at {at}");
+            }
+        }
     }
 }

@@ -82,8 +82,21 @@ pub trait RibStore: Send + Sync {
     /// The latest snapshot with `at ≤ t`, if any.
     fn snapshot_at(&self, t: u64) -> Option<Snapshot>;
 
-    /// Journal events with `from ≤ time ≤ to`, in stream order.
+    /// Journal events with `from ≤ time ≤ to`, in stream order (none
+    /// when `from > to`).
     fn events_in(&self, from: u64, to: u64) -> Vec<RibEvent>;
+
+    /// Hand the journal events with `from ≤ time ≤ to` to `visit` by
+    /// reference, in stream order — what query resolution reads the
+    /// journal through, so it clones only the events it keeps. The
+    /// default visits an [`events_in`](RibStore::events_in) copy; a
+    /// backend may instead visit under its lock, so `visit` must not
+    /// call back into the store.
+    fn visit_events_in(&self, from: u64, to: u64, visit: &mut dyn FnMut(&RibEvent)) {
+        for ev in self.events_in(from, to) {
+            visit(&ev);
+        }
+    }
 
     /// Total journal length (diagnostics).
     fn event_count(&self) -> usize;
@@ -99,6 +112,16 @@ struct StoreInner {
     events: Vec<RibEvent>,
     /// Ascending by `at`.
     snapshots: Vec<Snapshot>,
+}
+
+impl StoreInner {
+    /// The journal events with `from ≤ time ≤ to`; empty when
+    /// `from > to`.
+    fn slice(&self, from: u64, to: u64) -> &[RibEvent] {
+        let lo = self.events.partition_point(|e| e.time < from);
+        let hi = self.events.partition_point(|e| e.time <= to);
+        &self.events[lo..hi.max(lo)]
+    }
 }
 
 /// The in-memory [`RibStore`] backend.
@@ -160,10 +183,11 @@ impl RibStore for MemoryRibStore {
     }
 
     fn events_in(&self, from: u64, to: u64) -> Vec<RibEvent> {
-        let inner = self.inner.lock();
-        let lo = inner.events.partition_point(|e| e.time < from);
-        let hi = inner.events.partition_point(|e| e.time <= to);
-        inner.events[lo..hi].to_vec()
+        self.inner.lock().slice(from, to).to_vec()
+    }
+
+    fn visit_events_in(&self, from: u64, to: u64, visit: &mut dyn FnMut(&RibEvent)) {
+        self.inner.lock().slice(from, to).iter().for_each(visit);
     }
 
     fn event_count(&self) -> usize {
@@ -221,6 +245,21 @@ mod tests {
         assert_eq!(times(11, 29), vec![20]);
         assert_eq!(times(0, 9), Vec::<u64>::new());
         assert_eq!(times(20, 20), vec![20]);
+    }
+
+    #[test]
+    fn an_inverted_range_is_empty() {
+        // `from > to` puts the lower journal index above the upper
+        // one; an empty range has no events.
+        let store = MemoryRibStore::new();
+        store.publish(300, vec![ev(100), ev(150), ev(200)], None);
+        assert!(store.events_in(200, 100).is_empty());
+        assert!(store.events_in(u64::MAX, 0).is_empty());
+        let mut visited = 0;
+        store.visit_events_in(200, 100, &mut |_| visited += 1);
+        assert_eq!(visited, 0);
+        store.visit_events_in(100, 200, &mut |_| visited += 1);
+        assert_eq!(visited, 3);
     }
 
     #[test]
