@@ -1,17 +1,22 @@
-//! The state codec: the one binary vocabulary plugin checkpoints,
-//! shard partials, queue payloads and RIB journals and snapshots are
-//! written in.
+//! The one checked reader every byte in the workspace is decoded
+//! through, and the state codec written with it.
 //!
-//! Encoders append to a `BytesMut` through the `BufMut` integer
-//! writers plus [`put_prefix`], [`put_ip`] and [`put_route`]. Every
-//! decoder reads through one [`Reader`], which indexes the input slice
-//! instead of advancing a `Buf` cursor, so no read can panic. Its
-//! [`count`](Reader::count) refuses an item count whose items could
-//! not fit in the bytes left, so no allocation is sized from an
-//! unvalidated length, and [`finish`](Reader::finish) refuses trailing
-//! bytes. Every failure is a [`CodecError`], the error the BGP wire
-//! grammar returns too, so one error vocabulary runs from the wire up
-//! to the RIB.
+//! [`Reader`] indexes its input slice and fails instead of panicking:
+//! every read returns the value and moves past it, or a
+//! [`CodecError`] naming the structure being decoded. It reads both
+//! vocabularies. The big-endian wire formats — the RFC 4271 BGP
+//! grammar in [`crate::message`], and the MRT (RFC 6396) and BMP
+//! (RFC 7854) records layered on it — read their structures with it.
+//! So do the serialized states the pipeline keeps: plugin
+//! checkpoints, shard partials, queue payloads, and RIB journals and
+//! snapshots.
+//!
+//! State encoders append to a `BytesMut` through the `BufMut` integer
+//! writers plus [`put_prefix`], [`put_ip`] and [`put_route`], whose
+//! formats [`Reader::prefix`], [`Reader::ip`] and [`Reader::route`]
+//! read back. [`Reader::count`] refuses an item count whose items
+//! could not fit in the bytes left, so no allocation is sized from an
+//! unvalidated length, and [`Reader::finish`] refuses trailing bytes.
 //!
 //! [`seal_frame`]/[`open_frame`] wrap a serialized state in the
 //! checksum envelope that turns it into a durable, torn-write-rejecting
@@ -22,8 +27,9 @@
 use std::borrow::Cow;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bgp_types::{AsPath, Asn, CodecError, Prefix};
 use bytes::{BufMut, BytesMut};
+
+use crate::{AsPath, Asn, CodecError, Prefix};
 
 /// Append a prefix in the queue wire form (`v4 flag, length, raw
 /// bits`).
@@ -63,9 +69,13 @@ pub fn put_route(out: &mut BytesMut, path: &Option<AsPath>) {
     }
 }
 
-/// The checked decoder every serialized state is read through. Each
-/// read returns the value and moves past it, or fails with
-/// [`CodecError::Truncated`] naming the structure being decoded.
+/// The checked reader. Each read returns the value and moves past it,
+/// or fails with a [`CodecError`] naming the structure being decoded
+/// (its label), and leaves the reader where it was.
+///
+/// A decoder whose structures carry finer names than one label gives
+/// each structure its own with [`relabel`](Reader::relabel) as it
+/// reaches it.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -74,11 +84,44 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader over `buf`; `what` names the structure in its errors.
+    #[inline]
     pub fn new(buf: &'a [u8], what: &'static str) -> Self {
         Reader { buf, what }
     }
 
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    /// Name the structure the next reads belong to.
+    #[inline]
+    pub fn relabel(&mut self, what: &'static str) -> &mut Self {
+        self.what = what;
+        self
+    }
+
+    /// Bytes left.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether every byte has been read.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Fail with [`CodecError::Truncated`] unless `n` bytes are left,
+    /// without reading them: the minimum size of a structure whose
+    /// fixed fields are not all read before its variable ones.
+    #[inline]
+    pub fn need(&self, n: usize) -> Result<(), CodecError> {
+        if self.buf.len() < n {
+            return Err(CodecError::Truncated(self.what));
+        }
+        Ok(())
+    }
+
+    /// The next `N` bytes.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let (head, rest) = self
             .buf
             .split_first_chunk::<N>()
@@ -88,30 +131,37 @@ impl<'a> Reader<'a> {
     }
 
     /// One byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.array::<1>()?[0])
     }
 
     /// A big-endian `u16`.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
         self.array().map(u16::from_be_bytes)
     }
 
     /// A big-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
         self.array().map(u32::from_be_bytes)
     }
 
     /// A big-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
         self.array().map(u64::from_be_bytes)
     }
 
-    fn u128(&mut self) -> Result<u128, CodecError> {
+    /// A big-endian `u128`.
+    #[inline]
+    pub fn u128(&mut self) -> Result<u128, CodecError> {
         self.array().map(u128::from_be_bytes)
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         let (head, rest) = self
             .buf
@@ -119,6 +169,32 @@ impl<'a> Reader<'a> {
             .ok_or(CodecError::Truncated(self.what))?;
         self.buf = rest;
         Ok(head)
+    }
+
+    /// The next `n` bytes, where `n` is a length field the input
+    /// declared for this section: a section running past the end is a
+    /// length that contradicts the enclosing structure,
+    /// [`CodecError::BadLength`].
+    #[inline]
+    pub fn section(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        self.bytes(n).map_err(|_| CodecError::BadLength(self.what))
+    }
+
+    /// The next `n` big-endian `u32`s.
+    #[inline]
+    pub fn u32s(&mut self, n: usize) -> Result<impl Iterator<Item = u32> + 'a, CodecError> {
+        let (words, _) = self.bytes(n.saturating_mul(4))?.as_chunks::<4>();
+        Ok(words.iter().map(|w| u32::from_be_bytes(*w)))
+    }
+
+    /// Everything left as one `N`-byte value, for a field whose length
+    /// its structure fixes: any other length is
+    /// [`CodecError::BadLength`].
+    #[inline]
+    pub fn exact<const N: usize>(self) -> Result<[u8; N], CodecError> {
+        self.buf
+            .try_into()
+            .map_err(|_| CodecError::BadLength(self.what))
     }
 
     /// A `u16`-length-prefixed name, decoded as lossy UTF-8.
@@ -170,18 +246,17 @@ impl<'a> Reader<'a> {
         if hops == u16::MAX {
             return Ok(None);
         }
-        let (hops, _) = self.bytes(hops as usize * 4)?.as_chunks::<4>();
-        Ok(Some(AsPath::from_sequence(
-            hops.iter().map(|h| u32::from_be_bytes(*h)),
-        )))
+        Ok(Some(AsPath::from_sequence(self.u32s(hops as usize)?)))
     }
 
     /// Everything left, consuming the reader.
+    #[inline]
     pub fn rest(self) -> &'a [u8] {
         self.buf
     }
 
     /// End of input: refuse trailing bytes.
+    #[inline]
     pub fn finish(self) -> Result<(), CodecError> {
         if self.buf.is_empty() {
             Ok(())
@@ -298,6 +373,37 @@ mod tests {
         let mut r = Reader::new(&[0, 2, b'o', 0xff, 9], "name");
         assert_eq!(r.str16().unwrap(), "o\u{fffd}");
         assert_eq!(r.finish(), Err(CodecError::BadLength("name")));
+    }
+
+    #[test]
+    fn wire_reads_name_the_structure_they_fail_in() {
+        let wire = [0, 2, 0xAA, 0xBB, 0, 0, 0, 7, 0, 0, 0, 9];
+        let mut r = Reader::new(&wire, "header");
+        assert_eq!(r.need(12), Ok(()));
+        assert_eq!(r.need(13), Err(CodecError::Truncated("header")));
+        let n = r.u16().unwrap() as usize;
+        // A declared section past the end contradicts its structure.
+        assert_eq!(
+            r.relabel("body").section(99),
+            Err(CodecError::BadLength("body"))
+        );
+        assert_eq!(r.section(n), Ok(&[0xAA, 0xBB][..]));
+        assert_eq!(r.len(), 8);
+        assert_eq!(r.u32s(2).unwrap().collect::<Vec<_>>(), [7, 9]);
+        assert!(r.is_empty());
+        assert_eq!(
+            r.relabel("tail").array::<1>(),
+            Err(CodecError::Truncated("tail"))
+        );
+        // A fixed-width field of any other width is a bad length.
+        assert_eq!(
+            Reader::new(&wire[..4], "MED").exact::<4>(),
+            Ok([0, 2, 0xAA, 0xBB])
+        );
+        assert_eq!(
+            Reader::new(&wire[..3], "MED").exact::<4>(),
+            Err(CodecError::BadLength("MED"))
+        );
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   dumps carry and that `BGPStream elem`s expose (Table 1);
 //! * [`message`] — wire-format encoding/decoding of BGP UPDATE messages
 //!   (the payload of MRT `BGP4MP_MESSAGE` records);
+//! * [`codec`] — the checked [`codec::Reader`] every wire format and
+//!   serialized state in the workspace is decoded through, plus the
+//!   state codec's writers, sort keys and checksum frames;
 //! * [`fsm::SessionState`] — the BGP finite-state-machine states used by
 //!   RIPE RIS `STATE_CHANGE` records and by the `old_state`/`new_state`
 //!   elem fields.
@@ -25,6 +28,7 @@
 
 pub mod asn;
 pub mod attrs;
+pub mod codec;
 pub mod community;
 pub mod fsm;
 pub mod message;

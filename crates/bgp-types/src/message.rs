@@ -16,10 +16,11 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::asn::{AsPath, AsPathSegment, Asn};
 use crate::attrs::{Origin, PathAttributes};
+use crate::codec::Reader;
 use crate::community::{Community, CommunitySet};
 use crate::prefix::Prefix;
 
@@ -55,9 +56,11 @@ const SAFI_UNICAST: u8 = 1;
 const SEG_SET: u8 = 1;
 const SEG_SEQUENCE: u8 = 2;
 
-/// Errors raised while decoding BGP wire data, and every serialized
-/// state decoded through `bgpstream::codec::Reader` (checkpoints,
-/// shard partials, queue messages, RIB journals and snapshots).
+/// The error of every read through [`crate::codec::Reader`]: BGP wire
+/// data here, the MRT and BMP records around it (whose decoders turn
+/// it into their own error types), and every serialized state
+/// (checkpoints, shard partials, queue messages, RIB journals and
+/// snapshots).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum CodecError {
     /// Fewer bytes than a structure requires.
@@ -191,9 +194,9 @@ impl BgpMessage {
         out.freeze()
     }
 
-    /// Decode one message from `buf`, which must contain exactly one
-    /// whole message: [`MessageView::parse`], then the UPDATE's
-    /// sections.
+    /// Decode the message at the start of `buf`:
+    /// [`MessageView::parse`], then the UPDATE's sections. Bytes past
+    /// the length its header declares are ignored.
     pub fn decode(buf: &[u8]) -> Result<BgpMessage, CodecError> {
         match MessageView::parse(buf)? {
             MessageView::Update(update) => Ok(BgpMessage::Update(update.decode()?)),
@@ -221,32 +224,26 @@ impl<'a> MessageView<'a> {
     /// body.
     #[inline]
     pub fn parse(buf: &'a [u8]) -> Result<MessageView<'a>, CodecError> {
-        let Some((header, rest)) = buf.split_first_chunk::<HEADER_LEN>() else {
-            return Err(CodecError::Truncated("BGP header"));
-        };
-        if header[..16] != MARKER {
+        let mut r = Reader::new(buf, "BGP header");
+        let marker = r.array::<16>()?;
+        let total = r.u16()? as usize;
+        let ty = r.u8()?;
+        if marker != MARKER {
             return Err(CodecError::BadMarker);
         }
-        let total = u16::from_be_bytes([header[16], header[17]]) as usize;
         if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
             return Err(CodecError::BadLength("BGP header"));
         }
-        let ty = header[18];
-        let body_len = total - HEADER_LEN;
-        if rest.len() < body_len {
-            return Err(CodecError::Truncated("BGP body"));
-        }
-        let mut body = &rest[..body_len];
+        let body = r.relabel("BGP body").bytes(total - HEADER_LEN)?;
+        let mut r = Reader::new(body, "OPEN body");
         let message = match ty {
             TYPE_UPDATE => return Ok(MessageView::Update(UpdateView::split(body)?)),
             TYPE_OPEN => {
-                if body.len() < 10 {
-                    return Err(CodecError::Truncated("OPEN body"));
-                }
-                let _version = body.get_u8();
-                let asn = Asn(body.get_u16() as u32);
-                let hold_time = body.get_u16();
-                let bgp_id = body.get_u32();
+                let _version = r.u8()?;
+                let asn = Asn(r.u16()? as u32);
+                let hold_time = r.u16()?;
+                let bgp_id = r.u32()?;
+                let _optional_parameters_len = r.u8()?;
                 BgpMessage::Open {
                     asn,
                     hold_time,
@@ -254,12 +251,10 @@ impl<'a> MessageView<'a> {
                 }
             }
             TYPE_NOTIFICATION => {
-                if body.len() < 2 {
-                    return Err(CodecError::Truncated("NOTIFICATION body"));
-                }
+                r.relabel("NOTIFICATION body");
                 BgpMessage::Notification {
-                    code: body.get_u8(),
-                    subcode: body.get_u8(),
+                    code: r.u8()?,
+                    subcode: r.u8()?,
                 }
             }
             TYPE_KEEPALIVE => BgpMessage::Keepalive,
@@ -407,45 +402,40 @@ fn encode_as_path(path: &AsPath, out: &mut BytesMut) {
 /// to `f` as `(is_set, asn bytes)`. Validates exactly what
 /// [`decode_attrs`] does, without allocating.
 pub fn walk_as_path<'a>(
-    mut buf: &'a [u8],
+    buf: &'a [u8],
     mut f: impl FnMut(bool, &'a [u8]),
 ) -> Result<(), CodecError> {
-    while !buf.is_empty() {
-        let Some((&[ty, count], rest)) = buf.split_first_chunk::<2>() else {
-            return Err(CodecError::Truncated("AS_PATH segment header"));
-        };
-        let len = count as usize * 4;
-        if rest.len() < len {
-            return Err(CodecError::Truncated("AS_PATH segment body"));
-        }
+    let mut r = Reader::new(buf, "AS_PATH segment header");
+    while !r.is_empty() {
+        let [ty, count] = r.relabel("AS_PATH segment header").array()?;
+        let asns = r
+            .relabel("AS_PATH segment body")
+            .bytes(count as usize * 4)?;
         let is_set = match ty {
             SEG_SET => true,
             SEG_SEQUENCE => false,
             _ => return Err(CodecError::Invalid("AS_PATH segment type")),
         };
-        let (asns, rest) = rest.split_at(len);
         f(is_set, asns);
-        buf = rest;
     }
     Ok(())
 }
 
 fn decode_as_path(buf: &[u8]) -> Result<AsPath, CodecError> {
     let mut segments = Vec::new();
-    walk_as_path(buf, |is_set, mut wire| {
-        let mut asns = Vec::with_capacity(wire.len() / 4);
-        while wire.has_remaining() {
-            asns.push(Asn(wire.get_u32()));
-        }
-        segments.push(if is_set {
+    walk_as_path(buf, |is_set, wire| segments.push((is_set, wire)))?;
+    // Merge consecutive SEQUENCE segments re-split by the 255 limit.
+    let mut merged: Vec<AsPathSegment> = Vec::with_capacity(segments.len());
+    for (is_set, wire) in segments {
+        let asns = Reader::new(wire, "AS_PATH segment body")
+            .u32s(wire.len() / 4)?
+            .map(Asn)
+            .collect();
+        let seg = if is_set {
             AsPathSegment::Set(asns)
         } else {
             AsPathSegment::Sequence(asns)
-        });
-    })?;
-    // Merge consecutive SEQUENCE segments re-split by the 255 limit.
-    let mut merged: Vec<AsPathSegment> = Vec::with_capacity(segments.len());
-    for seg in segments {
+        };
         match (merged.last_mut(), seg) {
             (Some(AsPathSegment::Sequence(a)), AsPathSegment::Sequence(b))
                 if a.len() == 255 || b.len() == 255 =>
@@ -471,19 +461,13 @@ pub fn encode_nlri(p: &Prefix, out: &mut BytesMut) {
 /// building the [`Prefix`].
 #[inline]
 pub fn split_nlri<'a>(buf: &mut &'a [u8], v4: bool) -> Result<(u8, &'a [u8]), CodecError> {
-    let Some((&len, rest)) = buf.split_first() else {
-        return Err(CodecError::Truncated("NLRI length"));
-    };
-    let max = if v4 { 32 } else { 128 };
-    if len > max {
+    let mut r = Reader::new(buf, "NLRI length");
+    let len = r.u8()?;
+    if len > if v4 { 32 } else { 128 } {
         return Err(CodecError::Invalid("NLRI prefix length"));
     }
-    let nbytes = (len as usize).div_ceil(8);
-    if rest.len() < nbytes {
-        return Err(CodecError::Truncated("NLRI body"));
-    }
-    let (network, rest) = rest.split_at(nbytes);
-    *buf = rest;
+    let network = r.relabel("NLRI body").bytes((len as usize).div_ceil(8))?;
+    *buf = r.rest();
     Ok((len, network))
 }
 
@@ -543,26 +527,16 @@ impl<'a> UpdateView<'a> {
     /// errors that follow them.
     #[inline]
     pub fn split(body: &'a [u8]) -> Result<UpdateView<'a>, CodecError> {
-        let Some((wd_len, rest)) = body.split_first_chunk::<2>() else {
-            return Err(CodecError::Truncated("UPDATE withdrawn length"));
-        };
-        let wd_len = u16::from_be_bytes(*wd_len) as usize;
-        if rest.len() < wd_len {
-            return Err(CodecError::BadLength("UPDATE withdrawn routes"));
-        }
-        let (withdrawn, rest) = rest.split_at(wd_len);
+        let mut r = Reader::new(body, "UPDATE withdrawn length");
+        let wd_len = r.u16()? as usize;
+        let withdrawn = r.relabel("UPDATE withdrawn routes").section(wd_len)?;
         let mut wd = withdrawn;
         while !wd.is_empty() {
             split_nlri(&mut wd, true)?;
         }
-        let Some((attr_len, rest)) = rest.split_first_chunk::<2>() else {
-            return Err(CodecError::Truncated("UPDATE attribute length"));
-        };
-        let attr_len = u16::from_be_bytes(*attr_len) as usize;
-        if rest.len() < attr_len {
-            return Err(CodecError::BadLength("UPDATE path attributes"));
-        }
-        let (attrs, nlri) = rest.split_at(attr_len);
+        let attr_len = r.relabel("UPDATE attribute length").u16()? as usize;
+        let attrs = r.relabel("UPDATE path attributes").section(attr_len)?;
+        let nlri = r.rest();
         Ok(UpdateView {
             withdrawn,
             attrs,
@@ -630,50 +604,35 @@ pub enum AttrView<'a> {
 /// attribute to `f` in wire order. Stops at the first error from the
 /// walk, from an attribute's own checks, or from `f`.
 pub fn walk_attrs<'a>(
-    mut block: &'a [u8],
+    block: &'a [u8],
     mut f: impl FnMut(AttrView<'a>) -> Result<(), CodecError>,
 ) -> Result<(), CodecError> {
-    while let Some((&[flags, ty], rest)) = block.split_first_chunk::<2>() {
-        let (len, rest) = if flags & FLAG_EXT_LEN != 0 {
-            let Some((len, rest)) = rest.split_first_chunk::<2>() else {
-                return Err(CodecError::Truncated("attribute ext length"));
-            };
-            (u16::from_be_bytes(*len) as usize, rest)
+    let mut r = Reader::new(block, "attribute header");
+    while !r.is_empty() {
+        let [flags, ty] = r.relabel("attribute header").array()?;
+        let len = if flags & FLAG_EXT_LEN != 0 {
+            r.relabel("attribute ext length").u16()? as usize
         } else {
-            let Some((&len, rest)) = rest.split_first() else {
-                return Err(CodecError::Truncated("attribute length"));
-            };
-            (len as usize, rest)
+            r.relabel("attribute length").u8()? as usize
         };
-        if rest.len() < len {
-            return Err(CodecError::BadLength("attribute body"));
-        }
-        let (data, rest) = rest.split_at(len);
-        block = rest;
+        let data = r.relabel("attribute body").section(len)?;
         f(attr_view(ty, data)?)?;
     }
-    if block.is_empty() {
-        Ok(())
-    } else {
-        Err(CodecError::Truncated("attribute header"))
-    }
+    Ok(())
 }
 
 #[inline]
 fn attr_view(ty: u8, data: &[u8]) -> Result<AttrView<'_>, CodecError> {
-    let four =
-        |data: &[u8], what| <[u8; 4]>::try_from(data).map_err(|_| CodecError::BadLength(what));
+    let four = |what| Reader::new(data, what).exact::<4>();
     Ok(match ty {
         ATTR_ORIGIN => {
-            if data.len() != 1 {
-                return Err(CodecError::BadLength("ORIGIN"));
-            }
-            AttrView::Origin(Origin::from_code(data[0]).ok_or(CodecError::Invalid("ORIGIN code"))?)
+            let [code] = Reader::new(data, "ORIGIN").exact()?;
+            AttrView::Origin(Origin::from_code(code).ok_or(CodecError::Invalid("ORIGIN code"))?)
         }
         ATTR_AS_PATH => AttrView::AsPath(data),
-        ATTR_NEXT_HOP => AttrView::NextHop(Ipv4Addr::from(four(data, "NEXT_HOP")?)),
-        ATTR_MED => AttrView::Med(u32::from_be_bytes(four(data, "MED")?)),
-        ATTR_LOCAL_PREF => AttrView::LocalPref(u32::from_be_bytes(four(data, "LOCAL_PREF")?)),
+        ATTR_NEXT_HOP => AttrView::NextHop(Ipv4Addr::from(four("NEXT_HOP")?)),
+        ATTR_MED => AttrView::Med(u32::from_be_bytes(four("MED")?)),
+        ATTR_LOCAL_PREF => AttrView::LocalPref(u32::from_be_bytes(four("LOCAL_PREF")?)),
         ATTR_COMMUNITIES => {
             if !data.len().is_multiple_of(4) {
                 return Err(CodecError::BadLength("COMMUNITIES"));
@@ -681,34 +640,32 @@ fn attr_view(ty: u8, data: &[u8]) -> Result<AttrView<'_>, CodecError> {
             AttrView::Communities(data)
         }
         ATTR_MP_REACH => {
+            let mut r = Reader::new(data, "MP_REACH header");
             // AFI, SAFI and the next-hop length; then the next hop and
             // one reserved byte.
-            if data.len() < 5 {
-                return Err(CodecError::Truncated("MP_REACH header"));
-            }
-            let afi = u16::from_be_bytes([data[0], data[1]]);
-            let nh_len = data[3] as usize;
-            let rest = &data[4..];
-            if rest.len() < nh_len + 1 {
-                return Err(CodecError::Truncated("MP_REACH next hop"));
-            }
-            let next_hop = match rest.first_chunk::<16>() {
-                Some(nh) if afi == AFI_IPV6 && nh_len >= 16 => Some(Ipv6Addr::from(*nh)),
-                _ => None,
-            };
+            r.need(5)?;
+            let afi = r.u16()?;
+            let _safi = r.u8()?;
+            let nh_len = r.u8()? as usize;
+            let next_hop = r.relabel("MP_REACH next hop").bytes(nh_len)?;
+            let _reserved = r.u8()?;
             AttrView::MpReach {
-                next_hop,
+                // Only a next hop of at least 16 bytes carries an address.
+                next_hop: match Reader::new(next_hop, "MP_REACH next hop").u128() {
+                    Ok(nh) if afi == AFI_IPV6 => Some(Ipv6Addr::from(nh)),
+                    _ => None,
+                },
                 v4: afi == AFI_IPV4,
-                nlri: &rest[nh_len + 1..],
+                nlri: r.rest(),
             }
         }
         ATTR_MP_UNREACH => {
-            let Some((&[afi_hi, afi_lo, _safi], nlri)) = data.split_first_chunk::<3>() else {
-                return Err(CodecError::Truncated("MP_UNREACH header"));
-            };
+            let mut r = Reader::new(data, "MP_UNREACH header");
+            let afi = r.u16()?;
+            let _safi = r.u8()?;
             AttrView::MpUnreach {
-                v4: u16::from_be_bytes([afi_hi, afi_lo]) == AFI_IPV4,
-                nlri,
+                v4: afi == AFI_IPV4,
+                nlri: r.rest(),
             }
         }
         _ => AttrView::Other,
@@ -727,12 +684,12 @@ pub fn decode_attrs(block: &[u8]) -> Result<DecodedAttrs, CodecError> {
             AttrView::NextHop(nh) => attrs.next_hop = Some(IpAddr::V4(nh)),
             AttrView::Med(med) => attrs.med = Some(med),
             AttrView::LocalPref(lp) => attrs.local_pref = Some(lp),
-            AttrView::Communities(mut values) => {
-                let mut cs = Vec::with_capacity(values.len() / 4);
-                while values.has_remaining() {
-                    cs.push(Community::from_u32(values.get_u32()));
-                }
-                attrs.communities = CommunitySet::from_iter(cs);
+            AttrView::Communities(values) => {
+                attrs.communities = CommunitySet::from_iter(
+                    Reader::new(values, "COMMUNITIES")
+                        .u32s(values.len() / 4)?
+                        .map(Community::from_u32),
+                );
             }
             AttrView::MpReach { next_hop, v4, nlri } => {
                 if let Some(nh) = next_hop {

@@ -1,14 +1,15 @@
 //! BMP message framing (RFC 7854 §4): the common header and the seven
 //! message types.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::IpAddr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
+use bgp_types::codec::Reader;
 use bgp_types::message::HEADER_LEN as BGP_HEADER_LEN;
-use bgp_types::BgpMessage;
+use bgp_types::{BgpMessage, CodecError};
 
-use crate::peer::PerPeerHeader;
+use crate::peer::{read_address, PerPeerHeader};
 use crate::reader::BmpError;
 use crate::tlv::{InfoTlv, StatTlv, Termination};
 
@@ -196,72 +197,54 @@ impl BmpMessage {
     }
 
     /// Decode a message body given its common-header type code.
-    pub fn decode(type_code: u8, mut body: &[u8]) -> Result<BmpMessage, BmpError> {
+    pub fn decode(type_code: u8, body: &[u8]) -> Result<BmpMessage, BmpError> {
+        let framing = BmpError::framing;
+        let mut r = Reader::new(body, "per-peer header");
+        let mut peer = || PerPeerHeader::read(&mut r).map_err(framing);
         match type_code {
             TYPE_ROUTE_MONITORING => {
-                let peer = PerPeerHeader::decode(&mut body)?;
-                let update = BgpMessage::decode(body).map_err(BmpError::Bgp)?;
+                let peer = peer()?;
+                let update = BgpMessage::decode(r.rest()).map_err(BmpError::Bgp)?;
                 Ok(BmpMessage::RouteMonitoring { peer, update })
             }
             TYPE_STATISTICS_REPORT => {
-                let peer = PerPeerHeader::decode(&mut body)?;
-                if body.len() < 4 {
-                    return Err(BmpError::Truncated("stats count"));
-                }
-                let count = body.get_u32() as usize;
+                let peer = peer()?;
+                let count = r.relabel("stats count").u32().map_err(framing)? as usize;
                 let mut stats = Vec::with_capacity(count.min(64));
+                let mut rest = r.rest();
                 for _ in 0..count {
-                    stats.push(StatTlv::decode(&mut body)?);
+                    stats.push(StatTlv::decode(&mut rest)?);
                 }
-                if !body.is_empty() {
+                if !rest.is_empty() {
                     return Err(BmpError::Invalid("trailing bytes after stats"));
                 }
                 Ok(BmpMessage::StatisticsReport { peer, stats })
             }
             TYPE_PEER_DOWN => {
-                let peer = PerPeerHeader::decode(&mut body)?;
-                if body.is_empty() {
-                    return Err(BmpError::Truncated("peer-down reason"));
-                }
-                let code = body.get_u8();
+                let peer = peer()?;
+                let code = r.relabel("peer-down reason").u8().map_err(framing)?;
                 let reason = match code {
                     1 | 3 => {
-                        let n = BgpMessage::decode(body).map_err(BmpError::Bgp)?;
+                        let n = BgpMessage::decode(r.rest()).map_err(BmpError::Bgp)?;
                         if code == 1 {
                             PeerDownReason::LocalNotification(n)
                         } else {
                             PeerDownReason::RemoteNotification(n)
                         }
                     }
-                    2 => {
-                        if body.len() < 2 {
-                            return Err(BmpError::Truncated("FSM event code"));
-                        }
-                        PeerDownReason::LocalFsmEvent(body.get_u16())
-                    }
+                    2 => PeerDownReason::LocalFsmEvent(
+                        r.relabel("FSM event code").u16().map_err(framing)?,
+                    ),
                     4 => PeerDownReason::RemoteNoData,
                     _ => return Err(BmpError::Invalid("peer-down reason code")),
                 };
                 Ok(BmpMessage::PeerDown { peer, reason })
             }
             TYPE_PEER_UP => {
-                let peer = PerPeerHeader::decode(&mut body)?;
-                if body.len() < 20 {
-                    return Err(BmpError::Truncated("peer-up session info"));
-                }
-                let mut addr = [0u8; 16];
-                addr.copy_from_slice(&body[..16]);
-                body.advance(16);
-                let local_address = if peer.flags.ipv6 {
-                    IpAddr::V6(Ipv6Addr::from(addr))
-                } else {
-                    let mut v4 = [0u8; 4];
-                    v4.copy_from_slice(&addr[12..]);
-                    IpAddr::V4(Ipv4Addr::from(v4))
-                };
-                let local_port = body.get_u16();
-                let remote_port = body.get_u16();
-                let (sent_open, rest) = split_bgp_pdu(body)?;
+                let peer = peer()?;
+                let (local_address, local_port, remote_port) =
+                    read_session(&mut r, peer.flags.ipv6).map_err(framing)?;
+                let (sent_open, rest) = split_bgp_pdu(r.rest())?;
                 let (received_open, rest) = split_bgp_pdu(rest)?;
                 if !rest.is_empty() {
                     // Peer-up may carry trailing information TLVs;
@@ -280,10 +263,10 @@ impl BmpMessage {
             TYPE_INITIATION => Ok(BmpMessage::Initiation(InfoTlv::decode_all(body)?)),
             TYPE_TERMINATION => Ok(BmpMessage::Termination(Termination::decode(body)?)),
             TYPE_ROUTE_MIRRORING => {
-                let peer = PerPeerHeader::decode(&mut body)?;
+                let peer = peer()?;
                 Ok(BmpMessage::RouteMirroring {
                     peer,
-                    raw: Bytes::copy_from_slice(body),
+                    raw: Bytes::copy_from_slice(r.rest()),
                 })
             }
             other => Err(BmpError::UnknownType(other)),
@@ -291,18 +274,32 @@ impl BmpMessage {
     }
 }
 
+/// The peer-up session information (RFC 7854 §4.10): the router-side
+/// address, then the local and remote ports.
+fn read_session(r: &mut Reader, ipv6: bool) -> Result<(IpAddr, u16, u16), CodecError> {
+    r.relabel("peer-up session info");
+    Ok((read_address(r, ipv6)?, r.u16()?, r.u16()?))
+}
+
 /// Split one BGP PDU off the front of `buf` using the length field of
 /// its header, decode it, and return the remainder.
 fn split_bgp_pdu(buf: &[u8]) -> Result<(BgpMessage, &[u8]), BmpError> {
-    if buf.len() < BGP_HEADER_LEN {
-        return Err(BmpError::Truncated("embedded BGP PDU header"));
+    let (pdu, rest) = frame_bgp_pdu(buf).map_err(BmpError::framing)?;
+    let msg = BgpMessage::decode(pdu).map_err(BmpError::Bgp)?;
+    Ok((msg, rest))
+}
+
+/// Frame the BGP PDU at the front of `buf` by its header's length.
+fn frame_bgp_pdu(buf: &[u8]) -> Result<(&[u8], &[u8]), CodecError> {
+    let mut header = Reader::new(buf, "embedded BGP PDU header");
+    let _marker = header.array::<16>()?;
+    let len = header.u16()? as usize;
+    let _type = header.u8()?;
+    if len < BGP_HEADER_LEN {
+        return Err(CodecError::Truncated("embedded BGP PDU body"));
     }
-    let len = u16::from_be_bytes([buf[16], buf[17]]) as usize;
-    if len < BGP_HEADER_LEN || buf.len() < len {
-        return Err(BmpError::Truncated("embedded BGP PDU body"));
-    }
-    let msg = BgpMessage::decode(&buf[..len]).map_err(BmpError::Bgp)?;
-    Ok((msg, &buf[len..]))
+    let mut r = Reader::new(buf, "embedded BGP PDU body");
+    Ok((r.bytes(len)?, r.rest()))
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
-use bgp_types::Asn;
+use bgp_types::codec::Reader;
+use bgp_types::{Asn, CodecError};
 
 use crate::reader::BmpError;
 
@@ -117,33 +118,40 @@ impl PerPeerHeader {
 
     /// Decode from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> Result<PerPeerHeader, BmpError> {
-        if buf.len() < Self::LEN {
-            return Err(BmpError::Truncated("per-peer header"));
-        }
-        let peer_type = buf.get_u8();
-        let flags = PeerFlags::decode(buf.get_u8());
-        let distinguisher = buf.get_u64();
-        let mut addr = [0u8; 16];
-        addr.copy_from_slice(&buf[..16]);
-        buf.advance(16);
-        let peer_address = if flags.ipv6 {
-            IpAddr::V6(Ipv6Addr::from(addr))
-        } else {
-            let mut v4 = [0u8; 4];
-            v4.copy_from_slice(&addr[12..]);
-            IpAddr::V4(Ipv4Addr::from(v4))
-        };
+        let mut r = Reader::new(buf, "per-peer header");
+        let header = Self::read(&mut r).map_err(BmpError::framing)?;
+        *buf = r.rest();
+        Ok(header)
+    }
+
+    /// Read the header off the front of `r`.
+    pub(crate) fn read(r: &mut Reader) -> Result<PerPeerHeader, CodecError> {
+        r.relabel("per-peer header");
+        let peer_type = r.u8()?;
+        let flags = PeerFlags::decode(r.u8()?);
+        let distinguisher = r.u64()?;
         Ok(PerPeerHeader {
             peer_type,
             flags,
             distinguisher,
-            peer_address,
-            peer_asn: Asn(buf.get_u32()),
-            peer_bgp_id: buf.get_u32(),
-            ts_sec: buf.get_u32(),
-            ts_usec: buf.get_u32(),
+            peer_address: read_address(r, flags.ipv6)?,
+            peer_asn: Asn(r.u32()?),
+            peer_bgp_id: r.u32()?,
+            ts_sec: r.u32()?,
+            ts_usec: r.u32()?,
         })
     }
+}
+
+/// A 16-byte address field (RFC 7854 §4.2, §4.10): IPv6, or IPv4 in
+/// the low four bytes.
+pub(crate) fn read_address(r: &mut Reader, ipv6: bool) -> Result<IpAddr, CodecError> {
+    let bits = r.u128()?;
+    Ok(if ipv6 {
+        IpAddr::V6(Ipv6Addr::from(bits))
+    } else {
+        IpAddr::V4(Ipv4Addr::from(bits as u32))
+    })
 }
 
 #[cfg(test)]

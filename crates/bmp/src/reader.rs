@@ -8,6 +8,7 @@
 
 use std::io::Read;
 
+use bgp_types::codec::Reader;
 use bgp_types::message::CodecError;
 
 use crate::msg::{BmpMessage, BMP_VERSION, COMMON_HEADER_LEN};
@@ -52,6 +53,20 @@ impl std::fmt::Display for BmpError {
 
 impl std::error::Error for BmpError {}
 
+impl BmpError {
+    /// The error of a read through the checked reader over BMP
+    /// structure. An embedded BGP PDU's error never comes here: it
+    /// stays [`BmpError::Bgp`].
+    pub(crate) fn framing(e: CodecError) -> BmpError {
+        match e {
+            CodecError::Truncated(w) => BmpError::Truncated(w),
+            CodecError::Invalid(w) | CodecError::BadLength(w) => BmpError::Invalid(w),
+            // Only the BGP header check raises these.
+            CodecError::BadMarker | CodecError::UnknownType(_) => BmpError::Bgp(e),
+        }
+    }
+}
+
 /// Pull parser yielding [`BmpMessage`]s from a byte stream.
 ///
 /// ```
@@ -94,23 +109,23 @@ impl<R: Read> BmpReader<R> {
             return None;
         }
         let mut header = [0u8; COMMON_HEADER_LEN];
-        match fill_or_eof(&mut self.inner, &mut header) {
+        let header = match fill_or_eof(&mut self.inner, &mut header) {
             Ok(0) => return None,
-            Ok(n) if n < COMMON_HEADER_LEN => {
-                self.poisoned = true;
-                return Some(Err(BmpError::Truncated("common header")));
-            }
-            Ok(_) => {}
+            Ok(n) => read_common_header(&header[..n]),
+            Err(e) => Err(BmpError::Io(e.to_string())),
+        };
+        let (version, length, type_code) = match header {
+            Ok(header) => header,
             Err(e) => {
                 self.poisoned = true;
-                return Some(Err(BmpError::Io(e.to_string())));
+                return Some(Err(e));
             }
-        }
-        if header[0] != BMP_VERSION {
+        };
+        if version != BMP_VERSION {
             self.poisoned = true;
-            return Some(Err(BmpError::BadVersion(header[0])));
+            return Some(Err(BmpError::BadVersion(version)));
         }
-        let length = u32::from_be_bytes([header[1], header[2], header[3], header[4]]) as usize;
+        let length = length as usize;
         if !(COMMON_HEADER_LEN..=MAX_MESSAGE_LEN).contains(&length) {
             self.poisoned = true;
             return Some(Err(BmpError::BadLength(length as u32)));
@@ -127,7 +142,7 @@ impl<R: Read> BmpReader<R> {
                 return Some(Err(BmpError::Io(e.to_string())));
             }
         }
-        match BmpMessage::decode(header[5], &body) {
+        match BmpMessage::decode(type_code, &body) {
             Ok(msg) => {
                 self.messages_read += 1;
                 Some(Ok(msg))
@@ -152,6 +167,13 @@ impl<R: Read> BmpReader<R> {
         }
         (msgs, None)
     }
+}
+
+/// The RFC 7854 §4.1 common header: version, message length, type.
+fn read_common_header(header: &[u8]) -> Result<(u8, u32, u8), BmpError> {
+    let mut r = Reader::new(header, "common header");
+    let mut read = || Ok((r.u8()?, r.u32()?, r.u8()?));
+    read().map_err(BmpError::framing)
 }
 
 /// Read exactly `buf.len()` bytes unless EOF intervenes; returns the

@@ -1,7 +1,9 @@
 //! BMP TLVs: initiation/termination information (RFC 7854 §4.4, §4.5)
 //! and the typed statistics of the statistics report (§4.8).
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
+
+use bgp_types::codec::Reader;
 
 use crate::reader::BmpError;
 
@@ -42,7 +44,7 @@ impl InfoTlv {
 
     /// Decode one TLV from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> Result<InfoTlv, BmpError> {
-        let (ty, value) = decode_tlv_header(buf, "information TLV")?;
+        let (ty, value) = split_tlv(buf, "information TLV")?;
         let text = || {
             String::from_utf8(value.to_vec())
                 .map_err(|_| BmpError::Invalid("non-UTF-8 information TLV"))
@@ -135,15 +137,13 @@ impl Termination {
         let mut reason = None;
         let mut info = None;
         while !buf.is_empty() {
-            let (ty, value) = decode_tlv_header(&mut buf, "termination TLV")?;
+            let (ty, value) = split_tlv(&mut buf, "termination TLV")?;
             match ty {
                 TERM_REASON => {
-                    if value.len() != 2 {
-                        return Err(BmpError::Invalid("termination reason length"));
-                    }
-                    reason = Some(TerminationReason::from_code(u16::from_be_bytes([
-                        value[0], value[1],
-                    ])));
+                    let code = Reader::new(value, "termination reason length")
+                        .exact()
+                        .map_err(BmpError::framing)?;
+                    reason = Some(TerminationReason::from_code(u16::from_be_bytes(code)));
                 }
                 INFO_STRING => {
                     info = Some(
@@ -219,45 +219,34 @@ impl StatTlv {
 
     /// Decode one stat from the front of `buf`, advancing it.
     pub fn decode(buf: &mut &[u8]) -> Result<StatTlv, BmpError> {
-        let (ty, value) = decode_tlv_header(buf, "stat TLV")?;
-        let u32v = |w: &'static str| -> Result<u32, BmpError> {
-            let arr: [u8; 4] = value.try_into().map_err(|_| BmpError::Invalid(w))?;
-            Ok(u32::from_be_bytes(arr))
-        };
-        let u64v = |w: &'static str| -> Result<u64, BmpError> {
-            let arr: [u8; 8] = value.try_into().map_err(|_| BmpError::Invalid(w))?;
-            Ok(u64::from_be_bytes(arr))
-        };
+        let (ty, value) = split_tlv(buf, "stat TLV")?;
+        let u32v = |w| Reader::new(value, w).exact().map(u32::from_be_bytes);
+        let u64v = |w| Reader::new(value, w).exact().map(u64::from_be_bytes);
         let stat = match ty {
-            0 => StatTlv::RejectedPrefixes(u32v("stat 0 length")?),
-            1 => StatTlv::DuplicateAdvertisements(u32v("stat 1 length")?),
-            2 => StatTlv::DuplicateWithdraws(u32v("stat 2 length")?),
-            4 => StatTlv::AsPathLoop(u32v("stat 4 length")?),
-            7 => StatTlv::AdjRibInRoutes(u64v("stat 7 length")?),
-            8 => StatTlv::LocRibRoutes(u64v("stat 8 length")?),
-            other => StatTlv::Unknown(other, value.to_vec()),
+            0 => u32v("stat 0 length").map(StatTlv::RejectedPrefixes),
+            1 => u32v("stat 1 length").map(StatTlv::DuplicateAdvertisements),
+            2 => u32v("stat 2 length").map(StatTlv::DuplicateWithdraws),
+            4 => u32v("stat 4 length").map(StatTlv::AsPathLoop),
+            7 => u64v("stat 7 length").map(StatTlv::AdjRibInRoutes),
+            8 => u64v("stat 8 length").map(StatTlv::LocRibRoutes),
+            other => Ok(StatTlv::Unknown(other, value.to_vec())),
         };
-        Ok(stat)
+        stat.map_err(BmpError::framing)
     }
 }
 
 /// Split one `type(2) length(2) value(length)` TLV off the front of
 /// `buf`.
-fn decode_tlv_header<'a>(
-    buf: &mut &'a [u8],
-    what: &'static str,
-) -> Result<(u16, &'a [u8]), BmpError> {
-    if buf.len() < 4 {
-        return Err(BmpError::Truncated(what));
-    }
-    let ty = buf.get_u16();
-    let len = buf.get_u16() as usize;
-    if buf.len() < len {
-        return Err(BmpError::Truncated(what));
-    }
-    let value = &buf[..len];
-    buf.advance(len);
-    Ok((ty, value))
+fn split_tlv<'a>(buf: &mut &'a [u8], what: &'static str) -> Result<(u16, &'a [u8]), BmpError> {
+    let mut r = Reader::new(buf, what);
+    let mut read = || {
+        let ty = r.u16()?;
+        let len = r.u16()? as usize;
+        Ok((ty, r.bytes(len)?))
+    };
+    let tlv = read().map_err(BmpError::framing)?;
+    *buf = r.rest();
+    Ok(tlv)
 }
 
 #[cfg(test)]

@@ -44,9 +44,6 @@
 //!   `aspath` filter;
 //! * [`filter_lang`] — the `parse_filter_string` mini-language
 //!   (`"collector rrc00 and prefix more 10.0.0.0/8 and comm *:666"`);
-//! * [`codec`] — shared binary-codec primitives (values, canonical
-//!   sort keys, durable checksum frames) reused by plugin checkpoints
-//!   and RIB snapshots;
 //! * [`sort`] — the §3.3.4 sorted-stream machinery: overlap-partition
 //!   of dump-file sets and per-group multi-way merge;
 //! * [`stream`] — the user-facing stream: broker-windowed iteration,
@@ -57,7 +54,6 @@
 
 pub mod ascii;
 pub mod aspath_re;
-pub mod codec;
 pub mod elem;
 pub mod filter;
 pub mod filter_lang;

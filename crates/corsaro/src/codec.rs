@@ -4,12 +4,12 @@
 //! portions of each VP's routing table ("diff cells"); periodically it
 //! also transmits entire routing tables so consumers can (re)sync and
 //! then apply subsequent diffs. Cells are written with the
-//! [`bgpstream::codec`] primitives plugin checkpoints also use, so a
+//! [`bgp_types::codec`] primitives plugin checkpoints also use, so a
 //! restored plugin publishes byte-identically to one that never died,
 //! and read back through its checked [`Reader`].
 
+use bgp_types::codec::{put_prefix, put_route, Reader};
 use bgp_types::{AsPath, Asn, CodecError, Prefix};
-use bgpstream::codec::{put_prefix, put_route, Reader};
 use bytes::{BufMut, BytesMut};
 
 /// One changed (or full-table) cell: the state of `<prefix, VP>`.

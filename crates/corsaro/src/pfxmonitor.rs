@@ -12,9 +12,9 @@ use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::sync::Arc;
 
+use bgp_types::codec::Reader;
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix, PrefixTrie};
-use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
 use bytes::BufMut;
 use fxhash::FxHashMap;
@@ -222,7 +222,7 @@ impl Plugin for PfxMonitor {
     fn checkpoint(&self) -> Vec<u8> {
         use bytes::BytesMut;
 
-        use bgpstream::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix};
+        use bgp_types::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix};
 
         let mut out = BytesMut::new();
         out.put_u8(1); // version

@@ -28,8 +28,8 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
+use bgp_types::codec::Reader;
 use bgp_types::{AsPath, Asn, CodecError, Prefix};
-use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
 use broker::DumpType;
 use bytes::{BufMut, BytesMut};
@@ -537,7 +537,7 @@ impl Plugin for RtPlugin {
     /// cadence, shard assignment), through the queue codec's own
     /// prefix/ip/route vocabulary, each section in canonical order.
     fn checkpoint(&self) -> Vec<u8> {
-        use bgpstream::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix, put_route};
+        use bgp_types::codec::{ip_sort_key, prefix_sort_key, put_ip, put_prefix, put_route};
 
         let mut out = BytesMut::new();
         out.put_u8(1); // version

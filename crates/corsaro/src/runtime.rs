@@ -65,8 +65,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bgp_types::codec;
 use bgp_types::Prefix;
-use bgpstream::codec;
 use bgpstream::{BatchStep, BgpStream, BgpStreamRecord};
 use broker::BrokerError;
 use bsync::channel::{Receiver, Sender, TryRecvError, TrySendError};

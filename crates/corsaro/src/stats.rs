@@ -6,8 +6,8 @@
 
 use std::collections::BTreeMap;
 
+use bgp_types::codec::Reader;
 use bgp_types::CodecError;
-use bgpstream::codec::Reader;
 use bgpstream::{BgpStreamRecord, ElemType};
 use bytes::{BufMut, BytesMut};
 

@@ -16,12 +16,13 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bgp_types::codec::Reader;
 use bgpstream::BgpStream;
 use broker::{
     BrokerClient, BrokerCursor, BrokerError, Index, LeaseId, LivePoll, LocalBroker, Query,
     ReleasePolicy, Response,
 };
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 use collector_sim::{standard_collectors, SimConfig, Simulator};
 use corsaro::runtime::{shard_of_prefix, ShardedPlugin, ShardedRuntime};
 use corsaro::tag::{ClassifierTagger, Tagged, Tagger, TAG_ANNOUNCE};
@@ -114,17 +115,18 @@ impl Plugin for Jitter {
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut buf = bytes;
-        if buf.len() < 12 {
-            return Err("jitter checkpoint: truncated header".into());
-        }
-        let owned = buf.get_u64();
-        let n = buf.get_u32() as usize;
-        if buf.len() != n * 8 {
+        let mut r = Reader::new(bytes, "jitter checkpoint");
+        let truncated = |_| "jitter checkpoint: truncated header".to_string();
+        let owned = r.u64().map_err(truncated)?;
+        let n = r.u32().map_err(truncated)? as usize;
+        if r.len() != n * 8 {
             return Err("jitter checkpoint: bad series length".into());
         }
         self.owned_elems = owned;
-        self.series = (0..n).map(|_| buf.get_u64()).collect();
+        self.series = (0..n)
+            .map(|_| r.u64())
+            .collect::<Result<_, _>>()
+            .map_err(|e| e.to_string())?;
         Ok(())
     }
 }
@@ -143,7 +145,10 @@ impl ShardedPlugin for Jitter {
     }
 
     fn merge_bin(&mut self, _s: u64, bin_end: u64, partials: Vec<Vec<u8>>) {
-        let total: u64 = partials.iter().map(|p| (&p[..]).get_u64()).sum();
+        let total: u64 = partials
+            .iter()
+            .map(|p| Reader::new(p, "jitter partial").u64().unwrap())
+            .sum();
         self.series.push(total);
         if let Some(merged) = &self.merged {
             let _ = merged.send(bin_end);

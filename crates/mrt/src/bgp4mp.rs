@@ -8,10 +8,11 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use bgp_types::codec::Reader;
 use bgp_types::message::MessageView;
-use bgp_types::{Asn, BgpMessage, SessionState};
+use bgp_types::{Asn, BgpMessage, CodecError, SessionState};
 
 use crate::raw::{RawMrtView, RawUpdate};
 use crate::reader::MrtError;
@@ -110,7 +111,7 @@ impl Bgp4mp {
 /// Parse a `BGP4MP` body (RFC 6396 §4.4) given its header subtype:
 /// the session header, then either the state change (decoded in full)
 /// or the embedded message's framing ([`MessageView::parse`]).
-pub(crate) fn parse(subtype: u16, mut body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
+pub(crate) fn parse(subtype: u16, body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
     match subtype {
         SUBTYPE_MESSAGE_AS4 | SUBTYPE_STATE_CHANGE_AS4 => {}
         SUBTYPE_MESSAGE | SUBTYPE_STATE_CHANGE => {
@@ -118,23 +119,21 @@ pub(crate) fn parse(subtype: u16, mut body: &[u8]) -> Result<RawMrtView<'_>, Mrt
         }
         _ => return Err(MrtError::Unsupported("unknown BGP4MP subtype")),
     }
-    let (peer_asn, local_asn, peer_ip, local_ip) = decode_session_header(&mut body)?;
+    let mut r = Reader::new(body, "BGP4MP session header");
+    let (peer_asn, local_asn, peer_ip, local_ip) =
+        decode_session_header(&mut r).map_err(MrtError::framing)?;
     if subtype == SUBTYPE_STATE_CHANGE_AS4 {
-        if body.len() < 4 {
-            return Err(MrtError::Truncated("BGP4MP state change"));
-        }
-        let old = body.get_u16();
-        let new = body.get_u16();
+        let (old_state, new_state) = decode_state_change(&mut r).map_err(MrtError::framing)?;
         return Ok(RawMrtView::StateChange(Bgp4mp::StateChange {
             peer_asn,
             local_asn,
             peer_ip,
             local_ip,
-            old_state: SessionState::from_code(old).ok_or(MrtError::Invalid("old FSM state"))?,
-            new_state: SessionState::from_code(new).ok_or(MrtError::Invalid("new FSM state"))?,
+            old_state,
+            new_state,
         }));
     }
-    Ok(match MessageView::parse(body).map_err(MrtError::Bgp)? {
+    Ok(match MessageView::parse(r.rest()).map_err(MrtError::Bgp)? {
         MessageView::Update(update) => RawMrtView::Update(RawUpdate {
             peer_asn,
             local_asn,
@@ -196,42 +195,34 @@ fn to_v6(ip: IpAddr) -> Ipv6Addr {
     }
 }
 
-fn decode_session_header(body: &mut &[u8]) -> Result<(Asn, Asn, IpAddr, IpAddr), MrtError> {
-    if body.len() < 12 {
-        return Err(MrtError::Truncated("BGP4MP session header"));
-    }
-    let peer_asn = Asn(body.get_u32());
-    let local_asn = Asn(body.get_u32());
-    let _ifindex = body.get_u16();
-    let afi = body.get_u16();
-    let (peer_ip, local_ip) = match afi {
+fn decode_session_header(r: &mut Reader) -> Result<(Asn, Asn, IpAddr, IpAddr), CodecError> {
+    let peer_asn = Asn(r.u32()?);
+    let local_asn = Asn(r.u32()?);
+    let _ifindex = r.u16()?;
+    let (peer_ip, local_ip) = match r.u16()? {
         AFI_IPV4 => {
-            if body.len() < 8 {
-                return Err(MrtError::Truncated("BGP4MP IPv4 addresses"));
-            }
-            let mut p = [0u8; 4];
-            p.copy_from_slice(&body[..4]);
-            body.advance(4);
-            let mut l = [0u8; 4];
-            l.copy_from_slice(&body[..4]);
-            body.advance(4);
-            (IpAddr::V4(Ipv4Addr::from(p)), IpAddr::V4(Ipv4Addr::from(l)))
+            r.relabel("BGP4MP IPv4 addresses");
+            let peer = Ipv4Addr::from(r.u32()?);
+            (IpAddr::V4(peer), IpAddr::V4(Ipv4Addr::from(r.u32()?)))
         }
         AFI_IPV6 => {
-            if body.len() < 32 {
-                return Err(MrtError::Truncated("BGP4MP IPv6 addresses"));
-            }
-            let mut p = [0u8; 16];
-            p.copy_from_slice(&body[..16]);
-            body.advance(16);
-            let mut l = [0u8; 16];
-            l.copy_from_slice(&body[..16]);
-            body.advance(16);
-            (IpAddr::V6(Ipv6Addr::from(p)), IpAddr::V6(Ipv6Addr::from(l)))
+            r.relabel("BGP4MP IPv6 addresses");
+            let peer = Ipv6Addr::from(r.u128()?);
+            (IpAddr::V6(peer), IpAddr::V6(Ipv6Addr::from(r.u128()?)))
         }
-        _ => return Err(MrtError::Invalid("BGP4MP AFI")),
+        _ => return Err(CodecError::Invalid("BGP4MP AFI")),
     };
     Ok((peer_asn, local_asn, peer_ip, local_ip))
+}
+
+/// The old and new FSM states of a `BGP4MP_STATE_CHANGE_AS4` body.
+fn decode_state_change(r: &mut Reader) -> Result<(SessionState, SessionState), CodecError> {
+    r.relabel("BGP4MP state change");
+    let (old, new) = (r.u16()?, r.u16()?);
+    Ok((
+        SessionState::from_code(old).ok_or(CodecError::Invalid("old FSM state"))?,
+        SessionState::from_code(new).ok_or(CodecError::Invalid("new FSM state"))?,
+    ))
 }
 
 #[cfg(test)]

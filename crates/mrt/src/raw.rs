@@ -27,11 +27,12 @@
 
 use std::net::IpAddr;
 
+use bgp_types::codec::Reader;
 use bgp_types::message::{
     decode_nlri, split_nlri, walk_as_path, walk_attrs, AttrView, CodecError, UpdateView,
 };
 use bgp_types::{Asn, Community, Prefix};
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 
 use crate::bgp4mp::{self, Bgp4mp};
 use crate::reader::MrtError;
@@ -204,6 +205,11 @@ impl RawRibRow<'_> {
         self.entry_count
     }
 
+    /// A reader over the entry block, for [`next_rib_entry`].
+    pub(crate) fn entry_block(&self) -> Reader<'_> {
+        Reader::new(self.entries, "RIB entry header")
+    }
+
     /// Whether the full decoder would accept this row (see
     /// [`RawMrtView::decodes_cleanly`]): every declared entry frames
     /// and its attribute block passes the decoder's checks.
@@ -219,7 +225,7 @@ impl RawRibRow<'_> {
     /// every entry framed and its attributes passed the decoder's
     /// checks.
     pub fn prefilter_scan(&self, mut entry_accepts: impl FnMut(u16, &[u8]) -> bool) -> ScanVerdict {
-        let mut entries = self.entries;
+        let mut entries = self.entry_block();
         for _ in 0..self.entry_count {
             let Ok((peer_index, _, attrs)) = next_rib_entry(&mut entries) else {
                 return ScanVerdict::Unsure;
@@ -245,7 +251,7 @@ pub fn any_community_in_attrs(
     let mut hit = false;
     walk_attrs(attrs, |attr| {
         if let AttrView::Communities(values) = attr {
-            hit = hit || communities(values).any(&mut pred);
+            hit = hit || communities(values)?.any(&mut pred);
         }
         Ok(())
     })
@@ -253,12 +259,12 @@ pub fn any_community_in_attrs(
     Some(hit)
 }
 
-fn communities(mut values: &[u8]) -> impl Iterator<Item = Community> + '_ {
-    std::iter::from_fn(move || {
-        values
-            .has_remaining()
-            .then(|| Community::from_u32(values.get_u32()))
-    })
+/// The values of a COMMUNITIES attribute, which `walk_attrs` has
+/// checked to be whole.
+fn communities(values: &[u8]) -> Result<impl Iterator<Item = Community> + '_, CodecError> {
+    Ok(Reader::new(values, "COMMUNITIES")
+        .u32s(values.len() / 4)?
+        .map(Community::from_u32))
 }
 
 /// The state of one prefilter scan: the caller's predicates, and the
@@ -309,7 +315,7 @@ impl Scan<'_> {
                 AttrView::AsPath(segments) => walk_as_path(segments, |_, _| {})?,
                 AttrView::Communities(values) => {
                     if let Some(pred) = self.comm.as_deref_mut() {
-                        self.comm_ok = self.comm_ok || communities(values).any(pred);
+                        self.comm_ok = self.comm_ok || communities(values)?.any(pred);
                     }
                 }
                 AttrView::MpReach { v4, nlri, .. } => accepted = self.announced(nlri, v4)?,

@@ -44,6 +44,20 @@ impl std::fmt::Display for MrtError {
 
 impl std::error::Error for MrtError {}
 
+impl MrtError {
+    /// The error of a read through the checked reader over MRT
+    /// structure. An embedded BGP message's error never comes here: it
+    /// stays [`MrtError::Bgp`].
+    pub(crate) fn framing(e: CodecError) -> MrtError {
+        match e {
+            CodecError::Truncated(w) => MrtError::Truncated(w),
+            CodecError::Invalid(w) | CodecError::BadLength(w) => MrtError::Invalid(w),
+            // Only the BGP header check raises these.
+            CodecError::BadMarker | CodecError::UnknownType(_) => MrtError::Bgp(e),
+        }
+    }
+}
+
 /// Sanity cap on record bodies; real RIB rows stay well under this and
 /// a larger value almost certainly indicates a corrupt length field.
 pub const MAX_RECORD_LEN: u32 = 1 << 20;
@@ -176,7 +190,7 @@ impl ChunkedReader {
             }
         }
         first.truncate(n);
-        let gzip = n >= 2 && first[..2] == GZIP_MAGIC;
+        let gzip = first.starts_with(&GZIP_MAGIC);
         if gzip {
             let prefixed = Prefixed {
                 prefix: first,
@@ -197,7 +211,7 @@ impl ChunkedReader {
 
     /// Wrap an in-memory buffer (compressed or plain), infallibly.
     pub fn from_bytes(buf: Vec<u8>) -> ChunkedReader {
-        let gzip = buf.len() >= 2 && buf[..2] == GZIP_MAGIC;
+        let gzip = buf.starts_with(&GZIP_MAGIC);
         if gzip {
             let cursor = std::io::Cursor::new(buf);
             let src: Box<dyn Read + Send> = Box::new(flate_lite::read::MultiGzDecoder::new(cursor));
@@ -301,11 +315,7 @@ impl ChunkedReader {
         if self.available() == 0 {
             return None; // clean EOF at record boundary
         }
-        if self.available() < MrtHeader::LEN {
-            return fail(self, MrtError::Truncated("MRT header"));
-        }
-        let header = match MrtHeader::decode(&self.window[self.start..self.start + MrtHeader::LEN])
-        {
+        let header = match MrtHeader::decode(&self.window[self.start..self.filled]) {
             Ok(h) => h,
             Err(e) => return fail(self, e),
         };
@@ -392,10 +402,7 @@ impl ChunkedReader {
         if self.available() == 0 {
             return Ok(None);
         }
-        if self.available() < MrtHeader::LEN {
-            return Err(MrtError::Truncated("MRT header"));
-        }
-        MrtHeader::decode(&self.window[self.start..self.start + MrtHeader::LEN]).map(Some)
+        MrtHeader::decode(&self.window[self.start..self.filled]).map(Some)
     }
 }
 

@@ -1,6 +1,7 @@
 //! MRT record framing: the common 12-byte header and the typed body.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bgp_types::codec::Reader;
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::bgp4mp::Bgp4mp;
 use crate::raw::RawMrtView;
@@ -63,17 +64,19 @@ impl MrtHeader {
         out.put_u32(self.length);
     }
 
-    /// Decode from exactly [`Self::LEN`] bytes.
-    pub fn decode(mut buf: &[u8]) -> Result<MrtHeader, MrtError> {
-        if buf.len() < Self::LEN {
-            return Err(MrtError::Truncated("MRT header"));
-        }
-        Ok(MrtHeader {
-            timestamp: buf.get_u32(),
-            mrt_type: MrtType::from_code(buf.get_u16()),
-            subtype: buf.get_u16(),
-            length: buf.get_u32(),
-        })
+    /// Decode the header at the start of `buf`; bytes past its
+    /// [`Self::LEN`] are ignored.
+    pub fn decode(buf: &[u8]) -> Result<MrtHeader, MrtError> {
+        let mut r = Reader::new(buf, "MRT header");
+        let mut read = || {
+            Ok(MrtHeader {
+                timestamp: r.u32()?,
+                mrt_type: MrtType::from_code(r.u16()?),
+                subtype: r.u16()?,
+                length: r.u32()?,
+            })
+        };
+        read().map_err(MrtError::framing)
     }
 }
 

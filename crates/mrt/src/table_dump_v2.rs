@@ -10,10 +10,11 @@
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{BufMut, BytesMut};
 
+use bgp_types::codec::Reader;
 use bgp_types::message::{decode_attrs, decode_nlri, encode_attrs, encode_nlri};
-use bgp_types::{Asn, PathAttributes, Prefix};
+use bgp_types::{Asn, CodecError, PathAttributes, Prefix};
 
 use crate::raw::{RawMrtView, RawRibRow};
 use crate::reader::MrtError;
@@ -142,102 +143,94 @@ impl TableDumpV2 {
 /// is framed up to its entry block, which [`next_rib_entry`] walks on
 /// demand; the peer index table — one record per dump, which every
 /// reader needs — is decoded in full.
-pub(crate) fn parse(subtype: u16, mut body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
+pub(crate) fn parse(subtype: u16, body: &[u8]) -> Result<RawMrtView<'_>, MrtError> {
     match subtype {
-        SUBTYPE_PEER_INDEX_TABLE => {
-            if body.len() < 8 {
-                return Err(MrtError::Truncated("peer index table header"));
-            }
-            let collector_bgp_id = body.get_u32();
-            let name_len = body.get_u16() as usize;
-            if body.len() < name_len + 2 {
-                return Err(MrtError::Truncated("peer index view name"));
-            }
-            let view_name = String::from_utf8_lossy(&body[..name_len]).into_owned();
-            body.advance(name_len);
-            let count = body.get_u16() as usize;
-            let mut peers = Vec::with_capacity(count);
-            for _ in 0..count {
-                if body.is_empty() {
-                    return Err(MrtError::Truncated("peer entry flags"));
-                }
-                let flags = body.get_u8();
-                let addr_len = if flags & PEER_FLAG_V6 != 0 { 16 } else { 4 };
-                let asn_len = if flags & PEER_FLAG_AS4 != 0 { 4 } else { 2 };
-                if body.len() < 4 + addr_len + asn_len {
-                    return Err(MrtError::Truncated("peer entry body"));
-                }
-                let bgp_id = body.get_u32();
-                let ip = if addr_len == 16 {
-                    let mut a = [0u8; 16];
-                    a.copy_from_slice(&body[..16]);
-                    body.advance(16);
-                    IpAddr::V6(Ipv6Addr::from(a))
-                } else {
-                    let mut a = [0u8; 4];
-                    a.copy_from_slice(&body[..4]);
-                    body.advance(4);
-                    IpAddr::V4(Ipv4Addr::from(a))
-                };
-                let asn = if asn_len == 4 {
-                    Asn(body.get_u32())
-                } else {
-                    Asn(body.get_u16() as u32)
-                };
-                peers.push(PeerEntry { bgp_id, ip, asn });
-            }
-            Ok(RawMrtView::PeerIndexTable(PeerIndexTable {
-                collector_bgp_id,
-                view_name,
-                peers,
-            }))
-        }
+        SUBTYPE_PEER_INDEX_TABLE => decode_peer_index_table(body)
+            .map(RawMrtView::PeerIndexTable)
+            .map_err(MrtError::framing),
         SUBTYPE_RIB_IPV4_UNICAST | SUBTYPE_RIB_IPV6_UNICAST => {
             let v4 = subtype == SUBTYPE_RIB_IPV4_UNICAST;
-            if body.len() < 4 {
-                return Err(MrtError::Truncated("RIB row header"));
-            }
-            let sequence = body.get_u32();
-            let prefix = decode_nlri(&mut body, v4).map_err(MrtError::Bgp)?;
-            if body.len() < 2 {
-                return Err(MrtError::Truncated("RIB entry count"));
-            }
-            let entry_count = body.get_u16() as usize;
+            let mut r = Reader::new(body, "RIB row header");
+            let sequence = r.u32().map_err(MrtError::framing)?;
+            let mut rest = r.rest();
+            let prefix = decode_nlri(&mut rest, v4).map_err(MrtError::Bgp)?;
+            let mut r = Reader::new(rest, "RIB entry count");
+            let entry_count = r.u16().map_err(MrtError::framing)? as usize;
             Ok(RawMrtView::RibRow(RawRibRow {
                 sequence,
                 prefix,
                 entry_count,
-                entries: body,
+                entries: r.rest(),
             }))
         }
         _ => Err(MrtError::Unsupported("unknown TABLE_DUMP_V2 subtype")),
     }
 }
 
+/// The smallest peer entry: flags, BGP ID, IPv4 address, 2-byte ASN.
+const MIN_PEER_ENTRY_LEN: usize = 11;
+
+fn decode_peer_index_table(body: &[u8]) -> Result<PeerIndexTable, CodecError> {
+    let mut r = Reader::new(body, "peer index table header");
+    // BGP ID, view name length and peer count.
+    r.need(8)?;
+    let collector_bgp_id = r.u32()?;
+    let view_name = r.relabel("peer index view name").str16()?.into_owned();
+    let count = r.u16()? as usize;
+    // The count is the record's word: reserve only what the bytes
+    // left could hold.
+    let mut peers = Vec::with_capacity(count.min(r.len() / MIN_PEER_ENTRY_LEN));
+    for _ in 0..count {
+        let flags = r.relabel("peer entry flags").u8()?;
+        r.relabel("peer entry body");
+        let bgp_id = r.u32()?;
+        let ip = if flags & PEER_FLAG_V6 != 0 {
+            IpAddr::V6(Ipv6Addr::from(r.u128()?))
+        } else {
+            IpAddr::V4(Ipv4Addr::from(r.u32()?))
+        };
+        let asn = if flags & PEER_FLAG_AS4 != 0 {
+            Asn(r.u32()?)
+        } else {
+            Asn(r.u16()? as u32)
+        };
+        peers.push(PeerEntry { bgp_id, ip, asn });
+    }
+    Ok(PeerIndexTable {
+        collector_bgp_id,
+        view_name,
+        peers,
+    })
+}
+
+/// The size of a RIB entry's fixed part: peer index, originated time
+/// and attribute length.
+const RIB_ENTRY_HEADER_LEN: usize = 8;
+
 /// Split the next entry off a RIB row's entry block (RFC 6396
 /// §4.3.4): `(peer index, originated time, bare attribute block)`.
-pub(crate) fn next_rib_entry<'a>(entries: &mut &'a [u8]) -> Result<(u16, u32, &'a [u8]), MrtError> {
-    if entries.len() < 8 {
-        return Err(MrtError::Truncated("RIB entry header"));
-    }
-    let peer_index = entries.get_u16();
-    let originated_time = entries.get_u32();
-    let attr_len = entries.get_u16() as usize;
-    if entries.len() < attr_len {
-        return Err(MrtError::Truncated("RIB entry attributes"));
-    }
-    let (attrs, rest) = entries.split_at(attr_len);
-    *entries = rest;
+pub(crate) fn next_rib_entry<'a>(
+    entries: &mut Reader<'a>,
+) -> Result<(u16, u32, &'a [u8]), CodecError> {
+    entries.relabel("RIB entry header");
+    let peer_index = entries.u16()?;
+    let originated_time = entries.u32()?;
+    let attr_len = entries.u16()? as usize;
+    let attrs = entries.relabel("RIB entry attributes").bytes(attr_len)?;
     Ok((peer_index, originated_time, attrs))
 }
 
 impl RawRibRow<'_> {
     /// Materialise the row: frame and decode every declared entry.
     pub(crate) fn materialise(&self) -> Result<RibRow, MrtError> {
-        let mut block = self.entries;
-        let mut entries = Vec::with_capacity(self.entry_count);
+        let mut block = self.entry_block();
+        // The count is the record's word: reserve only what the bytes
+        // left could hold.
+        let mut entries =
+            Vec::with_capacity(self.entry_count.min(block.len() / RIB_ENTRY_HEADER_LEN));
         for _ in 0..self.entry_count {
-            let (peer_index, originated_time, attrs) = next_rib_entry(&mut block)?;
+            let (peer_index, originated_time, attrs) =
+                next_rib_entry(&mut block).map_err(MrtError::framing)?;
             entries.push(RibEntry {
                 peer_index,
                 originated_time,

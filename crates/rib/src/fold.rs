@@ -20,8 +20,8 @@
 
 use std::sync::Arc;
 
+use bgp_types::codec::{open_frame, seal_frame, Reader};
 use bgp_types::{CodecError, SessionState};
-use bgpstream::codec::{open_frame, seal_frame, Reader};
 use bgpstream::{BgpStreamElem, BgpStreamRecord, ElemType};
 use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;

@@ -25,9 +25,9 @@ use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
 
+use bgp_types::codec::{ip_sort_key, open_frame, prefix_sort_key};
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix};
-use bgpstream::codec::{ip_sort_key, open_frame, prefix_sort_key};
 
 use crate::store::RibStore;
 use crate::table::{
@@ -377,8 +377,8 @@ mod tests {
     use super::*;
     use crate::store::{MemoryRibStore, Snapshot};
     use crate::table::RibTable;
+    use bgp_types::codec::seal_frame;
     use bgp_types::AsPath;
-    use bgpstream::codec::seal_frame;
     use std::sync::Arc;
 
     fn announce(

@@ -19,10 +19,10 @@ use std::borrow::Cow;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
-use bgpstream::codec::{
+use bgp_types::codec::{
     ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, seal_frame, Reader,
 };
+use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;
 

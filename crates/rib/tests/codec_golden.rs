@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
+use bgp_types::codec::{open_frame, seal_frame};
 use bgp_types::{AsPath, Asn, Community, CommunitySet, SessionState};
-use bgpstream::codec::{open_frame, seal_frame};
 use bgpstream::{BgpStreamElem, ElemType};
 use bytes::BytesMut;
 use rib::{RibAction, RibEvent, RibFold, RibRoute, RibTable};

@@ -25,7 +25,7 @@ pub fn sanctioned_boundary(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
 pub fn checked_decode(bytes: &[u8]) -> Result<u64, bgp_types::CodecError> {
     // Calling .get_u32() on a Buf would panic on short input; the
     // Reader returns an error instead.
-    let mut r = bgpstream::codec::Reader::new(bytes, "example");
+    let mut r = bgp_types::codec::Reader::new(bytes, "example");
     let time = r.u64()?;
     r.finish()?;
     Ok(time)

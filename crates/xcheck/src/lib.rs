@@ -32,9 +32,11 @@
 //!   prefetch boundaries that feed the supervisor).
 //! * **`buf-getter`** — `bytes::Buf` getters (`.get_u8()` …
 //!   `.get_u128()`) and `.advance(` are forbidden in non-test library
-//!   code of `core`, `corsaro` and `rib`: each panics on short input,
-//!   and those crates decode their state through
-//!   `bgpstream::codec::Reader`, whose reads fail with a `CodecError`.
+//!   code of every crate: each panics on short input, and every wire
+//!   format and serialized state decodes through
+//!   `bgp_types::codec::Reader`, whose reads fail with a `CodecError`.
+//!   The vendored `bytes` shim has no `Buf` at all; the rule keeps it
+//!   out should the shim give way to the real crate.
 //!
 //! Suppression is explicit and reviewable: either an inline
 //! `// xcheck:allow(<rule>)` comment on (or directly above) the line,
@@ -60,10 +62,6 @@ const HOT_PATH_CRATES: &[&str] = &[
     "mrt",
     "rib",
 ];
-
-/// Crates whose serialized state decodes through the one checked
-/// `bgpstream::codec::Reader`, never a panicking `Buf` cursor.
-const STATE_CODEC_CRATES: &[&str] = &["core", "corsaro", "rib"];
 
 /// Vendor shims that get the same `unwrap` audit (and no other line
 /// rule: they are stand-ins for external crates, outside the facade
@@ -297,8 +295,7 @@ pub struct RuleScope {
 
 /// Scope from path conventions: `crates/*/src` and root `src/` get the
 /// full pass (facade excepted for `crates/bsync`, which *is* the
-/// facade; unwrap only on hot-path crates, buf-getter only on the
-/// state-codec crates); `vendor/flate-lite/src`
+/// facade; unwrap only on hot-path crates); `vendor/flate-lite/src`
 /// gets the unwrap audit alone; everything else — the other vendor
 /// shims, tests/, examples/, benches/ — only sees the crate-root
 /// `unsafe-root` check, handled separately.
@@ -328,7 +325,7 @@ pub fn scope_for(rel: &str) -> Option<RuleScope> {
             facade: crate_name != "bsync",
             exit: true,
             catch_unwind: true,
-            buf_getter: STATE_CODEC_CRATES.contains(&crate_name),
+            buf_getter: true,
         });
     }
     if rel.starts_with("src/") {
@@ -467,7 +464,7 @@ pub fn scan_file(rel: &str, content: &str, scope: RuleScope, allow: &AllowList) 
                         line: line_no,
                         rule: "buf-getter",
                         message: format!(
-                            "`{}` panics on short input; decode through bgpstream::codec::Reader",
+                            "`{}` panics on short input; decode through bgp_types::codec::Reader",
                             tok.trim_end_matches(['(', ')'])
                         ),
                     });
@@ -711,14 +708,15 @@ mod tests {
         assert!(scope_for("crates/bgp-types/src/message.rs").unwrap().unwrap);
         assert!(!scope_for("crates/topology/src/lib.rs").unwrap().unwrap);
         assert!(!scope_for("crates/bsync/src/lib.rs").unwrap().facade);
-        for state in [
-            "crates/core/src/codec.rs",
+        for decoder in [
+            "crates/bgp-types/src/codec.rs",
             "crates/corsaro/src/rt.rs",
             "crates/rib/src/table.rs",
+            "crates/bmp/src/msg.rs",
         ] {
-            assert!(scope_for(state).unwrap().buf_getter, "{state}");
+            assert!(scope_for(decoder).unwrap().buf_getter, "{decoder}");
         }
-        assert!(!scope_for("crates/mrt/src/reader.rs").unwrap().buf_getter);
+        assert!(scope_for("crates/mrt/src/reader.rs").unwrap().buf_getter);
         assert!(!scope_for("src/worlds.rs").unwrap().buf_getter);
         assert!(scope_for("src/worlds.rs").unwrap().wallclock);
         assert!(scope_for("crates/broker/tests/live.rs").is_none());
