@@ -71,7 +71,7 @@ pub fn put_route(out: &mut BytesMut, path: &Option<AsPath>) {
 
 /// The checked reader. Each read returns the value and moves past it,
 /// or fails with a [`CodecError`] naming the structure being decoded
-/// (its label), and leaves the reader where it was.
+/// (its label).
 ///
 /// A decoder whose structures carry finer names than one label gives
 /// each structure its own with [`relabel`](Reader::relabel) as it

@@ -235,10 +235,10 @@ impl<'a> MessageView<'a> {
             return Err(CodecError::BadLength("BGP header"));
         }
         let body = r.relabel("BGP body").bytes(total - HEADER_LEN)?;
-        let mut r = Reader::new(body, "OPEN body");
         let message = match ty {
             TYPE_UPDATE => return Ok(MessageView::Update(UpdateView::split(body)?)),
             TYPE_OPEN => {
+                let mut r = Reader::new(body, "OPEN body");
                 let _version = r.u8()?;
                 let asn = Asn(r.u16()? as u32);
                 let hold_time = r.u16()?;
@@ -251,7 +251,7 @@ impl<'a> MessageView<'a> {
                 }
             }
             TYPE_NOTIFICATION => {
-                r.relabel("NOTIFICATION body");
+                let mut r = Reader::new(body, "NOTIFICATION body");
                 BgpMessage::Notification {
                     code: r.u8()?,
                     subcode: r.u8()?,
