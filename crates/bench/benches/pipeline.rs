@@ -14,7 +14,7 @@ use bgpstream_repro::bgpstream::{BgpStream, ElemType};
 use bgpstream_repro::broker::LocalBroker;
 use bgpstream_repro::corsaro::runtime::{ShardedPlugin, ShardedRuntime};
 use bgpstream_repro::corsaro::{run_pipeline, ElemCounter, PfxMonitor, Plugin, RtPlugin};
-use bgpstream_repro::mrt::{ChunkedReader, ParDecoder};
+use bgpstream_repro::mrt::ChunkedReader;
 use bgpstream_repro::worlds;
 
 struct Archive {
@@ -263,108 +263,6 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 
     std::fs::remove_dir_all(&dir).ok();
-
-    // Parallel record-boundary decode (PR 8): identical decode-heavy
-    // RIB bytes through the streaming sequential reader vs the
-    // ParDecoder pipeline (frame → chunk fan-out → in-order merge) at
-    // 4 workers. Framing is 12 header bytes per record; the work being
-    // spread is attribute/NLRI parsing, so on a multi-core host
-    // `parallel_decode` should run ≥2x faster than `sequential_decode`
-    // (CI enforces this via `bench_gate --min-speedup`; a single-core
-    // host can only measure pool overhead, so the gate skips itself
-    // there).
-    let bytes = decode_archive_bytes();
-    let mut g = c.benchmark_group("pipeline");
-    g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("sequential_decode", |b| {
-        b.iter(|| {
-            let mut r = ChunkedReader::from_bytes(bytes.clone());
-            let mut n = 0u64;
-            while let Some(item) = r.next() {
-                n += item.expect("bench archive is clean").timestamp as u64 & 1;
-            }
-            black_box(n)
-        })
-    });
-    g.bench_function("parallel_decode", |b| {
-        b.iter(|| {
-            let mut d = ParDecoder::decode_records(ChunkedReader::from_bytes(bytes.clone()), 4);
-            let mut n = 0u64;
-            while let Some(item) = d.next() {
-                n += item.expect("bench archive is clean").timestamp as u64 & 1;
-            }
-            black_box(n)
-        })
-    });
-    g.finish();
-}
-
-/// A decode-dominated archive: one peer index table and many RIB rows
-/// with multi-entry attribute sets (AS paths, communities), so
-/// per-record parse cost dwarfs the 12-byte framing scan.
-fn decode_archive_bytes() -> Vec<u8> {
-    use bgpstream_repro::bgp_types::{AsPath, Asn, Community, PathAttributes};
-    use bgpstream_repro::mrt::table_dump_v2::TableDumpV2;
-    use bgpstream_repro::mrt::{MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibRow};
-
-    let peers = 8u16;
-    let mut buf = Vec::new();
-    let mut w = MrtWriter::new(&mut buf);
-    w.write(&MrtRecord::table_dump_v2(
-        0,
-        TableDumpV2::PeerIndexTable(PeerIndexTable {
-            collector_bgp_id: 1,
-            view_name: String::new(),
-            peers: (0..peers)
-                .map(|i| PeerEntry {
-                    bgp_id: i as u32,
-                    ip: format!("192.0.2.{}", i + 1).parse().unwrap(),
-                    asn: Asn(65000 + i as u32),
-                })
-                .collect(),
-        }),
-    ))
-    .unwrap();
-    for seq in 0..6_000u32 {
-        let entries = (0..peers)
-            .map(|peer_index| {
-                let mut attrs = PathAttributes::route(
-                    AsPath::from_sequence([
-                        65000 + peer_index as u32,
-                        3356,
-                        1299,
-                        174,
-                        6939,
-                        137 + seq % 31,
-                    ]),
-                    "192.0.2.1".parse().unwrap(),
-                );
-                attrs
-                    .communities
-                    .insert(Community::new(3356, (seq % 512) as u16));
-                attrs
-                    .communities
-                    .insert(Community::new(1299, (40 + seq % 7) as u16));
-                RibEntry {
-                    peer_index,
-                    originated_time: 1,
-                    attrs,
-                }
-            })
-            .collect();
-        w.write(&MrtRecord::table_dump_v2(
-            1,
-            TableDumpV2::RibRow(RibRow {
-                sequence: seq,
-                prefix: format!("10.{}.{}.0/24", seq / 250, seq % 250)
-                    .parse()
-                    .unwrap(),
-                entries,
-            }),
-        ))
-        .unwrap();
-    }
-    buf
 }
 
 criterion_group! {

@@ -1,13 +1,11 @@
 //! [`ShardPool`] — the persistent, addressed worker pool used by the
-//! sharded consumer runtime (`corsaro::runtime`) and the parallel MRT
-//! decode front-end (`mrt::par`).
+//! sharded consumer runtime (`corsaro::runtime`).
 //!
 //! The pool lives in `bsync` because it is built entirely from the
 //! facade's own primitives (bounded [`channel`]s and named [`thread`]
 //! spawns), so under `--features loom-lite` a pool inside a model test
 //! is fully instrumented, and because it sits below every crate that
-//! needs it (`analytics` re-exports it unchanged; `mrt` cannot depend
-//! on `analytics` without a cycle through `bgpstream-core`).
+//! needs it (`analytics` re-exports it unchanged).
 
 use std::sync::Arc;
 
@@ -19,9 +17,8 @@ use crate::{channel, thread};
 /// with [`ShardPool::send`]`(w, m)` is processed by worker `w` and no
 /// other, and messages to one worker are processed strictly in send
 /// order. That addressed-FIFO property is what lets the sharded
-/// consumer runtime keep per-shard plugin state on a fixed worker —
-/// and the parallel decoder assign chunk sequence numbers round-robin
-/// — and still guarantee deterministic results.
+/// consumer runtime keep per-shard plugin state on a fixed worker and
+/// still guarantee deterministic results.
 ///
 /// Workers run until the pool is dropped (or [`ShardPool::join`]ed):
 /// they drain their queues, then exit when the senders disconnect.

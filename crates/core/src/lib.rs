@@ -69,7 +69,6 @@ pub use elem::{BgpStreamElem, ElemType};
 pub use filter::{CommunityFilter, CompiledFilters, Filters, IpVersion};
 pub use filter_lang::{parse_filter_string, FilterLangError, ParsedFilter};
 pub use json_input::{parse_elem_json, JsonElem, JsonError};
-pub use mrt::DecodeMode;
 pub use record::{BgpStreamRecord, DumpPosition, RecordStatus};
 pub use stream::{
     BatchStep, BgpStream, BgpStreamBuilder, Clock, ElemSource, StreamMode, StreamStartError,

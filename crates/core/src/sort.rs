@@ -20,10 +20,7 @@ use broker::index::DumpMeta;
 use broker::SourceId;
 use mrt::record::MrtType;
 use mrt::table_dump_v2::TableDumpV2;
-use mrt::{
-    ChunkCtx, ChunkedReader, DecodeMode, MrtBody, MrtHeader, MrtRecord, ParDecoder, PeerIndexTable,
-    RawMrtView, Step,
-};
+use mrt::{ChunkedReader, MrtBody, MrtHeader, MrtRecord, PeerIndexTable, RawMrtView};
 
 use crate::elem::{extract_into, BgpStreamElem};
 use crate::filter::{CompiledFilters, Filters};
@@ -79,46 +76,8 @@ pub fn partition_overlap_groups(files: &[DumpMeta]) -> Vec<Vec<DumpMeta>> {
     groups
 }
 
-/// The per-record decode result flowing out of [`decode_one`], before
-/// the dump-level state (last-delivered timestamp, position lookahead)
-/// is applied. Parallel decode workers produce these; the consumer
-/// side turns them into [`BgpStreamRecord`]s.
-struct Decoded {
-    ts: u64,
-    status: RecordStatus,
-    elems: Vec<BgpStreamElem>,
-    /// Corrupted-read placeholders carry no timestamp of their own:
-    /// the *consumer* stamps them with the dump's last delivered
-    /// timestamp (sequential state no worker can know). Always set
-    /// together with stream termination — a stamped placeholder is the
-    /// dump's final record, mirroring the poisoning readers.
-    stamp_with_last: bool,
-}
-
-impl Decoded {
-    fn empty(ts: u64, status: RecordStatus) -> Decoded {
-        Decoded {
-            ts,
-            status,
-            elems: Vec::new(),
-            stamp_with_last: false,
-        }
-    }
-
-    /// The corrupted-read placeholder ending a stream.
-    fn corrupt_tail() -> Decoded {
-        Decoded {
-            ts: 0,
-            status: RecordStatus::CorruptedRecord,
-            elems: Vec::new(),
-            stamp_with_last: true,
-        }
-    }
-}
-
-/// Decode and filter one framed record. This is THE per-record path —
-/// the sequential reader calls it inline, parallel workers call it
-/// from the [`ParDecoder`] map — so the two modes cannot drift apart.
+/// Decode and filter one framed record: the one per-record path every
+/// dump read goes through.
 ///
 /// Each record is parsed once, into a [`RawMrtView`]. Filter pushdown
 /// reads that view: when the compiled filters can prove from the raw
@@ -130,23 +89,21 @@ impl Decoded {
 /// only the wasted work is gone. A kept record is materialised from
 /// the same view.
 ///
-/// `pit` is the `PEER_INDEX_TABLE` in effect *before* this record;
-/// if the record is itself a PIT it is installed into the slot (the
-/// sequential caller threads its dump-wide slot here; parallel
-/// workers thread a per-record scratch slot pre-seeded from
-/// [`ChunkCtx`], whose propagation the chunk framer owns).
+/// `pit` is the dump's `PEER_INDEX_TABLE` slot, holding the table in
+/// effect *before* this record; a PIT record is moved into it.
+///
+/// Returns the record's timestamp, status and surviving elems, or
+/// `None` for a corrupted read, which ends the dump.
 fn decode_one(
     filters: &CompiledFilters,
     scratch: &mut Vec<BgpStreamElem>,
-    pit: &mut Option<Arc<PeerIndexTable>>,
+    pit: &mut Option<PeerIndexTable>,
     header: &MrtHeader,
     body: &[u8],
-) -> Step<Decoded> {
+) -> Option<(u64, RecordStatus, Vec<BgpStreamElem>)> {
     let ts = header.timestamp as u64;
-    let Ok(view) = RawMrtView::parse(header, body) else {
-        return Step::Terminal(Decoded::corrupt_tail());
-    };
-    if !filters.record_may_match(&view, pit.as_deref()) {
+    let view = RawMrtView::parse(header, body).ok()?;
+    if !filters.record_may_match(&view, pit.as_ref()) {
         // A rejection also certifies the body would have decoded
         // cleanly (the prefilter scans walk the decoder's own
         // checks), so skipping the materialisation can never hide a
@@ -157,31 +114,33 @@ fn decode_one(
             RawMrtView::Unknown(_) => RecordStatus::Unsupported,
             _ => RecordStatus::Valid,
         };
-        return Step::Item(Decoded::empty(ts, status));
+        return Some((ts, status, Vec::new()));
     }
-    let rec = match view.materialise() {
-        Ok(body) => MrtRecord {
+    let rec = match view.materialise().ok()? {
+        // A peer table yields no elems of its own: install it and emit
+        // its elem-less envelope.
+        MrtBody::TableDumpV2(TableDumpV2::PeerIndexTable(p)) => {
+            *pit = Some(p);
+            return Some((ts, RecordStatus::Valid, Vec::new()));
+        }
+        body => MrtRecord {
             timestamp: header.timestamp,
             body,
         },
-        Err(_) => return Step::Terminal(Decoded::corrupt_tail()),
     };
-    if let MrtBody::TableDumpV2(TableDumpV2::PeerIndexTable(p)) = &rec.body {
-        *pit = Some(Arc::new(p.clone()));
-    }
     let unsupported = matches!(rec.body, MrtBody::Unknown(_));
     let (elems, missing_peer) = if filters.is_pass_all() {
         // Fast path: with no elem filters configured, the
         // extracted Vec is handed over as-is.
         let mut elems = Vec::new();
-        let missing_peer = extract_into(rec, pit.as_deref(), &mut elems);
+        let missing_peer = extract_into(rec, pit.as_ref(), &mut elems);
         (elems, missing_peer)
     } else {
         // Extract into the reusable scratch buffer, filter in
         // place, and right-size an owned Vec only for survivors —
         // fully-filtered records allocate nothing.
         scratch.clear();
-        let missing_peer = extract_into(rec, pit.as_deref(), scratch);
+        let missing_peer = extract_into(rec, pit.as_ref(), scratch);
         scratch.retain(|e| filters.matches(e));
         let elems = if scratch.is_empty() {
             Vec::new()
@@ -203,20 +162,7 @@ fn decode_one(
     } else {
         RecordStatus::Valid
     };
-    Step::Item(Decoded {
-        ts,
-        status,
-        elems,
-        stamp_with_last: false,
-    })
-}
-
-/// The record source behind one open dump: either the streaming
-/// sequential reader, or the parallel front-end (framing on this
-/// thread, decode on a worker pool, in-order reassembly).
-enum DumpSource {
-    Seq(ChunkedReader),
-    Par(Box<ParDecoder<Decoded>>),
+    Some((ts, status, elems))
 }
 
 /// One open dump file inside a merge: a streaming MRT source plus the
@@ -226,10 +172,9 @@ struct OpenDump {
     /// Interned source identity, resolved once at open; every record
     /// copies this handle instead of cloning the name strings.
     source: SourceId,
-    input: Option<DumpSource>,
-    /// Sequential-mode peer table slot (parallel mode tracks the
-    /// table inside the framer, per chunk).
-    pit: Option<Arc<PeerIndexTable>>,
+    input: Option<ChunkedReader>,
+    /// The `PEER_INDEX_TABLE` RIB rows resolve their peers against.
+    pit: Option<PeerIndexTable>,
     /// One-record lookahead so the last record can be flagged
     /// `DumpPosition::End`.
     pending: Option<BgpStreamRecord>,
@@ -242,47 +187,18 @@ struct OpenDump {
 }
 
 impl OpenDump {
-    fn open(
-        meta: DumpMeta,
-        filters: &Arc<CompiledFilters>,
-        scratch: &mut Vec<BgpStreamElem>,
-        mode: DecodeMode,
-    ) -> Self {
+    fn open(meta: DumpMeta, filters: &CompiledFilters, scratch: &mut Vec<BgpStreamElem>) -> Self {
         let source = meta.source_id();
         // Streaming open: the reader decompresses and frames
         // incrementally into a bounded window instead of slurping the
         // whole (possibly gzip-compressed) file into memory.
         match ChunkedReader::open(&meta.path) {
             Ok(reader) => {
-                let input = match mode {
-                    DecodeMode::Sequential => DumpSource::Seq(reader),
-                    DecodeMode::Parallel(n) => {
-                        let f = Arc::clone(filters);
-                        DumpSource::Par(Box::new(ParDecoder::spawn(
-                            reader,
-                            n.max(1),
-                            |_| Vec::new(),
-                            move |scratch: &mut Vec<BgpStreamElem>,
-                                  ctx: &ChunkCtx,
-                                  header,
-                                  body| {
-                                // Per-record PIT slot seeded from the
-                                // chunk context; the framer owns
-                                // cross-chunk propagation, so a local
-                                // install is complete by construction
-                                // (PIT records are singleton chunks).
-                                let mut pit = ctx.pit.clone();
-                                decode_one(&f, scratch, &mut pit, header, body)
-                            },
-                            |_e| Decoded::corrupt_tail(),
-                        )))
-                    }
-                };
                 let mut dump = OpenDump {
                     last_ts: meta.interval_start,
                     meta,
                     source,
-                    input: Some(input),
+                    input: Some(reader),
                     pit: None,
                     pending: None,
                     produced: 0,
@@ -318,65 +234,43 @@ impl OpenDump {
         }
     }
 
-    /// Apply dump-level state to one decode result: the last-delivered
-    /// timestamp clamp (and placeholder stamping) plus termination.
-    /// Shared by both modes so their envelope sequences stay
-    /// byte-identical.
-    fn finish_step(&mut self, step: Step<Decoded>) -> BgpStreamRecord {
-        let (d, terminal) = match step {
-            Step::Item(d) => (d, false),
-            Step::Terminal(d) => (d, true),
-        };
-        if terminal {
-            self.finished = true;
-        }
-        let ts = if d.stamp_with_last {
-            // Stamp the placeholder with the last timestamp this
-            // dump delivered — not `interval_start`, which can lie
-            // before records already emitted and would make the
-            // merged stream go backwards in time.
-            self.last_ts
-        } else {
-            self.last_ts = self.last_ts.max(d.ts);
-            d.ts
-        };
-        BgpStreamRecord {
-            source: self.source,
-            dump_time: self.meta.interval_start,
-            timestamp: ts,
-            position: DumpPosition::Middle,
-            status: d.status,
-            elems_vec: d.elems,
-        }
-    }
-
     /// Read and annotate the next raw record (position fixed up later).
     fn read_one(
         &mut self,
         filters: &CompiledFilters,
         scratch: &mut Vec<BgpStreamElem>,
     ) -> Option<BgpStreamRecord> {
-        let step = match self.input.as_mut()? {
-            DumpSource::Seq(reader) => match reader.next_raw() {
-                None => {
-                    self.finished = true;
-                    return None;
-                }
-                Some(Err(_)) => Step::Terminal(Decoded::corrupt_tail()),
-                // `raw` keeps a loan on `self.input` alive; decode_one
-                // only needs the *other* fields (pit) plus externals.
-                Some(Ok(raw)) => decode_one(filters, scratch, &mut self.pit, &raw.header, raw.body),
-            },
-            DumpSource::Par(dec) => match dec.next() {
-                None => {
-                    self.finished = true;
-                    return None;
-                }
-                Some(d) if d.stamp_with_last => Step::Terminal(d),
-                Some(d) => Step::Item(d),
-            },
+        let decoded = match self.input.as_mut()?.next_raw() {
+            None => {
+                self.finished = true;
+                return None;
+            }
+            Some(Err(_)) => None,
+            Some(Ok(raw)) => decode_one(filters, scratch, &mut self.pit, &raw.header, raw.body),
         };
-        Some(self.finish_step(step))
+        let (timestamp, status, elems_vec) = match decoded {
+            Some((ts, status, elems)) => {
+                self.last_ts = self.last_ts.max(ts);
+                (ts, status, elems)
+            }
+            None => {
+                // A corrupted read ends the dump. Its placeholder is
+                // stamped with the last timestamp this dump delivered —
+                // not `interval_start`, which can lie before records
+                // already emitted and would make the merged stream go
+                // backwards in time.
+                self.finished = true;
+                (self.last_ts, RecordStatus::CorruptedRecord, Vec::new())
+            }
+        };
+        Some(BgpStreamRecord {
+            source: self.source,
+            dump_time: self.meta.interval_start,
+            timestamp,
+            position: DumpPosition::Middle,
+            status,
+            elems_vec,
+        })
     }
 
     /// Produce the next record with final position annotation.
@@ -452,34 +346,17 @@ pub struct GroupMerger {
     /// `ranks[slot]`: lexicographic tiebreak rank of that dump.
     ranks: Vec<u32>,
     filters: Arc<CompiledFilters>,
-    /// Decode mode every dump of this merge opens with (admitted
-    /// stragglers included).
-    mode: DecodeMode,
     /// Reusable elem extraction buffer (see [`extract_into`]).
     scratch: Vec<BgpStreamElem>,
 }
 
 impl GroupMerger {
-    /// Open every file of the group and prime the heap, decoding
-    /// sequentially. See [`GroupMerger::open_with`] for parallel
-    /// decode.
+    /// Open every file of the group and prime the heap.
     pub fn open(group: Vec<DumpMeta>, filters: Arc<CompiledFilters>) -> Self {
-        Self::open_with(group, filters, DecodeMode::Sequential)
-    }
-
-    /// Open every file of the group under the given [`DecodeMode`] and
-    /// prime the heap. Both modes deliver byte-identical record
-    /// sequences; `Parallel` spends one worker pool per open dump to
-    /// overlap record decoding with the merge.
-    pub fn open_with(
-        group: Vec<DumpMeta>,
-        filters: Arc<CompiledFilters>,
-        mode: DecodeMode,
-    ) -> Self {
         let mut scratch = Vec::new();
         let dumps: Vec<OpenDump> = group
             .into_iter()
-            .map(|m| OpenDump::open(m, &filters, &mut scratch, mode))
+            .map(|m| OpenDump::open(m, &filters, &mut scratch))
             .collect();
         // Integer tiebreaks: rank slots by (project, collector, type)
         // once, so the heap never compares (or clones) strings.
@@ -511,7 +388,6 @@ impl GroupMerger {
             heap,
             ranks,
             filters,
-            mode,
             scratch,
         }
     }
@@ -533,7 +409,7 @@ impl GroupMerger {
     pub fn admit(&mut self, meta: DumpMeta) {
         let slot = self.dumps.len();
         let rank = self.ranks.iter().copied().max().map_or(0, |r| r + 1);
-        let dump = OpenDump::open(meta, &self.filters, &mut self.scratch, self.mode);
+        let dump = OpenDump::open(meta, &self.filters, &mut self.scratch);
         self.ranks.push(rank);
         if let Some(ts) = dump.head_timestamp() {
             self.heap.push(HeapEntry {
@@ -571,17 +447,8 @@ impl GroupMerger {
 /// Convenience: read one local MRT file (no merge) into records —
 /// used by tests and the SingleFile interface path.
 pub fn read_single_file(meta: DumpMeta, filters: &Filters) -> Vec<BgpStreamRecord> {
-    read_single_file_with(meta, filters, DecodeMode::Sequential)
-}
-
-/// [`read_single_file`] under an explicit [`DecodeMode`].
-pub fn read_single_file_with(
-    meta: DumpMeta,
-    filters: &Filters,
-    mode: DecodeMode,
-) -> Vec<BgpStreamRecord> {
     let filters = Arc::new(filters.compile());
-    let mut merger = GroupMerger::open_with(vec![meta], filters, mode);
+    let mut merger = GroupMerger::open(vec![meta], filters);
     let mut out = Vec::new();
     while let Some(r) = merger.next() {
         out.push(r);

@@ -25,7 +25,6 @@ use bsync::channel::{Receiver, Sender};
 use crate::filter::{CommunityFilter, CompiledFilters, Filters};
 use crate::record::BgpStreamRecord;
 use crate::sort::{partition_overlap_groups, GroupMerger};
-use mrt::DecodeMode;
 
 /// Virtual-time source for live mode.
 ///
@@ -177,7 +176,6 @@ pub struct BgpStreamBuilder {
     poll: Duration,
     release: Option<ReleasePolicy>,
     resume_lease: Option<LeaseId>,
-    decode: DecodeMode,
 }
 
 impl Default for BgpStreamBuilder {
@@ -191,7 +189,6 @@ impl Default for BgpStreamBuilder {
             poll: Duration::from_millis(2),
             release: None,
             resume_lease: None,
-            decode: DecodeMode::Sequential,
         }
     }
 }
@@ -363,17 +360,6 @@ impl BgpStreamBuilder {
         self
     }
 
-    /// How dump files are decoded ([`DecodeMode::Sequential`] by
-    /// default). [`DecodeMode::Parallel`] frames each dump on the
-    /// reading thread and decodes records on a worker pool,
-    /// reassembled in order — the record sequence is byte-identical
-    /// either way; parallel pays a pool spawn per dump and wins on
-    /// decode-heavy streams (large RIBs, historical backfill).
-    pub fn decode_mode(mut self, mode: DecodeMode) -> Self {
-        self.decode = mode;
-        self
-    }
-
     /// Finish configuration and enter the reading phase.
     ///
     /// Panics when the data interface cannot be materialised (e.g. an
@@ -432,7 +418,6 @@ impl BgpStreamBuilder {
             compiled,
             clock: self.clock,
             poll: self.poll,
-            decode: self.decode,
             groups: VecDeque::new(),
             lookahead: VecDeque::new(),
             merger: None,
@@ -491,8 +476,6 @@ pub struct BgpStream {
     compiled: Arc<CompiledFilters>,
     clock: Clock,
     poll: Duration,
-    /// Decode mode every merger of this stream opens dumps with.
-    decode: DecodeMode,
     groups: VecDeque<Vec<DumpMeta>>,
     /// Records handed back via [`BgpStream::unread`], delivered again
     /// (in order) before anything else.
@@ -518,7 +501,6 @@ pub struct BgpStream {
 struct PrefetchReq {
     group: Vec<DumpMeta>,
     filters: Arc<CompiledFilters>,
-    mode: DecodeMode,
     reply: Sender<GroupMerger>,
 }
 
@@ -544,7 +526,7 @@ fn prefetch_worker() -> &'static Sender<PrefetchReq> {
                     // and it re-opens the group synchronously).
                     // xcheck:allow(catch-unwind) — see above
                     let opened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        GroupMerger::open_with(req.group, req.filters, req.mode)
+                        GroupMerger::open(req.group, req.filters)
                     }));
                     if let Ok(merger) = opened {
                         // A dropped stream makes the send fail; ignore.
@@ -663,19 +645,24 @@ impl BgpStream {
                 }
                 Pump::End => return None,
                 Pump::Idle => {
-                    self.promise_released_through();
-                    let v = self.client.version();
-                    // Block: wake on new publications (or watermark
-                    // advances) or poll timeout, then re-check the
-                    // clock.
-                    let _ = self.client.wait_for_new(v, self.poll);
-                    if matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v {
-                        // A fixed clock can never make progress.
+                    if !self.wait_idle() {
                         return None;
                     }
                 }
             }
         }
+    }
+
+    /// Wait out a [`Pump::Idle`]: promise the watermark — it becomes a
+    /// delivery floor, so stragglers may not undercut it afterwards —
+    /// then block until a new publication (or watermark advance) or
+    /// one poll interval passes. Returns false when the stream can
+    /// never make progress: a fixed clock and no new index version.
+    fn wait_idle(&mut self) -> bool {
+        self.promise_released_through();
+        let v = self.client.version();
+        let _ = self.client.wait_for_new(v, self.poll);
+        !(matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v)
     }
 
     /// One non-blocking reading-phase step: drain the current merge,
@@ -852,10 +839,10 @@ impl BgpStream {
                 Ok(m) => m,
                 // Worker died (only possible via panic); re-open the
                 // in-flight group synchronously so no records are lost.
-                Err(_) => GroupMerger::open_with(p.group, self.compiled.clone(), self.decode),
+                Err(_) => GroupMerger::open(p.group, self.compiled.clone()),
             },
             None => match self.groups.pop_front() {
-                Some(g) => GroupMerger::open_with(g, self.compiled.clone(), self.decode),
+                Some(g) => GroupMerger::open(g, self.compiled.clone()),
                 None => return false,
             },
         };
@@ -869,7 +856,6 @@ impl BgpStream {
             let req = PrefetchReq {
                 group: group.clone(),
                 filters: self.compiled.clone(),
-                mode: self.decode,
                 reply,
             };
             if prefetch_worker().send(req).is_ok() {
@@ -954,13 +940,8 @@ impl BgpStream {
                     if !out.is_empty() {
                         break;
                     }
-                    // Bounded block, then hand control back. The
-                    // reported watermark becomes a delivery floor:
-                    // stragglers may not undercut it afterwards.
-                    self.promise_released_through();
-                    let v = self.client.version();
-                    let _ = self.client.wait_for_new(v, self.poll);
-                    if matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v {
+                    // Bounded block, then hand control back.
+                    if !self.wait_idle() {
                         return BatchStep::End;
                     }
                     return BatchStep::Idle {

@@ -1,25 +1,23 @@
-//! Stream-level decode-mode equivalence: `DecodeMode::Parallel(n)`
-//! must deliver exactly the records `DecodeMode::Sequential` does —
-//! same annotations, same extracted elems, same corruption
-//! placeholders — for update dumps, RIB dumps with peer-index-table
-//! resolution, gzip-compressed files, and full broker-driven streams.
+//! Stream-level dump reads: the records, annotations, extracted elems
+//! and corruption placeholders delivered for update dumps, RIB dumps
+//! with peer-index-table resolution, gzip-compressed files, filtered
+//! reads, and full broker-driven streams.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, PathAttributes};
-use bgpstream::record::DumpPosition;
-use bgpstream::sort::read_single_file_with;
-use bgpstream::{BgpStream, BgpStreamElem, BgpStreamRecord, DecodeMode, Filters, RecordStatus};
-use broker::{DumpMeta, DumpType, Index, LocalBroker, SourceId};
+use bgpstream::sort::read_single_file;
+use bgpstream::{BgpStream, Filters, RecordStatus};
+use broker::{DumpMeta, DumpType, Index, LocalBroker};
 use flate_lite::{write::GzEncoder, Compression};
 use mrt::table_dump_v2::TableDumpV2;
 use mrt::{Bgp4mp, MrtRecord, MrtWriter, PeerEntry, PeerIndexTable, RibEntry, RibRow};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
-        "bgpstream-decodemode-{tag}-{}-{}",
+        "bgpstream-dumpstream-{tag}-{}-{}",
         std::process::id(),
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -133,54 +131,8 @@ fn meta(path: &Path, dump_type: DumpType, collector: &str) -> DumpMeta {
     }
 }
 
-type Snap = (
-    SourceId,
-    u64,
-    u64,
-    DumpPosition,
-    RecordStatus,
-    Vec<BgpStreamElem>,
-);
-
-fn snap(records: Vec<BgpStreamRecord>) -> Vec<Snap> {
-    records
-        .into_iter()
-        .map(|r| {
-            let (source, dump_time, timestamp, position, status) =
-                (r.source, r.dump_time, r.timestamp, r.position, r.status);
-            (
-                source,
-                dump_time,
-                timestamp,
-                position,
-                status,
-                r.into_elems(),
-            )
-        })
-        .collect()
-}
-
-/// Compare one file under Sequential vs Parallel(1/2/4/8) and return
-/// the (shared) sequential snapshot for further assertions.
-fn assert_modes_agree(meta: DumpMeta, filters: &Filters) -> Vec<Snap> {
-    let gold = snap(read_single_file_with(
-        meta.clone(),
-        filters,
-        DecodeMode::Sequential,
-    ));
-    for workers in [1, 2, 4, 8] {
-        let par = snap(read_single_file_with(
-            meta.clone(),
-            filters,
-            DecodeMode::Parallel(workers),
-        ));
-        assert_eq!(par, gold, "Parallel({workers}) diverged from Sequential");
-    }
-    gold
-}
-
 #[test]
-fn updates_dump_agrees_across_modes() {
+fn updates_dump_reads_every_record() {
     let dir = tmpdir("updates");
     let path = dir.join("updates.mrt");
     let recs: Vec<MrtRecord> = (0..40)
@@ -193,35 +145,38 @@ fn updates_dump_agrees_across_modes() {
         })
         .collect();
     write_plain(&path, &recs);
-    let gold = assert_modes_agree(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
-    assert_eq!(gold.len(), 40);
-    assert!(gold.iter().any(|r| !r.5.is_empty()), "updates carry elems");
+    let out = read_single_file(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    assert_eq!(out.len(), 40);
+    assert!(
+        out.iter().any(|r| !r.elems().is_empty()),
+        "updates carry elems"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn rib_dump_with_peer_table_agrees_across_modes() {
+fn rib_dump_resolves_peers_through_each_table() {
     let dir = tmpdir("rib");
     let path = dir.join("rib.mrt");
     let mut recs = vec![pit(0, 3)];
     recs.extend((0..30).map(|i| rib_row(1, i, 3)));
     // A second PIT mid-dump: rows after it must resolve against the
-    // *new* table in both modes.
+    // *new* table.
     recs.push(pit(2, 5));
     recs.extend((30..60).map(|i| rib_row(3, i, 5)));
     write_plain(&path, &recs);
-    let gold = assert_modes_agree(meta(&path, DumpType::Rib, "rrc00"), &Filters::default());
-    assert_eq!(gold.len(), recs.len());
-    // Peer resolution must actually have happened (3 then 5 elems per
-    // row), not just agreed on emptiness.
-    assert_eq!(gold[1].5.len(), 3);
-    assert_eq!(gold[gold.len() - 1].5.len(), 5);
-    assert_eq!(gold[1].5[0].peer_asn, Asn(65000));
+    let out = read_single_file(meta(&path, DumpType::Rib, "rrc00"), &Filters::default());
+    assert_eq!(out.len(), recs.len());
+    // Peer resolution must actually have happened: 3 then 5 elems per
+    // row.
+    assert_eq!(out[1].elems().len(), 3);
+    assert_eq!(out[out.len() - 1].elems().len(), 5);
+    assert_eq!(out[1].elems()[0].peer_asn, Asn(65000));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn corrupted_tail_placeholder_agrees_across_modes() {
+fn corrupted_tail_ends_with_stamped_placeholder() {
     let dir = tmpdir("corrupt");
     let path = dir.join("bad.mrt");
     let mut buf = Vec::new();
@@ -231,29 +186,29 @@ fn corrupted_tail_placeholder_agrees_across_modes() {
     }
     buf.extend_from_slice(&[0xff; 7]); // truncated garbage tail
     std::fs::write(&path, buf).unwrap();
-    let gold = assert_modes_agree(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
-    assert_eq!(gold.len(), 11, "10 records + corruption placeholder");
-    let last = gold.last().unwrap();
-    assert_eq!(last.4, RecordStatus::CorruptedRecord);
+    let out = read_single_file(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    assert_eq!(out.len(), 11, "10 records + corruption placeholder");
+    let last = out.last().unwrap();
+    assert_eq!(last.status, RecordStatus::CorruptedRecord);
     // The placeholder is stamped with the last good timestamp so it
-    // cannot move stream time backwards — identically in both modes.
-    assert_eq!(last.2, 9);
+    // cannot move stream time backwards.
+    assert_eq!(last.timestamp, 9);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn gzip_compressed_file_agrees_across_modes() {
+fn gzip_compressed_file_reads_every_record() {
     let dir = tmpdir("gz");
     let path = dir.join("updates.mrt.gz");
     let recs: Vec<MrtRecord> = (0..50).map(|i| announce(i, (i % 250) as u8)).collect();
     write_gzip(&path, &recs);
-    let gold = assert_modes_agree(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
-    assert_eq!(gold.len(), 50);
+    let out = read_single_file(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    assert_eq!(out.len(), 50);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn filters_apply_identically_across_modes() {
+fn filters_keep_only_matching_elems() {
     let dir = tmpdir("filters");
     let path = dir.join("updates.mrt");
     let recs: Vec<MrtRecord> = (0..30).map(|i| announce(i, (i % 4) as u8)).collect();
@@ -262,16 +217,16 @@ fn filters_apply_identically_across_modes() {
     filters
         .prefixes
         .push(("203.0.1.0/24".parse().unwrap(), PrefixMatch::Exact));
-    let gold = assert_modes_agree(meta(&path, DumpType::Updates, "rrc00"), &filters);
-    // Pushdown must drop non-matching elems the same way in both
-    // modes: only every-4th announcement hits 203.0.1.0/24.
-    let matched = gold.iter().filter(|r| !r.5.is_empty()).count();
+    let out = read_single_file(meta(&path, DumpType::Updates, "rrc00"), &filters);
+    // Pushdown must drop non-matching elems: only every-4th
+    // announcement hits 203.0.1.0/24.
+    let matched = out.iter().filter(|r| !r.elems().is_empty()).count();
     assert_eq!(matched, recs.len() / 4 + usize::from(recs.len() % 4 > 1));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn broker_stream_agrees_across_modes() {
+fn broker_stream_merges_every_dump() {
     let dir = tmpdir("stream");
     // Two collectors with overlapping windows plus a RIB: the full
     // merge + annotation pipeline, not just one file.
@@ -294,30 +249,18 @@ fn broker_stream_agrees_across_modes() {
     rib.extend((0..10).map(|i| rib_row(0, i, 2)));
     write_plain(&p2, &rib);
 
-    let run = |mode: DecodeMode| {
-        let idx = Index::shared();
-        idx.register(meta(&p0, DumpType::Updates, "rrc00"));
-        idx.register(meta(&p1, DumpType::Updates, "rrc01"));
-        idx.register(meta(&p2, DumpType::Rib, "rrc00"));
-        let mut stream = BgpStream::builder()
-            .broker_client(LocalBroker::shared(idx))
-            .interval(0, Some(900))
-            .decode_mode(mode)
-            .start();
-        let mut out = Vec::new();
-        while let Some(rec) = stream.next_record() {
-            out.push(rec);
-        }
-        snap(out)
-    };
-    let gold = run(DecodeMode::Sequential);
-    assert_eq!(gold.len(), 25 + 25 + 11);
-    for workers in [1, 3] {
-        assert_eq!(
-            run(DecodeMode::Parallel(workers)),
-            gold,
-            "streamed Parallel({workers}) diverged"
-        );
+    let idx = Index::shared();
+    idx.register(meta(&p0, DumpType::Updates, "rrc00"));
+    idx.register(meta(&p1, DumpType::Updates, "rrc01"));
+    idx.register(meta(&p2, DumpType::Rib, "rrc00"));
+    let mut stream = BgpStream::builder()
+        .broker_client(LocalBroker::shared(idx))
+        .interval(0, Some(900))
+        .start();
+    let mut out = Vec::new();
+    while let Some(rec) = stream.next_record() {
+        out.push(rec);
     }
+    assert_eq!(out.len(), 25 + 25 + 11);
     std::fs::remove_dir_all(&dir).ok();
 }

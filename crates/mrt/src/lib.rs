@@ -23,11 +23,6 @@
 //!   clean end-of-file from *corrupted reads*: the paper extends
 //!   libBGPdump to "signal a corrupted read" so that libBGPStream can
 //!   mark records not-valid; [`MrtError`] is that signal here;
-//! * [`par`] — parallel record decode: sequential framing feeds
-//!   record-boundary chunks to a worker pool and a reorder buffer
-//!   releases results strictly in input order, so
-//!   [`par::ParDecoder`] is byte-for-byte equivalent to the
-//!   sequential reader (select it with [`par::DecodeMode`]);
 //! * [`writer::MrtWriter`] — the encoder used by the collector
 //!   simulator to produce archives.
 //!
@@ -39,7 +34,6 @@
 #![forbid(unsafe_code)]
 
 pub mod bgp4mp;
-pub mod par;
 pub mod raw;
 pub mod reader;
 pub mod record;
@@ -47,7 +41,6 @@ pub mod table_dump_v2;
 pub mod writer;
 
 pub use bgp4mp::Bgp4mp;
-pub use par::{ChunkCtx, DecodeMode, ParDecoder, Reorder, Step};
 pub use raw::RawMrtView;
 pub use reader::{ChunkedReader, MrtError, RawRecord};
 pub use record::{MrtBody, MrtHeader, MrtRecord, MrtType};

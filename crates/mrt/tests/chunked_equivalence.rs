@@ -1,18 +1,16 @@
-//! The parallel-decode equivalence harness.
+//! The streaming-reader equivalence harness.
 //!
-//! `DecodeMode::Parallel(n)` must be *indistinguishable* from
-//! sequential decode for every archive — valid, truncated mid-record,
-//! or byte-mutated — and for every worker count: the same records, the
-//! same single trailing error (if any), in the same positions. These
-//! tests drive random archives and corruption schedules through both
-//! paths and require byte-identical result sequences, plus a unit
-//! suite pinning the chunk-boundary edge cases.
+//! [`ChunkedReader`] must be *indistinguishable* from an independent
+//! whole-buffer framer for every archive — valid, truncated
+//! mid-record, or byte-mutated — and for every refill size: the same
+//! records, the same single trailing error (if any), in the same
+//! positions. These tests drive random archives and corruption
+//! schedules through both and require identical result sequences,
+//! plus a unit suite pinning the refill-boundary edge cases.
 
 use bgp_types::{Asn, BgpMessage, SessionState};
 use mrt::table_dump_v2::{PeerEntry, PeerIndexTable, RibEntry, RibRow, TableDumpV2};
-use mrt::{
-    Bgp4mp, ChunkCtx, ChunkedReader, MrtError, MrtHeader, MrtRecord, MrtWriter, ParDecoder, Step,
-};
+use mrt::{Bgp4mp, ChunkedReader, MrtError, MrtHeader, MrtRecord, MrtWriter};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------- fixtures
@@ -188,23 +186,6 @@ fn decode_chunked(bytes: &[u8], read_size: usize) -> Outcome {
     std::iter::from_fn(|| r.next()).collect()
 }
 
-/// The parallel front-end with an explicit chunk byte target.
-fn decode_parallel(bytes: &[u8], workers: usize, chunk_bytes: usize) -> Outcome {
-    let src = ChunkedReader::from_bytes(bytes.to_vec()).with_read_size(64);
-    let dec: ParDecoder<Result<MrtRecord, MrtError>> = ParDecoder::spawn_with_chunk_bytes(
-        src,
-        workers,
-        chunk_bytes,
-        |_| (),
-        |_: &mut (), _: &ChunkCtx, h: &MrtHeader, b: &[u8]| match MrtRecord::decode(h, b) {
-            Ok(r) => Step::Item(Ok(r)),
-            Err(e) => Step::Terminal(Err(e)),
-        },
-        Err,
-    );
-    dec.collect_all()
-}
-
 fn assert_equivalent(bytes: &[u8]) {
     let gold = decode_slice(bytes);
     for read_size in [7, 64] {
@@ -213,16 +194,6 @@ fn assert_equivalent(bytes: &[u8]) {
             gold,
             "chunked reader (read_size {read_size}) diverged from the reference framer"
         );
-    }
-    for workers in [1, 2, 4, 8] {
-        for chunk_bytes in [1, 96, 1 << 16] {
-            assert_eq!(
-                decode_parallel(bytes, workers, chunk_bytes),
-                gold,
-                "parallel decode (workers {workers}, chunk_bytes {chunk_bytes}) \
-                 diverged from sequential"
-            );
-        }
     }
 }
 
@@ -251,7 +222,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn parallel_matches_sequential_for_any_archive_and_corruption(
+    fn chunked_matches_reference_for_any_archive_and_corruption(
         recs in proptest::collection::vec(rec_strategy(), 0..24),
         corruption in corruption_strategy(),
     ) {
@@ -260,12 +231,12 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------- chunk boundaries
+// ------------------------------------------------------ refill boundaries
 
-/// A record straddling a chunk edge: chunk_bytes of 1 makes every
-/// record its own chunk; 96 cuts mid-record-stream. All must agree.
+/// A record straddling a refill edge: a 7-byte read splits even the
+/// 12-byte header; 64 cuts mid-record-stream. All must agree.
 #[test]
-fn record_straddles_chunk_edge() {
+fn record_straddles_refill_edge() {
     let bytes = build_archive(&[
         Rec::Keepalive,
         Rec::StateChange,
@@ -276,10 +247,10 @@ fn record_straddles_chunk_edge() {
     assert_equivalent(&bytes);
 }
 
-/// A PIT as the very first record leaves the pre-PIT stage empty: no
-/// zero-record chunk may be dispatched, and the sequence is unchanged.
+/// A PIT as the very first record, and PITs next to each other or at
+/// the tail, read back unchanged.
 #[test]
-fn leading_pit_means_zero_record_prefix_chunk() {
+fn leading_pit_reads_identically() {
     let bytes = build_archive(&[Rec::Pit(3), Rec::Rib(3), Rec::Rib(1), Rec::Keepalive]);
     assert_equivalent(&bytes);
     // And PIT-adjacent cuts: consecutive PITs, PIT at the tail.
@@ -287,8 +258,8 @@ fn leading_pit_means_zero_record_prefix_chunk() {
     assert_equivalent(&bytes);
 }
 
-/// A final partial record (truncated header, truncated body) ends both
-/// modes with the identical trailing error.
+/// A final partial record (truncated header, truncated body) ends the
+/// reader with the reference framer's trailing error.
 #[test]
 fn final_partial_record_truncates_identically() {
     let whole = build_archive(&[Rec::Keepalive, Rec::StateChange, Rec::Keepalive]);
@@ -303,14 +274,15 @@ fn final_partial_record_truncates_identically() {
     }
 }
 
-/// Empty input: no records, no errors, in every mode.
+/// Empty input: no records, no errors, at every refill size.
 #[test]
 fn empty_archive_yields_nothing() {
     assert_equivalent(&[]);
-    assert!(decode_parallel(&[], 4, 1).is_empty());
+    assert!(decode_chunked(&[], 7).is_empty());
 }
 
-/// An oversized length field poisons both paths at the same position.
+/// An oversized length field poisons the reader at the reference
+/// framer's position.
 #[test]
 fn oversized_record_poisons_identically() {
     let mut bytes = build_archive(&[Rec::Keepalive]);
@@ -323,55 +295,4 @@ fn oversized_record_poisons_identically() {
     assert_eq!(gold.len(), 2);
     assert!(matches!(gold[1], Err(MrtError::OversizedRecord(_))));
     assert_equivalent(&bytes);
-}
-
-/// After the single trailing error, every driver keeps returning
-/// nothing (the poisoning contract holds for the parallel path too).
-#[test]
-fn parallel_poisons_after_first_error() {
-    let mut bytes = build_archive(&[Rec::Keepalive, Rec::Keepalive]);
-    bytes.extend_from_slice(&[0xFF; 7]);
-    let src = ChunkedReader::from_bytes(bytes).with_read_size(16);
-    let mut dec = ParDecoder::decode_records(src, 4);
-    assert!(dec.next().unwrap().is_ok());
-    assert!(dec.next().unwrap().is_ok());
-    assert!(dec.next().unwrap().is_err());
-    for _ in 0..4 {
-        assert!(dec.next().is_none(), "poisoned stream must stay ended");
-    }
-}
-
-/// A panicking map must not deadlock the reorder stage: the consumer
-/// re-raises after draining the pool.
-#[test]
-fn worker_panic_propagates_without_deadlock() {
-    let bytes = build_archive(&[Rec::Keepalive, Rec::StateChange, Rec::Keepalive]);
-    let result = std::panic::catch_unwind(|| {
-        let src = ChunkedReader::from_bytes(bytes);
-        let mut dec: ParDecoder<u32> = ParDecoder::spawn_with_chunk_bytes(
-            src,
-            2,
-            1,
-            |_| (),
-            |_: &mut (), _: &ChunkCtx, h: &MrtHeader, _: &[u8]| {
-                if h.timestamp >= 3 {
-                    panic!("boom");
-                }
-                Step::Item(h.timestamp)
-            },
-            |_| 0,
-        );
-        while dec.next().is_some() {}
-    });
-    let err = result.expect_err("worker panic must reach the consumer");
-    let msg = err
-        .downcast_ref::<&str>()
-        .copied()
-        .map(str::to_owned)
-        .or_else(|| err.downcast_ref::<String>().cloned())
-        .unwrap_or_default();
-    assert!(
-        msg.contains("worker panicked"),
-        "panic must identify the decode pool, got: {msg}"
-    );
 }

@@ -8,7 +8,7 @@ use std::io::Write as _;
 
 use bgp_types::{Asn, BgpMessage};
 use flate_lite::{write::GzEncoder, Compression};
-use mrt::{Bgp4mp, ChunkedReader, MrtError, MrtRecord, MrtWriter, ParDecoder};
+use mrt::{Bgp4mp, ChunkedReader, MrtError, MrtRecord, MrtWriter};
 
 fn keepalive(ts: u32) -> MrtRecord {
     MrtRecord::bgp4mp(
@@ -178,22 +178,6 @@ fn open_sniffs_gzip_files_on_disk() {
 
     assert!(ChunkedReader::open(&dir.join("missing")).is_err());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn parallel_decode_streams_through_gzip() {
-    // End-to-end: open → inflate (streaming) → frame → parallel decode
-    // → in-order merge, matching the sequential result.
-    let stamps: Vec<u32> = (0..500).collect();
-    let gz = gzip(&archive(&stamps), Compression::fast());
-    let seq = drain(ChunkedReader::from_bytes(gz.clone()).with_read_size(31));
-    assert_eq!(seq.0.len(), 500);
-    let mut par = ParDecoder::decode_records(ChunkedReader::from_bytes(gz).with_read_size(31), 4);
-    let mut got = Vec::new();
-    while let Some(item) = par.next() {
-        got.push(item.expect("clean archive").timestamp);
-    }
-    assert_eq!(got, seq.0);
 }
 
 #[test]

@@ -25,15 +25,14 @@
 //!
 //! The archive is gzip-compressed **in place** after simulation, so
 //! every open below — the historical ground-truth reads and the live
-//! tail — exercises sniff → streaming inflate → framing; the live
-//! stream additionally decodes with `DecodeMode::Parallel`, so the
-//! zero-dropped-records comparison against the sequential historical
-//! run re-proves decode-mode equivalence end to end.
+//! tail — exercises sniff → streaming inflate → framing, and the
+//! zero-dropped-records check compares a historical and a live read of
+//! the same gzip archive.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use bgpstream_repro::bgpstream::{BgpStream, Clock, DecodeMode};
+use bgpstream_repro::bgpstream::{BgpStream, Clock};
 use bgpstream_repro::broker::{Index, LocalBroker};
 use bgpstream_repro::collector_sim::{FaultPlan, LiveFeeder, Stall};
 use bgpstream_repro::corsaro::runtime::{ShardedPlugin, ShardedRuntime};
@@ -247,7 +246,6 @@ fn main() {
         .watermark_release()
         .clock(clock)
         .poll_interval(std::time::Duration::from_millis(2))
-        .decode_mode(DecodeMode::Parallel(args.workers))
         .start();
     let runtime = ShardedRuntime::builder()
         .workers(args.workers)
