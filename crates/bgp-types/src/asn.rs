@@ -7,6 +7,8 @@
 //! matching the string rendering of `bgpdump`.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// An autonomous-system number (4-byte, RFC 6793).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -78,57 +80,74 @@ impl AsPathSegment {
 
 /// An AS path: the ordered list of segments from the vantage point
 /// toward the origin AS.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+///
+/// The segments are immutable and shared: a clone is a reference-count
+/// bump, so the elem, the RIB journal, the Loc-RIB table and the RT
+/// cells all hold the one path decoded from the wire. The one mutator,
+/// [`prepend`](AsPath::prepend), copies on write. The empty path holds
+/// no allocation.
+#[derive(Clone, Default)]
 pub struct AsPath {
-    segments: Vec<AsPathSegment>,
+    segments: Option<Arc<[AsPathSegment]>>,
 }
 
 impl AsPath {
     /// An empty path (used for locally originated routes).
     pub fn empty() -> Self {
-        AsPath {
-            segments: Vec::new(),
-        }
+        AsPath { segments: None }
     }
 
     /// Build a path consisting of a single `AS_SEQUENCE`.
     pub fn from_sequence<I: IntoIterator<Item = u32>>(asns: I) -> Self {
+        let seq = AsPathSegment::Sequence(asns.into_iter().map(Asn).collect());
         AsPath {
-            segments: vec![AsPathSegment::Sequence(asns.into_iter().map(Asn).collect())],
+            segments: Some(Arc::from([seq])),
         }
     }
 
     /// Build a path from explicit segments.
     pub fn from_segments(segments: Vec<AsPathSegment>) -> Self {
-        AsPath { segments }
+        if segments.is_empty() {
+            return AsPath::empty();
+        }
+        AsPath::from_shared(segments.into())
+    }
+
+    /// A path over already-shared segments.
+    pub(crate) fn from_shared(segments: Arc<[AsPathSegment]>) -> Self {
+        AsPath {
+            segments: (!segments.is_empty()).then_some(segments),
+        }
     }
 
     /// The raw segments.
     pub fn segments(&self) -> &[AsPathSegment] {
-        &self.segments
+        self.segments.as_deref().unwrap_or_default()
     }
 
     /// True if the path has no segments.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.segments().is_empty()
     }
 
     /// Iterate over every ASN in the path in order (sets flattened in
     /// stored order).
     pub fn asns(&self) -> impl Iterator<Item = Asn> + '_ {
-        self.segments.iter().flat_map(|s| s.asns().iter().copied())
+        self.segments()
+            .iter()
+            .flat_map(|s| s.asns().iter().copied())
     }
 
     /// Path length as used by BGP route selection: sequences count per
     /// hop, each set counts once.
     pub fn hop_count(&self) -> usize {
-        self.segments.iter().map(|s| s.hop_count()).sum()
+        self.segments().iter().map(|s| s.hop_count()).sum()
     }
 
     /// The neighbour AS of the vantage point (first ASN of the first
     /// sequence segment), if any.
     pub fn first_asn(&self) -> Option<Asn> {
-        self.segments
+        self.segments()
             .first()
             .and_then(|s| s.asns().first().copied())
     }
@@ -137,7 +156,7 @@ impl AsPath {
     /// sequence; a trailing `AS_SET` yields `None` because the origin is
     /// ambiguous (aggregated route).
     pub fn origin(&self) -> Option<Asn> {
-        match self.segments.last()? {
+        match self.segments().last()? {
             AsPathSegment::Sequence(v) => v.last().copied(),
             AsPathSegment::Set(_) => None,
         }
@@ -146,7 +165,7 @@ impl AsPath {
     /// All candidate origin ASes: the single origin for sequences, or
     /// every member of a trailing set. MOAS analyses use this.
     pub fn origins(&self) -> Vec<Asn> {
-        match self.segments.last() {
+        match self.segments().last() {
             Some(AsPathSegment::Sequence(v)) => v.last().copied().into_iter().collect(),
             Some(AsPathSegment::Set(v)) => v.clone(),
             None => Vec::new(),
@@ -155,12 +174,14 @@ impl AsPath {
 
     /// Prepend one ASN (what a router does when exporting a route).
     /// Grows the leading sequence, creating one if the path starts with
-    /// a set.
+    /// a set. Copies on write: clones taken before keep the old path.
     pub fn prepend(&mut self, asn: Asn) {
-        match self.segments.first_mut() {
+        let mut segments = self.segments().to_vec();
+        match segments.first_mut() {
             Some(AsPathSegment::Sequence(v)) => v.insert(0, asn),
-            _ => self.segments.insert(0, AsPathSegment::Sequence(vec![asn])),
+            _ => segments.insert(0, AsPathSegment::Sequence(vec![asn])),
         }
+        *self = AsPath::from_segments(segments);
     }
 
     /// The unique ASNs in path order with consecutive duplicates
@@ -185,7 +206,7 @@ impl AsPath {
     /// `{a,b,c}`.
     pub fn to_bgpdump_string(&self) -> String {
         let mut out = String::new();
-        for (i, seg) in self.segments.iter().enumerate() {
+        for (i, seg) in self.segments().iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
@@ -211,6 +232,32 @@ impl AsPath {
             }
         }
         out
+    }
+}
+
+impl PartialEq for AsPath {
+    fn eq(&self, other: &Self) -> bool {
+        let shared = match (&self.segments, &other.segments) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        shared || self.segments() == other.segments()
+    }
+}
+
+impl Eq for AsPath {}
+
+impl Hash for AsPath {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.segments().hash(state);
+    }
+}
+
+impl fmt::Debug for AsPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AsPath")
+            .field("segments", &self.segments())
+            .finish()
     }
 }
 

@@ -29,7 +29,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use bytes::{BufMut, BytesMut};
 
-use crate::{AsPath, Asn, CodecError, Prefix};
+use crate::{AsPath, AsPathSegment, Asn, CodecError, Prefix};
 
 /// Append a prefix in the queue wire form (`v4 flag, length, raw
 /// bits`).
@@ -54,19 +54,68 @@ pub fn put_ip(out: &mut BytesMut, ip: &IpAddr) {
     }
 }
 
-/// Append an optional AS path in the queue wire form: hop count (or
-/// `u16::MAX` for "withdrawn"/absent) then one `u32` per hop.
-pub fn put_route(out: &mut BytesMut, path: &Option<AsPath>) {
-    match path {
-        None => out.put_u16(u16::MAX),
-        Some(p) => {
-            let hops: Vec<Asn> = p.asns().collect();
-            out.put_u16(hops.len() as u16);
-            for h in hops {
-                out.put_u32(h.0);
-            }
+/// [`put_route`]'s hop count for "no path" (withdrawn/absent).
+const NO_PATH: u16 = u16::MAX;
+/// [`put_route`]'s hop count announcing the segmented form; no path
+/// of the plain form has this many hops.
+const SEGMENTED: u16 = u16::MAX - 1;
+/// Segment kinds of the segmented form (the BGP wire's codes).
+const SEGMENT_SET: u8 = 1;
+const SEGMENT_SEQUENCE: u8 = 2;
+
+/// Append an optional AS path in the queue wire form. A path of
+/// sequences alone is its hop count then one `u32` per hop: the
+/// sequences concatenate into one. Any other path — one holding an
+/// `AS_SET`, or too long for the count — is the [`SEGMENTED`] marker,
+/// a `u16` segment count, and per segment its kind, a `u32` hop count
+/// and its hops. No path at all is the hop count [`NO_PATH`].
+pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
+    let Some(path) = path else {
+        out.put_u16(NO_PATH);
+        return;
+    };
+    let segments = path.segments();
+    let hops: usize = segments.iter().map(AsPathSegment::len).sum();
+    if is_plain(segments, hops) {
+        out.put_u16(hops as u16);
+        for asn in path.asns() {
+            out.put_u32(asn.0);
+        }
+        return;
+    }
+    out.put_u16(SEGMENTED);
+    out.put_u16(segments.len() as u16);
+    for segment in segments {
+        out.put_u8(match segment {
+            AsPathSegment::Set(_) => SEGMENT_SET,
+            AsPathSegment::Sequence(_) => SEGMENT_SEQUENCE,
+        });
+        out.put_u32(segment.len() as u32);
+        for asn in segment.asns() {
+            out.put_u32(asn.0);
         }
     }
+}
+
+/// The number of bytes [`put_route`] appends for `path`.
+pub fn route_len(path: Option<&AsPath>) -> usize {
+    let Some(path) = path else { return 2 };
+    let segments = path.segments();
+    let hops: usize = segments.iter().map(AsPathSegment::len).sum();
+    if is_plain(segments, hops) {
+        2 + 4 * hops
+    } else {
+        2 + 2 + 5 * segments.len() + 4 * hops
+    }
+}
+
+/// Whether [`put_route`] writes these segments, `hops` ASNs in all, in
+/// the plain form.
+fn is_plain(segments: &[AsPathSegment], hops: usize) -> bool {
+    hops < SEGMENTED as usize
+        && segments
+            .iter()
+            .all(|s| matches!(s, AsPathSegment::Sequence(_)))
 }
 
 /// The checked reader. Each read returns the value and moves past it,
@@ -240,13 +289,63 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// A [`put_route`] optional path (`u16::MAX` hops = no path).
+    /// A [`put_route`] optional path.
     pub fn route(&mut self) -> Result<Option<AsPath>, CodecError> {
-        let hops = self.u16()?;
-        if hops == u16::MAX {
-            return Ok(None);
+        match self.u16()? {
+            NO_PATH => Ok(None),
+            SEGMENTED => {
+                let n = self.route_segments()?;
+                let mut segments = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let set = self.route_segment_kind()?;
+                    let hops = self.count(4)?;
+                    let asns = self.u32s(hops)?.map(Asn).collect();
+                    segments.push(if set {
+                        AsPathSegment::Set(asns)
+                    } else {
+                        AsPathSegment::Sequence(asns)
+                    });
+                }
+                Ok(Some(AsPath::from_segments(segments)))
+            }
+            hops => Ok(Some(AsPath::from_sequence(self.u32s(hops as usize)?))),
         }
-        Ok(Some(AsPath::from_sequence(self.u32s(hops as usize)?)))
+    }
+
+    /// Read past a [`put_route`] path without building it: the same
+    /// checked reads as [`route`](Reader::route), without allocating.
+    pub fn skip_route(&mut self) -> Result<(), CodecError> {
+        match self.u16()? {
+            NO_PATH => {}
+            SEGMENTED => {
+                for _ in 0..self.route_segments()? {
+                    self.route_segment_kind()?;
+                    let hops = self.count(4)?;
+                    self.bytes(hops * 4)?;
+                }
+            }
+            hops => {
+                self.bytes(hops as usize * 4)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The segment count of a segmented route, refused unless that
+    /// many empty segments (kind and hop count) fit in the bytes left.
+    fn route_segments(&mut self) -> Result<usize, CodecError> {
+        let n = self.u16()? as usize;
+        self.need(n * 5)?;
+        Ok(n)
+    }
+
+    /// Whether a segmented route's next segment is a set.
+    fn route_segment_kind(&mut self) -> Result<bool, CodecError> {
+        match self.u8()? {
+            SEGMENT_SET => Ok(true),
+            SEGMENT_SEQUENCE => Ok(false),
+            _ => Err(CodecError::Invalid("route segment kind")),
+        }
     }
 
     /// Everything left, consuming the reader.
@@ -294,11 +393,21 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// payload, FNV-1a checksum. A write torn anywhere mid-flush — short
 /// payload, clipped checksum, flipped bytes — fails [`open_frame`].
 pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(payload.len() + 12);
-    out.put_u32(payload.len() as u32);
-    out.put_slice(payload);
-    out.put_u64(fnv1a(payload));
-    out.to_vec()
+    seal_frame_with(payload.len(), |out| out.put_slice(payload))
+}
+
+/// [`seal_frame`] for a payload not yet written: `write` appends it
+/// straight into the frame, one buffer sized for `payload_len` bytes,
+/// and the length and checksum are filled in around it.
+pub fn seal_frame_with(payload_len: usize, write: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
+    let mut out = BytesMut::with_capacity(4 + payload_len + 8);
+    out.put_u32(0);
+    write(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
+    let checksum = fnv1a(&out[4..]);
+    out.put_u64(checksum);
+    out.into()
 }
 
 /// Validate and unwrap a [`seal_frame`] envelope.
@@ -329,8 +438,8 @@ mod tests {
         put_prefix(&mut out, &p6);
         put_ip(&mut out, &ip4);
         put_ip(&mut out, &ip6);
-        put_route(&mut out, &None);
-        put_route(&mut out, &Some(AsPath::from_sequence([65001, 137])));
+        put_route(&mut out, None);
+        put_route(&mut out, Some(&AsPath::from_sequence([65001, 137])));
         let bytes = out.to_vec();
         let mut r = Reader::new(&bytes, "primitives");
         assert_eq!(r.prefix().unwrap(), p4);
@@ -344,6 +453,56 @@ mod tests {
         );
         assert_eq!(r.prefix(), Err(CodecError::Truncated("primitives")));
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn routes_keep_their_segments() {
+        let set = AsPath::from_segments(vec![
+            AsPathSegment::Sequence(vec![Asn(65001)]),
+            AsPathSegment::Set(vec![Asn(7), Asn(8)]),
+        ]);
+        let seq = AsPath::from_sequence([65001, 137]);
+        let mut out = BytesMut::new();
+        for path in [Some(&set), Some(&seq), None] {
+            let before = out.len();
+            put_route(&mut out, path);
+            assert_eq!(out.len() - before, route_len(path));
+        }
+        // The plain form of a sequence: its hop count, then the hops.
+        let plain = [0, 2, 0, 0, 0xfd, 0xe9, 0, 0, 0, 137];
+        assert_eq!(&out[route_len(Some(&set))..out.len() - 2], plain);
+        let bytes = out.to_vec();
+        let mut r = Reader::new(&bytes, "routes");
+        assert_eq!(r.route().unwrap(), Some(set.clone()));
+        assert_eq!(r.route().unwrap(), Some(seq));
+        assert_eq!(r.route().unwrap(), None);
+        r.finish().unwrap();
+        // Skipping reads exactly what decoding does.
+        let mut r = Reader::new(&bytes, "routes");
+        for _ in 0..3 {
+            r.skip_route().unwrap();
+        }
+        r.finish().unwrap();
+        // Every cut of the segmented form is refused, by both.
+        let tagged = &bytes[..route_len(Some(&set))];
+        for cut in 0..tagged.len() {
+            assert!(Reader::new(&tagged[..cut], "r").route().is_err(), "{cut}");
+            assert!(
+                Reader::new(&tagged[..cut], "r").skip_route().is_err(),
+                "{cut}"
+            );
+        }
+        // A segment count the bytes cannot hold, and an unknown kind.
+        let hostile = [0xff, 0xfe, 0xff, 0xff, 1, 0, 0, 0, 0];
+        assert_eq!(
+            Reader::new(&hostile, "r").route(),
+            Err(CodecError::Truncated("r"))
+        );
+        let unknown = [0xff, 0xfe, 0, 1, 3, 0, 0, 0, 0];
+        assert_eq!(
+            Reader::new(&unknown, "r").skip_route(),
+            Err(CodecError::Invalid("route segment kind"))
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! community attributes at each VP.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// The conventional community value providers assign to black-holing
 /// (`ASN:666`, later standardized as BLACKHOLE 65535:666 by RFC 7999).
@@ -80,53 +82,90 @@ impl FromStr for Community {
 /// An ordered, deduplicated set of communities as carried by one route.
 ///
 /// Kept sorted so equality, hashing and diffing are canonical
-/// regardless of the order communities were attached in.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// regardless of the order communities were attached in. The items are
+/// immutable and shared: a clone is a reference-count bump, and the
+/// mutators ([`insert`](CommunitySet::insert),
+/// [`remove`](CommunitySet::remove)) copy on write. The empty set holds
+/// no allocation.
+#[derive(Clone, Default)]
 pub struct CommunitySet {
-    items: Vec<Community>,
+    items: Option<Arc<[Community]>>,
 }
 
 impl CommunitySet {
     /// The empty set.
     pub fn new() -> Self {
-        CommunitySet { items: Vec::new() }
+        CommunitySet { items: None }
     }
 
-    /// Build from any iterator, sorting and deduplicating.
+    /// Build from any iterator, sorting and deduplicating. An
+    /// iterator of known length (a slice, a fixed-width wire block)
+    /// is collected with one allocation and sorted in place; it is
+    /// copied again only if it held duplicates.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Community>>(iter: I) -> Self {
-        let mut items: Vec<Community> = iter.into_iter().collect();
-        items.sort_unstable();
-        items.dedup();
-        CommunitySet { items }
+        let mut set = CommunitySet::collect(iter);
+        if let Some(items) = &mut set.items {
+            if let Some(fresh) = Arc::get_mut(items) {
+                fresh.sort_unstable();
+            }
+            if items.windows(2).any(|w| w[0] >= w[1]) {
+                let mut unique = items.to_vec();
+                unique.sort_unstable();
+                unique.dedup();
+                set = CommunitySet::collect(unique);
+            }
+        }
+        set
+    }
+
+    /// Share `items` in the order given; nothing is allocated for an
+    /// iterator known to be empty.
+    fn collect<I: IntoIterator<Item = Community>>(items: I) -> Self {
+        let items = items.into_iter();
+        if items.size_hint().1 == Some(0) {
+            return CommunitySet::new();
+        }
+        let items: Arc<[Community]> = items.collect();
+        CommunitySet {
+            items: (!items.is_empty()).then_some(items),
+        }
     }
 
     /// Number of communities.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.as_slice().len()
     }
 
     /// True when no communities are attached.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Insert, keeping canonical order. Returns true if newly added.
+    /// Copies on write.
     pub fn insert(&mut self, c: Community) -> bool {
-        match self.items.binary_search(&c) {
+        let items = self.as_slice();
+        match items.binary_search(&c) {
             Ok(_) => false,
             Err(i) => {
-                self.items.insert(i, c);
+                let (head, tail) = items.split_at(i);
+                *self = CommunitySet::collect(
+                    head.iter().copied().chain([c]).chain(tail.iter().copied()),
+                );
                 true
             }
         }
     }
 
-    /// Remove a community; returns true if it was present.
+    /// Remove a community; returns true if it was present. Copies on
+    /// write.
     pub fn remove(&mut self, c: &Community) -> bool {
-        match self.items.binary_search(c) {
+        let items = self.as_slice();
+        match items.binary_search(c) {
             Ok(i) => {
-                self.items.remove(i);
+                let (head, tail) = items.split_at(i);
+                *self = CommunitySet::collect(head.iter().chain(&tail[1..]).copied());
                 true
             }
             Err(_) => false,
@@ -135,31 +174,56 @@ impl CommunitySet {
 
     /// Membership test.
     pub fn contains(&self, c: &Community) -> bool {
-        self.items.binary_search(c).is_ok()
+        self.as_slice().binary_search(c).is_ok()
     }
 
     /// Whether any community requests black-holing.
     pub fn has_blackhole(&self) -> bool {
-        self.items.iter().any(|c| c.is_blackhole())
+        self.as_slice().iter().any(|c| c.is_blackhole())
     }
 
     /// Iterate in canonical (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = &Community> {
-        self.items.iter()
+        self.as_slice().iter()
     }
 
     /// The sorted backing slice.
     pub fn as_slice(&self) -> &[Community] {
-        &self.items
+        self.items.as_deref().unwrap_or_default()
     }
 
     /// Render space-separated in `bgpdump` style.
     pub fn to_bgpdump_string(&self) -> String {
-        self.items
-            .iter()
+        self.iter()
             .map(|c| c.to_string())
             .collect::<Vec<_>>()
             .join(" ")
+    }
+}
+
+impl PartialEq for CommunitySet {
+    fn eq(&self, other: &Self) -> bool {
+        let shared = match (&self.items, &other.items) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        shared || self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for CommunitySet {}
+
+impl Hash for CommunitySet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for CommunitySet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CommunitySet")
+            .field("items", &self.as_slice())
+            .finish()
     }
 }
 

@@ -398,6 +398,33 @@ fn encode_as_path(path: &AsPath, out: &mut BytesMut) {
     }
 }
 
+/// The segments of an AS_PATH value (4-byte ASNs) as `(is_set, asn
+/// bytes)`, each validated as it is read.
+struct WireSegments<'a>(Reader<'a>);
+
+impl<'a> WireSegments<'a> {
+    fn segment(&mut self) -> Result<(bool, &'a [u8]), CodecError> {
+        let [ty, count] = self.0.relabel("AS_PATH segment header").array()?;
+        let asns = self
+            .0
+            .relabel("AS_PATH segment body")
+            .bytes(count as usize * 4)?;
+        match ty {
+            SEG_SET => Ok((true, asns)),
+            SEG_SEQUENCE => Ok((false, asns)),
+            _ => Err(CodecError::Invalid("AS_PATH segment type")),
+        }
+    }
+}
+
+impl<'a> Iterator for WireSegments<'a> {
+    type Item = Result<(bool, &'a [u8]), CodecError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        (!self.0.is_empty()).then(|| self.segment())
+    }
+}
+
 /// Walk the segments of an AS_PATH value (4-byte ASNs), handing each
 /// to `f` as `(is_set, asn bytes)`. Validates exactly what
 /// [`decode_attrs`] does, without allocating.
@@ -405,47 +432,68 @@ pub fn walk_as_path<'a>(
     buf: &'a [u8],
     mut f: impl FnMut(bool, &'a [u8]),
 ) -> Result<(), CodecError> {
-    let mut r = Reader::new(buf, "AS_PATH segment header");
-    while !r.is_empty() {
-        let [ty, count] = r.relabel("AS_PATH segment header").array()?;
-        let asns = r
-            .relabel("AS_PATH segment body")
-            .bytes(count as usize * 4)?;
-        let is_set = match ty {
-            SEG_SET => true,
-            SEG_SEQUENCE => false,
-            _ => return Err(CodecError::Invalid("AS_PATH segment type")),
-        };
+    for segment in WireSegments(Reader::new(buf, "AS_PATH segment header")) {
+        let (is_set, asns) = segment?;
         f(is_set, asns);
     }
     Ok(())
 }
 
+/// Whether a wire segment of `len` ASN bytes continues the segment
+/// before it, `prev`: [`encode_as_path`] splits a sequence longer than
+/// 255 hops into 255-hop segments, so consecutive sequences belong to
+/// one run when either of them is full.
+fn continues(prev: Option<(bool, usize)>, is_set: bool, len: usize) -> bool {
+    const FULL: usize = 255 * 4;
+    matches!(prev, Some((false, prev_len)) if !is_set && (prev_len == FULL || len == FULL))
+}
+
+fn asns_of(wire: &[u8]) -> impl Iterator<Item = Asn> + '_ {
+    wire.as_chunks::<4>()
+        .0
+        .iter()
+        .map(|w| Asn(u32::from_be_bytes(*w)))
+}
+
 fn decode_as_path(buf: &[u8]) -> Result<AsPath, CodecError> {
-    let mut segments = Vec::new();
-    walk_as_path(buf, |is_set, wire| segments.push((is_set, wire)))?;
-    // Merge consecutive SEQUENCE segments re-split by the 255 limit.
-    let mut merged: Vec<AsPathSegment> = Vec::with_capacity(segments.len());
-    for (is_set, wire) in segments {
-        let asns = Reader::new(wire, "AS_PATH segment body")
-            .u32s(wire.len() / 4)?
-            .map(Asn)
-            .collect();
-        let seg = if is_set {
+    // Validate, and count the segments left once the 255-hop pieces of
+    // long sequences merge back.
+    let mut count = 0;
+    let mut prev = None;
+    walk_as_path(buf, |is_set, asns| {
+        count += usize::from(!continues(prev, is_set, asns.len()));
+        prev = Some((is_set, asns.len()));
+    })?;
+    if count == 0 {
+        return Ok(AsPath::empty());
+    }
+    // Then build the merged segments straight into the one shared
+    // slice: a length-known iterator collects with a single allocation.
+    let mut wire = WireSegments(Reader::new(buf, "AS_PATH segment header"))
+        .flatten()
+        .peekable();
+    let mut merged = || {
+        // Validated above: the walk yields `count` runs.
+        let Some((is_set, first)) = wire.next() else {
+            return AsPathSegment::Sequence(Vec::new());
+        };
+        let mut asns: Vec<Asn> = asns_of(first).collect();
+        let mut last = first.len();
+        while let Some(&(_, more)) = wire
+            .peek()
+            .filter(|(set, more)| continues(Some((is_set, last)), *set, more.len()))
+        {
+            asns.extend(asns_of(more));
+            last = more.len();
+            wire.next();
+        }
+        if is_set {
             AsPathSegment::Set(asns)
         } else {
             AsPathSegment::Sequence(asns)
-        };
-        match (merged.last_mut(), seg) {
-            (Some(AsPathSegment::Sequence(a)), AsPathSegment::Sequence(b))
-                if a.len() == 255 || b.len() == 255 =>
-            {
-                a.extend(b);
-            }
-            (_, seg) => merged.push(seg),
         }
-    }
-    Ok(AsPath::from_segments(merged))
+    };
+    Ok(AsPath::from_shared((0..count).map(|_| merged()).collect()))
 }
 
 /// Encode a prefix in NLRI form: length byte + minimal network bytes.
@@ -909,6 +957,26 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_path_of_three_wire_segments_merges_back() {
+        // 600 hops: two full 255-hop segments and a 90-hop tail.
+        let hops: Vec<u32> = (1..=600).collect();
+        let path = AsPath::from_sequence(hops);
+        let mut attrs = BytesMut::new();
+        encode_as_path(&path, &mut attrs);
+        assert_eq!(decode_as_path(&attrs).unwrap(), path);
+        // A set between two sequences stays three segments.
+        let mixed = AsPath::from_segments(vec![
+            AsPathSegment::Sequence(vec![Asn(1)]),
+            AsPathSegment::Set(vec![Asn(2), Asn(3)]),
+            AsPathSegment::Sequence(vec![Asn(4)]),
+        ]);
+        let mut attrs = BytesMut::new();
+        encode_as_path(&mixed, &mut attrs);
+        assert_eq!(decode_as_path(&attrs).unwrap(), mixed);
+        assert_eq!(decode_as_path(&[]).unwrap(), AsPath::empty());
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub fn parse_elem_json(line: &str) -> Result<JsonElem, JsonError> {
     };
     let communities = match map.get("communities") {
         Some(Value::StrArray(cs)) => {
-            let mut set = CommunitySet::new();
+            let mut set = Vec::with_capacity(cs.len());
             for c in cs {
                 let (a, v) = c
                     .split_once(':')
@@ -121,9 +121,9 @@ pub fn parse_elem_json(line: &str) -> Result<JsonElem, JsonError> {
                 let v = v
                     .parse()
                     .map_err(|_| JsonError::Schema("bad community value"))?;
-                set.insert(Community::new(a, v));
+                set.push(Community::new(a, v));
             }
-            Some(set)
+            Some(CommunitySet::from_iter(set))
         }
         Some(_) => return Err(JsonError::Schema("communities must be a string array")),
         None => {

@@ -49,7 +49,7 @@ pub fn encode_cells(out: &mut BytesMut, cells: &[DiffCell]) {
     for c in cells {
         out.put_u32(c.vp.0);
         put_prefix(out, &c.prefix);
-        put_route(out, &c.path);
+        put_route(out, c.path.as_ref());
     }
 }
 

@@ -563,13 +563,13 @@ impl Plugin for RtPlugin {
             out.put_u32(cells.len() as u32);
             for (prefix, cell) in cells {
                 put_prefix(&mut out, prefix);
-                put_route(&mut out, &cell.main.as_ref().map(|r| r.path.clone()));
+                put_route(&mut out, cell.main.as_ref().map(|r| &r.path));
                 out.put_u64(cell.main_ts);
                 match &cell.shadow {
                     None => out.put_u8(0),
                     Some((route, ts)) => {
                         out.put_u8(1);
-                        put_route(&mut out, &route.as_ref().map(|r| r.path.clone()));
+                        put_route(&mut out, route.as_ref().map(|r| &r.path));
                         out.put_u64(*ts);
                     }
                 }
@@ -582,7 +582,7 @@ impl Plugin for RtPlugin {
         for ((ip, prefix), prev) in dirty {
             put_ip(&mut out, ip);
             put_prefix(&mut out, prefix);
-            put_route(&mut out, &prev.as_ref().map(|r| r.path.clone()));
+            put_route(&mut out, prev.as_ref().map(|r| &r.path));
         }
 
         out.put_u64(self.elems_in_bin);

@@ -20,7 +20,8 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use bgp_types::codec::{
-    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, seal_frame, Reader,
+    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, route_len,
+    seal_frame_with, Reader,
 };
 use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bytes::{BufMut, BytesMut};
@@ -154,7 +155,7 @@ impl RibEvent {
 
 /// Append a route's wire form to `out`.
 fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
-    put_route(out, &route.path);
+    put_route(out, route.path.as_ref());
     match &route.next_hop {
         Some(ip) => {
             out.put_u8(1);
@@ -168,6 +169,16 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
         out.put_u16(c.value);
     }
     out.put_u64(route.updated_at);
+}
+
+/// The length of a route's wire form, prefix included: what
+/// [`put_prefix`] and [`put_rib_route`] append for one row.
+fn rib_route_len(route: &RibRoute) -> usize {
+    let next_hop = match route.next_hop {
+        Some(_) => 1 + 17,
+        None => 1,
+    };
+    18 + route_len(route.path.as_ref()) + next_hop + 2 + 4 * route.communities.len() + 8
 }
 
 /// Decode a [`put_rib_route`] route.
@@ -196,10 +207,7 @@ fn get_rib_route(r: &mut Reader<'_>) -> Result<RibRoute, CodecError> {
 /// checked reads in the same order as [`get_rib_route`], so a skipped
 /// row fails exactly where a decoded one would, and nothing allocates.
 fn skip_rib_route(r: &mut Reader<'_>) -> Result<(), CodecError> {
-    let hops = r.u16()?;
-    if hops != u16::MAX {
-        r.bytes(hops as usize * 4)?;
-    }
+    r.skip_route()?;
     if r.u8()? == 1 {
         r.ip()?;
     }
@@ -455,37 +463,52 @@ impl RibTable {
     /// Canonical serialization: sections sorted by `(collector name,
     /// peer address)`, routes by prefix. Intern order does not leak.
     pub fn encode(&self) -> Vec<u8> {
-        let mut keys: Vec<&(u16, IpAddr)> = self.peers.keys().collect();
-        keys.sort_by(|a, b| {
+        let len = self.encoded_len();
+        let mut out = BytesMut::with_capacity(len);
+        self.encode_into(&mut out);
+        debug_assert_eq!(out.len(), len);
+        out.into()
+    }
+
+    /// The length of [`encode`](RibTable::encode)'s output.
+    fn encoded_len(&self) -> usize {
+        let mut len = 1 + 4;
+        for ((cid, _), rib) in &self.peers {
+            // name, peer, asn, up, row count
+            len += 2 + self.collectors[*cid as usize].len() + 17 + 4 + 1 + 4;
+            len += rib.routes.values().map(rib_route_len).sum::<usize>();
+        }
+        len
+    }
+
+    /// Append [`encode`](RibTable::encode)'s output to `out`. Each
+    /// section's rows are sorted once as `(prefix, route)` pairs and
+    /// written from them.
+    fn encode_into(&self, out: &mut BytesMut) {
+        let mut sections: Vec<(&(u16, IpAddr), &LocRib)> = self.peers.iter().collect();
+        sections.sort_unstable_by(|(a, _), (b, _)| {
             (&*self.collectors[a.0 as usize], ip_sort_key(&a.1))
                 .cmp(&(&*self.collectors[b.0 as usize], ip_sort_key(&b.1)))
         });
-        let mut out = BytesMut::new();
         out.put_u8(TABLE_VERSION);
-        out.put_u32(keys.len() as u32);
-        for key in keys {
-            let name = &self.collectors[key.0 as usize];
-            // Present by construction: the key came out of the map.
-            let Some(rib) = self.peers.get(key) else {
-                continue;
-            };
+        out.put_u32(sections.len() as u32);
+        let mut rows: Vec<(&Prefix, &RibRoute)> = Vec::new();
+        for ((cid, peer), rib) in sections {
+            let name = &self.collectors[*cid as usize];
             out.put_u16(name.len() as u16);
             out.put_slice(name.as_bytes());
-            put_ip(&mut out, &key.1);
+            put_ip(out, peer);
             out.put_u32(rib.peer_asn.0);
             out.put_u8(rib.up as u8);
-            let mut prefixes: Vec<&Prefix> = rib.routes.keys().collect();
-            prefixes.sort_by_key(|p| prefix_sort_key(p));
-            out.put_u32(prefixes.len() as u32);
-            for p in prefixes {
-                let Some(route) = rib.routes.get(p) else {
-                    continue;
-                };
-                put_prefix(&mut out, p);
-                put_rib_route(&mut out, route);
+            rows.clear();
+            rows.extend(&rib.routes);
+            rows.sort_unstable_by_key(|(p, _)| prefix_sort_key(p));
+            out.put_u32(rows.len() as u32);
+            for (prefix, route) in &rows {
+                put_prefix(out, prefix);
+                put_rib_route(out, route);
             }
         }
-        out.to_vec()
     }
 
     /// Decode an [`encode`](RibTable::encode)d table.
@@ -496,9 +519,10 @@ impl RibTable {
     }
 
     /// Seal the canonical serialization into a durable checksum frame
-    /// — the restartable snapshot artifact.
+    /// — the restartable snapshot artifact. One pass: the rows are
+    /// written straight into the frame, which is sized up front.
     pub fn seal(&self) -> Vec<u8> {
-        seal_frame(&self.encode())
+        seal_frame_with(self.encoded_len(), |out| self.encode_into(out))
     }
 
     /// Open and decode a [`seal`](RibTable::seal)ed frame, rejecting

@@ -437,29 +437,31 @@ impl ControlPlane {
     /// last): origin tags, RTBH black-holing tags, per-hop ingress
     /// tagging, and en-route stripping.
     fn communities_for(&self, path: &[u32], rtbh_origin: Option<u32>) -> CommunitySet {
-        let mut acc = CommunitySet::new();
+        let mut acc = Vec::new();
         let origin = *path.last().expect("path never empty");
         let onode = &self.topo.nodes[origin as usize];
         if let Some(ro) = rtbh_origin {
             for &prov in &self.topo.nodes[ro as usize].providers {
-                acc.insert(Community::blackhole(
+                acc.push(Community::blackhole(
                     self.topo.nodes[prov as usize].asn.0 as u16,
                 ));
             }
         }
         if onode.tags_communities {
-            acc.insert(Community::new(onode.asn.0 as u16, TAG_ORIGIN));
+            acc.push(Community::new(onode.asn.0 as u16, TAG_ORIGIN));
         }
         for &hop in path.iter().rev().skip(1) {
             let n = &self.topo.nodes[hop as usize];
             if n.strips_communities {
-                acc = CommunitySet::new();
+                acc.clear();
             }
             if n.tags_communities {
-                acc.insert(Community::new(n.asn.0 as u16, TAG_INGRESS));
+                acc.push(Community::new(n.asn.0 as u16, TAG_INGRESS));
             }
         }
-        acc
+        // One shared set, built once: inserting into it would copy it
+        // on every write.
+        CommunitySet::from_iter(acc)
     }
 
     fn refresh_lpm(&mut self) {
