@@ -44,5 +44,22 @@ fn main() {
         println!("  {p:14} {n:6}");
     }
     println!("\npaper shape: heavy skew across VPs; a few collectors dominate diversity.");
+
+    // Some VPs observe communities and some observe none (en-route
+    // stripping); the paper measures ~83 % observing any.
+    assert!(
+        d.vps_seeing_communities > 0.0 && d.vps_seeing_communities < 1.0,
+        "some but not all VPs observe communities: {:.2}",
+        d.vps_seeing_communities
+    );
+    // Among the VPs that observe any, diversity is heavily skewed: the
+    // most diverse VP sees at least five times the distinct community
+    // AS identifiers of the least diverse one.
+    let seen: Vec<usize> = d.per_vp.values().copied().filter(|&n| n > 0).collect();
+    let (most, least) = (seen.iter().max(), seen.iter().min());
+    assert!(
+        matches!((most, least), (Some(&most), Some(&least)) if most >= 5 * least),
+        "per-VP community diversity is skewed: max {most:?}, min {least:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

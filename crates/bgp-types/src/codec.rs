@@ -97,18 +97,6 @@ pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
     }
 }
 
-/// The number of bytes [`put_route`] appends for `path`.
-pub fn route_len(path: Option<&AsPath>) -> usize {
-    let Some(path) = path else { return 2 };
-    let segments = path.segments();
-    let hops: usize = segments.iter().map(AsPathSegment::len).sum();
-    if is_plain(segments, hops) {
-        2 + 4 * hops
-    } else {
-        2 + 2 + 5 * segments.len() + 4 * hops
-    }
-}
-
 /// Whether [`put_route`] writes these segments, `hops` ASNs in all, in
 /// the plain form.
 fn is_plain(segments: &[AsPathSegment], hops: usize) -> bool {
@@ -463,14 +451,15 @@ mod tests {
         ]);
         let seq = AsPath::from_sequence([65001, 137]);
         let mut out = BytesMut::new();
-        for path in [Some(&set), Some(&seq), None] {
-            let before = out.len();
-            put_route(&mut out, path);
-            assert_eq!(out.len() - before, route_len(path));
-        }
+        put_route(&mut out, Some(&set));
+        let tagged_len = out.len();
+        // Marker, two segments: a one-hop sequence and a two-hop set.
+        assert_eq!(tagged_len, 2 + 2 + (1 + 4 + 4) + (1 + 4 + 8));
+        put_route(&mut out, Some(&seq));
+        put_route(&mut out, None);
         // The plain form of a sequence: its hop count, then the hops.
         let plain = [0, 2, 0, 0, 0xfd, 0xe9, 0, 0, 0, 137];
-        assert_eq!(&out[route_len(Some(&set))..out.len() - 2], plain);
+        assert_eq!(&out[tagged_len..out.len() - 2], plain);
         let bytes = out.to_vec();
         let mut r = Reader::new(&bytes, "routes");
         assert_eq!(r.route().unwrap(), Some(set.clone()));
@@ -484,7 +473,7 @@ mod tests {
         }
         r.finish().unwrap();
         // Every cut of the segmented form is refused, by both.
-        let tagged = &bytes[..route_len(Some(&set))];
+        let tagged = &bytes[..tagged_len];
         for cut in 0..tagged.len() {
             assert!(Reader::new(&tagged[..cut], "r").route().is_err(), "{cut}");
             assert!(

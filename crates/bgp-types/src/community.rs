@@ -83,52 +83,112 @@ impl FromStr for Community {
 ///
 /// Kept sorted so equality, hashing and diffing are canonical
 /// regardless of the order communities were attached in. The items are
-/// immutable and shared: a clone is a reference-count bump, and the
-/// mutators ([`insert`](CommunitySet::insert),
-/// [`remove`](CommunitySet::remove)) copy on write. The empty set holds
-/// no allocation.
+/// immutable: a clone never copies them to the heap, and the mutators
+/// ([`insert`](CommunitySet::insert), [`remove`](CommunitySet::remove))
+/// copy on write. A set of up to [`INLINE`] communities — the common
+/// case — is held in place, with no allocation; a larger one is shared
+/// behind a reference count, so its clone is a count bump.
 #[derive(Clone, Default)]
 pub struct CommunitySet {
-    items: Option<Arc<[Community]>>,
+    items: Items,
+}
+
+/// How many communities a [`CommunitySet`] holds without allocating.
+const INLINE: usize = 5;
+
+#[derive(Clone)]
+enum Items {
+    /// The first `len` of `items`.
+    Inline { len: u8, items: [Community; INLINE] },
+    /// More than [`INLINE`], shared.
+    Shared(Arc<[Community]>),
+}
+
+impl Default for Items {
+    fn default() -> Self {
+        Items::Inline {
+            len: 0,
+            items: [Community::new(0, 0); INLINE],
+        }
+    }
 }
 
 impl CommunitySet {
     /// The empty set.
     pub fn new() -> Self {
-        CommunitySet { items: None }
+        CommunitySet::default()
     }
 
-    /// Build from any iterator, sorting and deduplicating. An
-    /// iterator of known length (a slice, a fixed-width wire block)
-    /// is collected with one allocation and sorted in place; it is
-    /// copied again only if it held duplicates.
+    /// Build from any iterator, sorting and deduplicating. Up to
+    /// [`INLINE`] communities are sorted in place; more are collected
+    /// into one shared allocation when the iterator's length is known
+    /// (a slice, a fixed-width wire block).
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Community>>(iter: I) -> Self {
-        let mut set = CommunitySet::collect(iter);
-        if let Some(items) = &mut set.items {
-            if let Some(fresh) = Arc::get_mut(items) {
-                fresh.sort_unstable();
+        let mut iter = iter.into_iter();
+        if iter.size_hint().0 <= INLINE {
+            let mut items = [Community::new(0, 0); INLINE];
+            let mut len = 0;
+            for slot in &mut items {
+                let Some(c) = iter.next() else { break };
+                *slot = c;
+                len += 1;
             }
-            if items.windows(2).any(|w| w[0] >= w[1]) {
-                let mut unique = items.to_vec();
-                unique.sort_unstable();
-                unique.dedup();
-                set = CommunitySet::collect(unique);
+            match iter.next() {
+                None => return CommunitySet::inline(&mut items[..len]),
+                Some(more) => {
+                    let spilled = items.into_iter().chain([more]).chain(iter);
+                    return CommunitySet::shared(spilled.collect());
+                }
             }
         }
-        set
+        CommunitySet::shared(iter.collect())
     }
 
-    /// Share `items` in the order given; nothing is allocated for an
-    /// iterator known to be empty.
-    fn collect<I: IntoIterator<Item = Community>>(items: I) -> Self {
-        let items = items.into_iter();
-        if items.size_hint().1 == Some(0) {
-            return CommunitySet::new();
+    /// Sort and deduplicate at most [`INLINE`] communities in place.
+    fn inline(items: &mut [Community]) -> Self {
+        items.sort_unstable();
+        let mut set = [Community::new(0, 0); INLINE];
+        let mut len = 0;
+        for &c in items.iter() {
+            if len == 0 || set[len - 1] != c {
+                set[len] = c;
+                len += 1;
+            }
         }
-        let items: Arc<[Community]> = items.collect();
         CommunitySet {
-            items: (!items.is_empty()).then_some(items),
+            items: Items::Inline {
+                len: len as u8,
+                items: set,
+            },
+        }
+    }
+
+    /// Sort and deduplicate more than [`INLINE`] communities, sorting
+    /// in place unless they are sorted already.
+    fn shared(mut items: Arc<[Community]>) -> Self {
+        if !items.is_sorted_by(|a, b| a < b) {
+            let mut unique = match Arc::get_mut(&mut items) {
+                Some(fresh) => {
+                    fresh.sort_unstable();
+                    if fresh.is_sorted_by(|a, b| a < b) {
+                        return CommunitySet::shared(items);
+                    }
+                    fresh.to_vec()
+                }
+                None => items.to_vec(),
+            };
+            unique.sort_unstable();
+            unique.dedup();
+            return CommunitySet::from_iter(unique);
+        }
+        if items.len() <= INLINE {
+            let mut small = [Community::new(0, 0); INLINE];
+            small[..items.len()].copy_from_slice(&items);
+            return CommunitySet::inline(&mut small[..items.len()]);
+        }
+        CommunitySet {
+            items: Items::Shared(items),
         }
     }
 
@@ -150,7 +210,7 @@ impl CommunitySet {
             Ok(_) => false,
             Err(i) => {
                 let (head, tail) = items.split_at(i);
-                *self = CommunitySet::collect(
+                *self = CommunitySet::from_iter(
                     head.iter().copied().chain([c]).chain(tail.iter().copied()),
                 );
                 true
@@ -165,7 +225,7 @@ impl CommunitySet {
         match items.binary_search(c) {
             Ok(i) => {
                 let (head, tail) = items.split_at(i);
-                *self = CommunitySet::collect(head.iter().chain(&tail[1..]).copied());
+                *self = CommunitySet::from_iter(head.iter().chain(&tail[1..]).copied());
                 true
             }
             Err(_) => false,
@@ -189,7 +249,10 @@ impl CommunitySet {
 
     /// The sorted backing slice.
     pub fn as_slice(&self) -> &[Community] {
-        self.items.as_deref().unwrap_or_default()
+        match &self.items {
+            Items::Inline { len, items } => &items[..*len as usize],
+            Items::Shared(items) => items,
+        }
     }
 
     /// Render space-separated in `bgpdump` style.
@@ -204,7 +267,7 @@ impl CommunitySet {
 impl PartialEq for CommunitySet {
     fn eq(&self, other: &Self) -> bool {
         let shared = match (&self.items, &other.items) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (Items::Shared(a), Items::Shared(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
         shared || self.as_slice() == other.as_slice()

@@ -87,7 +87,9 @@ fn clones_share_instead_of_copying() {
         assert_eq!((n, bytes), (0, 0), "cloning {path}");
         assert_eq!(&copy, path);
     }
-    for set in [communities(), CommunitySet::new()] {
+    // Past the inline capacity the items are shared, not copied.
+    let large = CommunitySet::from_iter((1..=9).map(|v| Community::new(3356, v)));
+    for set in [communities(), large, CommunitySet::new()] {
         let (copy, n, bytes) = allocations(|| set.clone());
         assert_eq!((n, bytes), (0, 0), "cloning {set}");
         assert_eq!(copy, set);
@@ -107,22 +109,36 @@ fn writes_copy_and_leave_clones_alone() {
     assert!(set.remove(&Community::blackhole(3356)));
     assert_eq!(set.to_string(), "1:1 3356:100");
     assert_eq!(before.to_string(), "3356:100 3356:666");
+    let mut large = CommunitySet::from_iter((1..=9).map(|v| Community::new(7, v)));
+    let before = large.clone();
+    assert!(large.insert(Community::new(1, 1)));
+    assert!(large.remove(&Community::new(7, 9)));
+    assert_eq!(large.len(), 9);
+    assert_eq!(large.as_slice()[0], Community::new(1, 1));
+    assert_eq!(before.len(), 9);
+    assert_eq!(before.as_slice()[8], Community::new(7, 9));
 }
 
 #[test]
-fn the_empty_community_set_allocates_nothing() {
+fn small_community_sets_allocate_nothing() {
     let (set, n, _) = allocations(CommunitySet::new);
     assert_eq!(n, 0);
     let (_, n, _) = allocations(|| CommunitySet::from_iter(set.iter().copied()));
     assert_eq!(n, 0);
     let (_, n, _) = allocations(CommunitySet::default);
     assert_eq!(n, 0);
+    // Up to five, unsorted and repeated, are sorted in place.
+    let (small, n, _) =
+        allocations(|| CommunitySet::from_iter([5, 1, 4, 1, 3].map(|v| Community::new(7, v))));
+    assert_eq!(n, 0);
+    assert_eq!(small.to_string(), "7:1 7:3 7:4 7:5");
 }
 
 /// Allocation calls of `BgpMessage::decode` on the UPDATE below before
 /// the attributes were shared: the withdrawal and announcement lists,
 /// the temporary segment list, the merged segment list, the ASN list
-/// and the community list.
+/// and the community list. Sharing needs the lists, the shared segment
+/// slice and the ASN list: four.
 const PARENT_UPDATE_DECODE_ALLOCATIONS: usize = 6;
 
 #[test]

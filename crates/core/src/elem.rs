@@ -102,8 +102,9 @@ pub fn extract(record: &MrtRecord, pit: Option<&PeerIndexTable>) -> ExtractedEle
 ///
 /// Ownership is what keeps the merge hot path allocation-light: every
 /// RIB entry's attributes and the last announcement's attributes are
-/// *moved* into their elems (`AsPath`/`CommunitySet` are `Vec`-backed,
-/// so a clone is one or more heap allocations each). The filtered hot
+/// *moved* into their elems; the other announcements of an UPDATE
+/// clone them, which shares them (`AsPath`/`CommunitySet` clones never
+/// copy to the heap). The filtered hot
 /// path extracts every record into one reusable scratch `Vec`
 /// (appending; the caller clears between records), filters it in
 /// place, and only then right-sizes an owned `Vec` for the survivors —

@@ -9,7 +9,7 @@
 //! and read back through its checked [`Reader`].
 
 use bgp_types::codec::{put_prefix, put_route, Reader};
-use bgp_types::{AsPath, Asn, CodecError, Prefix};
+use bgp_types::{AsPath, AsPathSegment, Asn, CodecError, Prefix};
 use bytes::{BufMut, BytesMut};
 
 /// One changed (or full-table) cell: the state of `<prefix, VP>`.
@@ -25,7 +25,8 @@ pub struct DiffCell {
 }
 
 /// Sort cells into the canonical publication order: `(vp, prefix,
-/// path)`. Both the sequential RT plugin and the sharded runtime's
+/// path)`, a path by its hops and then, if it holds an `AS_SET`, by
+/// its segments' kinds and lengths. Both the sequential RT plugin and the sharded runtime's
 /// merge publish in this order, which is what makes their queue
 /// payloads byte-identical (a `HashMap` drain order would differ from
 /// run to run, let alone between shard layouts).
@@ -36,9 +37,19 @@ pub fn sort_cells(cells: &mut [DiffCell]) {
             !c.prefix.is_ipv4(),
             c.prefix.len(),
             c.prefix.raw_bits(),
-            c.path
-                .as_ref()
-                .map(|p| p.asns().map(|a| a.0).collect::<Vec<u32>>()),
+            c.path.as_ref().map(|p| {
+                let hops: Vec<u32> = p.asns().map(|a| a.0).collect();
+                // A path of sequences alone is written as its hops; one
+                // with a set is told apart by its segments as well.
+                let segments = p.segments();
+                let is_set = |s: &AsPathSegment| matches!(s, AsPathSegment::Set(_));
+                let shape: Vec<(bool, usize)> = if segments.iter().any(is_set) {
+                    segments.iter().map(|s| (is_set(s), s.len())).collect()
+                } else {
+                    Vec::new()
+                };
+                (hops, shape)
+            }),
         )
     });
 }
@@ -133,7 +144,7 @@ impl RtMessage {
         out.put_u16(collector.len() as u16);
         out.put_slice(collector.as_bytes());
         encode_cells(&mut out, cells);
-        out.to_vec()
+        out.into()
     }
 
     /// Binary decoding.
@@ -192,6 +203,25 @@ mod tests {
                 path: None,
             },
         ]
+    }
+
+    #[test]
+    fn cells_whose_hops_tie_sort_by_their_segments() {
+        let cell = |segments| DiffCell {
+            vp: Asn(65001),
+            prefix: "193.204.0.0/15".parse().unwrap(),
+            path: Some(AsPath::from_segments(segments)),
+        };
+        let set = cell(vec![
+            AsPathSegment::Sequence(vec![Asn(1)]),
+            AsPathSegment::Set(vec![Asn(2), Asn(3)]),
+        ]);
+        let seq = cell(vec![AsPathSegment::Sequence(vec![Asn(1), Asn(2), Asn(3)])]);
+        let mut a = vec![set.clone(), seq.clone()];
+        let mut b = vec![seq, set];
+        sort_cells(&mut a);
+        sort_cells(&mut b);
+        assert_eq!(a, b);
     }
 
     #[test]

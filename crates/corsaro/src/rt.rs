@@ -518,7 +518,7 @@ impl Plugin for RtPlugin {
                 }
                 None => out.put_u8(0),
             }
-            self.pending_partial = Some(out.to_vec());
+            self.pending_partial = Some(out.into());
         }
         self.publish(bin_start, diff_cells, full);
     }
@@ -609,7 +609,7 @@ impl Plugin for RtPlugin {
             out.put_u64(s.elems);
             out.put_u64(s.diff_cells);
         }
-        out.to_vec()
+        out.into()
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), String> {

@@ -20,8 +20,8 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use bgp_types::codec::{
-    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, route_len,
-    seal_frame_with, Reader,
+    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, seal_frame_with,
+    Reader,
 };
 use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bytes::{BufMut, BytesMut};
@@ -169,16 +169,6 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
         out.put_u16(c.value);
     }
     out.put_u64(route.updated_at);
-}
-
-/// The length of a route's wire form, prefix included: what
-/// [`put_prefix`] and [`put_rib_route`] append for one row.
-fn rib_route_len(route: &RibRoute) -> usize {
-    let next_hop = match route.next_hop {
-        Some(_) => 1 + 17,
-        None => 1,
-    };
-    18 + route_len(route.path.as_ref()) + next_hop + 2 + 4 * route.communities.len() + 8
 }
 
 /// Decode a [`put_rib_route`] route.
@@ -463,22 +453,18 @@ impl RibTable {
     /// Canonical serialization: sections sorted by `(collector name,
     /// peer address)`, routes by prefix. Intern order does not leak.
     pub fn encode(&self) -> Vec<u8> {
-        let len = self.encoded_len();
-        let mut out = BytesMut::with_capacity(len);
+        let mut out = BytesMut::with_capacity(self.encoded_len_estimate());
         self.encode_into(&mut out);
-        debug_assert_eq!(out.len(), len);
         out.into()
     }
 
-    /// The length of [`encode`](RibTable::encode)'s output.
-    fn encoded_len(&self) -> usize {
-        let mut len = 1 + 4;
-        for ((cid, _), rib) in &self.peers {
-            // name, peer, asn, up, row count
-            len += 2 + self.collectors[*cid as usize].len() + 17 + 4 + 1 + 4;
-            len += rib.routes.values().map(rib_route_len).sum::<usize>();
-        }
-        len
+    /// About the length of [`encode`](RibTable::encode)'s output, for
+    /// sizing its buffer without visiting every route: each row taken
+    /// as a four-hop path, a next hop and two communities.
+    fn encoded_len_estimate(&self) -> usize {
+        const SECTION: usize = 2 + 16 + 17 + 4 + 1 + 4;
+        const ROW: usize = 18 + (2 + 4 * 4) + (1 + 17) + (2 + 2 * 4) + 8;
+        1 + 4 + SECTION * self.peers.len() + ROW * self.route_count()
     }
 
     /// Append [`encode`](RibTable::encode)'s output to `out`. Each
@@ -492,7 +478,7 @@ impl RibTable {
         });
         out.put_u8(TABLE_VERSION);
         out.put_u32(sections.len() as u32);
-        let mut rows: Vec<(&Prefix, &RibRoute)> = Vec::new();
+        let mut rows: Vec<(Prefix, &RibRoute)> = Vec::new();
         for ((cid, peer), rib) in sections {
             let name = &self.collectors[*cid as usize];
             out.put_u16(name.len() as u16);
@@ -501,8 +487,8 @@ impl RibTable {
             out.put_u32(rib.peer_asn.0);
             out.put_u8(rib.up as u8);
             rows.clear();
-            rows.extend(&rib.routes);
-            rows.sort_unstable_by_key(|(p, _)| prefix_sort_key(p));
+            rows.extend(rib.routes.iter().map(|(prefix, route)| (*prefix, route)));
+            rows.sort_unstable_by_key(|(prefix, _)| prefix_sort_key(prefix));
             out.put_u32(rows.len() as u32);
             for (prefix, route) in &rows {
                 put_prefix(out, prefix);
@@ -522,7 +508,7 @@ impl RibTable {
     /// — the restartable snapshot artifact. One pass: the rows are
     /// written straight into the frame, which is sized up front.
     pub fn seal(&self) -> Vec<u8> {
-        seal_frame_with(self.encoded_len(), |out| self.encode_into(out))
+        seal_frame_with(self.encoded_len_estimate(), |out| self.encode_into(out))
     }
 
     /// Open and decode a [`seal`](RibTable::seal)ed frame, rejecting
@@ -598,7 +584,7 @@ impl TableView {
             put_prefix(&mut out, &row.prefix);
             put_rib_route(&mut out, &row.route);
         }
-        out.to_vec()
+        out.into()
     }
 }
 

@@ -461,6 +461,8 @@ impl ControlPlane {
         }
         // One shared set, built once: inserting into it would copy it
         // on every write.
+        acc.sort_unstable();
+        acc.dedup();
         CommunitySet::from_iter(acc)
     }
 
