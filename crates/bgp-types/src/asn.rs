@@ -107,16 +107,15 @@ impl AsPath {
 
     /// Build a path from explicit segments.
     pub fn from_segments(segments: Vec<AsPathSegment>) -> Self {
-        if segments.is_empty() {
-            return AsPath::empty();
+        AsPath {
+            segments: (!segments.is_empty()).then(|| segments.into()),
         }
-        AsPath::from_shared(segments.into())
     }
 
     /// A path over already-shared segments.
     pub(crate) fn from_shared(segments: Arc<[AsPathSegment]>) -> Self {
         AsPath {
-            segments: (!segments.is_empty()).then_some(segments),
+            segments: Some(segments),
         }
     }
 

@@ -66,9 +66,9 @@ const SEGMENT_SEQUENCE: u8 = 2;
 /// Append an optional AS path in the queue wire form. A path of
 /// sequences alone is its hop count then one `u32` per hop: the
 /// sequences concatenate into one. Any other path — one holding an
-/// `AS_SET`, or too long for the count — is the [`SEGMENTED`] marker,
+/// `AS_SET`, or too long for the count — is the `0xFFFE` marker,
 /// a `u16` segment count, and per segment its kind, a `u32` hop count
-/// and its hops. No path at all is the hop count [`NO_PATH`].
+/// and its hops. No path at all is the hop count `0xFFFF`.
 pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
     let Some(path) = path else {
         out.put_u16(NO_PATH);
@@ -76,7 +76,10 @@ pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
     };
     let segments = path.segments();
     let hops: usize = segments.iter().map(AsPathSegment::len).sum();
-    if is_plain(segments, hops) {
+    let sequences = segments
+        .iter()
+        .all(|s| matches!(s, AsPathSegment::Sequence(_)));
+    if sequences && hops < SEGMENTED as usize {
         out.put_u16(hops as u16);
         for asn in path.asns() {
             out.put_u32(asn.0);
@@ -95,15 +98,6 @@ pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
             out.put_u32(asn.0);
         }
     }
-}
-
-/// Whether [`put_route`] writes these segments, `hops` ASNs in all, in
-/// the plain form.
-fn is_plain(segments: &[AsPathSegment], hops: usize) -> bool {
-    hops < SEGMENTED as usize
-        && segments
-            .iter()
-            .all(|s| matches!(s, AsPathSegment::Sequence(_)))
 }
 
 /// The checked reader. Each read returns the value and moves past it,
@@ -385,8 +379,9 @@ pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
 }
 
 /// [`seal_frame`] for a payload not yet written: `write` appends it
-/// straight into the frame, one buffer sized for `payload_len` bytes,
-/// and the length and checksum are filled in around it.
+/// straight into the frame — one buffer, sized for about
+/// `payload_len` bytes of payload — and the length and checksum are
+/// filled in around it.
 pub fn seal_frame_with(payload_len: usize, write: impl FnOnce(&mut BytesMut)) -> Vec<u8> {
     let mut out = BytesMut::with_capacity(4 + payload_len + 8);
     out.put_u32(0);

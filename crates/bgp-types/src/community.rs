@@ -85,9 +85,9 @@ impl FromStr for Community {
 /// regardless of the order communities were attached in. The items are
 /// immutable: a clone never copies them to the heap, and the mutators
 /// ([`insert`](CommunitySet::insert), [`remove`](CommunitySet::remove))
-/// copy on write. A set of up to [`INLINE`] communities — the common
-/// case — is held in place, with no allocation; a larger one is shared
-/// behind a reference count, so its clone is a count bump.
+/// copy on write. A set of up to five communities — the common case —
+/// is held in place, with no allocation; a larger one is shared behind
+/// a reference count, so its clone is a count bump.
 #[derive(Clone, Default)]
 pub struct CommunitySet {
     items: Items,
@@ -119,30 +119,37 @@ impl CommunitySet {
         CommunitySet::default()
     }
 
-    /// Build from any iterator, sorting and deduplicating. Up to
-    /// [`INLINE`] communities are sorted in place; more are collected
+    /// Build from any iterator, sorting and deduplicating. Up to five
+    /// communities are sorted in place; more are collected
     /// into one shared allocation when the iterator's length is known
-    /// (a slice, a fixed-width wire block).
+    /// (a slice, a fixed-width wire block), and sorted there.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Community>>(iter: I) -> Self {
-        let mut iter = iter.into_iter();
+        let mut iter = iter.into_iter().peekable();
+        let mut small = [Community::new(0, 0); INLINE];
+        let mut len = 0;
         if iter.size_hint().0 <= INLINE {
-            let mut items = [Community::new(0, 0); INLINE];
-            let mut len = 0;
-            for slot in &mut items {
-                let Some(c) = iter.next() else { break };
-                *slot = c;
+            while let Some(c) = iter.next_if(|_| len < INLINE) {
+                small[len] = c;
                 len += 1;
             }
-            match iter.next() {
-                None => return CommunitySet::inline(&mut items[..len]),
-                Some(more) => {
-                    let spilled = items.into_iter().chain([more]).chain(iter);
-                    return CommunitySet::shared(spilled.collect());
-                }
+            if iter.peek().is_none() {
+                return CommunitySet::inline(&mut small[..len]);
             }
         }
-        CommunitySet::shared(iter.collect())
+        let mut items: Arc<[Community]> = small[..len].iter().copied().chain(iter).collect();
+        if let Some(fresh) = Arc::get_mut(&mut items).filter(|s| !s.is_sorted()) {
+            fresh.sort_unstable();
+        }
+        if items.is_sorted_by(|a, b| a < b) {
+            return CommunitySet {
+                items: Items::Shared(items),
+            };
+        }
+        let mut unique = items.to_vec();
+        unique.sort_unstable();
+        unique.dedup();
+        CommunitySet::from_iter(unique)
     }
 
     /// Sort and deduplicate at most [`INLINE`] communities in place.
@@ -150,45 +157,15 @@ impl CommunitySet {
         items.sort_unstable();
         let mut set = [Community::new(0, 0); INLINE];
         let mut len = 0;
-        for &c in items.iter() {
-            if len == 0 || set[len - 1] != c {
-                set[len] = c;
-                len += 1;
-            }
+        for run in items.chunk_by(|a, b| a == b) {
+            set[len] = run[0];
+            len += 1;
         }
         CommunitySet {
             items: Items::Inline {
                 len: len as u8,
                 items: set,
             },
-        }
-    }
-
-    /// Sort and deduplicate more than [`INLINE`] communities, sorting
-    /// in place unless they are sorted already.
-    fn shared(mut items: Arc<[Community]>) -> Self {
-        if !items.is_sorted_by(|a, b| a < b) {
-            let mut unique = match Arc::get_mut(&mut items) {
-                Some(fresh) => {
-                    fresh.sort_unstable();
-                    if fresh.is_sorted_by(|a, b| a < b) {
-                        return CommunitySet::shared(items);
-                    }
-                    fresh.to_vec()
-                }
-                None => items.to_vec(),
-            };
-            unique.sort_unstable();
-            unique.dedup();
-            return CommunitySet::from_iter(unique);
-        }
-        if items.len() <= INLINE {
-            let mut small = [Community::new(0, 0); INLINE];
-            small[..items.len()].copy_from_slice(&items);
-            return CommunitySet::inline(&mut small[..items.len()]);
-        }
-        CommunitySet {
-            items: Items::Shared(items),
         }
     }
 

@@ -398,33 +398,6 @@ fn encode_as_path(path: &AsPath, out: &mut BytesMut) {
     }
 }
 
-/// The segments of an AS_PATH value (4-byte ASNs) as `(is_set, asn
-/// bytes)`, each validated as it is read.
-struct WireSegments<'a>(Reader<'a>);
-
-impl<'a> WireSegments<'a> {
-    fn segment(&mut self) -> Result<(bool, &'a [u8]), CodecError> {
-        let [ty, count] = self.0.relabel("AS_PATH segment header").array()?;
-        let asns = self
-            .0
-            .relabel("AS_PATH segment body")
-            .bytes(count as usize * 4)?;
-        match ty {
-            SEG_SET => Ok((true, asns)),
-            SEG_SEQUENCE => Ok((false, asns)),
-            _ => Err(CodecError::Invalid("AS_PATH segment type")),
-        }
-    }
-}
-
-impl<'a> Iterator for WireSegments<'a> {
-    type Item = Result<(bool, &'a [u8]), CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        (!self.0.is_empty()).then(|| self.segment())
-    }
-}
-
 /// Walk the segments of an AS_PATH value (4-byte ASNs), handing each
 /// to `f` as `(is_set, asn bytes)`. Validates exactly what
 /// [`decode_attrs`] does, without allocating.
@@ -432,11 +405,29 @@ pub fn walk_as_path<'a>(
     buf: &'a [u8],
     mut f: impl FnMut(bool, &'a [u8]),
 ) -> Result<(), CodecError> {
-    for segment in WireSegments(Reader::new(buf, "AS_PATH segment header")) {
-        let (is_set, asns) = segment?;
+    let mut r = Reader::new(buf, "AS_PATH segment header");
+    while !r.is_empty() {
+        let [ty, count] = r.relabel("AS_PATH segment header").array()?;
+        let asns = r
+            .relabel("AS_PATH segment body")
+            .bytes(count as usize * 4)?;
+        let is_set = match ty {
+            SEG_SET => true,
+            SEG_SEQUENCE => false,
+            _ => return Err(CodecError::Invalid("AS_PATH segment type")),
+        };
         f(is_set, asns);
     }
     Ok(())
+}
+
+/// Split the next segment, `(is_set, asn bytes)`, off an AS_PATH value
+/// [`walk_as_path`] has already validated.
+fn next_segment<'a>(buf: &mut &'a [u8]) -> Option<(bool, &'a [u8])> {
+    let ([ty, count], rest) = buf.split_first_chunk::<2>()?;
+    let (asns, rest) = rest.split_at_checked(*count as usize * 4)?;
+    *buf = rest;
+    Some((*ty == SEG_SET, asns))
 }
 
 /// Whether a wire segment of `len` ASN bytes continues the segment
@@ -469,9 +460,8 @@ fn decode_as_path(buf: &[u8]) -> Result<AsPath, CodecError> {
     }
     // Then build the merged segments straight into the one shared
     // slice: a length-known iterator collects with a single allocation.
-    let mut wire = WireSegments(Reader::new(buf, "AS_PATH segment header"))
-        .flatten()
-        .peekable();
+    let mut rest = buf;
+    let mut wire = std::iter::from_fn(|| next_segment(&mut rest)).peekable();
     let mut merged = || {
         // Validated above: the walk yields `count` runs.
         let Some((is_set, first)) = wire.next() else {
@@ -479,13 +469,11 @@ fn decode_as_path(buf: &[u8]) -> Result<AsPath, CodecError> {
         };
         let mut asns: Vec<Asn> = asns_of(first).collect();
         let mut last = first.len();
-        while let Some(&(_, more)) = wire
-            .peek()
-            .filter(|(set, more)| continues(Some((is_set, last)), *set, more.len()))
+        while let Some((_, more)) =
+            wire.next_if(|&(set, more)| continues(Some((is_set, last)), set, more.len()))
         {
             asns.extend(asns_of(more));
             last = more.len();
-            wire.next();
         }
         if is_set {
             AsPathSegment::Set(asns)

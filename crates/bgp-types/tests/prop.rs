@@ -177,6 +177,47 @@ proptest! {
     }
 
     #[test]
+    fn community_sets_are_sorted_and_unique_at_any_size(
+        raw in proptest::collection::vec((0u16..4, 0u16..4), 0..12),
+        extra in (0u16..4, 0u16..4),
+    ) {
+        let items: Vec<Community> = raw.iter().map(|&(a, v)| Community::new(a, v)).collect();
+        let mut want = items.clone();
+        want.sort_unstable();
+        want.dedup();
+        let mut set = CommunitySet::from_iter(items);
+        prop_assert_eq!(set.as_slice(), &want[..]);
+        // Copy on write keeps the clone as it was.
+        let before = set.clone();
+        let c = Community::new(extra.0, extra.1);
+        prop_assert_eq!(set.insert(c), !want.contains(&c));
+        prop_assert!(set.contains(&c));
+        prop_assert!(set.remove(&c));
+        prop_assert!(!set.contains(&c));
+        prop_assert_eq!(before.as_slice(), &want[..]);
+    }
+
+    #[test]
+    fn route_codec_roundtrip(path in proptest::option::of(arb_as_path())) {
+        let mut out = BytesMut::new();
+        bgp_types::codec::put_route(&mut out, path.as_ref());
+        let mut r = bgp_types::codec::Reader::new(&out, "route");
+        let back = r.route().unwrap();
+        r.finish().unwrap();
+        // A path of sequences alone comes back as one sequence.
+        let has_set = path
+            .as_ref()
+            .is_some_and(|p| p.segments().iter().any(|s| matches!(s, AsPathSegment::Set(_))));
+        if has_set {
+            prop_assert_eq!(&back, &path);
+        } else {
+            let flat = |p: &Option<AsPath>| p.as_ref().map(|p| p.asns().collect::<Vec<_>>());
+            prop_assert_eq!(flat(&back), flat(&path));
+        }
+        prop_assert_eq!(back.as_ref().and_then(|p| p.origin()), path.and_then(|p| p.origin()));
+    }
+
+    #[test]
     fn community_u32_roundtrip(a in any::<u16>(), v in any::<u16>()) {
         let c = Community::new(a, v);
         prop_assert_eq!(Community::from_u32(c.as_u32()), c);
