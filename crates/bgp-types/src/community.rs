@@ -120,9 +120,9 @@ impl CommunitySet {
     }
 
     /// Build from any iterator, sorting and deduplicating. Up to five
-    /// communities are sorted in place; more are collected
-    /// into one shared allocation when the iterator's length is known
-    /// (a slice, a fixed-width wire block), and sorted there.
+    /// communities are sorted in place; more are collected into one
+    /// shared allocation when the iterator's length is known (a slice,
+    /// a fixed-width wire block), and sorted there.
     #[allow(clippy::should_implement_trait)]
     pub fn from_iter<I: IntoIterator<Item = Community>>(iter: I) -> Self {
         let mut iter = iter.into_iter().peekable();

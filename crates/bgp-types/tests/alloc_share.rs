@@ -97,29 +97,6 @@ fn clones_share_instead_of_copying() {
 }
 
 #[test]
-fn writes_copy_and_leave_clones_alone() {
-    let mut path = AsPath::from_sequence([2, 3]);
-    let before = path.clone();
-    path.prepend(Asn(1));
-    assert_eq!(path.to_string(), "1 2 3");
-    assert_eq!(before.to_string(), "2 3");
-    let mut set = communities();
-    let before = set.clone();
-    assert!(set.insert(Community::new(1, 1)));
-    assert!(set.remove(&Community::blackhole(3356)));
-    assert_eq!(set.to_string(), "1:1 3356:100");
-    assert_eq!(before.to_string(), "3356:100 3356:666");
-    let mut large = CommunitySet::from_iter((1..=9).map(|v| Community::new(7, v)));
-    let before = large.clone();
-    assert!(large.insert(Community::new(1, 1)));
-    assert!(large.remove(&Community::new(7, 9)));
-    assert_eq!(large.len(), 9);
-    assert_eq!(large.as_slice()[0], Community::new(1, 1));
-    assert_eq!(before.len(), 9);
-    assert_eq!(before.as_slice()[8], Community::new(7, 9));
-}
-
-#[test]
 fn small_community_sets_allocate_nothing() {
     let (set, n, _) = allocations(CommunitySet::new);
     assert_eq!(n, 0);

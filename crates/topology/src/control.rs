@@ -459,10 +459,7 @@ impl ControlPlane {
                 acc.push(Community::new(n.asn.0 as u16, TAG_INGRESS));
             }
         }
-        // One shared set, built once: inserting into it would copy it
-        // on every write.
-        acc.sort_unstable();
-        acc.dedup();
+        // Built once: each insert into a set copies it.
         CommunitySet::from_iter(acc)
     }
 
