@@ -26,10 +26,10 @@ pub struct DiffCell {
 
 /// Sort cells into the canonical publication order: `(vp, prefix,
 /// path)`, a path by its hops and then, if it holds an `AS_SET`, by
-/// its segments' kinds and lengths. Both the sequential RT plugin and the sharded runtime's
-/// merge publish in this order, which is what makes their queue
-/// payloads byte-identical (a `HashMap` drain order would differ from
-/// run to run, let alone between shard layouts).
+/// its segments' kinds and lengths. Both the sequential RT plugin and
+/// the sharded runtime's merge publish in this order, which is what
+/// makes their queue payloads byte-identical (a `HashMap` drain order
+/// would differ from run to run, let alone between shard layouts).
 pub fn sort_cells(cells: &mut [DiffCell]) {
     cells.sort_by_cached_key(|c| {
         (
