@@ -26,6 +26,7 @@
 
 use std::borrow::Cow;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::ops::Range;
 
 use bytes::{BufMut, BytesMut};
 
@@ -395,6 +396,13 @@ pub fn seal_frame_with(payload_len: usize, write: impl FnOnce(&mut BytesMut)) ->
 
 /// Validate and unwrap a [`seal_frame`] envelope.
 pub fn open_frame(frame: &[u8]) -> Result<&[u8], CodecError> {
+    open_frame_at(frame).map(|payload| &frame[payload])
+}
+
+/// [`open_frame`], answering where in `frame` the payload sits: for a
+/// holder of an immutable frame that checks it once and keeps the
+/// answer.
+pub fn open_frame_at(frame: &[u8]) -> Result<Range<usize>, CodecError> {
     let mut r = Reader::new(frame, "checkpoint frame");
     let len = r.u32()? as usize;
     let payload = r.bytes(len)?;
@@ -403,7 +411,7 @@ pub fn open_frame(frame: &[u8]) -> Result<&[u8], CodecError> {
     if fnv1a(payload) != checksum {
         return Err(CodecError::Invalid("checkpoint frame checksum"));
     }
-    Ok(payload)
+    Ok(4..4 + len)
 }
 
 #[cfg(test)]

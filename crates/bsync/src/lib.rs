@@ -39,6 +39,13 @@ pub use parking_lot::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
 };
 
+/// A cell written once and read by every thread after. The same
+/// `std::sync::OnceLock` in both builds: loom-lite does not model it,
+/// so its initialisation is not a decision point of the model checker.
+/// Keep it for values computed from immutable inputs, where which
+/// thread initialises the cell cannot change what any thread reads.
+pub use std::sync::OnceLock;
+
 /// The model-checker API, available only under `--features loom-lite`
 /// so model tests can `use bsync::model::{explore, Builder}`.
 #[cfg(feature = "loom-lite")]

@@ -25,7 +25,7 @@ use std::fmt;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::codec::{ip_sort_key, open_frame, prefix_sort_key};
+use bgp_types::codec::{ip_sort_key, prefix_sort_key};
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix};
 
@@ -160,7 +160,7 @@ impl RibQuery {
         let mut resolver = Resolver::new(self);
         let from = match store.snapshot_at(at) {
             Some(snap) => {
-                open_frame(snap.frame())
+                snap.payload()
                     .and_then(|payload| walk_table(payload, &mut resolver))
                     .map_err(RibError::Corrupt)?;
                 snap.at

@@ -16,46 +16,75 @@
 //! re-publish bins the store already has, and determinism guarantees
 //! the dropped duplicates were byte-identical to what landed first.
 
+use std::ops::Range;
 use std::sync::Arc;
 
+use bgp_types::codec::open_frame_at;
 use bgp_types::CodecError;
 
 use crate::table::{RibEvent, RibTable};
 
 /// A sealed point-in-time snapshot: the restartable artifact.
+///
+/// Clones share one sealed frame, and the frame is opened — its
+/// checksum checked — at most once: by the first query that reads the
+/// snapshot or the first [`table`](Snapshot::table) call, whichever
+/// comes first. Every later read is served that result, including a
+/// failure. A frame cannot change after it is wrapped, so checking it
+/// again could not answer differently.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The instant the snapshot reflects (contains events with
     /// `time < at`).
     pub at: u64,
-    frame: Arc<Vec<u8>>,
+    sealed: Arc<Sealed>,
+}
+
+/// What every clone of a [`Snapshot`] shares.
+#[derive(Debug)]
+struct Sealed {
+    frame: Vec<u8>,
+    /// Where the payload sits in `frame` once the checksum has passed,
+    /// or why opening failed.
+    opened: bsync::OnceLock<Result<Range<usize>, CodecError>>,
 }
 
 impl Snapshot {
     /// Seal a table's state as of `at`.
     pub fn seal(at: u64, table: &RibTable) -> Self {
-        Snapshot {
-            at,
-            frame: Arc::new(table.seal()),
-        }
+        Snapshot::from_frame(at, table.seal())
     }
 
-    /// Wrap an already-sealed frame (e.g. read back from disk).
+    /// Wrap an already-sealed frame (e.g. read back from disk). The
+    /// frame is not checked here: the first read opens it.
     pub fn from_frame(at: u64, frame: Vec<u8>) -> Self {
         Snapshot {
             at,
-            frame: Arc::new(frame),
+            sealed: Arc::new(Sealed {
+                frame,
+                opened: bsync::OnceLock::new(),
+            }),
         }
     }
 
     /// The sealed frame bytes (length-prefixed, checksummed).
     pub fn frame(&self) -> &[u8] {
-        &self.frame
+        &self.sealed.frame
     }
 
-    /// Open the frame back into a table, rejecting torn writes.
+    /// The frame's payload, opening the frame on the first call.
+    pub(crate) fn payload(&self) -> Result<&[u8], CodecError> {
+        let sealed = &*self.sealed;
+        let range = sealed
+            .opened
+            .get_or_init(|| open_frame_at(&sealed.frame))
+            .clone()?;
+        Ok(&sealed.frame[range])
+    }
+
+    /// Decode the frame back into a table, rejecting torn writes.
     pub fn table(&self) -> Result<RibTable, CodecError> {
-        RibTable::unseal(&self.frame)
+        RibTable::decode(self.payload()?)
     }
 }
 
