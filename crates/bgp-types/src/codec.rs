@@ -297,21 +297,24 @@ impl<'a> Reader<'a> {
 
     /// Read past a [`put_route`] path without building it: the same
     /// checked reads as [`route`](Reader::route), without allocating.
-    pub fn skip_route(&mut self) -> Result<(), CodecError> {
-        match self.u16()? {
-            NO_PATH => {}
+    /// Answers the path's [`origin`](AsPath::origin): none for no
+    /// path, an empty one, or one ending in an `AS_SET`.
+    pub fn skip_route(&mut self) -> Result<Option<Asn>, CodecError> {
+        let last = |hops: &[u8]| hops.last_chunk().map(|w| Asn(u32::from_be_bytes(*w)));
+        Ok(match self.u16()? {
+            NO_PATH => None,
             SEGMENTED => {
+                let mut origin = None;
                 for _ in 0..self.route_segments()? {
-                    self.route_segment_kind()?;
+                    let set = self.route_segment_kind()?;
                     let hops = self.count(4)?;
-                    self.bytes(hops * 4)?;
+                    let hops = self.bytes(hops * 4)?;
+                    origin = if set { None } else { last(hops) };
                 }
+                origin
             }
-            hops => {
-                self.bytes(hops as usize * 4)?;
-            }
-        }
-        Ok(())
+            hops => last(self.bytes(hops as usize * 4)?),
+        })
     }
 
     /// The segment count of a segmented route, refused unless that

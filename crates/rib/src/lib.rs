@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 
 pub mod fold;
+mod index;
 pub mod query;
 pub mod store;
 pub mod table;

@@ -29,10 +29,9 @@ use bgp_types::codec::{ip_sort_key, prefix_sort_key};
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix};
 
+use crate::index::{read_row, TableIndex};
 use crate::store::RibStore;
-use crate::table::{
-    walk_table, RibAction, RibEvent, RibRoute, Section, TableRow, TableView, TableVisitor,
-};
+use crate::table::{RibAction, RibEvent, RibRoute, TableRow, TableView};
 
 /// Why a query could not resolve.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -160,8 +159,8 @@ impl RibQuery {
         let mut resolver = Resolver::new(self);
         let from = match store.snapshot_at(at) {
             Some(snap) => {
-                snap.payload()
-                    .and_then(|payload| walk_table(payload, &mut resolver))
+                snap.opened()
+                    .and_then(|(payload, index)| resolver.read(payload, index))
                     .map_err(RibError::Corrupt)?;
                 snap.at
             }
@@ -257,9 +256,9 @@ struct PeerRows {
     rows: BTreeMap<(bool, u8, u128), (Prefix, RibRoute)>,
 }
 
-/// The one resolution path of [`RibQuery::table`]: a [`TableVisitor`]
-/// over the snapshot that keeps only the admitted rows, then the
-/// journal tail applied to them, then the rows moved out in canonical
+/// The one resolution path of [`RibQuery::table`]: the admitted rows
+/// of the snapshot, read through its index, then the journal tail
+/// applied to them, then the rows moved out in canonical
 /// `(collector, peer, prefix)` order.
 ///
 /// On the admitted cells it applies what [`RibTable::apply`] does to
@@ -273,8 +272,6 @@ struct Resolver<'q> {
     query: &'q RibQuery,
     /// Admitted vantage points by collector and canonical address.
     peers: BTreeMap<(Arc<str>, (bool, u128)), PeerRows>,
-    /// The snapshot section being read, when the query admits it.
-    open: Option<(Arc<str>, PeerRows)>,
 }
 
 impl<'q> Resolver<'q> {
@@ -282,8 +279,45 @@ impl<'q> Resolver<'q> {
         Resolver {
             query,
             peers: BTreeMap::new(),
-            open: None,
         }
+    }
+
+    /// Read the admitted rows of a snapshot: only the sections the
+    /// query admits, and in each only the rows its origin or prefix
+    /// narrowing can admit. The index has already applied the table's
+    /// replacement rules, so each row read is final.
+    fn read(&mut self, payload: &[u8], index: &TableIndex) -> Result<(), CodecError> {
+        for section in index.sections() {
+            if !self.query.matches_meta(&section.collector, &section.peer) {
+                continue;
+            }
+            let mut rows = Vec::new();
+            let mut keep = |at: u32| -> Result<(), CodecError> {
+                let (prefix, route) = read_row(payload, at)?;
+                if self.query.matches_route(&prefix, &route) {
+                    rows.push((prefix_sort_key(&prefix), (prefix, route)));
+                }
+                Ok(())
+            };
+            if let Some(origin) = self.query.origin {
+                index.posted(section, origin).try_for_each(&mut keep)?;
+            } else if let Some((filter, mode)) = &self.query.prefix {
+                for run in index.matching(payload, section, filter, *mode)? {
+                    run.iter().try_for_each(|&at| keep(at))?;
+                }
+            } else {
+                index.rows(section).iter().try_for_each(|&at| keep(at))?;
+            }
+            self.peers.insert(
+                (section.collector.clone(), ip_sort_key(&section.peer)),
+                PeerRows {
+                    peer: section.peer,
+                    peer_asn: section.peer_asn,
+                    rows: rows.into_iter().collect(),
+                },
+            );
+        }
+        Ok(())
     }
 
     /// Apply one journal event to the admitted cells.
@@ -326,49 +360,6 @@ impl<'q> Resolver<'q> {
             }));
         }
         TableView { at, rows }
-    }
-}
-
-impl TableVisitor for Resolver<'_> {
-    fn section(&mut self, section: Section<'_>) {
-        self.open = self
-            .query
-            .matches_meta(&section.collector, &section.peer)
-            .then(|| {
-                (
-                    section.collector.into(),
-                    PeerRows {
-                        peer: section.peer,
-                        peer_asn: section.peer_asn,
-                        rows: BTreeMap::new(),
-                    },
-                )
-            });
-    }
-
-    fn wants(&self, prefix: &Prefix) -> bool {
-        self.open.is_some() && self.query.matches_prefix(prefix)
-    }
-
-    fn row(&mut self, prefix: Prefix, route: RibRoute) {
-        let Some((_, peer)) = &mut self.open else {
-            return;
-        };
-        let key = prefix_sort_key(&prefix);
-        if self.query.matches_route(&prefix, &route) {
-            peer.rows.insert(key, (prefix, route));
-        } else {
-            // A repeated prefix replaces the earlier row.
-            peer.rows.remove(&key);
-        }
-    }
-
-    fn end_section(&mut self) {
-        if let Some((collector, peer)) = self.open.take() {
-            // A repeated section replaces the earlier one.
-            self.peers
-                .insert((collector, ip_sort_key(&peer.peer)), peer);
-        }
     }
 }
 

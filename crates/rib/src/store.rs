@@ -22,16 +22,20 @@ use std::sync::Arc;
 use bgp_types::codec::open_frame_at;
 use bgp_types::CodecError;
 
+use crate::index::TableIndex;
 use crate::table::{RibEvent, RibTable};
 
 /// A sealed point-in-time snapshot: the restartable artifact.
 ///
-/// Clones share one sealed frame, and the frame is opened — its
-/// checksum checked — at most once: by the first query that reads the
-/// snapshot or the first [`table`](Snapshot::table) call, whichever
-/// comes first. Every later read is served that result, including a
-/// failure. A frame cannot change after it is wrapped, so checking it
-/// again could not answer differently.
+/// Clones share one sealed frame, and the frame is opened at most
+/// once: by the first query that reads the snapshot or the first
+/// [`table`](Snapshot::table) call, whichever comes first. Opening
+/// checks the checksum and indexes the rows — a directory of the
+/// vantage points, each one's rows in prefix order, and the rows of
+/// each origin AS — so queries decode only the rows they admit. Every
+/// later read is served that result, a failure included: a frame
+/// cannot change after it is wrapped, so opening it again could not
+/// answer differently.
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// The instant the snapshot reflects (contains events with
@@ -44,9 +48,9 @@ pub struct Snapshot {
 #[derive(Debug)]
 struct Sealed {
     frame: Vec<u8>,
-    /// Where the payload sits in `frame` once the checksum has passed,
-    /// or why opening failed.
-    opened: bsync::OnceLock<Result<Range<usize>, CodecError>>,
+    /// Where the payload sits in `frame` and its index, once the
+    /// checksum has passed; or why opening failed.
+    opened: bsync::OnceLock<Result<(Range<usize>, TableIndex), CodecError>>,
 }
 
 impl Snapshot {
@@ -72,19 +76,26 @@ impl Snapshot {
         &self.sealed.frame
     }
 
-    /// The frame's payload, opening the frame on the first call.
-    pub(crate) fn payload(&self) -> Result<&[u8], CodecError> {
+    /// The frame's payload and its index, opening the frame on the
+    /// first call.
+    pub(crate) fn opened(&self) -> Result<(&[u8], &TableIndex), CodecError> {
         let sealed = &*self.sealed;
-        let range = sealed
+        let (payload, index) = sealed
             .opened
-            .get_or_init(|| open_frame_at(&sealed.frame))
-            .clone()?;
-        Ok(&sealed.frame[range])
+            .get_or_init(|| {
+                let payload = open_frame_at(&sealed.frame)?;
+                let index = TableIndex::build(&sealed.frame[payload.clone()])?;
+                Ok((payload, index))
+            })
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok((&sealed.frame[payload.clone()], index))
     }
 
     /// Decode the frame back into a table, rejecting torn writes.
     pub fn table(&self) -> Result<RibTable, CodecError> {
-        RibTable::decode(self.payload()?)
+        let (payload, index) = self.opened()?;
+        RibTable::from_index(payload, index)
     }
 }
 

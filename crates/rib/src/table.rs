@@ -15,7 +15,6 @@
 //! encode to the same bytes no matter what order events arrived in or
 //! how collector ids were interned.
 
-use std::borrow::Cow;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -27,8 +26,10 @@ use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bytes::{BufMut, BytesMut};
 use fxhash::FxHashMap;
 
+use crate::index::{read_row, TableIndex};
+
 /// Table serialization format version.
-const TABLE_VERSION: u8 = 1;
+pub(crate) const TABLE_VERSION: u8 = 1;
 
 /// One selected route as held in a peer's Loc-RIB.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -172,7 +173,7 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
 }
 
 /// Decode a [`put_rib_route`] route.
-fn get_rib_route(r: &mut Reader<'_>) -> Result<RibRoute, CodecError> {
+pub(crate) fn get_rib_route(r: &mut Reader<'_>) -> Result<RibRoute, CodecError> {
     let path = r.route()?;
     let next_hop = match r.u8()? {
         1 => Some(r.ip()?),
@@ -193,123 +194,19 @@ fn get_rib_route(r: &mut Reader<'_>) -> Result<RibRoute, CodecError> {
     })
 }
 
-/// Read past a [`put_rib_route`] route without decoding it: the same
-/// checked reads in the same order as [`get_rib_route`], so a skipped
-/// row fails exactly where a decoded one would, and nothing allocates.
-fn skip_rib_route(r: &mut Reader<'_>) -> Result<(), CodecError> {
-    r.skip_route()?;
+/// Read past a [`put_rib_route`] route without decoding it, answering
+/// its origin: the same checked reads in the same order as
+/// [`get_rib_route`], so a skipped row fails exactly where a decoded
+/// one would, and nothing allocates.
+pub(crate) fn skip_rib_route(r: &mut Reader<'_>) -> Result<Option<Asn>, CodecError> {
+    let origin = r.skip_route()?;
     if r.u8()? == 1 {
         r.ip()?;
     }
     let n = r.u16()? as usize;
     r.bytes(n * 4)?;
     r.u64()?;
-    Ok(())
-}
-
-/// One section header of an encoded table: a vantage point, whose
-/// `rows` prefix-sorted rows follow.
-pub(crate) struct Section<'a> {
-    /// Collector name.
-    pub collector: Cow<'a, str>,
-    /// Vantage-point address.
-    pub peer: IpAddr,
-    /// Vantage-point AS number.
-    pub peer_asn: Asn,
-    /// Whether the session was Established.
-    pub up: bool,
-    /// Number of rows in the section.
-    pub rows: usize,
-}
-
-/// What [`walk_table`] hands the sections and rows of an encoded table
-/// to. A repeated section replaces the earlier one and a repeated
-/// prefix replaces the earlier row; visitors keep those rules.
-pub(crate) trait TableVisitor {
-    /// A section opens; its rows follow.
-    fn section(&mut self, section: Section<'_>);
-    /// Whether the open section's row for `prefix` is wanted. A wanted
-    /// row's route is decoded and handed to [`row`](Self::row); any
-    /// other is skipped undecoded.
-    fn wants(&self, prefix: &Prefix) -> bool;
-    /// A wanted row of the open section.
-    fn row(&mut self, prefix: Prefix, route: RibRoute);
-    /// The open section's last row has been read.
-    fn end_section(&mut self);
-}
-
-/// Walk an [`encode`](RibTable::encode)d table through `visitor`: the
-/// one reader of the table frame, behind both [`RibTable::decode`] and
-/// query resolution. Every row's bytes are checked whether or not its
-/// route is wanted, so any visitor fails on a payload exactly where the
-/// full decode does.
-pub(crate) fn walk_table(buf: &[u8], visitor: &mut impl TableVisitor) -> Result<(), CodecError> {
-    let mut r = Reader::new(buf, "rib table");
-    if r.u8()? != TABLE_VERSION {
-        return Err(CodecError::Invalid("rib table version"));
-    }
-    // name length + peer + asn + up + route count
-    let sections = r.count(2 + 17 + 4 + 1 + 4)?;
-    for _ in 0..sections {
-        let collector = r.str16()?;
-        let peer = r.ip()?;
-        let peer_asn = Asn(r.u32()?);
-        let up = r.u8()? == 1;
-        // prefix + the smallest route: no path, no next hop, no
-        // communities, a timestamp
-        let rows = r.count(18 + 2 + 1 + 2 + 8)?;
-        visitor.section(Section {
-            collector,
-            peer,
-            peer_asn,
-            up,
-            rows,
-        });
-        for _ in 0..rows {
-            let prefix = r.prefix()?;
-            if visitor.wants(&prefix) {
-                let route = get_rib_route(&mut r)?;
-                visitor.row(prefix, route);
-            } else {
-                skip_rib_route(&mut r)?;
-            }
-        }
-        visitor.end_section();
-    }
-    r.finish()
-}
-
-/// The all-admitting [`TableVisitor`]: rebuilds the whole table.
-#[derive(Default)]
-struct TableDecoder {
-    table: RibTable,
-    open: Option<((u16, IpAddr), LocRib)>,
-}
-
-impl TableVisitor for TableDecoder {
-    fn section(&mut self, section: Section<'_>) {
-        let cid = self.table.intern(&section.collector.into());
-        let mut rib = LocRib::new(section.peer_asn);
-        rib.up = section.up;
-        rib.routes.reserve(section.rows);
-        self.open = Some(((cid, section.peer), rib));
-    }
-
-    fn wants(&self, _: &Prefix) -> bool {
-        true
-    }
-
-    fn row(&mut self, prefix: Prefix, route: RibRoute) {
-        if let Some((_, rib)) = &mut self.open {
-            rib.routes.insert(prefix, route);
-        }
-    }
-
-    fn end_section(&mut self) {
-        if let Some((key, rib)) = self.open.take() {
-            self.table.peers.insert(key, rib);
-        }
-    }
+    Ok(origin)
 }
 
 /// One vantage point's reconstructed Loc-RIB.
@@ -499,9 +396,26 @@ impl RibTable {
 
     /// Decode an [`encode`](RibTable::encode)d table.
     pub fn decode(buf: &[u8]) -> Result<RibTable, CodecError> {
-        let mut decoder = TableDecoder::default();
-        walk_table(buf, &mut decoder)?;
-        Ok(decoder.table)
+        RibTable::from_index(buf, &TableIndex::build(buf)?)
+    }
+
+    /// Decode every row `index` holds of the table encoded in
+    /// `payload`.
+    pub(crate) fn from_index(payload: &[u8], index: &TableIndex) -> Result<RibTable, CodecError> {
+        let mut table = RibTable::new();
+        for section in index.sections() {
+            let cid = table.intern(&section.collector);
+            let mut rib = LocRib::new(section.peer_asn);
+            rib.up = section.up;
+            let rows = index.rows(section);
+            rib.routes.reserve(rows.len());
+            for &at in rows {
+                let (prefix, route) = read_row(payload, at)?;
+                rib.routes.insert(prefix, route);
+            }
+            table.peers.insert((cid, section.peer), rib);
+        }
+        Ok(table)
     }
 
     /// Seal the canonical serialization into a durable checksum frame
