@@ -6,8 +6,10 @@
 //! (`rib/full_replay`). CI gates the latter pair at >=5x via
 //! `bench_gate --min-speedup` (same-run ratio, no parallelism, never
 //! self-skips). A prefix query at the same instant
-//! (`rib/narrowed_query`) decodes only the rows it keeps, so CI also
-//! gates it against the full-table `rib/time_travel_query`.
+//! (`rib/narrowed_query`) binary-searches each vantage point's rows in
+//! the snapshot's index, and an origin query (`rib/origin_query`)
+//! decodes only the rows its origin's posting list names; CI gates
+//! each against the full-table `rib/time_travel_query`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -105,19 +107,32 @@ fn bench_rib(c: &mut Criterion) {
         })
     });
 
-    // The same instant narrowed to one prefix: the snapshot walk skips
-    // every other row undecoded and the delta touches only its cells.
-    let prefix = RibQuery::new()
+    // The same instant narrowed to one prefix: only that prefix's rows
+    // of the snapshot are decoded and the delta touches only its cells.
+    let latest = RibQuery::new()
         .at(t)
         .table(&*store)
-        .expect("below watermark")
-        .rows[0]
-        .prefix;
+        .expect("below watermark");
+    let prefix = latest.rows[0].prefix;
     g.bench_function("narrowed_query", |b| {
         b.iter(|| {
             let view = RibQuery::new()
                 .at(t)
                 .prefix(prefix)
+                .table(&*store)
+                .expect("below watermark");
+            black_box(view.encode().len())
+        })
+    });
+
+    // The same instant narrowed to one origin the table holds: only
+    // the rows its posting list names are decoded.
+    let origin = latest.origin_asns()[0];
+    g.bench_function("origin_query", |b| {
+        b.iter(|| {
+            let view = RibQuery::new()
+                .at(t)
+                .origin_asn(origin)
                 .table(&*store)
                 .expect("below watermark");
             black_box(view.encode().len())

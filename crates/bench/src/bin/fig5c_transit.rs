@@ -46,17 +46,33 @@ fn main() {
     );
     let v6: Vec<&bgpstream_repro::analytics::TransitPoint> =
         points.iter().filter(|p| p.v6_asns > 0).collect();
-    if v6.len() >= 2 {
-        println!(
-            "v6 transit fraction decay: {:.1}% -> {:.1}% (paper: decays, stays above v4)",
-            v6[0].v6_transit_frac * 100.0,
-            v6.last().unwrap().v6_transit_frac * 100.0
-        );
-        println!(
-            "final gap: v6 {:.1}% vs v4 {:.1}% (paper 2016: 21% vs 16%)",
-            v6.last().unwrap().v6_transit_frac * 100.0,
-            last.v4_transit_frac * 100.0
-        );
-    }
+    assert!(v6.len() >= 2, "IPv6 ASNs appear in at least two snapshots");
+    let (v6_first, v6_last) = (v6[0], v6[v6.len() - 1]);
+    println!(
+        "v6 transit fraction decay: {:.1}% -> {:.1}% (paper: decays, stays above v4)",
+        v6_first.v6_transit_frac * 100.0,
+        v6_last.v6_transit_frac * 100.0
+    );
+    println!(
+        "final gap: v6 {:.1}% vs v4 {:.1}% (paper 2016: 21% vs 16%)",
+        v6_last.v6_transit_frac * 100.0,
+        last.v4_transit_frac * 100.0
+    );
+    // IPv4 ASN count grows; IPv6 starts transit-heavy, decays, and
+    // stays above IPv4.
+    assert!(
+        last.v4_asns > first.v4_asns,
+        "v4 ASNs grow: {} -> {}",
+        first.v4_asns,
+        last.v4_asns
+    );
+    assert!(
+        v6_last.v6_transit_frac < v6_first.v6_transit_frac,
+        "v6 transit share decays"
+    );
+    assert!(
+        v6_last.v6_transit_frac > last.v4_transit_frac,
+        "v6 transit share stays above v4's"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

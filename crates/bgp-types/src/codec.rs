@@ -55,6 +55,18 @@ pub fn put_ip(out: &mut BytesMut, ip: &IpAddr) {
     }
 }
 
+/// `n` as the narrower integer of the length or count field an
+/// encoder writes it to. Panics, naming the field, when `n` does not
+/// fit: truncated, the field would describe different bytes than
+/// follow it, and the state would decode to something else.
+#[track_caller]
+pub fn narrow<T: TryFrom<usize>>(n: usize, field: &'static str) -> T {
+    match T::try_from(n) {
+        Ok(v) => v,
+        Err(_) => panic!("{field} is {n}, too large for its encoded field"),
+    }
+}
+
 /// [`put_route`]'s hop count for "no path" (withdrawn/absent).
 const NO_PATH: u16 = u16::MAX;
 /// [`put_route`]'s hop count announcing the segmented form; no path

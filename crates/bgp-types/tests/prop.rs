@@ -7,7 +7,7 @@ use bgp_types::{
     AsPath, AsPathSegment, Asn, BgpMessage, BgpUpdate, Community, CommunitySet, Origin,
     PathAttributes, Prefix, PrefixTrie,
 };
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 use proptest::prelude::*;
 
 fn arb_prefix_v4() -> impl Strategy<Value = Prefix> {
@@ -215,6 +215,34 @@ proptest! {
             prop_assert_eq!(flat(&back), flat(&path));
         }
         prop_assert_eq!(back.as_ref().and_then(|p| p.origin()), path.and_then(|p| p.origin()));
+    }
+
+    #[test]
+    fn route_skip_reads_what_decode_reads_and_answers_its_origin(
+        path in prop_oneof![
+            proptest::option::of(arb_as_path()),
+            Just(Some(AsPath::from_sequence([]))),
+            Just(Some(AsPath::from_segments(vec![
+                AsPathSegment::Sequence(vec![Asn(1)]),
+                AsPathSegment::Set(vec![]),
+            ]))),
+            Just(Some(AsPath::from_segments(vec![
+                AsPathSegment::Set(vec![Asn(2)]),
+                AsPathSegment::Sequence(vec![]),
+            ]))),
+            Just(Some(AsPath::from_sequence(1..=600))),
+        ],
+    ) {
+        let mut out = BytesMut::new();
+        bgp_types::codec::put_route(&mut out, path.as_ref());
+        // A byte past the route, which neither read may take.
+        out.put_u8(0xAB);
+        let mut decoded = bgp_types::codec::Reader::new(&out, "route");
+        let want = decoded.route().unwrap().and_then(|p| p.origin());
+        let mut skipped = bgp_types::codec::Reader::new(&out, "route");
+        prop_assert_eq!(skipped.skip_route().unwrap(), want);
+        prop_assert_eq!(skipped.len(), 1);
+        prop_assert_eq!(decoded.len(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use bgp_types::codec::{open_frame, seal_frame, Reader};
+use bgp_types::codec::{narrow, open_frame, seal_frame, Reader};
 use bgp_types::{CodecError, SessionState};
 use bgpstream::{BgpStreamElem, BgpStreamRecord, ElemType};
 use bytes::{BufMut, BytesMut};
@@ -217,9 +217,12 @@ impl RibFold {
         out.put_u64(self.snapshot_every);
         out.put_u64(self.last_snapshot_at);
         let table = self.table.encode();
-        out.put_u32(table.len() as u32);
+        out.put_u32(narrow(table.len(), "rib fold checkpoint table length"));
         out.put_slice(&table);
-        out.put_u32(self.pending.len() as u32);
+        out.put_u32(narrow(
+            self.pending.len(),
+            "rib fold checkpoint event count",
+        ));
         for ev in &self.pending {
             ev.encode_into(&mut out);
         }

@@ -10,13 +10,17 @@
 //! table *as of* the instant (time-travel), [`events`](RibQuery::events)
 //! returns the journal slice (what changed, when).
 //!
-//! Resolution narrows while it reads, never after. It walks the
-//! latest sealed snapshot at or before the instant and decodes only
-//! the rows the query admits, then visits the journal tail by
-//! reference, applying to the admitted cells the transition rules
-//! [`RibTable::apply`] applies to the whole table. An unnarrowed
-//! query is the predicate that admits everything; there is no second
-//! path.
+//! Resolution narrows while it reads, never after. It reads the
+//! latest sealed snapshot at or before the instant through the index
+//! the snapshot was opened into once (see [`Snapshot`]): only the
+//! vantage points the query admits, and in each only the rows a prefix
+//! search or the origin's posting list names. It then visits the
+//! journal tail by reference, applying to the admitted cells the
+//! transition rules [`RibTable::apply`] applies to the whole table. An
+//! unnarrowed query is the predicate that admits everything; there is
+//! no second path.
+//!
+//! [`Snapshot`]: crate::Snapshot
 //!
 //! [`RibTable::apply`]: crate::RibTable::apply
 
@@ -139,11 +143,12 @@ impl RibQuery {
     }
 
     /// The routing table as of the queried instant, narrowed by the
-    /// query's filters: the latest snapshot `S ≤ T` walked with only
-    /// the admitted rows decoded, the journal slice `[S, T]` applied to
-    /// those rows, canonical row order. The snapshot's checksum is
-    /// checked on every call, and a snapshot the full decode refuses
-    /// fails every query with the same error.
+    /// query's filters: the latest snapshot `S ≤ T` read with only the
+    /// admitted rows decoded, the journal slice `[S, T]` applied to
+    /// those rows, canonical row order. The snapshot is opened — its
+    /// checksum checked and its rows indexed — by the first read of
+    /// any clone of it, and a snapshot the full decode refuses fails
+    /// every query with the same error.
     pub fn table(&self, store: &dyn RibStore) -> Result<TableView, RibError> {
         let watermark = store.watermark();
         if watermark == 0 {

@@ -116,7 +116,8 @@ pub trait RibStore: Send + Sync {
     /// publish, an optional snapshot sealed at `upto`, and the new
     /// watermark. Returns `false` (dropping the whole publication)
     /// unless `upto` advances the watermark — see the module docs on
-    /// idempotent crash-replay.
+    /// idempotent crash-replay — and a snapshot, if any, is stamped
+    /// `at == upto`.
     fn publish(&self, upto: u64, events: Vec<RibEvent>, snapshot: Option<Snapshot>) -> bool;
 
     /// The latest snapshot with `at ≤ t`, if any.
@@ -201,7 +202,9 @@ impl RibStore for MemoryRibStore {
 
     fn publish(&self, upto: u64, events: Vec<RibEvent>, snapshot: Option<Snapshot>) -> bool {
         let mut inner = self.inner.lock();
-        if upto <= inner.watermark {
+        // Snapshots stamped at their bin's end keep `snapshots`
+        // ascending, which `snapshot_at`'s search relies on.
+        if upto <= inner.watermark || snapshot.as_ref().is_some_and(|s| s.at != upto) {
             return false;
         }
         inner.events.extend(events);
@@ -314,5 +317,40 @@ mod tests {
         assert_eq!(store.snapshot_at(500).map(|s| s.at), Some(200));
         assert_eq!(store.snapshot_count(), 2);
         assert!(store.snapshot_at(500).unwrap().table().is_ok());
+    }
+
+    #[test]
+    fn a_snapshot_not_sealed_at_upto_drops_the_publication() {
+        let store = MemoryRibStore::new();
+        let table = RibTable::new();
+        assert!(store.publish(200, vec![], Some(Snapshot::seal(200, &table))));
+        // Stamped before or after its bin's end: the whole publication
+        // is dropped, events and watermark included.
+        assert!(!store.publish(300, vec![ev(250)], Some(Snapshot::seal(100, &table))));
+        assert!(!store.publish(300, vec![ev(250)], Some(Snapshot::seal(400, &table))));
+        assert_eq!(store.watermark(), 200);
+        assert_eq!(store.event_count(), 0);
+        assert_eq!(store.snapshot_count(), 1);
+        assert_eq!(store.snapshot_at(150).map(|s| s.at), None);
+        assert_eq!(store.snapshot_at(350).map(|s| s.at), Some(200));
+    }
+
+    #[test]
+    fn clones_and_the_stored_snapshot_share_one_opened_index() {
+        let mut table = RibTable::new();
+        table.apply(&ev(10));
+        let snap = Snapshot::seal(100, &table);
+        let clone = snap.clone();
+        let store = MemoryRibStore::new();
+        assert!(store.publish(100, vec![], Some(snap.clone())));
+        let stored = store.snapshot_at(150).unwrap();
+        assert!(Arc::ptr_eq(&snap.sealed, &clone.sealed));
+        assert!(Arc::ptr_eq(&snap.sealed, &stored.sealed));
+        // Opening one opens them all.
+        assert!(clone.sealed.opened.get().is_none());
+        assert_eq!(stored.table().unwrap().peer_count(), 1);
+        assert!(clone.sealed.opened.get().is_some());
+        let (_, index) = snap.opened().unwrap();
+        assert!(std::ptr::eq(index, clone.opened().unwrap().1));
     }
 }

@@ -19,8 +19,8 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use bgp_types::codec::{
-    ip_sort_key, open_frame, prefix_sort_key, put_ip, put_prefix, put_route, seal_frame_with,
-    Reader,
+    ip_sort_key, narrow, open_frame, prefix_sort_key, put_ip, put_prefix, put_route,
+    seal_frame_with, Reader,
 };
 use bgp_types::{AsPath, Asn, CodecError, Community, CommunitySet, Prefix};
 use bytes::{BufMut, BytesMut};
@@ -109,7 +109,10 @@ impl RibEvent {
         };
         out.put_u8(kind);
         out.put_u64(self.time);
-        out.put_u16(self.collector.len() as u16);
+        out.put_u16(narrow(
+            self.collector.len(),
+            "rib event collector name length",
+        ));
         out.put_slice(self.collector.as_bytes());
         put_ip(out, &self.peer);
         out.put_u32(self.peer_asn.0);
@@ -164,7 +167,7 @@ fn put_rib_route(out: &mut BytesMut, route: &RibRoute) {
         }
         None => out.put_u8(0),
     }
-    out.put_u16(route.communities.len() as u16);
+    out.put_u16(narrow(route.communities.len(), "rib route community count"));
     for c in route.communities.iter() {
         out.put_u16(c.asn);
         out.put_u16(c.value);
@@ -268,7 +271,7 @@ impl RibTable {
         if let Some(&id) = self.ids.get(&**name) {
             return id;
         }
-        let id = self.collectors.len() as u16;
+        let id = narrow(self.collectors.len(), "rib table collector id");
         self.collectors.push(name.clone());
         self.ids.insert(name.clone(), id);
         id
@@ -374,11 +377,11 @@ impl RibTable {
                 .cmp(&(&*self.collectors[b.0 as usize], ip_sort_key(&b.1)))
         });
         out.put_u8(TABLE_VERSION);
-        out.put_u32(sections.len() as u32);
+        out.put_u32(narrow(sections.len(), "rib table section count"));
         let mut rows: Vec<(Prefix, &RibRoute)> = Vec::new();
         for ((cid, peer), rib) in sections {
             let name = &self.collectors[*cid as usize];
-            out.put_u16(name.len() as u16);
+            out.put_u16(narrow(name.len(), "rib table collector name length"));
             out.put_slice(name.as_bytes());
             put_ip(out, peer);
             out.put_u32(rib.peer_asn.0);
@@ -386,7 +389,7 @@ impl RibTable {
             rows.clear();
             rows.extend(rib.routes.iter().map(|(prefix, route)| (*prefix, route)));
             rows.sort_unstable_by_key(|(prefix, _)| prefix_sort_key(prefix));
-            out.put_u32(rows.len() as u32);
+            out.put_u32(narrow(rows.len(), "rib table row count"));
             for (prefix, route) in &rows {
                 put_prefix(out, prefix);
                 put_rib_route(out, route);
@@ -489,9 +492,12 @@ impl TableView {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = BytesMut::new();
         out.put_u64(self.at);
-        out.put_u32(self.rows.len() as u32);
+        out.put_u32(narrow(self.rows.len(), "table view row count"));
         for row in &self.rows {
-            out.put_u16(row.collector.len() as u16);
+            out.put_u16(narrow(
+                row.collector.len(),
+                "table view collector name length",
+            ));
             out.put_slice(row.collector.as_bytes());
             put_ip(&mut out, &row.peer);
             out.put_u32(row.peer_asn.0);
@@ -689,6 +695,29 @@ mod tests {
             RibTable::decode(&hostile).unwrap_err(),
             CodecError::Truncated("rib table")
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "rib event collector name length is 65536")]
+    fn a_collector_name_too_long_to_encode_fails_loudly() {
+        let name = "c".repeat(1 << 16);
+        ev(10, &name, "10.0.0.9", 65001, RibAction::PeerUp).encode_into(&mut BytesMut::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "rib table collector id is 65536")]
+    fn a_collector_past_the_last_intern_id_fails_loudly() {
+        // Ids 0..=65535 fit; the next collector would alias id 0.
+        let mut t = RibTable::new();
+        for c in 0..=1u32 << 16 {
+            t.apply(&ev(
+                10,
+                &c.to_string(),
+                "10.0.0.9",
+                65001,
+                RibAction::PeerUp,
+            ));
+        }
     }
 
     #[test]
