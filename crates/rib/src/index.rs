@@ -192,14 +192,17 @@ impl TableIndex {
 
 /// Decode the row whose prefix starts at payload offset `at`.
 pub(crate) fn read_row(payload: &[u8], at: u32) -> Result<(Prefix, RibRoute), CodecError> {
-    let mut r = Reader::new(payload.get(at as usize..).unwrap_or_default(), "rib table");
+    let mut r = reader_at(payload, at);
     Ok((r.prefix()?, get_rib_route(&mut r)?))
 }
 
 /// The sort key of the prefix at payload offset `at`.
 fn prefix_key_at(payload: &[u8], at: u32) -> Result<PrefixKey, CodecError> {
-    let mut r = Reader::new(payload.get(at as usize..).unwrap_or_default(), "rib table");
-    Ok(prefix_sort_key(&r.prefix()?))
+    Ok(prefix_sort_key(&reader_at(payload, at).prefix()?))
+}
+
+fn reader_at(payload: &[u8], at: u32) -> Reader<'_> {
+    Reader::new(payload.get(at as usize..).unwrap_or_default(), "rib table")
 }
 
 /// How many of `rows`, whose keys ascend, have a key that `below`
