@@ -3,7 +3,7 @@
 //! `queries_per_sec_local` pages a mixed historical query set through
 //! an in-process [`LocalBroker`]; `queries_per_sec` pages the same
 //! set through a [`RemoteBroker`] against a spawned [`BrokerService`]
-//! (wire encode/decode, mq round trip, served view + page cache).
+//! (wire encode/decode, mq round trip, served sorted view).
 //! Both report elements = broker requests, so `rate_per_sec` is
 //! queries per second. CI caps the served/local ratio with
 //! `bench_gate --max-latency-ratio broker/queries_per_sec
@@ -13,9 +13,9 @@
 //! The group also emits `broker/poll_live_p50` and
 //! `broker/poll_live_p99` — percentile round-trip latencies of served
 //! live-cursor polls, measured sample by sample (a median-of-batches
-//! bench cannot see tails). CI caps p99/p50: admission control and
-//! the page cache must keep the tail a bounded multiple of the
-//! median, not a timeout-and-retry cliff.
+//! bench cannot see tails). CI caps p99/p50: admission control must
+//! keep the tail a bounded multiple of the median, not a
+//! timeout-and-retry cliff.
 
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -21,7 +21,9 @@ fn main() {
     header("Figure 4", "RTBH data-plane reachability (during vs after)");
     let dir = worlds::scratch_dir("fig4");
     let horizon = scaled(48 * 3600);
-    let episodes = scaled(24) as usize;
+    // At least 8 episodes: at BENCH_SCALE=0.1 the scaled count (2)
+    // leaves the collectors no black-holed prefix to detect.
+    let episodes = scaled(24).max(8) as usize;
     let mut world = worlds::rtbh_scenario(dir.clone(), 4, horizon, episodes);
     println!("scripted RTBH episodes: {}", world.info.rtbh.len());
     world.sim.run_until(horizon);

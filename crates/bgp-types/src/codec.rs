@@ -100,13 +100,13 @@ pub fn put_route(out: &mut BytesMut, path: Option<&AsPath>) {
         return;
     }
     out.put_u16(SEGMENTED);
-    out.put_u16(segments.len() as u16);
+    out.put_u16(narrow(segments.len(), "route segment count"));
     for segment in segments {
         out.put_u8(match segment {
             AsPathSegment::Set(_) => SEGMENT_SET,
             AsPathSegment::Sequence(_) => SEGMENT_SEQUENCE,
         });
-        out.put_u32(segment.len() as u32);
+        out.put_u32(narrow(segment.len(), "route segment hop count"));
         for asn in segment.asns() {
             out.put_u32(asn.0);
         }

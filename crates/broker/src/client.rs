@@ -83,15 +83,6 @@ pub trait BrokerClient: Send + Sync {
     /// Block until the broker's version exceeds `last_version` or
     /// `timeout` elapses; true when something new arrived.
     fn wait_for_new(&self, last_version: u64, timeout: Duration) -> bool;
-
-    /// The underlying [`Index`] when this client is in-process
-    /// (`None` across a wire). Lets [`DataInterface::into_index`]
-    /// keep working on local clients.
-    ///
-    /// [`DataInterface::into_index`]: crate::DataInterface::into_index
-    fn local_index(&self) -> Option<Arc<Index>> {
-        None
-    }
 }
 
 /// The in-process [`BrokerClient`]: a thin wrapper over `Arc<Index>`.
@@ -178,10 +169,6 @@ impl BrokerClient for LocalBroker {
     fn wait_for_new(&self, last_version: u64, timeout: Duration) -> bool {
         self.index.wait_for_new(last_version, timeout)
     }
-
-    fn local_index(&self) -> Option<Arc<Index>> {
-        Some(self.index.clone())
-    }
 }
 
 #[cfg(test)]
@@ -255,12 +242,5 @@ mod tests {
         );
         // Closing twice is fine.
         client.close_lease(lease).unwrap();
-    }
-
-    #[test]
-    fn local_index_is_recoverable() {
-        let idx = Index::shared();
-        let client = LocalBroker::new(idx.clone());
-        assert!(Arc::ptr_eq(&client.local_index().unwrap(), &idx));
     }
 }

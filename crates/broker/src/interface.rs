@@ -56,23 +56,20 @@ impl DataInterface {
         }
     }
 
-    /// Materialise this interface as an [`Index`].
-    /// `SingleFile`/`CsvFile` build a fresh, fully-available index; a
-    /// `Client` yields its wrapped index when it is local, and
-    /// [`BrokerError::Protocol`] when the broker lives across a wire
-    /// (there is no index to hand out).
-    pub fn into_index(self) -> Result<Arc<Index>, BrokerError> {
+    /// The fresh, fully-available index behind a file interface
+    /// (`SingleFile`/`CsvFile`). A `Client` names no files; its
+    /// index is empty ([`DataInterface::into_client`] hands the
+    /// client back instead).
+    fn into_index(self) -> Result<Arc<Index>, BrokerError> {
+        let idx = Index::shared();
         match self {
-            DataInterface::Client(client) => client.local_index().ok_or_else(|| {
-                BrokerError::Protocol("broker client is not backed by a local index".into())
-            }),
+            DataInterface::Client(_) => {}
             DataInterface::SingleFile {
                 dump_type,
                 path,
                 interval_start,
                 duration,
             } => {
-                let idx = Index::shared();
                 // A single-file interface names exactly one file; if
                 // that file cannot be stat'ed the stream would only
                 // discover the problem mid-read. Fail loudly here.
@@ -89,16 +86,14 @@ impl DataInterface {
                     available_at: 0,
                     size,
                 });
-                Ok(idx)
             }
             DataInterface::CsvFile(path) => {
-                let idx = Index::shared();
                 for meta in parse_csv_manifest(&path)? {
                     idx.register(meta);
                 }
-                Ok(idx)
             }
         }
+        Ok(idx)
     }
 }
 
@@ -307,12 +302,9 @@ mod tests {
 
     #[test]
     fn broker_constructor_is_a_local_client() {
-        // Both materialisations of a local client recover the same
-        // index.
-        let idx = Index::shared();
-        let iface = DataInterface::client(LocalBroker::shared(idx.clone()));
-        let client = iface.clone().into_client().unwrap();
-        assert!(Arc::ptr_eq(&client.local_index().unwrap(), &idx));
-        assert!(Arc::ptr_eq(&iface.into_index().unwrap(), &idx));
+        // A client interface hands back the very client it wraps.
+        let local: Arc<dyn BrokerClient> = LocalBroker::shared(Index::shared());
+        let client = DataInterface::client(local.clone()).into_client().unwrap();
+        assert!(Arc::ptr_eq(&client, &local));
     }
 }

@@ -40,7 +40,7 @@
 //!   zero cost) and [`RemoteBroker`] (speaks the [`wire`] protocol
 //!   over `mq` topics to a [`BrokerService`]). A pipeline is
 //!   byte-identical through either.
-//! * [`BrokerService`] — the served side: a partitioned, memoized
+//! * [`BrokerService`] — the served side: a partitioned, sorted
 //!   [`service::IndexView`] answers historical windows; per-client
 //!   live leases carry [`LiveCursor`] state server-side so a crashed
 //!   client can resume exactly-once by lease id; admission control

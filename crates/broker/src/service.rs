@@ -15,13 +15,10 @@
 //! * **A partitioned, time-bucketed view** ([`IndexView`]) — the
 //!   service answers historical queries from a snapshot sorted by the
 //!   response order key, locating each window's candidates by binary
-//!   search instead of the index's full scan, and memoizes fully
-//!   published windows (`now == u64::MAX`) in a hot-query cache so
-//!   thousands of clients paging the same popular interval cost one
-//!   scan, not thousands. The cache is invalidated wholesale whenever
-//!   the index version moves — which includes
-//!   [`Index::advance_watermark`] — so a cached page can never
-//!   outlive the data it summarises.
+//!   search instead of the index's full scan. The view catches up
+//!   whenever the index version moves — which includes
+//!   [`Index::advance_watermark`] — so a page never answers from
+//!   older data than the version it is stamped with.
 //! * **Cursor leases** — live sessions are server-side
 //!   [`LiveCursor`]s keyed by [`crate::LeaseId`] with a wall-clock TTL. Any
 //!   request touching a lease renews it; a client that goes quiet
@@ -46,7 +43,7 @@ use bsync::time::Clock;
 use mq::Cluster;
 
 use crate::error::BrokerError;
-use crate::index::{BrokerCursor, DumpMeta, DumpType, Index, Query};
+use crate::index::{BrokerCursor, DumpMeta, Index, Query};
 use crate::lease::LeaseTable;
 use crate::live::LiveCursor;
 use crate::wire::{BrokerRequest, BrokerResponse, RequestEnvelope, ResponseEnvelope};
@@ -72,8 +69,6 @@ pub struct ServiceConfig {
     pub max_inflight_global: usize,
     /// Max requests per client within one step; excess is `Busy`.
     pub max_inflight_per_client: usize,
-    /// Memoized historical pages kept before the cache is reset.
-    pub cache_capacity: usize,
     /// Idle wait per loop iteration in [`BrokerService::run`]; bounds
     /// the latency of change-event publication.
     pub tick: Duration,
@@ -89,7 +84,6 @@ impl Default for ServiceConfig {
             clock: Clock::system(),
             max_inflight_global: 512,
             max_inflight_per_client: 64,
-            cache_capacity: 4096,
             tick: Duration::from_millis(2),
         }
     }
@@ -104,49 +98,12 @@ pub struct ServiceStats {
     pub busy: u64,
     /// Frames that failed to decode (no reply possible).
     pub malformed: u64,
-    /// Historical pages served from the memo cache.
-    pub cache_hits: u64,
-    /// Historical pages that had to scan the view.
-    pub cache_misses: u64,
     /// Leases opened.
     pub leases_opened: u64,
     /// Leases re-attached via resume-by-id.
     pub leases_resumed: u64,
     /// Leases reaped by TTL expiry.
     pub leases_expired: u64,
-}
-
-/// Key of one memoized historical page: the query identity plus the
-/// cursor position. Only fully published reads (`now == u64::MAX`)
-/// are cached, so `now` is not part of the key.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct PageKey {
-    projects: Vec<String>,
-    collectors: Vec<String>,
-    dump_types: Vec<DumpType>,
-    start: u64,
-    end: Option<u64>,
-    window_start: u64,
-}
-
-impl PageKey {
-    fn new(q: &Query, window_start: u64) -> Self {
-        PageKey {
-            projects: q.projects.clone(),
-            collectors: q.collectors.clone(),
-            dump_types: q.dump_types.clone(),
-            start: q.start,
-            end: q.end,
-            window_start,
-        }
-    }
-}
-
-#[derive(Clone)]
-struct CachedPage {
-    files: Vec<DumpMeta>,
-    exhausted: bool,
-    next_window_start: u64,
 }
 
 /// The service's partitioned, time-bucketed snapshot of an [`Index`].
@@ -169,15 +126,11 @@ pub struct IndexView {
     /// overlapping entry's `interval_start` can lie.
     max_duration: u64,
     window: u64,
-    cache: HashMap<PageKey, CachedPage>,
-    capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl IndexView {
     /// An empty view over an index with response window `window`.
-    pub fn new(window: u64, cache_capacity: usize) -> Self {
+    pub fn new(window: u64) -> Self {
         IndexView {
             entries: Vec::new(),
             raw_count: 0,
@@ -185,16 +138,7 @@ impl IndexView {
             watermark: 0,
             max_duration: 0,
             window: window.max(1),
-            cache: HashMap::new(),
-            capacity: cache_capacity,
-            hits: 0,
-            misses: 0,
         }
-    }
-
-    /// `(cache_hits, cache_misses)` so far.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// The index version this view reflects.
@@ -208,9 +152,8 @@ impl IndexView {
     }
 
     /// Catch up with `index`: pull entries registered since the last
-    /// refresh, re-sort, and drop every cached page (any version
-    /// change — new dumps or a watermark advance — invalidates).
-    /// Returns true when the view changed.
+    /// refresh and re-sort. Any version change — new dumps or a
+    /// watermark advance — counts. Returns true when the view changed.
     pub fn refresh(&mut self, index: &Index) -> bool {
         if index.version() == self.version {
             return false;
@@ -228,31 +171,18 @@ impl IndexView {
         }
         self.version = version;
         self.watermark = watermark;
-        self.cache.clear();
         true
     }
 
     /// Answer one windowed page with [`Index::query`] semantics.
     /// Paths are NOT mirror-rewritten here — the caller applies
-    /// [`Index`] mirror selection after the (possibly cached) page is
-    /// materialised, so cached pages stay mirror-agnostic.
+    /// [`Index`] mirror selection after the page is materialised.
     pub fn query(
-        &mut self,
+        &self,
         query: &Query,
         cursor: &mut BrokerCursor,
         now: u64,
     ) -> (Vec<DumpMeta>, bool) {
-        let cacheable = now == u64::MAX;
-        let key = cacheable.then(|| PageKey::new(query, cursor.window_start));
-        if let Some(k) = &key {
-            if let Some(page) = self.cache.get(k) {
-                self.hits += 1;
-                cursor.window_start = page.next_window_start;
-                return (page.files.clone(), page.exhausted);
-            }
-            self.misses += 1;
-        }
-        let entered = cursor.window_start;
         let w_start = cursor.window_start.max(query.start);
         let w_end = w_start.saturating_add(self.window);
         // Candidates: interval_start ∈ [w_start - max_duration, w_end).
@@ -297,22 +227,6 @@ impl IndexView {
             Some(e) => cursor.window_start > e,
             None => false,
         };
-        if let Some(k) = key {
-            if self.cache.len() >= self.capacity {
-                // Plain memoization, not an LRU: on overflow the whole
-                // memo resets (it will warm back up from the view).
-                self.cache.clear();
-            }
-            debug_assert_eq!(k.window_start, entered);
-            self.cache.insert(
-                k,
-                CachedPage {
-                    files: files.clone(),
-                    exhausted,
-                    next_window_start: cursor.window_start,
-                },
-            );
-        }
         (files, exhausted)
     }
 }
@@ -334,7 +248,7 @@ pub struct BrokerService {
     index: Arc<Index>,
     cfg: ServiceConfig,
     view: IndexView,
-    leases: Arc<LeaseTable<LiveCursor>>,
+    leases: LeaseTable<LiveCursor>,
     /// Next unread offset on the request topic.
     req_offset: u64,
     /// Index version last announced on the events topic.
@@ -348,8 +262,8 @@ impl BrokerService {
     pub fn new(cluster: Arc<Cluster>, index: Arc<Index>, cfg: ServiceConfig) -> Self {
         cluster.create_topic(&cfg.request_topic, 1);
         cluster.create_topic(&cfg.events_topic, 1);
-        let view = IndexView::new(index.window(), cfg.cache_capacity);
-        let leases = Arc::new(LeaseTable::new(cfg.clock.clone(), cfg.lease_ttl));
+        let view = IndexView::new(index.window());
+        let leases = LeaseTable::new(cfg.clock.clone(), cfg.lease_ttl);
         BrokerService {
             cluster,
             index,
@@ -365,18 +279,11 @@ impl BrokerService {
     /// Counters so far.
     pub fn stats(&self) -> ServiceStats {
         let mut s = self.stats;
-        (s.cache_hits, s.cache_misses) = self.view.cache_stats();
         let leases = self.leases.counters();
         s.leases_opened = leases.opened;
         s.leases_resumed = leases.resumed;
         s.leases_expired = leases.expired;
         s
-    }
-
-    /// The shared lease table (reapable/resumable from other threads;
-    /// the model tests drive it directly).
-    pub fn lease_table(&self) -> Arc<LeaseTable<LiveCursor>> {
-        self.leases.clone()
     }
 
     /// Live leases currently held.
@@ -549,6 +456,7 @@ impl ServiceHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::DumpType;
     use std::path::PathBuf;
 
     fn meta(collector: &str, ty: DumpType, start: u64, dur: u64, avail: u64) -> DumpMeta {
@@ -592,7 +500,7 @@ mod tests {
     #[test]
     fn view_pages_identically_to_index_query() {
         let idx = scattered_index(3600);
-        let mut view = IndexView::new(idx.window(), 64);
+        let mut view = IndexView::new(idx.window());
         view.refresh(&idx);
         let queries = [
             Query {
@@ -645,38 +553,29 @@ mod tests {
     #[test]
     fn view_cache_hits_repeat_queries_and_invalidates_on_change() {
         let idx = scattered_index(3600);
-        let mut view = IndexView::new(idx.window(), 64);
+        let mut view = IndexView::new(idx.window());
         view.refresh(&idx);
         let q = Query {
             start: 0,
             end: Some(7200),
             ..Default::default()
         };
-        let page = |view: &mut IndexView| {
+        let page = |view: &IndexView| {
             let mut c = BrokerCursor { window_start: 0 };
             view.query(&q, &mut c, u64::MAX)
         };
-        let first = page(&mut view);
-        let (h0, m0) = view.cache_stats();
-        assert_eq!((h0, m0), (0, 1));
-        let second = page(&mut view);
-        assert_eq!(second, first);
-        assert_eq!(view.cache_stats(), (1, 1));
-        // Live-visibility queries bypass the cache.
-        let mut c = BrokerCursor { window_start: 0 };
-        view.query(&q, &mut c, 1234);
-        assert_eq!(view.cache_stats(), (1, 1));
-        // Registration invalidates: the new file must appear.
+        let first = page(&view);
+        // A registration after a refresh shows up in the next page.
         idx.register(meta("rrc09", DumpType::Updates, 60, 300, 0));
         view.refresh(&idx);
-        let third = page(&mut view);
+        let third = page(&view);
         assert_eq!(third.0.len(), first.0.len() + 1);
-        // Watermark advance also bumps the version → invalidates.
+        // A watermark advance bumps the version.
         let v = view.version();
         idx.advance_watermark(999_999_999);
         view.refresh(&idx);
         assert!(view.version() > v);
-        assert_eq!(page(&mut view).0, third.0);
+        assert_eq!(page(&view).0, third.0);
     }
 
     #[test]
@@ -728,8 +627,6 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.busy, 3);
         assert_eq!(stats.malformed, 1);
-        // Identical admitted queries: first misses, second hits.
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
     }
 
     #[test]

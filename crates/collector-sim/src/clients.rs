@@ -18,7 +18,6 @@
 //! [`broker::RemoteBroker`] unchanged.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use broker::index::{BrokerCursor, Query};
 use broker::{BrokerClient, BrokerError, LeaseId, ReleasePolicy};
@@ -124,30 +123,6 @@ impl LiveTail {
         self.report.files += got;
         self.report.released_through = self.report.released_through.max(poll.released_through);
         Ok(got)
-    }
-
-    /// Poll until the completeness watermark reaches `target` (the
-    /// feed vouches nothing below it is still outstanding), blocking
-    /// up to `poll_wait` on broker news between quiet polls.
-    pub fn poll_until_released(
-        &mut self,
-        now: impl Fn() -> u64,
-        target: u64,
-        poll_wait: Duration,
-    ) -> Result<(), BrokerError> {
-        loop {
-            self.poll(now())?;
-            if self.report.released_through >= target {
-                return Ok(());
-            }
-            let v = self.client.version();
-            self.client.wait_for_new(v, poll_wait);
-        }
-    }
-
-    /// Keep the lease alive without polling (a tenant gone quiet).
-    pub fn renew(&self) -> Result<(), BrokerError> {
-        self.client.renew_lease(self.lease)
     }
 
     /// End the session, releasing the broker-side cursor.

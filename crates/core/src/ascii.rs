@@ -202,7 +202,7 @@ mod tests {
     use super::*;
     use crate::elem::ElemType;
     use crate::record::{DumpPosition, RecordStatus};
-    use bgp_types::{AsPath, Asn, Community, CommunitySet, SessionState};
+    use bgp_types::{AsPath, AsPathSegment, Asn, Community, CommunitySet, SessionState};
 
     fn record(elems: Vec<BgpStreamElem>) -> BgpStreamRecord {
         BgpStreamRecord::new(
@@ -354,6 +354,80 @@ mod tests {
         assert!(json.contains("\"old_state\":\"ESTABLISHED\""));
         assert!(json.contains("\"new_state\":\"IDLE\""));
         assert!(!json.contains("prefix"));
+    }
+
+    #[test]
+    fn json_export_goldens() {
+        let base = BgpStreamElem {
+            elem_type: ElemType::Announcement,
+            time: 100,
+            peer_address: "192.0.2.1".parse().unwrap(),
+            peer_asn: Asn(65001),
+            prefix: Some("10.0.0.0/8".parse().unwrap()),
+            next_hop: Some("192.0.2.1".parse().unwrap()),
+            as_path: None,
+            communities: None,
+            old_state: None,
+            new_state: None,
+        };
+        let head = "{\"type\":\"A\",\"time\":100,\"project\":\"ris\",\"collector\":\"rrc01\",\
+                    \"peer_asn\":65001,";
+        let json = |elem: BgpStreamElem| elem_json(&record(vec![elem.clone()]), &elem);
+        // A path ending in an AS_SET lists the set's members in place.
+        let set_path = BgpStreamElem {
+            as_path: Some(AsPath::from_segments(vec![
+                AsPathSegment::Sequence(vec![Asn(65001), Asn(137)]),
+                AsPathSegment::Set(vec![Asn(7), Asn(8)]),
+            ])),
+            ..base.clone()
+        };
+        assert_eq!(
+            json(set_path),
+            format!(
+                "{head}\"peer_address\":\"192.0.2.1\",\"prefix\":\"10.0.0.0/8\",\
+                 \"next_hop\":\"192.0.2.1\",\"as_path\":[65001,137,7,8]}}"
+            )
+        );
+        let v6 = BgpStreamElem {
+            peer_address: "2001:db8::2".parse().unwrap(),
+            prefix: Some("2001:db8::/32".parse().unwrap()),
+            next_hop: Some("2001:db8::1".parse().unwrap()),
+            as_path: Some(AsPath::from_sequence([65001, 137])),
+            ..base.clone()
+        };
+        assert_eq!(
+            json(v6),
+            format!(
+                "{head}\"peer_address\":\"2001:db8::2\",\"prefix\":\"2001:db8::/32\",\
+                 \"next_hop\":\"2001:db8::1\",\"as_path\":[65001,137]}}"
+            )
+        );
+        let withdrawal = BgpStreamElem {
+            elem_type: ElemType::Withdrawal,
+            next_hop: None,
+            ..base.clone()
+        };
+        assert_eq!(
+            json(withdrawal),
+            "{\"type\":\"W\",\"time\":100,\"project\":\"ris\",\"collector\":\"rrc01\",\
+             \"peer_asn\":65001,\"peer_address\":\"192.0.2.1\",\"prefix\":\"10.0.0.0/8\"}"
+        );
+        // Six communities: one more than a set keeps inline.
+        let many = BgpStreamElem {
+            as_path: Some(AsPath::from_sequence([65001])),
+            communities: Some(CommunitySet::from_iter(
+                (1..=6).rev().map(|v| Community::new(3356, v)),
+            )),
+            ..base
+        };
+        assert_eq!(
+            json(many),
+            format!(
+                "{head}\"peer_address\":\"192.0.2.1\",\"prefix\":\"10.0.0.0/8\",\
+                 \"next_hop\":\"192.0.2.1\",\"as_path\":[65001],\"communities\":\
+                 [\"3356:1\",\"3356:2\",\"3356:3\",\"3356:4\",\"3356:5\",\"3356:6\"]}}"
+            )
+        );
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub mod aspath_re;
 pub mod elem;
 pub mod filter;
 pub mod filter_lang;
-pub mod json_input;
 pub mod record;
 pub mod sort;
 pub mod stream;
@@ -68,9 +67,7 @@ pub use broker::{SourceId, SourceMeta};
 pub use elem::{BgpStreamElem, ElemType};
 pub use filter::{CommunityFilter, CompiledFilters, Filters, IpVersion};
 pub use filter_lang::{parse_filter_string, FilterLangError, ParsedFilter};
-pub use json_input::{parse_elem_json, JsonElem, JsonError};
 pub use record::{BgpStreamRecord, DumpPosition, RecordStatus};
 pub use stream::{
-    BatchStep, BgpStream, BgpStreamBuilder, Clock, ElemSource, StreamMode, StreamStartError,
-    StreamStats,
+    BatchStep, BgpStream, BgpStreamBuilder, Clock, ElemSource, StreamStartError, StreamStats,
 };

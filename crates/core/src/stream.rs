@@ -69,30 +69,6 @@ impl Clock {
     }
 }
 
-/// How the reading phase behaves once the configured interval's
-/// published data is exhausted.
-///
-/// The paper: "code can be converted into a live monitoring process
-/// simply by setting the end of the time interval to -1" —
-/// [`BgpStreamBuilder::interval`] with `end = None` (or
-/// [`BgpStreamBuilder::live`]) selects [`StreamMode::Live`]
-/// implicitly; [`BgpStreamBuilder::stream_mode`] makes the choice
-/// explicit and carries the live poll interval.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StreamMode {
-    /// Bounded interval: the stream ends when the interval is
-    /// exhausted.
-    Historical,
-    /// Unbounded: instead of ending, the stream polls the broker
-    /// (blocking up to `poll` per wait) for newly published dumps,
-    /// releasing windows per the configured
-    /// [`broker::ReleasePolicy`].
-    Live {
-        /// Wall-clock poll interval while blocked waiting for data.
-        poll: Duration,
-    },
-}
-
 /// Stream statistics (exposed for the §3.3.4 sorting-cost analysis).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamStats {
@@ -250,20 +226,6 @@ impl BgpStreamBuilder {
     /// Live mode starting at `start`.
     pub fn live(self, start: u64) -> Self {
         self.interval(start, None)
-    }
-
-    /// Select the stream mode explicitly. [`StreamMode::Live`] clears
-    /// the interval end and sets the poll interval;
-    /// [`StreamMode::Historical`] keeps the configured interval.
-    pub fn stream_mode(mut self, mode: StreamMode) -> Self {
-        match mode {
-            StreamMode::Historical => {}
-            StreamMode::Live { poll } => {
-                self.query.end = None;
-                self.poll = poll;
-            }
-        }
-        self
     }
 
     /// Release live broker windows off the provider's publication
@@ -1248,21 +1210,24 @@ mod tests {
     }
 
     #[test]
-    fn stream_mode_live_clears_end_and_sets_poll() {
+    fn live_clears_end_and_poll_interval_sets_poll() {
         let s = BgpStream::builder()
             .broker_client(LocalBroker::shared(Index::shared()))
             .interval(100, Some(200))
-            .stream_mode(StreamMode::Live {
-                poll: Duration::from_millis(7),
-            })
+            .live(100)
+            .poll_interval(Duration::from_millis(7))
             .start();
         assert!(s.live);
         assert_eq!(s.query.end, None);
         assert_eq!(s.poll, Duration::from_millis(7));
+        let open = BgpStream::builder()
+            .broker_client(LocalBroker::shared(Index::shared()))
+            .interval(100, None)
+            .start();
+        assert!(open.live);
         let h = BgpStream::builder()
             .broker_client(LocalBroker::shared(Index::shared()))
             .interval(100, Some(200))
-            .stream_mode(StreamMode::Historical)
             .start();
         assert!(!h.live);
         assert_eq!(h.query.end, Some(200));

@@ -1,80 +1,8 @@
-//! Property tests for the core additions: JSON export/ingest
-//! round-trips and the AS-path regex against a brute-force reference.
+//! Property tests for the core additions: the AS-path regex against
+//! a brute-force reference.
 
-use bgp_types::{AsPath, Asn, Community, CommunitySet, SessionState};
-use bgpstream::json_input::parse_elem_json;
-use bgpstream::record::{DumpPosition, RecordStatus};
-use bgpstream::{ascii, AsPathRegex, BgpStreamElem, BgpStreamRecord, ElemType};
-use broker::DumpType;
+use bgpstream::AsPathRegex;
 use proptest::prelude::*;
-
-fn arb_elem() -> impl Strategy<Value = BgpStreamElem> {
-    let announce = (
-        proptest::collection::vec(1u32..100_000, 1..6),
-        proptest::collection::vec((1u16..5000, 0u16..1000), 0..4),
-        any::<u32>(),
-        0u8..2,
-    )
-        .prop_map(|(path, comms, time, family)| {
-            let prefix = if family == 0 {
-                "10.42.0.0/16".parse().unwrap()
-            } else {
-                "2001:db8::/32".parse().unwrap()
-            };
-            BgpStreamElem {
-                elem_type: ElemType::Announcement,
-                time: time as u64,
-                peer_address: "192.0.2.1".parse().unwrap(),
-                peer_asn: Asn(path[0]),
-                prefix: Some(prefix),
-                next_hop: Some("192.0.2.1".parse().unwrap()),
-                as_path: Some(AsPath::from_sequence(path)),
-                communities: Some(CommunitySet::from_iter(
-                    comms.into_iter().map(|(a, v)| Community::new(a, v)),
-                )),
-                old_state: None,
-                new_state: None,
-            }
-        });
-    let withdraw = any::<u32>().prop_map(|time| BgpStreamElem {
-        elem_type: ElemType::Withdrawal,
-        time: time as u64,
-        peer_address: "192.0.2.9".parse().unwrap(),
-        peer_asn: Asn(65001),
-        prefix: Some("203.0.113.0/24".parse().unwrap()),
-        next_hop: None,
-        as_path: None,
-        communities: None,
-        old_state: None,
-        new_state: None,
-    });
-    let state = (1u16..=6, 1u16..=6, any::<u32>()).prop_map(|(o, n, time)| BgpStreamElem {
-        elem_type: ElemType::PeerState,
-        time: time as u64,
-        peer_address: "192.0.2.7".parse().unwrap(),
-        peer_asn: Asn(65001),
-        prefix: None,
-        next_hop: None,
-        as_path: None,
-        communities: None,
-        old_state: Some(SessionState::from_code(o).unwrap()),
-        new_state: Some(SessionState::from_code(n).unwrap()),
-    });
-    prop_oneof![announce, withdraw, state]
-}
-
-fn wrap(elem: BgpStreamElem) -> BgpStreamRecord {
-    BgpStreamRecord::new(
-        "ris",
-        "rrc00",
-        DumpType::Updates,
-        elem.time,
-        elem.time,
-        DumpPosition::Only,
-        RecordStatus::Valid,
-        vec![elem],
-    )
-}
 
 /// Reference implementation of unanchored-pattern search: try the
 /// compiled pattern anchored at every offset via exact recursion.
@@ -129,17 +57,6 @@ fn pattern_string(pat: &[PatTok]) -> String {
 }
 
 proptest! {
-    /// JSON export → ingest is the identity on every elem shape.
-    #[test]
-    fn elem_json_roundtrip(elem in arb_elem()) {
-        let rec = wrap(elem.clone());
-        let line = ascii::elem_json(&rec, &elem);
-        let parsed = parse_elem_json(&line).unwrap();
-        prop_assert_eq!(parsed.elem, elem);
-        prop_assert_eq!(parsed.project.as_deref(), Some("ris"));
-        prop_assert_eq!(parsed.collector.as_deref(), Some("rrc00"));
-    }
-
     /// The linear-time glob matcher agrees with an exponential
     /// reference on small alphabets.
     #[test]

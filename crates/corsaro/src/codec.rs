@@ -8,7 +8,7 @@
 //! restored plugin publishes byte-identically to one that never died,
 //! and read back through its checked [`Reader`].
 
-use bgp_types::codec::{put_prefix, put_route, Reader};
+use bgp_types::codec::{narrow, put_prefix, put_route, Reader};
 use bgp_types::{AsPath, AsPathSegment, Asn, CodecError, Prefix};
 use bytes::{BufMut, BytesMut};
 
@@ -56,7 +56,7 @@ pub fn sort_cells(cells: &mut [DiffCell]) {
 
 /// Append the wire form of `cells` (count-prefixed) to `out`.
 pub fn encode_cells(out: &mut BytesMut, cells: &[DiffCell]) {
-    out.put_u32(cells.len() as u32);
+    out.put_u32(narrow(cells.len(), "rt message cell count"));
     for c in cells {
         out.put_u32(c.vp.0);
         put_prefix(out, &c.prefix);
@@ -141,7 +141,7 @@ impl RtMessage {
         let mut out = BytesMut::new();
         out.put_u8(kind);
         out.put_u64(bin);
-        out.put_u16(collector.len() as u16);
+        out.put_u16(narrow(collector.len(), "rt message collector name length"));
         out.put_slice(collector.as_bytes());
         encode_cells(&mut out, cells);
         out.into()
@@ -242,6 +242,17 @@ mod tests {
             cells: vec![],
         };
         assert_eq!(RtMessage::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    #[should_panic(expected = "rt message collector name length is 65536")]
+    fn a_collector_name_too_long_to_encode_fails_loudly() {
+        RtMessage::Full {
+            collector: "c".repeat(1 << 16),
+            bin: 0,
+            cells: vec![],
+        }
+        .encode();
     }
 
     #[test]

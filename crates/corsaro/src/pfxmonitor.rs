@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::codec::Reader;
+use bgp_types::codec::{narrow, Reader};
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix, PrefixTrie};
 use bgpstream::{BgpStreamRecord, ElemType};
@@ -229,7 +229,7 @@ impl Plugin for PfxMonitor {
 
         let mut table: Vec<(&(Prefix, IpAddr), &Asn)> = self.table.iter().collect();
         table.sort_by_key(|((p, ip), _)| (prefix_sort_key(p), ip_sort_key(ip)));
-        out.put_u32(table.len() as u32);
+        out.put_u32(narrow(table.len(), "pfxmonitor checkpoint table length"));
         for ((prefix, vp), origin) in table {
             put_prefix(&mut out, prefix);
             put_ip(&mut out, vp);
@@ -238,7 +238,7 @@ impl Plugin for PfxMonitor {
 
         let mut prefixes: Vec<(&Prefix, &u32)> = self.prefix_refs.iter().collect();
         prefixes.sort_by_key(|(p, _)| prefix_sort_key(p));
-        out.put_u32(prefixes.len() as u32);
+        out.put_u32(narrow(prefixes.len(), "pfxmonitor checkpoint prefix count"));
         for (prefix, n) in prefixes {
             put_prefix(&mut out, prefix);
             out.put_u32(*n);
@@ -246,7 +246,7 @@ impl Plugin for PfxMonitor {
 
         let mut origins: Vec<(&Asn, &u32)> = self.origin_refs.iter().collect();
         origins.sort_by_key(|(a, _)| a.0);
-        out.put_u32(origins.len() as u32);
+        out.put_u32(narrow(origins.len(), "pfxmonitor checkpoint origin count"));
         for (origin, n) in origins {
             out.put_u32(origin.0);
             out.put_u32(*n);
@@ -256,18 +256,24 @@ impl Plugin for PfxMonitor {
             None => out.put_u8(0),
             Some(delta) => {
                 out.put_u8(1);
-                out.put_u32(delta.len() as u32);
+                out.put_u32(narrow(delta.len(), "pfxmonitor checkpoint delta length"));
                 out.put_slice(delta);
                 out.put_u32(self.delta_ops);
             }
         }
 
-        out.put_u32(self.shard_prefix_counts.len() as u32);
+        out.put_u32(narrow(
+            self.shard_prefix_counts.len(),
+            "pfxmonitor checkpoint shard count",
+        ));
         for n in &self.shard_prefix_counts {
             out.put_u32(*n);
         }
 
-        out.put_u32(self.series.len() as u32);
+        out.put_u32(narrow(
+            self.series.len(),
+            "pfxmonitor checkpoint series length",
+        ));
         for pt in &self.series {
             out.put_u64(pt.time);
             out.put_u64(pt.prefixes as u64);
@@ -381,7 +387,10 @@ impl ShardedPlugin for PfxMonitor {
         // xcheck:allow(unwrap) — delta is always Some on shard instances
         let body = self.delta.as_mut().expect("take_partial on a shard");
         let mut out = Vec::with_capacity(8 + body.len());
-        out.put_u32(self.prefix_refs.len() as u32);
+        out.put_u32(narrow(
+            self.prefix_refs.len(),
+            "pfxmonitor partial prefix count",
+        ));
         out.put_u32(ops);
         out.append(body);
         out

@@ -41,11 +41,6 @@ impl RibFeeder {
         }
     }
 
-    /// Wrap an existing fold (e.g. one restored out-of-band).
-    pub fn from_fold(fold: RibFold) -> Self {
-        RibFeeder { fold }
-    }
-
     /// The wrapped fold (inspect table state, watermark, stats).
     pub fn fold(&self) -> &RibFold {
         &self.fold

@@ -28,7 +28,7 @@
 use std::net::IpAddr;
 use std::sync::Arc;
 
-use bgp_types::codec::Reader;
+use bgp_types::codec::{narrow, Reader};
 use bgp_types::{AsPath, Asn, CodecError, Prefix};
 use bgpstream::{BgpStreamRecord, ElemType};
 use broker::DumpType;
@@ -541,12 +541,15 @@ impl Plugin for RtPlugin {
 
         let mut out = BytesMut::new();
         out.put_u8(1); // version
-        out.put_u16(self.collector.len() as u16);
+        out.put_u16(narrow(
+            self.collector.len(),
+            "rt checkpoint collector name length",
+        ));
         out.put_slice(self.collector.as_bytes());
 
         let mut vps: Vec<(&IpAddr, &VpTable)> = self.vps.iter().collect();
         vps.sort_by_key(|(ip, _)| ip_sort_key(ip));
-        out.put_u32(vps.len() as u32);
+        out.put_u32(narrow(vps.len(), "rt checkpoint vantage point count"));
         for (ip, vp) in vps {
             put_ip(&mut out, ip);
             out.put_u32(vp.asn.0);
@@ -560,7 +563,7 @@ impl Plugin for RtPlugin {
             out.put_u8(vp.check_ok as u8);
             let mut cells: Vec<(&Prefix, &Cell)> = vp.cells.iter().collect();
             cells.sort_by_key(|(p, _)| prefix_sort_key(p));
-            out.put_u32(cells.len() as u32);
+            out.put_u32(narrow(cells.len(), "rt checkpoint cell count"));
             for (prefix, cell) in cells {
                 put_prefix(&mut out, prefix);
                 put_route(&mut out, cell.main.as_ref().map(|r| &r.path));
@@ -578,7 +581,7 @@ impl Plugin for RtPlugin {
 
         let mut dirty: Vec<(&(IpAddr, Prefix), &Option<CellRoute>)> = self.dirty.iter().collect();
         dirty.sort_by_key(|((ip, p), _)| (ip_sort_key(ip), prefix_sort_key(p)));
-        out.put_u32(dirty.len() as u32);
+        out.put_u32(narrow(dirty.len(), "rt checkpoint dirty cell count"));
         for ((ip, prefix), prev) in dirty {
             put_ip(&mut out, ip);
             put_prefix(&mut out, prefix);
@@ -595,7 +598,7 @@ impl Plugin for RtPlugin {
             None => out.put_u8(0),
             Some(p) => {
                 out.put_u8(1);
-                out.put_u32(p.len() as u32);
+                out.put_u32(narrow(p.len(), "rt checkpoint pending partial length"));
                 out.put_slice(p);
             }
         }
@@ -603,7 +606,10 @@ impl Plugin for RtPlugin {
             out.put_u64(stats.cells_checked);
             out.put_u64(stats.cells_mismatched);
         }
-        out.put_u32(self.bin_series.len() as u32);
+        out.put_u32(narrow(
+            self.bin_series.len(),
+            "rt checkpoint bin series length",
+        ));
         for s in &self.bin_series {
             out.put_u64(s.bin);
             out.put_u64(s.elems);

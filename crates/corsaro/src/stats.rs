@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use bgp_types::codec::Reader;
+use bgp_types::codec::{narrow, Reader};
 use bgp_types::CodecError;
 use bgpstream::{BgpStreamRecord, ElemType};
 use bytes::{BufMut, BytesMut};
@@ -114,7 +114,10 @@ impl Plugin for ElemCounter {
         let mut out = BytesMut::new();
         out.put_u8(1); // version
         put_counters(&mut out, &self.current);
-        out.put_u32(self.series.len() as u32);
+        out.put_u32(narrow(
+            self.series.len(),
+            "elem counter checkpoint series length",
+        ));
         for point in &self.series {
             out.put_u64(point.time);
             put_counters(&mut out, &point.per_collector);
@@ -156,9 +159,9 @@ impl ElemCounter {
 /// partials: the collector count, then per collector (in name order)
 /// its name and six counters.
 fn put_counters(out: &mut BytesMut, per_collector: &BTreeMap<String, BinCounters>) {
-    out.put_u32(per_collector.len() as u32);
+    out.put_u32(narrow(per_collector.len(), "elem counter collector count"));
     for (name, c) in per_collector {
-        out.put_u16(name.len() as u16);
+        out.put_u16(narrow(name.len(), "elem counter collector name length"));
         out.put_slice(name.as_bytes());
         for v in [
             c.records,

@@ -189,11 +189,6 @@ impl Cluster {
         }
         s
     }
-
-    /// All topic names.
-    pub fn topic_names(&self) -> Vec<String> {
-        self.topics.read().keys().cloned().collect()
-    }
 }
 
 fn hash_key(key: &str) -> u64 {

@@ -10,11 +10,9 @@
 //! Because routes depend only on the origin AS (all prefixes of one
 //! origin share the same tree), we compute one [`RoutingTree`] per
 //! origin with a three-phase breadth-first propagation and reconstruct
-//! AS paths by following parent pointers. A [`RoutingCache`] memoises
-//! trees per (origin, month).
+//! AS paths by following parent pointers.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 
 use bgp_types::AsPath;
 
@@ -448,42 +446,6 @@ fn compute_tree_worklist(
     }
 }
 
-/// Memoises routing trees per `(origin, month)`.
-#[derive(Default)]
-pub struct RoutingCache {
-    trees: HashMap<(u32, u32), Arc<RoutingTree>>,
-}
-
-impl RoutingCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The tree for `origin` at `month`, computing it on first use.
-    pub fn tree(&mut self, topo: &Topology, origin: u32, month: u32) -> Arc<RoutingTree> {
-        self.trees
-            .entry((origin, month))
-            .or_insert_with(|| Arc::new(compute_tree(topo, origin, month)))
-            .clone()
-    }
-
-    /// Number of cached trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Drop every cached tree (topology changed).
-    pub fn clear(&mut self) {
-        self.trees.clear();
-    }
-}
-
 /// Compare two tree entries *at the same node* for different origins —
 /// which origin's route does the node select? Smaller = selected.
 /// MOAS visibility analyses use this.
@@ -684,20 +646,6 @@ mod tests {
         t.nodes[2].born_month = 9;
         let tree = compute_tree(&t, 2, 0);
         assert!(tree.entries.iter().all(|e| e.is_none()));
-    }
-
-    #[test]
-    fn cache_reuses_trees() {
-        let t = sharkfin();
-        let mut cache = RoutingCache::new();
-        let a = cache.tree(&t, 2, 0);
-        let b = cache.tree(&t, 2, 0);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        cache.tree(&t, 3, 0);
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * **historical pagers** — each loops windowed interval queries over
 //!   the growing index to exhaustion, again and again, like a batch
 //!   analysis fleet; overlapping query shapes exercise the service's
-//!   memoized page cache;
+//!   sorted index view;
 //! * **live tailers** — each holds a live lease and polls it as the
 //!   feeder's virtual clock advances; every third tailer *crashes*
 //!   mid-session (drops its connection without closing) and a
@@ -162,8 +162,8 @@ fn main() {
             move || -> Result<ClientReport, BrokerError> {
                 let client: Arc<dyn BrokerClient> =
                     Arc::new(RemoteBroker::new(cluster, format!("hist-{i}")));
-                // Diversify shapes mildly so the page cache sees both
-                // repeats (hits) and distinct keys (misses).
+                // Diversify shapes mildly: repeated and distinct
+                // queries in one fleet.
                 let query = Query {
                     start: (i as u64 % 4) * 900,
                     end: Some(horizon),
@@ -308,14 +308,12 @@ fn main() {
     let stats = service.shutdown();
     println!(
         "# soak: {} page requests + {} live polls in {:.1}s wall; service answered {} \
-         ({} busy sheds, {} cache hits / {} misses, {} leases opened, {} resumed)",
+         ({} busy sheds, {} leases opened, {} resumed)",
         page_requests,
         poll_requests,
         wall_start.elapsed().as_secs_f64(),
         stats.requests,
         stats.busy,
-        stats.cache_hits,
-        stats.cache_misses,
         stats.leases_opened,
         stats.leases_resumed,
     );

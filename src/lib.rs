@@ -54,7 +54,7 @@ pub mod prelude {
     pub use bgp_types::{AsPath, Asn, Community, CommunitySet, Prefix};
     pub use bgpstream::{
         parse_filter_string, BgpStream, BgpStreamBuilder, BgpStreamElem, BgpStreamRecord, ElemType,
-        Filters, RecordStatus, StreamMode,
+        Filters, RecordStatus,
     };
     pub use broker::{BrokerClient, DataInterface, DumpType, Index, LocalBroker, RemoteBroker};
     pub use corsaro::{

@@ -187,8 +187,7 @@ fn historical_pipeline_identical_through_local_and_remote() {
         BrokerService::new(cluster.clone(), fx.index.clone(), ServiceConfig::default()).spawn();
 
     // Two remote tenants page the same interval back to back: both
-    // must equal the local baseline, and the second rides the
-    // service's memo cache.
+    // must equal the local baseline.
     for client_id in ["hist-a", "hist-b"] {
         let remote: Arc<dyn BrokerClient> = Arc::new(RemoteBroker::new(cluster.clone(), client_id));
         let out = run_historical(remote, &fx.ranges, fx.horizon, fx.stop);
@@ -198,10 +197,6 @@ fn historical_pipeline_identical_through_local_and_remote() {
     let stats = handle.shutdown();
     assert!(stats.requests > 0);
     assert_eq!(stats.busy, 0, "no admission sheds expected at this load");
-    assert!(
-        stats.cache_hits > 0,
-        "second tenant must hit the memoized pages: {stats:?}"
-    );
 }
 
 #[test]
