@@ -2,8 +2,8 @@
 //!
 //! [`par_map`] spawns scoped threads per call, which is fine for
 //! coarse batch jobs but too expensive for a runtime delivering many
-//! record batches per second; the sharded consumer runtime uses the
-//! persistent [`bsync::pool::ShardPool`] instead.
+//! record batches per second; the sharded consumer runtime keeps one
+//! persistent thread per shard instead.
 
 use bsync::channel;
 

@@ -27,6 +27,19 @@ pub enum PrefixMatch {
     Any,
 }
 
+impl PrefixMatch {
+    /// Whether `prefix` passes a `filter` prefix under this mode.
+    #[inline]
+    pub fn relates(self, filter: &Prefix, prefix: &Prefix) -> bool {
+        match self {
+            PrefixMatch::Exact => filter == prefix,
+            PrefixMatch::MoreSpecific => filter.contains(prefix),
+            PrefixMatch::LessSpecific => prefix.contains(filter),
+            PrefixMatch::Any => filter.overlaps(prefix),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node<V> {
     /// Value present iff a prefix terminates here.

@@ -36,18 +36,6 @@ pub enum BrokerError {
     Protocol(String),
 }
 
-impl BrokerError {
-    /// Whether a fresh attempt could plausibly succeed without
-    /// operator intervention: [`BrokerError::Busy`] is transient by
-    /// design and [`BrokerError::Io`] covers timeouts and flaky
-    /// transports worth retrying with backoff. A lapsed lease, input
-    /// that failed to parse, or a protocol mismatch will fail the same
-    /// way every time — retrying those only hides the fault.
-    pub fn is_recoverable(&self) -> bool {
-        matches!(self, BrokerError::Busy | BrokerError::Io(_))
-    }
-}
-
 impl std::fmt::Display for BrokerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -85,14 +73,5 @@ mod tests {
             assert_eq!(err.to_string(), msg);
             let _: &dyn std::error::Error = &err;
         }
-    }
-
-    #[test]
-    fn recoverability_split_matches_variant_semantics() {
-        assert!(BrokerError::Busy.is_recoverable());
-        assert!(BrokerError::Io("timeout".into()).is_recoverable());
-        assert!(!BrokerError::LeaseExpired.is_recoverable());
-        assert!(!BrokerError::Malformed("x".into()).is_recoverable());
-        assert!(!BrokerError::Protocol("v9".into()).is_recoverable());
     }
 }

@@ -66,6 +66,17 @@ impl DumpMeta {
         self.interval_start + self.duration
     }
 
+    /// The order every broker response lists dumps in: by interval
+    /// start, then project, collector and dump type.
+    pub fn order_key(&self) -> (u64, &str, &str, u8) {
+        (
+            self.interval_start,
+            &self.project,
+            &self.collector,
+            self.dump_type as u8,
+        )
+    }
+
     /// The interned identity of this dump's source. Called once per
     /// dump open; records derived from the dump carry the returned
     /// `Copy` handle instead of cloning the name strings.
@@ -383,20 +394,7 @@ impl Index {
             .filter(|m| m.overlaps(query.start, query.end))
             .cloned()
             .collect();
-        files.sort_by(|a, b| {
-            (
-                a.interval_start,
-                &a.project,
-                &a.collector,
-                a.dump_type as u8,
-            )
-                .cmp(&(
-                    b.interval_start,
-                    &b.project,
-                    &b.collector,
-                    b.dump_type as u8,
-                ))
-        });
+        files.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
         // Deduplicate files that overlap multiple windows: a file is
         // attributed to the window containing its interval_start.
         files.retain(|m| m.interval_start >= w_start || cursor.window_start <= query.start);

@@ -167,7 +167,8 @@ impl IndexView {
             self.entries.extend(fresh);
             // Stable: equal order keys stay in registration order,
             // matching Index::query's stable sort of its scan result.
-            self.entries.sort_by(|a, b| order_key(a).cmp(&order_key(b)));
+            self.entries
+                .sort_by(|a, b| a.order_key().cmp(&b.order_key()));
         }
         self.version = version;
         self.watermark = watermark;
@@ -229,15 +230,6 @@ impl IndexView {
         };
         (files, exhausted)
     }
-}
-
-fn order_key(m: &DumpMeta) -> (u64, &String, &String, u8) {
-    (
-        m.interval_start,
-        &m.project,
-        &m.collector,
-        m.dump_type as u8,
-    )
 }
 
 /// The broker server. Construct with [`BrokerService::new`], then

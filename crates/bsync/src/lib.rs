@@ -63,6 +63,5 @@ pub mod atomic {
 }
 
 pub mod channel;
-pub mod pool;
 pub mod thread;
 pub mod time;

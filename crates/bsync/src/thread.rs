@@ -14,10 +14,6 @@ mod real {
         pub fn join(self) -> std::thread::Result<T> {
             self.0.join()
         }
-
-        pub fn thread_name(&self) -> Option<String> {
-            self.0.thread().name().map(str::to_owned)
-        }
     }
 
     pub fn spawn<F, T>(f: F) -> JoinHandle<T>

@@ -1,5 +1,6 @@
 //! loom-lite model tests: bounded-channel backpressure vs cooperative
-//! shutdown.
+//! shutdown, and a consumer that drains before it exits (the contract
+//! every shard worker of the sharded runtime relies on).
 //!
 //! Run with `cargo test -p bsync --features loom-lite`.
 #![cfg(feature = "loom-lite")]
@@ -9,6 +10,7 @@ use std::sync::Arc;
 
 use bsync::channel;
 use bsync::model::{explore, Builder};
+use bsync::Mutex;
 
 fn budget() -> Builder {
     Builder {
@@ -76,4 +78,39 @@ fn canary_blocking_send_under_lock_deadlocks() {
     };
     let again = explore(&replay, racy).expect_err("replay must reproduce the deadlock");
     assert!(again.kind.contains("deadlock"));
+}
+
+/// Canary: a worker that drains with `try_recv` and exits on `Empty`
+/// instead of blocking until disconnect. On schedules where the
+/// worker runs before the producer's send, the message is lost — the
+/// checker must find that schedule and reproduce it from the seed.
+#[test]
+fn canary_try_recv_worker_drops_in_flight_message() {
+    let racy = || {
+        let seen: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        let (tx, rx) = bsync::channel::bounded::<u32>(1);
+        let worker = bsync::thread::spawn_named("worker", move || {
+            // BUG: Empty also covers "producer not scheduled yet".
+            while let Ok(v) = rx.try_recv() {
+                sink.lock().push(v);
+            }
+        });
+        let _ = tx.send(1);
+        drop(tx);
+        worker.join().expect("worker ran");
+        assert_eq!(*seen.lock(), vec![1], "shutdown lost an in-flight message");
+    };
+    let failure = explore(&budget(), racy).expect_err("checker must catch the lossy worker");
+    assert!(
+        failure.kind.contains("lost an in-flight message"),
+        "unexpected failure kind: {}",
+        failure.kind
+    );
+    let replay = Builder {
+        schedule: Some(failure.schedule.clone()),
+        ..budget()
+    };
+    let again = explore(&replay, racy).expect_err("replay must reproduce the loss");
+    assert!(again.kind.contains("lost an in-flight message"));
 }

@@ -10,10 +10,9 @@ use mq::Cluster;
 /// across collectors.
 #[derive(Default)]
 pub struct GlobalView {
-    /// collector → (vp, prefix) → origin AS.
+    /// collector → (vp, prefix) → origin AS; every collector that
+    /// delivered a message has a table, possibly empty.
     tables: HashMap<String, HashMap<(Asn, Prefix), Asn>>,
-    /// Collectors that delivered at least one message.
-    seen: HashSet<String>,
     /// Messages applied.
     applied: u64,
 }
@@ -28,7 +27,6 @@ impl GlobalView {
     /// collector table; `Diff` messages mutate it.
     pub fn apply(&mut self, msg: &RtMessage) {
         self.applied += 1;
-        self.seen.insert(msg.collector().to_string());
         match msg {
             RtMessage::Full {
                 collector, cells, ..
@@ -140,7 +138,7 @@ impl GlobalView {
 
     /// Collector names seen so far.
     pub fn collectors(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.seen.iter().cloned().collect();
+        let mut v: Vec<String> = self.tables.keys().cloned().collect();
         v.sort();
         v
     }

@@ -73,32 +73,10 @@ impl BgpStreamElem {
     }
 }
 
-/// Outcome of decomposing one record.
-pub struct ExtractedElems {
-    /// The elems, in record order.
-    pub elems: Vec<BgpStreamElem>,
-    /// True when a RIB row referenced a peer index missing from the
-    /// `PEER_INDEX_TABLE` (the record should be marked not-valid).
-    pub missing_peer: bool,
-}
-
-/// Decompose an MRT record into elems. RIB rows need the dump's peer
-/// index table (`pit`).
-///
-/// Borrowing convenience over [`extract_into`]; clones the record
-/// body. The sorted-stream hot path uses [`extract_into`] directly,
-/// which moves path attributes into the elems instead of cloning.
-pub fn extract(record: &MrtRecord, pit: Option<&PeerIndexTable>) -> ExtractedElems {
-    let mut elems = Vec::new();
-    let missing_peer = extract_into(record.clone(), pit, &mut elems);
-    ExtractedElems {
-        elems,
-        missing_peer,
-    }
-}
-
 /// Decompose an MRT record into a caller-provided buffer, consuming
-/// the record. Returns the missing-peer flag of [`ExtractedElems`].
+/// the record. RIB rows need the dump's peer index table (`pit`).
+/// Returns true when a RIB row referenced a peer index missing from
+/// the `PEER_INDEX_TABLE` (the record should be marked not-valid).
 ///
 /// Ownership is what keeps the merge hot path allocation-light: every
 /// RIB entry's attributes and the last announcement's attributes are
@@ -261,17 +239,17 @@ mod tests {
 
     #[test]
     fn update_decomposes_into_withdrawal_plus_announcements() {
-        let out = extract(&update_record(), None);
-        assert!(!out.missing_peer);
-        assert_eq!(out.elems.len(), 3);
-        assert_eq!(out.elems[0].elem_type, ElemType::Withdrawal);
-        assert_eq!(out.elems[0].prefix, Some(p("198.51.100.0/24")));
-        assert!(out.elems[0].as_path.is_none());
-        assert_eq!(out.elems[1].elem_type, ElemType::Announcement);
-        assert_eq!(out.elems[1].origin_asn(), Some(Asn(137)));
-        assert_eq!(out.elems[1].time, 77);
+        let mut elems = Vec::new();
+        assert!(!extract_into(update_record(), None, &mut elems));
+        assert_eq!(elems.len(), 3);
+        assert_eq!(elems[0].elem_type, ElemType::Withdrawal);
+        assert_eq!(elems[0].prefix, Some(p("198.51.100.0/24")));
+        assert!(elems[0].as_path.is_none());
+        assert_eq!(elems[1].elem_type, ElemType::Announcement);
+        assert_eq!(elems[1].origin_asn(), Some(Asn(137)));
+        assert_eq!(elems[1].time, 77);
         // Announcements share one attribute set (one record, many elems).
-        assert_eq!(out.elems[1].as_path, out.elems[2].as_path);
+        assert_eq!(elems[1].as_path, elems[2].as_path);
     }
 
     #[test]
@@ -287,9 +265,10 @@ mod tests {
                 new_state: SessionState::Idle,
             },
         );
-        let out = extract(&rec, None);
-        assert_eq!(out.elems.len(), 1);
-        let e = &out.elems[0];
+        let mut elems = Vec::new();
+        extract_into(rec, None, &mut elems);
+        assert_eq!(elems.len(), 1);
+        let e = &elems[0];
         assert_eq!(e.elem_type, ElemType::PeerState);
         assert_eq!(e.old_state, Some(SessionState::Established));
         assert_eq!(e.new_state, Some(SessionState::Idle));
@@ -335,34 +314,34 @@ mod tests {
 
     #[test]
     fn rib_row_resolves_peers() {
-        let out = extract(&rib_record(&[0, 1]), Some(&pit()));
-        assert!(!out.missing_peer);
-        assert_eq!(out.elems.len(), 2);
-        assert_eq!(out.elems[0].peer_asn, Asn(65001));
-        assert_eq!(out.elems[1].peer_asn, Asn(65002));
-        assert!(out.elems.iter().all(|e| e.elem_type == ElemType::RibEntry));
+        let mut elems = Vec::new();
+        assert!(!extract_into(rib_record(&[0, 1]), Some(&pit()), &mut elems));
+        assert_eq!(elems.len(), 2);
+        assert_eq!(elems[0].peer_asn, Asn(65001));
+        assert_eq!(elems[1].peer_asn, Asn(65002));
+        assert!(elems.iter().all(|e| e.elem_type == ElemType::RibEntry));
     }
 
     #[test]
     fn rib_row_with_bad_peer_index_flags_missing() {
-        let out = extract(&rib_record(&[0, 9]), Some(&pit()));
-        assert!(out.missing_peer);
-        assert_eq!(out.elems.len(), 1);
+        let mut elems = Vec::new();
+        assert!(extract_into(rib_record(&[0, 9]), Some(&pit()), &mut elems));
+        assert_eq!(elems.len(), 1);
     }
 
     #[test]
     fn rib_row_without_pit_flags_missing() {
-        let out = extract(&rib_record(&[0]), None);
-        assert!(out.missing_peer);
-        assert!(out.elems.is_empty());
+        let mut elems = Vec::new();
+        assert!(extract_into(rib_record(&[0]), None, &mut elems));
+        assert!(elems.is_empty());
     }
 
     #[test]
     fn peer_index_table_has_no_elems() {
         let rec = MrtRecord::table_dump_v2(1, TableDumpV2::PeerIndexTable(pit()));
-        let out = extract(&rec, None);
-        assert!(out.elems.is_empty());
-        assert!(!out.missing_peer);
+        let mut elems = Vec::new();
+        assert!(!extract_into(rec, None, &mut elems));
+        assert!(elems.is_empty());
     }
 
     #[test]

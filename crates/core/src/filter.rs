@@ -143,12 +143,7 @@ impl Filters {
                 // stream; state messages always pass prefix filters.
                 return elem.elem_type == ElemType::PeerState && self.passes_non_prefix(elem);
             };
-            let hit = self.prefixes.iter().any(|(f, mode)| match mode {
-                PrefixMatch::Exact => f == p,
-                PrefixMatch::MoreSpecific => f.contains(p),
-                PrefixMatch::LessSpecific => p.contains(f),
-                PrefixMatch::Any => f.overlaps(p),
-            });
+            let hit = self.prefixes.iter().any(|(f, mode)| mode.relates(f, p));
             if !hit {
                 return false;
             }

@@ -18,7 +18,6 @@ use std::sync::Arc;
 
 use broker::index::DumpMeta;
 use broker::SourceId;
-use mrt::record::MrtType;
 use mrt::table_dump_v2::TableDumpV2;
 use mrt::{ChunkedReader, MrtBody, MrtHeader, MrtRecord, PeerIndexTable, RawMrtView};
 
@@ -33,20 +32,7 @@ use crate::record::{BgpStreamRecord, DumpPosition, RecordStatus};
 /// time; files within a group keep a deterministic order.
 pub fn partition_overlap_groups(files: &[DumpMeta]) -> Vec<Vec<DumpMeta>> {
     let mut sorted: Vec<DumpMeta> = files.to_vec();
-    sorted.sort_by(|a, b| {
-        (
-            a.interval_start,
-            &a.project,
-            &a.collector,
-            a.dump_type as u8,
-        )
-            .cmp(&(
-                b.interval_start,
-                &b.project,
-                &b.collector,
-                b.dump_type as u8,
-            ))
-    });
+    sorted.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
     let mut groups: Vec<Vec<DumpMeta>> = Vec::new();
     let mut current: Vec<DumpMeta> = Vec::new();
     let mut current_end: u64 = 0;
@@ -456,28 +442,6 @@ pub fn read_single_file(meta: DumpMeta, filters: &Filters) -> Vec<BgpStreamRecor
     out
 }
 
-/// Check that a path exists and looks like MRT (cheap sanity helper
-/// for tools): peek the 12-byte common header — decompressing it
-/// first if the file is gzip-compressed — and require a known record
-/// type and a sane body length, so arbitrary non-empty files are not
-/// misclassified.
-pub fn looks_like_mrt(path: &std::path::Path) -> bool {
-    let Ok(mut r) = ChunkedReader::open(path) else {
-        return false;
-    };
-    let Ok(Some(header)) = r.peek_header() else {
-        return false;
-    };
-    // RFC 6396 §4 type registry: OSPFv2(11), TABLE_DUMP(12),
-    // TABLE_DUMP_V2(13), BGP4MP(16), BGP4MP_ET(17), ISIS(32/33),
-    // OSPFv3(48/49).
-    let known_type = matches!(
-        header.mrt_type,
-        MrtType::TableDumpV2 | MrtType::Bgp4mp | MrtType::Other(11 | 12 | 17 | 32 | 33 | 48 | 49)
-    );
-    known_type && header.length <= mrt::reader::MAX_RECORD_LEN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,37 +660,6 @@ mod tests {
         assert_eq!(merger.width(), 2);
         let rest: Vec<u64> = std::iter::from_fn(|| merger.next().map(|r| r.timestamp)).collect();
         assert_eq!(rest, vec![200, 300, 400]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn looks_like_mrt_peeks_header() {
-        let dir = scratch("sniff");
-        // Real MRT: accepted.
-        let good = dir.join("good.mrt");
-        std::fs::write(&good, encode(&[keepalive(1)])).unwrap();
-        assert!(looks_like_mrt(&good));
-        // Arbitrary text used to pass the old "non-empty" check.
-        let text = dir.join("notes.txt");
-        std::fs::write(&text, "hello world, definitely not MRT data").unwrap();
-        assert!(!looks_like_mrt(&text));
-        // Empty, too-short, and missing files are rejected.
-        let empty = dir.join("empty");
-        std::fs::write(&empty, b"").unwrap();
-        assert!(!looks_like_mrt(&empty));
-        let short = dir.join("short");
-        std::fs::write(&short, [0u8; 5]).unwrap();
-        assert!(!looks_like_mrt(&short));
-        assert!(!looks_like_mrt(&dir.join("nonexistent")));
-        // A known type with an insane length field is rejected.
-        let oversized = dir.join("oversized");
-        let mut hdr = Vec::new();
-        hdr.extend_from_slice(&1u32.to_be_bytes()); // timestamp
-        hdr.extend_from_slice(&16u16.to_be_bytes()); // BGP4MP
-        hdr.extend_from_slice(&4u16.to_be_bytes()); // subtype
-        hdr.extend_from_slice(&(64u32 << 20).to_be_bytes()); // 64 MiB body
-        std::fs::write(&oversized, &hdr).unwrap();
-        assert!(!looks_like_mrt(&oversized));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

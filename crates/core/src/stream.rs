@@ -264,18 +264,6 @@ impl BgpStreamBuilder {
         self
     }
 
-    /// Keep only elems whose AS path matches (repeatable, any-of).
-    pub fn filter_aspath(mut self, re: crate::aspath_re::AsPathRegex) -> Self {
-        self.filters.as_paths.push(re);
-        self
-    }
-
-    /// Keep only elems of this address family.
-    pub fn filter_ip_version(mut self, v: crate::filter::IpVersion) -> Self {
-        self.filters.ip_version = Some(v);
-        self
-    }
-
     /// Apply a `parse_filter_string` expression: meta-data terms merge
     /// into the broker query, elem terms into the filters.
     pub fn filter_string(mut self, expr: &str) -> Result<Self, crate::FilterLangError> {

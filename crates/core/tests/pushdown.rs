@@ -6,7 +6,7 @@
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, Community, PathAttributes, Prefix};
-use bgpstream::elem::extract;
+use bgpstream::elem::extract_into;
 use bgpstream::record::RecordStatus;
 use bgpstream::sort::read_single_file;
 use bgpstream::{AsPathRegex, CommunityFilter, ElemType, Filters, IpVersion};
@@ -228,8 +228,9 @@ proptest! {
                 continue;
             };
             if !compiled.record_may_match(&view, Some(&table)) {
-                let extracted = extract(rec, Some(&table));
-                for elem in &extracted.elems {
+                let mut elems = Vec::new();
+                extract_into(rec.clone(), Some(&table), &mut elems);
+                for elem in &elems {
                     prop_assert!(
                         !filters.matches(elem),
                         "prefilter rejected a record with a passing elem: {elem:?}\nfilters: {filters:?}"
@@ -238,8 +239,9 @@ proptest! {
             }
             // The compiled per-elem filter agrees with the
             // interpreted one on every extracted elem.
-            let extracted = extract(rec, Some(&table));
-            for elem in &extracted.elems {
+            let mut elems = Vec::new();
+            extract_into(rec.clone(), Some(&table), &mut elems);
+            for elem in &elems {
                 prop_assert_eq!(compiled.matches(elem), filters.matches(elem));
             }
         }

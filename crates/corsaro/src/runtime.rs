@@ -14,10 +14,10 @@
 //!    non-matching records before decode, so most envelopes arrive
 //!    elem-less and broadcast for pennies — and broadcasts each
 //!    batch — behind an `Arc`, so a broadcast is a refcount bump per
-//!    worker — into N per-worker bounded queues
-//!    ([`bsync::pool::ShardPool`]); bounded queues mean a
-//!    slow worker backpressures the reader instead of buffering
-//!    without limit;
+//!    worker — into N per-worker bounded queues (each worker is one
+//!    thread draining one [`bsync::channel::bounded`] queue); bounded
+//!    queues mean a slow worker backpressures the reader instead of
+//!    buffering without limit;
 //! 2. every worker owns one **shard instance** of each partitioned
 //!    plugin (forked via [`ShardedPlugin::fork`]). A shard instance
 //!    sees every record envelope (so record-level events — corrupted
@@ -70,7 +70,6 @@ use bgp_types::Prefix;
 use bgpstream::{BatchStep, BgpStream, BgpStreamRecord};
 use broker::BrokerError;
 use bsync::channel::{Receiver, Sender, TryRecvError, TrySendError};
-use bsync::pool::ShardPool;
 use bsync::time::Clock;
 
 use crate::pipeline::{BinCursor, Partitioning, Plugin};
@@ -267,45 +266,23 @@ pub struct ShardedRuntime {
     cfg: ShardedRuntimeBuilder,
 }
 
-/// Why a live session could not continue. The split mirrors
-/// [`BrokerError`]'s recoverable/fatal distinction one layer up: a
-/// [`Supervisor`] acts on the recoverable variants (restart from
-/// checkpoint) and surfaces the fatal ones.
+/// Why a live session ended early. A [`Supervisor`] recovers worker
+/// panics and stalls itself (restart from checkpoint, counted in
+/// [`LiveRunReport`]), so what reaches its caller is a checkpoint that
+/// would not restore or a stream failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RuntimeError {
-    /// A shard worker panicked while processing a plugin. Recoverable:
-    /// a supervisor restarts the shard from its last checkpoint; an
-    /// unsupervised run tears down cleanly and reports it.
+    /// A shard worker panicked while processing a plugin, in an
+    /// unsupervised run: the session tears down cleanly and reports it.
     WorkerPanicked {
         /// Worker index that died.
         worker: usize,
     },
-    /// A shard worker stopped making progress past the configured
-    /// stall timeout (wedged plugin, livelocked dependency).
-    /// Recoverable the same way a panic is.
-    WorkerStalled {
-        /// Worker index that stalled.
-        worker: usize,
-    },
     /// A stored checkpoint failed to restore into a fresh shard
-    /// instance. Fatal: the runtime's own recovery state is corrupt,
-    /// so retrying cannot help.
+    /// instance: the runtime's own recovery state is corrupt.
     Checkpoint(String),
-    /// The underlying stream died with a broker error; recoverability
-    /// delegates to [`BrokerError::is_recoverable`].
+    /// The underlying stream died with a broker error.
     Stream(BrokerError),
-}
-
-impl RuntimeError {
-    /// Whether a supervised retry/restart could plausibly get the
-    /// session going again (see the variant docs).
-    pub fn is_recoverable(&self) -> bool {
-        match self {
-            RuntimeError::WorkerPanicked { .. } | RuntimeError::WorkerStalled { .. } => true,
-            RuntimeError::Checkpoint(_) => false,
-            RuntimeError::Stream(e) => e.is_recoverable(),
-        }
-    }
 }
 
 impl std::fmt::Display for RuntimeError {
@@ -315,12 +292,6 @@ impl std::fmt::Display for RuntimeError {
                 write!(
                     f,
                     "shard worker {worker} panicked while processing a plugin"
-                )
-            }
-            RuntimeError::WorkerStalled { worker } => {
-                write!(
-                    f,
-                    "shard worker {worker} stalled past the supervision timeout"
                 )
             }
             RuntimeError::Checkpoint(msg) => write!(f, "checkpoint restore failed: {msg}"),
@@ -858,7 +829,7 @@ impl ShardedRuntime {
     ///
     /// A worker panic ends the session with
     /// [`RuntimeError::WorkerPanicked`] after a clean teardown (the
-    /// pool drains and rebuilds on the next run — no poisoned state
+    /// shards drain and rebuild on the next run — no poisoned state
     /// survives); a stream failure surfaces as
     /// [`RuntimeError::Stream`]. Wrap the runtime in a [`Supervisor`]
     /// to recover instead.
@@ -1003,10 +974,83 @@ impl SupState {
     }
 }
 
-/// Coordinator state for one `run_live` session: one single-worker
-/// [`ShardPool`] per shard (so a restart is literally "drain one pool
-/// and rebuild it"), the pending-bin merge queue, and optional
-/// supervision state.
+/// One shard worker: a thread named `shard-worker` draining one
+/// bounded queue. Messages are handled strictly in send order, which
+/// is what lets a worker keep its shard instances' state and still
+/// produce deterministic partials. Dropping a shard (or [`Shard::join`])
+/// disconnects the queue and waits for the thread to drain it and
+/// exit; [`Shard::detach`] abandons a stalled thread instead.
+struct Shard<M> {
+    /// `None` once the queue is disconnected.
+    tx: Option<Sender<M>>,
+    handle: Option<bsync::thread::JoinHandle<()>>,
+}
+
+impl<M: Send + 'static> Shard<M> {
+    /// Spawn the thread with a queue bounded at `queue_cap` messages
+    /// (at least 1); `handler` runs on it for every message.
+    fn spawn(queue_cap: usize, mut handler: impl FnMut(M) + Send + 'static) -> Self {
+        let (tx, rx) = bsync::channel::bounded::<M>(queue_cap.max(1));
+        let handle = bsync::thread::spawn_named("shard-worker", move || {
+            while let Ok(msg) = rx.recv() {
+                handler(msg);
+            }
+        });
+        Shard {
+            tx: Some(tx),
+            handle: Some(handle),
+        }
+    }
+
+    /// Enqueue `msg`, blocking while the queue is full (backpressure).
+    /// Returns false if the thread is gone.
+    fn send(&self, msg: M) -> bool {
+        self.tx.as_ref().is_some_and(|tx| tx.send(msg).is_ok())
+    }
+
+    /// Non-blocking [`Shard::send`]: a full queue returns
+    /// [`TrySendError::Full`] instead of parking the caller, so the
+    /// supervised runtime sees a stalled worker as a bounded-time
+    /// stall instead of wedging the coordinator.
+    fn try_send(&self, msg: M) -> Result<(), TrySendError<M>> {
+        match &self.tx {
+            Some(tx) => tx.try_send(msg),
+            None => Err(TrySendError::Disconnected(msg)),
+        }
+    }
+
+    /// Disconnect the queue and wait for the thread to drain it and
+    /// exit (what dropping does, spelled out where the barrier matters).
+    fn join(self) {
+        drop(self);
+    }
+
+    /// Disconnect the queue without waiting. For a *stalled* thread
+    /// (stuck inside the handler), where [`Shard::join`] would block
+    /// forever; the zombie keeps its state but can never receive
+    /// another message.
+    fn detach(mut self) {
+        self.handle = None;
+    }
+}
+
+impl<M> Drop for Shard<M> {
+    fn drop(&mut self) {
+        self.tx = None;
+        // A panic in the handler reaches the coordinator as
+        // `ResMsg::Panicked`, never by panicking out of a destructor,
+        // which would poison every caller holding a shard across an
+        // unwind.
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Coordinator state for one `run_live` session: one [`Shard`] per
+/// worker (so a restart is literally "detach one shard and spawn a
+/// fresh one"), the pending-bin merge queue, and optional supervision
+/// state.
 struct LiveSession<'rt> {
     rt: &'rt ShardedRuntime,
     workers: usize,
@@ -1014,7 +1058,7 @@ struct LiveSession<'rt> {
     placement: Placement,
     /// `None` = degraded: the worker exhausted its restart budget and
     /// its slots are synthesized from here on.
-    pools: Vec<Option<ShardPool<ShardMsg>>>,
+    shards: Vec<Option<Shard<ShardMsg>>>,
     dead: Vec<bool>,
     /// Kept for respawns under supervision; `None` from the start on
     /// unsupervised runs so `res_rx` disconnects once workers exit.
@@ -1042,7 +1086,7 @@ impl<'rt> LiveSession<'rt> {
             workers,
             partitionings,
             placement,
-            pools: (0..workers).map(|_| None).collect(),
+            shards: (0..workers).map(|_| None).collect(),
             dead: vec![false; workers],
             res_tx: Some(res_tx),
             res_rx,
@@ -1054,7 +1098,7 @@ impl<'rt> LiveSession<'rt> {
         };
         for w in 0..workers {
             let state = session.make_worker_state(w, roots, 0);
-            session.pools[w] = Some(session.spawn_one(state));
+            session.shards[w] = Some(session.spawn_one(state));
         }
         if session.sup.is_none() {
             // Unsupervised: the final blocking drain detects worker
@@ -1128,15 +1172,8 @@ impl<'rt> LiveSession<'rt> {
         }
     }
 
-    fn spawn_one(&self, state: WorkerState) -> ShardPool<ShardMsg> {
-        let mut slot = Some(state);
-        ShardPool::spawn(
-            1,
-            self.rt.cfg.queue_batches,
-            // xcheck:allow(unwrap) — a 1-worker pool calls init exactly once
-            move |_| slot.take().expect("single worker initialised once"),
-            |_w, state: &mut WorkerState, msg: ShardMsg| state.handle(msg),
-        )
+    fn spawn_one(&self, mut state: WorkerState) -> Shard<ShardMsg> {
+        Shard::spawn(self.rt.cfg.queue_batches, move |msg| state.handle(msg))
     }
 
     fn alloc_seq(&mut self) -> u64 {
@@ -1174,8 +1211,8 @@ impl<'rt> LiveSession<'rt> {
         roots: &mut [&mut dyn ShardedPlugin],
     ) -> Result<(), RuntimeError> {
         if self.sup.is_none() {
-            // xcheck:allow(unwrap) — unsupervised pools are never degraded
-            self.pools[w].as_ref().expect("pool alive").broadcast(msg);
+            // xcheck:allow(unwrap) — unsupervised shards are never degraded
+            self.shards[w].as_ref().expect("shard alive").send(msg);
             return Ok(());
         }
         let seq = msg.seq();
@@ -1186,8 +1223,8 @@ impl<'rt> LiveSession<'rt> {
             if self.dead[w] || sup.sent_seq[w] >= seq {
                 return Ok(());
             }
-            let pool = self.pools[w].as_ref().expect("live worker has a pool"); // xcheck:allow(unwrap) — guarded by !self.dead[w] above
-            match pool.try_send(0, msg) {
+            let shard = self.shards[w].as_ref().expect("live worker has a shard"); // xcheck:allow(unwrap) — guarded by !self.dead[w] above
+            match shard.try_send(msg) {
                 Ok(()) => {
                     let sup = self.sup.as_mut().expect("supervised"); // xcheck:allow(unwrap) — Some on the supervised path by construction
                     sup.sent_seq[w] = sup.sent_seq[w].max(seq);
@@ -1292,7 +1329,7 @@ impl<'rt> LiveSession<'rt> {
 
     /// Restart worker `w` from its last checkpoint: bump the epoch
     /// (zombie output is discarded by epoch filtering), back off with
-    /// seeded jitter, detach the old pool, fork-and-restore a fresh
+    /// seeded jitter, detach the old shard, fork-and-restore a fresh
     /// shard instance set, and replay every logged message past the
     /// checkpoint. Past the restart budget the worker degrades
     /// instead.
@@ -1305,8 +1342,8 @@ impl<'rt> LiveSession<'rt> {
         sup.attempts[w] += 1;
         sup.epochs[w] += 1;
         if sup.attempts[w] > sup.cfg.max_restarts {
-            if let Some(pool) = self.pools[w].take() {
-                pool.detach();
+            if let Some(shard) = self.shards[w].take() {
+                shard.detach();
             }
             self.degrade(w, roots);
             return Ok(());
@@ -1328,8 +1365,8 @@ impl<'rt> LiveSession<'rt> {
         }
         // Detach rather than join: a *stalled* worker never exits, and
         // a panicked one is poisoned and drains on its own.
-        if let Some(pool) = self.pools[w].take() {
-            pool.detach();
+        if let Some(shard) = self.shards[w].take() {
+            shard.detach();
         }
         let epoch = sup.epochs[w];
         let from_seq = sup.ckpt_seq(w);
@@ -1350,7 +1387,7 @@ impl<'rt> LiveSession<'rt> {
                     .map_err(RuntimeError::Checkpoint)?;
             }
         }
-        self.pools[w] = Some(self.spawn_one(state));
+        self.shards[w] = Some(self.spawn_one(state));
         let sup = self.sup.as_mut().expect("supervised"); // xcheck:allow(unwrap) — Some on the supervised path by construction
         sup.sent_seq[w] = from_seq;
         sup.acked_seq[w] = from_seq;
@@ -1389,7 +1426,7 @@ impl<'rt> LiveSession<'rt> {
 
     /// Idle-path stall detection off worker heartbeats: a live worker
     /// with unacknowledged messages and no progress past the timeout
-    /// is restarted (its pool is detached; the zombie thread parks on
+    /// is restarted (its shard is detached; the zombie thread parks on
     /// whatever wedged it).
     fn check_stalls(&mut self, roots: &mut [&mut dyn ShardedPlugin]) -> Result<(), RuntimeError> {
         let Some(sup) = &self.sup else {
@@ -1624,9 +1661,9 @@ impl<'rt> LiveSession<'rt> {
             // Crashes on the final bins are still recovered here; only
             // once nothing is pending do the workers retire.
             self.drain_results(roots, true)?;
-            for pool in self.pools.iter_mut() {
-                if let Some(p) = pool.take() {
-                    p.join();
+            for shard in self.shards.iter_mut() {
+                if let Some(s) = shard.take() {
+                    s.join();
                 }
             }
             self.res_tx = None;
@@ -1634,9 +1671,9 @@ impl<'rt> LiveSession<'rt> {
             // kill that fired after the last barrier).
             while self.res_rx.try_recv().is_ok() {}
         } else {
-            for pool in self.pools.iter_mut() {
-                if let Some(p) = pool.take() {
-                    p.join();
+            for shard in self.shards.iter_mut() {
+                if let Some(s) = shard.take() {
+                    s.join();
                 }
             }
             // res_tx is already None: recv drains until disconnect.
@@ -1731,5 +1768,89 @@ mod tests {
             .collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..5).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn shard_join_drains_queued_messages_in_order() {
+        let (res_tx, res_rx) = bsync::channel::unbounded::<u64>();
+        let shard = Shard::spawn(64, move |v: u64| res_tx.send(v).unwrap());
+        for i in 0..50 {
+            assert!(shard.send(i));
+        }
+        shard.join(); // must block until the queue is fully drained
+        assert_eq!(
+            res_rx.iter().collect::<Vec<_>>(),
+            (0..50).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn shard_try_send_reports_full_at_capacity() {
+        let (gate_tx, gate_rx) = bsync::channel::bounded::<()>(1);
+        let shard = Shard::spawn(1, move |_: u32| {
+            let _ = gate_rx.recv(); // hold the thread until released
+        });
+        assert!(shard.send(1));
+        // The thread may or may not have picked up message 1 yet; fill
+        // until Full, bounded by queue (1) + in-flight (1).
+        let mut sent = 1;
+        loop {
+            match shard.try_send(9) {
+                Ok(()) => {
+                    sent += 1;
+                    assert!(sent <= 2, "queue cap 1 + one in-flight message");
+                }
+                Err(TrySendError::Full(9)) => break,
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+        }
+        for _ in 0..sent {
+            gate_tx.send(()).unwrap();
+        }
+        shard.join();
+    }
+
+    #[test]
+    fn a_shard_whose_handler_panicked_joins_and_respawns_cleanly() {
+        // No panic cascades out of join (or drop), so a crashed shard
+        // can be retired and a fresh one spawned in its place.
+        let crashed = Shard::spawn(1, |_: u32| panic!("boom"));
+        assert!(crashed.send(1));
+        crashed.join();
+
+        let (res_tx, res_rx) = bsync::channel::unbounded::<u32>();
+        let rebuilt = Shard::spawn(1, move |v: u32| res_tx.send(v).unwrap());
+        assert!(rebuilt.send(7));
+        rebuilt.join();
+        assert_eq!(res_rx.iter().collect::<Vec<_>>(), vec![7]);
+    }
+
+    #[test]
+    fn dropping_a_shard_joins_its_thread() {
+        let (res_tx, res_rx) = bsync::channel::unbounded::<u32>();
+        // A slow handler: a drop that did not wait would return with
+        // messages still queued.
+        let shard = Shard::spawn(8, move |v: u32| {
+            std::thread::sleep(Duration::from_millis(2));
+            res_tx.send(v).unwrap();
+        });
+        for i in 0..5 {
+            assert!(shard.send(i));
+        }
+        drop(shard);
+        // The thread has exited, so its handler (and the sender it
+        // owns) is gone: everything queued was handled, then the
+        // result channel disconnected.
+        let mut got = Vec::new();
+        loop {
+            match res_rx.try_recv() {
+                Ok(v) => got.push(v),
+                Err(e) => {
+                    assert_eq!(e, TryRecvError::Disconnected);
+                    break;
+                }
+            }
+        }
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
     }
 }

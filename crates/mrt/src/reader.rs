@@ -394,8 +394,8 @@ impl ChunkedReader {
         (out, None)
     }
 
-    /// Decode the first record header without consuming it — the
-    /// gzip-aware probe behind `looks_like_mrt`-style sniffing. Does
+    /// Decode the first record header without consuming it,
+    /// decompressing only as much of a gzip source as that needs. Does
     /// not poison the reader; an empty source is `Ok(None)`.
     pub fn peek_header(&mut self) -> Result<Option<MrtHeader>, MrtError> {
         self.fill_to(MrtHeader::LEN)?;

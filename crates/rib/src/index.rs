@@ -250,15 +250,6 @@ mod tests {
         })
     }
 
-    fn relates(filter: &Prefix, mode: PrefixMatch, p: &Prefix) -> bool {
-        match mode {
-            PrefixMatch::Exact => filter == p,
-            PrefixMatch::MoreSpecific => filter.contains(p),
-            PrefixMatch::LessSpecific => p.contains(filter),
-            PrefixMatch::Any => filter.overlaps(p),
-        }
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -311,7 +302,7 @@ mod tests {
                             .concat();
                         let want: Vec<u32> = all
                             .iter()
-                            .filter(|(_, p, _)| relates(filter, mode, p))
+                            .filter(|(_, p, _)| mode.relates(filter, p))
                             .map(|&(at, ..)| at)
                             .collect();
                         prop_assert_eq!(got, want, "{} {:?}", filter, mode);

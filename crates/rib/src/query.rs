@@ -207,15 +207,9 @@ impl RibQuery {
     }
 
     fn matches_prefix(&self, prefix: &Prefix) -> bool {
-        let Some((f, mode)) = &self.prefix else {
-            return true;
-        };
-        match mode {
-            PrefixMatch::Exact => f == prefix,
-            PrefixMatch::MoreSpecific => f.contains(prefix),
-            PrefixMatch::LessSpecific => prefix.contains(f),
-            PrefixMatch::Any => f.overlaps(prefix),
-        }
+        self.prefix
+            .as_ref()
+            .is_none_or(|(f, mode)| mode.relates(f, prefix))
     }
 
     fn matches_route(&self, prefix: &Prefix, route: &RibRoute) -> bool {
