@@ -6,8 +6,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bgp_types::trie::PrefixMatch;
-use bgpstream::{BgpStream, Clock, ElemType, RecordStatus};
-use broker::{DumpType, Index, LocalBroker};
+use bgpstream::sort::partition_overlap_groups;
+use bgpstream::{BgpStream, BgpStreamRecord, Clock, ElemType, RecordStatus, StreamStats};
+use broker::{BrokerCursor, DumpType, Index, LocalBroker, Query};
 use collector_sim::{standard_collectors, SimConfig, Simulator};
 use topology::control::ControlPlane;
 use topology::events::{Event, EventKind, Scenario};
@@ -261,5 +262,94 @@ fn withdrawal_events_visible_in_stream() {
         withdrawals += rec.elems().len();
     }
     assert!(withdrawals > 0, "withdrawal invisible in stream");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Read every update record of `[0, end]` and the stream's stats.
+fn read_updates(idx: &Arc<Index>, end: u64) -> (Vec<BgpStreamRecord>, StreamStats) {
+    let mut stream = BgpStream::builder()
+        .broker_client(LocalBroker::shared(idx.clone()))
+        .record_type(DumpType::Updates)
+        .interval(0, Some(end))
+        .start();
+    let records: Vec<_> = stream.by_ref().collect();
+    (records, stream.stats())
+}
+
+#[test]
+fn missing_dump_in_a_middle_group_becomes_one_corrupted_source_record() {
+    let end = 3600;
+    let (idx, dir) = build_world("missing", 37, end);
+    // The overlap groups the stream will merge: one broker window
+    // (2 h) covers the whole interval, so one page lists every dump.
+    let query = Query {
+        dump_types: vec![DumpType::Updates],
+        start: 0,
+        end: Some(end),
+        ..Query::default()
+    };
+    let resp = idx.query(&query, &mut BrokerCursor { window_start: 0 }, u64::MAX);
+    assert!(resp.exhausted, "one page must list the whole interval");
+    let groups = partition_overlap_groups(&resp.files);
+    assert!(groups.len() >= 3, "need a middle group: {}", groups.len());
+
+    let (baseline, base_stats) = read_updates(&idx, end);
+    let from = |r: &BgpStreamRecord, m: &broker::DumpMeta| {
+        r.source == m.source_id() && r.dump_time == m.interval_start
+    };
+    // Delete a dump of a middle group that delivered records.
+    let victim = groups[1]
+        .iter()
+        .find(|m| baseline.iter().any(|r| from(r, m)))
+        .expect("middle group has a non-empty dump")
+        .clone();
+    std::fs::remove_file(&victim.path).unwrap();
+    let (got, stats) = read_updates(&idx, end);
+
+    // Exactly one placeholder, for the deleted dump, at its start.
+    let corrupted: Vec<usize> = (0..got.len())
+        .filter(|&i| got[i].status == RecordStatus::CorruptedSource)
+        .collect();
+    assert_eq!(corrupted.len(), 1, "one CorruptedSource record");
+    let at = corrupted[0];
+    assert!(
+        from(&got[at], &victim),
+        "placeholder names the deleted dump"
+    );
+    assert_eq!(got[at].timestamp, victim.interval_start);
+    // In the dump's place: after every other record older than the
+    // dump's start, before everything else (RIS ranks before
+    // RouteViews at equal timestamps).
+    let others: Vec<String> = got
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != at)
+        .map(|(_, r)| format!("{r:?}"))
+        .collect();
+    let older = got[..at]
+        .iter()
+        .filter(|r| r.timestamp < victim.interval_start)
+        .count();
+    assert_eq!(at, older, "placeholder sits at the dump's start");
+    // Every other record equals the run without the deletion.
+    let expected: Vec<String> = baseline
+        .iter()
+        .filter(|r| !from(r, &victim))
+        .map(|r| format!("{r:?}"))
+        .collect();
+    assert_eq!(others, expected);
+    assert!(
+        got.windows(2).all(|w| w[0].timestamp <= w[1].timestamp),
+        "timestamps must never decrease"
+    );
+
+    // Stats are exact, and a missing dump still counts as opened.
+    let width = groups.iter().map(Vec::len).max().unwrap();
+    for s in [base_stats, stats] {
+        assert_eq!(s.groups, groups.len() as u64);
+        assert_eq!(s.files_opened, resp.files.len() as u64);
+        assert_eq!(s.max_group_width, width);
+    }
+    assert_eq!(stats.records, got.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
 }
