@@ -22,7 +22,7 @@ use mrt::table_dump_v2::TableDumpV2;
 use mrt::{ChunkedReader, MrtBody, MrtHeader, MrtRecord, PeerIndexTable, RawMrtView};
 
 use crate::elem::{extract_into, BgpStreamElem};
-use crate::filter::{CompiledFilters, Filters};
+use crate::filter::CompiledFilters;
 use crate::record::{BgpStreamRecord, DumpPosition, RecordStatus};
 
 /// Partition dump files into the paper's disjoint overlap groups.
@@ -430,21 +430,10 @@ impl GroupMerger {
     }
 }
 
-/// Convenience: read one local MRT file (no merge) into records —
-/// used by tests and the SingleFile interface path.
-pub fn read_single_file(meta: DumpMeta, filters: &Filters) -> Vec<BgpStreamRecord> {
-    let filters = Arc::new(filters.compile());
-    let mut merger = GroupMerger::open(vec![meta], filters);
-    let mut out = Vec::new();
-    while let Some(r) = merger.next() {
-        out.push(r);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::Filters;
     use broker::DumpType;
     use std::path::PathBuf;
 
@@ -545,10 +534,16 @@ mod tests {
         assert_eq!(groups[1].len(), 4);
     }
 
+    /// Every record of one dump, unfiltered, through a one-dump merge.
+    fn read_dump(meta: DumpMeta) -> Vec<BgpStreamRecord> {
+        let mut merger = GroupMerger::open(vec![meta], Arc::new(Filters::none().compile()));
+        std::iter::from_fn(|| merger.next()).collect()
+    }
+
     #[test]
     fn missing_file_yields_corrupt_source_record() {
         let m = meta("rrc01", DumpType::Updates, 0, 300);
-        let recs = read_single_file(m, &Filters::none());
+        let recs = read_dump(m);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].status, RecordStatus::CorruptedSource);
         assert_eq!(recs[0].position, DumpPosition::Only);
@@ -603,7 +598,7 @@ mod tests {
             path,
             ..meta("rrc01", DumpType::Updates, 0, 900)
         };
-        let recs = read_single_file(m, &Filters::none());
+        let recs = read_dump(m);
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[2].status, RecordStatus::CorruptedRecord);
         assert_eq!(
@@ -629,7 +624,7 @@ mod tests {
             path,
             ..meta("rrc01", DumpType::Updates, 450, 300)
         };
-        let recs = read_single_file(m, &Filters::none());
+        let recs = read_dump(m);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].status, RecordStatus::CorruptedRecord);
         assert_eq!(recs[0].timestamp, 450);

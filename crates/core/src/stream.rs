@@ -20,7 +20,6 @@ use broker::{
     BrokerClient, BrokerError, DataInterface, DumpType, Index, LeaseId, LocalBroker, ReleasePolicy,
     SourceId,
 };
-use bsync::channel::{Receiver, Sender};
 
 use crate::filter::{CommunityFilter, CompiledFilters, Filters};
 use crate::record::BgpStreamRecord;
@@ -342,8 +341,8 @@ impl BgpStreamBuilder {
         dedup_preserving(&mut query.collectors);
         dedup_preserving(&mut query.dump_types);
         // Compile the elem filters once for the whole reading phase:
-        // every group merger (and every prefetch worker) shares the
-        // same trie/bitset form and its record-level prefilter.
+        // every group merger shares the same trie/bitset form and its
+        // record-level prefilter.
         let compiled = Arc::new(self.filters.compile());
         let live = query.end.is_none();
         let release = self
@@ -371,7 +370,6 @@ impl BgpStreamBuilder {
             groups: VecDeque::new(),
             lookahead: VecDeque::new(),
             merger: None,
-            prefetch: None,
             exhausted: false,
             last_error: None,
             stats: StreamStats::default(),
@@ -431,10 +429,6 @@ pub struct BgpStream {
     /// (in order) before anything else.
     lookahead: VecDeque<BgpStreamRecord>,
     merger: Option<GroupMerger>,
-    /// Overlap-group pipelining: a worker thread pre-opens the next
-    /// group's files (file reads + PeerIndexTable parsing) while the
-    /// current merger drains.
-    prefetch: Option<Prefetch>,
     exhausted: bool,
     /// The broker error that terminated the stream, if any
     /// ([`BgpStream::last_error`]). A terminal error behaves like
@@ -445,56 +439,6 @@ pub struct BgpStream {
     /// Remaining elems of the current record + its source annotation,
     /// for `next_elem`. Elems are moved out of the record (no clones).
     elem_cursor: Option<(std::vec::IntoIter<crate::elem::BgpStreamElem>, ElemSource)>,
-}
-
-/// One group-prefetch request for the shared worker.
-struct PrefetchReq {
-    group: Vec<DumpMeta>,
-    filters: Arc<CompiledFilters>,
-    reply: Sender<GroupMerger>,
-}
-
-/// The shared prefetch workers: a small detached pool per process,
-/// spawned on first use, serving every stream (the `bsync` channel is
-/// MPMC, so the workers share one request queue). Requests
-/// and replies travel over unbounded channels, so neither side ever
-/// blocks on send. Sharing the pool keeps the per-stream cost to
-/// channel operations — no thread spawn on the stream path — while
-/// more than one worker avoids head-of-line blocking between
-/// concurrent streams.
-fn prefetch_worker() -> &'static Sender<PrefetchReq> {
-    static WORKER: std::sync::OnceLock<Sender<PrefetchReq>> = std::sync::OnceLock::new();
-    WORKER.get_or_init(|| {
-        let (req_tx, req_rx) = bsync::channel::unbounded::<PrefetchReq>();
-        for _ in 0..2 {
-            let rx = req_rx.clone();
-            bsync::thread::spawn_named("prefetch", move || {
-                while let Ok(req) = rx.recv() {
-                    // Contain panics from a pathological open: the
-                    // worker must survive, and dropping `reply`
-                    // un-blocks the requesting stream (its recv fails
-                    // and it re-opens the group synchronously).
-                    // xcheck:allow(catch-unwind) — see above
-                    let opened = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        GroupMerger::open(req.group, req.filters)
-                    }));
-                    if let Ok(merger) = opened {
-                        // A dropped stream makes the send fail; ignore.
-                        let _ = req.reply.send(merger);
-                    }
-                }
-            });
-        }
-        req_tx
-    })
-}
-
-/// A stream's in-flight prefetch: the reply channel plus a copy of the
-/// requested group so it can be re-opened synchronously if the worker
-/// ever dies.
-struct Prefetch {
-    res_rx: Receiver<GroupMerger>,
-    group: Vec<DumpMeta>,
 }
 
 /// Outcome of one non-blocking [`BgpStream::pump`] step.
@@ -778,44 +722,17 @@ impl BgpStream {
         }
     }
 
-    /// Install the next group's merger: take the prefetched one if a
-    /// request is in flight, otherwise open synchronously. Then hand
-    /// the *following* group to the worker so its file reads and
-    /// PeerIndexTable parsing overlap with draining the one just
-    /// installed. Returns false when no group is available.
+    /// Open the next queued overlap group and install its merger.
+    /// Returns false when no group is queued.
     fn install_next_merger(&mut self) -> bool {
-        let merger = match self.prefetch.take() {
-            Some(p) => match p.res_rx.recv() {
-                Ok(m) => m,
-                // Worker died (only possible via panic); re-open the
-                // in-flight group synchronously so no records are lost.
-                Err(_) => GroupMerger::open(p.group, self.compiled.clone()),
-            },
-            None => match self.groups.pop_front() {
-                Some(g) => GroupMerger::open(g, self.compiled.clone()),
-                None => return false,
-            },
+        let Some(group) = self.groups.pop_front() else {
+            return false;
         };
+        let merger = GroupMerger::open(group, self.compiled.clone());
         self.stats.files_opened += merger.width() as u64;
         self.stats.groups += 1;
         self.stats.max_group_width = self.stats.max_group_width.max(merger.width());
         self.merger = Some(merger);
-        // Kick off the next group's open while this one drains.
-        if let Some(group) = self.groups.pop_front() {
-            let (reply, res_rx) = bsync::channel::unbounded();
-            let req = PrefetchReq {
-                group: group.clone(),
-                filters: self.compiled.clone(),
-                reply,
-            };
-            if prefetch_worker().send(req).is_ok() {
-                self.prefetch = Some(Prefetch { res_rx, group });
-            } else {
-                // Worker gone: put the group back for synchronous
-                // opening next round.
-                self.groups.push_front(group);
-            }
-        }
         true
     }
 
@@ -864,10 +781,9 @@ impl BgpStream {
                 continue;
             }
             // Once at least one record is in hand, only continue
-            // while another is ready without blocking: the current
-            // merger has one primed, or a fully materialised group is
-            // queued locally. An in-flight prefetch does NOT count —
-            // collecting it waits on the worker's file reads.
+            // while another is ready without asking the broker: the
+            // current merger has one primed, or a group is queued
+            // locally (opening it reads files, never waits on a poll).
             if !out.is_empty() {
                 let ready = self.merger.as_ref().map(|m| m.has_next()).unwrap_or(false)
                     || !self.groups.is_empty();

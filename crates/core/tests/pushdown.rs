@@ -8,7 +8,7 @@ use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, Community, PathAttributes, Prefix};
 use bgpstream::elem::extract_into;
 use bgpstream::record::RecordStatus;
-use bgpstream::sort::read_single_file;
+use bgpstream::sort::GroupMerger;
 use bgpstream::{AsPathRegex, CommunityFilter, ElemType, Filters, IpVersion};
 use broker::index::DumpMeta;
 use broker::DumpType;
@@ -281,6 +281,13 @@ fn write_archive(dir: &std::path::Path, records: &[MrtRecord]) -> DumpMeta {
     }
 }
 
+/// Every record of one dump through a one-dump merge, with `filters`
+/// pushed down into the read.
+fn read_dump(meta: DumpMeta, filters: &Filters) -> Vec<bgpstream::BgpStreamRecord> {
+    let mut merger = GroupMerger::open(vec![meta], std::sync::Arc::new(filters.compile()));
+    std::iter::from_fn(|| merger.next()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
@@ -310,9 +317,9 @@ proptest! {
         }
 
         // Pushdown path: filters applied inside the stream read.
-        let pushed = read_single_file(meta.clone(), &filters);
+        let pushed = read_dump(meta.clone(), &filters);
         // Reference path: read everything, filter after decode.
-        let reference = read_single_file(meta, &Filters::none());
+        let reference = read_dump(meta, &Filters::none());
 
         prop_assert_eq!(pushed.len(), reference.len());
         for (p, r) in pushed.iter().zip(reference.iter()) {
@@ -397,7 +404,7 @@ fn corrupt_tail_keeps_placeholder_semantics_under_filters() {
     filters
         .prefixes
         .push(("10.0.0.0/8".parse().unwrap(), PrefixMatch::MoreSpecific));
-    let recs = read_single_file(meta, &filters);
+    let recs = read_dump(meta, &filters);
     assert_eq!(recs.len(), 3);
     assert_eq!(recs[0].elems().len(), 1);
     assert_eq!(recs[1].elems().len(), 0, "rejected record is elem-less");
@@ -460,8 +467,8 @@ fn content_corrupt_record_poisons_dump_even_when_filtered_out() {
     // A filter that rejects the record outright (wrong peer).
     let mut filters = Filters::none();
     filters.peer_asns.insert(Asn(9));
-    let pushed = read_single_file(meta.clone(), &filters);
-    let reference = read_single_file(meta, &Filters::none());
+    let pushed = read_dump(meta.clone(), &filters);
+    let reference = read_dump(meta, &Filters::none());
     assert_eq!(pushed.len(), reference.len());
     assert_eq!(reference.len(), 1, "corrupt read poisons the dump");
     assert_eq!(pushed[0].status, RecordStatus::CorruptedRecord);
@@ -501,8 +508,8 @@ fn missing_peer_rib_row_stays_flagged_under_filters() {
     filters
         .prefixes
         .push(("192.0.2.0/24".parse().unwrap(), PrefixMatch::Exact));
-    let pushed = read_single_file(meta.clone(), &filters);
-    let reference = read_single_file(meta, &Filters::none());
+    let pushed = read_dump(meta.clone(), &filters);
+    let reference = read_dump(meta, &Filters::none());
     assert_eq!(pushed.len(), 2);
     assert_eq!(pushed[1].status, RecordStatus::CorruptedRecord);
     assert_eq!(reference[1].status, RecordStatus::CorruptedRecord);
@@ -538,7 +545,7 @@ fn selective_filter_yields_empty_envelopes() {
     filters
         .prefixes
         .push(("198.51.100.0/24".parse().unwrap(), PrefixMatch::Any));
-    let recs = read_single_file(meta, &filters);
+    let recs = read_dump(meta, &filters);
     assert_eq!(recs.len(), records.len());
     assert!(recs.iter().all(|r| r.elems().is_empty()));
     assert!(recs.iter().all(|r| r.status == RecordStatus::Valid));

@@ -393,17 +393,6 @@ impl ChunkedReader {
         }
         (out, None)
     }
-
-    /// Decode the first record header without consuming it,
-    /// decompressing only as much of a gzip source as that needs. Does
-    /// not poison the reader; an empty source is `Ok(None)`.
-    pub fn peek_header(&mut self) -> Result<Option<MrtHeader>, MrtError> {
-        self.fill_to(MrtHeader::LEN)?;
-        if self.available() == 0 {
-            return Ok(None);
-        }
-        MrtHeader::decode(&self.window[self.start..self.filled]).map(Some)
-    }
 }
 
 #[cfg(test)]

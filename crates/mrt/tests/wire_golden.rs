@@ -77,7 +77,7 @@ fn framed_cuts(wire: &[u8]) -> Cuts<MrtError> {
 }
 
 /// Every cut of the whole record: reader framing, then the first
-/// twelve bytes through `MrtHeader::decode` and `peek_header`.
+/// twelve bytes through `MrtHeader::decode`.
 fn assert_framing_cuts(wire: &[u8]) {
     assert_eq!(
         framed_cuts(wire),
@@ -90,18 +90,6 @@ fn assert_framing_cuts(wire: &[u8]) {
     assert_eq!(
         cuts(MrtHeader::LEN, |n| MrtHeader::decode(&wire[..n]).map(drop)),
         [(0..=11, Err(Truncated("MRT header")))]
-    );
-    assert_eq!(
-        cuts(MrtHeader::LEN + 1, |n| {
-            let peeked = ChunkedReader::from_bytes(wire[..n].to_vec()).peek_header()?;
-            assert_eq!(peeked.is_some(), n == MrtHeader::LEN);
-            Ok(())
-        }),
-        [
-            (0..=0, Ok(())),
-            (1..=11, Err(Truncated("MRT header"))),
-            (12..=12, Ok(())),
-        ]
     );
 }
 
