@@ -5,8 +5,9 @@
 //! it, and subsequent RIB dumps sanity-check and correct it. Because
 //! the input is an inference over distributed, heterogeneous
 //! measurement data, the plugin maintains a per-VP finite state
-//! machine plus *shadow cells* and handles the paper's four special
-//! events:
+//! machine (Figure 8, in `rt/fsm.rs`: every state change goes through
+//! its one `step`) plus *shadow cells* and handles the paper's four
+//! special events:
 //!
 //! * **E1** — a corrupted record inside a RIB dump: ignore the whole
 //!   dump;
@@ -40,25 +41,10 @@ use crate::codec::{decode_cells, encode_cells, encode_meta, sort_cells, DiffCell
 use crate::pipeline::{Partitioning, Plugin};
 use crate::runtime::ShardedPlugin;
 
-/// The Figure 8 macro states.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MacroState {
-    /// No consistent routing table available.
-    Down,
-    /// Down, with a RIB dump being applied.
-    DownRibApplication,
-    /// Consistent routing table available.
-    Up,
-    /// Up, with a new RIB dump being applied into shadow cells.
-    UpRibApplication,
-}
+mod fsm;
 
-impl MacroState {
-    /// Whether a consistent routing table is available.
-    pub fn table_available(self) -> bool {
-        matches!(self, MacroState::Up | MacroState::UpRibApplication)
-    }
-}
+pub use fsm::MacroState;
+use fsm::{step, CellAction, VpEvent};
 
 /// The route stored in a cell.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -86,6 +72,60 @@ struct VpTable {
     /// Whether the VP's table was available when the current RIB
     /// started (accuracy comparisons are only meaningful then).
     check_ok: bool,
+}
+
+/// Pre-bin value of every cell touched this bin.
+type Dirty = FxHashMap<(IpAddr, Prefix), Option<CellRoute>>;
+
+fn mark_dirty(dirty: &mut Dirty, ip: IpAddr, prefix: Prefix, prev: &Option<CellRoute>) {
+    dirty.entry((ip, prefix)).or_insert_with(|| prev.clone());
+}
+
+impl VpTable {
+    /// Feed `ev` to the VP's Figure 8 machine and carry out the cell
+    /// action it returns. `at` is the event's time: cleared cells are
+    /// stamped with it, and a merge checks against the RIB dump that
+    /// started at it.
+    fn on(&mut self, ev: VpEvent, ip: IpAddr, at: u64, dirty: &mut Dirty, errs: &mut RtErrorStats) {
+        let action;
+        (self.state, action) = step(self.state, ev);
+        match action {
+            CellAction::Keep => {}
+            CellAction::DiscardShadows => self.cells.values_mut().for_each(|c| c.shadow = None),
+            CellAction::ClearTable => {
+                for (prefix, cell) in self.cells.iter_mut() {
+                    if cell.main.is_some() {
+                        mark_dirty(dirty, ip, *prefix, &cell.main);
+                        cell.main = None;
+                        cell.main_ts = at;
+                    }
+                }
+            }
+            CellAction::MergeShadows => {
+                for (prefix, cell) in self.cells.iter_mut() {
+                    // A cell without a row in the new RIB reads as
+                    // withdrawn at its start: stale if announced,
+                    // unless an update touched it meanwhile.
+                    let row = cell.shadow.take();
+                    if row.is_none() && cell.main.is_none() {
+                        continue;
+                    }
+                    let (route, ts) = row.unwrap_or((None, at));
+                    if cell.main_ts <= at && self.check_ok {
+                        errs.cells_checked += 1;
+                        errs.cells_mismatched += u64::from(cell.main != route);
+                    }
+                    // E2: apply only if not older than the cell's last
+                    // modification.
+                    if ts >= cell.main_ts && cell.main != route {
+                        mark_dirty(dirty, ip, *prefix, &cell.main);
+                        cell.main = route;
+                        cell.main_ts = ts;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Per-bin statistics (the Figure 9 series).
@@ -125,8 +165,7 @@ impl RtErrorStats {
 pub struct RtPlugin {
     collector: String,
     vps: FxHashMap<IpAddr, VpTable>,
-    /// Pre-bin value of every cell touched this bin.
-    dirty: FxHashMap<(IpAddr, Prefix), Option<CellRoute>>,
+    dirty: Dirty,
     elems_in_bin: u64,
     /// A RIB dump is currently being applied.
     rib_active: bool,
@@ -200,103 +239,34 @@ impl RtPlugin {
         self.vps.keys().copied().collect()
     }
 
-    fn vp_entry(&mut self, ip: IpAddr, asn: Asn) -> &mut VpTable {
-        vp_entry_in(&mut self.vps, self.rib_active, ip, asn)
-    }
-
-    fn mark_dirty(
-        dirty: &mut FxHashMap<(IpAddr, Prefix), Option<CellRoute>>,
-        ip: IpAddr,
-        prefix: Prefix,
-        prev: &Option<CellRoute>,
-    ) {
-        dirty.entry((ip, prefix)).or_insert_with(|| prev.clone());
-    }
-
     fn begin_rib(&mut self, ts: u64) {
         self.rib_active = true;
         self.rib_corrupted = false;
         self.rib_start_ts = ts;
-        for vp in self.vps.values_mut() {
+        let (dirty, errs) = (&mut self.dirty, &mut self.error_stats);
+        for (ip, vp) in self.vps.iter_mut() {
             vp.rib_seen = false;
             vp.check_ok = vp.state.table_available();
-            vp.state = match vp.state {
-                MacroState::Up | MacroState::UpRibApplication => MacroState::UpRibApplication,
-                _ => MacroState::DownRibApplication,
-            };
+            vp.on(VpEvent::RibBegin, *ip, ts, dirty, errs);
         }
     }
 
     fn end_rib(&mut self) {
-        let corrupted = self.rib_corrupted;
-        let rib_start = self.rib_start_ts;
+        let (dirty, errs) = (&mut self.dirty, &mut self.error_stats);
         for (ip, vp) in self.vps.iter_mut() {
-            if corrupted {
-                // E1: discard the whole dump.
-                for cell in vp.cells.values_mut() {
-                    cell.shadow = None;
-                }
-                vp.state = match vp.state {
-                    MacroState::UpRibApplication => MacroState::Up,
-                    _ => MacroState::Down,
-                };
-                continue;
-            }
-            if !vp.rib_seen {
+            let event = if self.rib_corrupted {
+                VpEvent::RibCorrupted // E1: discard the whole dump
+            } else if vp.rib_seen {
+                VpEvent::RibEnd
+            } else {
                 // None of the VP's routes are in the latest RIB dump:
                 // declare it down (RouteViews mitigation, footnote 5).
-                for (prefix, cell) in vp.cells.iter_mut() {
-                    if cell.main.is_some() {
-                        Self::mark_dirty(&mut self.dirty, *ip, *prefix, &cell.main);
-                        cell.main = None;
-                        cell.main_ts = rib_start;
-                    }
-                    cell.shadow = None;
-                }
-                vp.state = MacroState::Down;
-                continue;
-            }
-            // Accuracy check + merge.
-            let prefixes: Vec<Prefix> = vp.cells.keys().copied().collect();
-            for prefix in prefixes {
-                // xcheck:allow(unwrap) — key came from this map's iteration
-                let cell = vp.cells.get_mut(&prefix).expect("cell present");
-                let untouched_since_rib = cell.main_ts <= rib_start;
-                match cell.shadow.take() {
-                    Some((shadow_route, shadow_ts)) => {
-                        if untouched_since_rib && vp.check_ok {
-                            self.error_stats.cells_checked += 1;
-                            if cell.main != shadow_route {
-                                self.error_stats.cells_mismatched += 1;
-                            }
-                        }
-                        // E2: apply only if not older than the cell's
-                        // last modification.
-                        if shadow_ts >= cell.main_ts && cell.main != shadow_route {
-                            Self::mark_dirty(&mut self.dirty, *ip, prefix, &cell.main);
-                            cell.main = shadow_route;
-                            cell.main_ts = shadow_ts;
-                        }
-                    }
-                    None => {
-                        // Announced but absent from the new RIB: stale
-                        // unless an update touched it meanwhile.
-                        if cell.main.is_some() && untouched_since_rib {
-                            if vp.check_ok {
-                                self.error_stats.cells_checked += 1;
-                                self.error_stats.cells_mismatched += 1;
-                            }
-                            Self::mark_dirty(&mut self.dirty, *ip, prefix, &cell.main);
-                            cell.main = None;
-                            cell.main_ts = rib_start;
-                        }
-                    }
-                }
-            }
-            vp.state = MacroState::Up;
+                VpEvent::RibAbsent
+            };
+            vp.on(event, *ip, self.rib_start_ts, dirty, errs);
         }
         self.rib_active = false;
-        if !corrupted {
+        if !self.rib_corrupted {
             // E3 recovery: a clean RIB restores update processing.
             self.updates_poisoned = false;
         }
@@ -312,7 +282,9 @@ impl RtPlugin {
         if record.collector() != self.collector {
             return;
         }
-        let owned = |i: usize| mask.is_none_or(|m| m[i]);
+        let elems = (record.elems().iter().enumerate())
+            .filter(|(i, _)| mask.is_none_or(|m| m[*i]))
+            .map(|(_, elem)| elem);
         match record.dump_type() {
             DumpType::Rib => {
                 if record.position.is_start() && !self.rib_active {
@@ -321,23 +293,14 @@ impl RtPlugin {
                 if !record.status.is_valid() {
                     self.rib_corrupted = true; // E1
                 }
-                if self.rib_active {
-                    for (i, elem) in record.elems().iter().enumerate() {
-                        if !owned(i) {
-                            continue;
-                        }
-                        if elem.elem_type != ElemType::RibEntry {
-                            continue;
-                        }
-                        let (Some(prefix), Some(path)) = (elem.prefix, elem.as_path.clone()) else {
-                            continue;
-                        };
-                        let ts = elem.time;
-                        let vp = self.vp_entry(elem.peer_address, elem.peer_asn);
-                        vp.rib_seen = true;
-                        let cell = vp.cells.entry(prefix).or_default();
-                        cell.shadow = Some((Some(CellRoute { path }), ts));
-                    }
+                for elem in elems.filter(|e| self.rib_active && e.elem_type == ElemType::RibEntry) {
+                    let (Some(prefix), Some(path)) = (elem.prefix, elem.as_path.clone()) else {
+                        continue;
+                    };
+                    let vp = vp_entry(&mut self.vps, true, elem.peer_address, elem.peer_asn);
+                    vp.rib_seen = true;
+                    let cell = vp.cells.entry(prefix).or_default();
+                    cell.shadow = Some((Some(CellRoute { path }), elem.time));
                 }
                 if record.position.is_end() && self.rib_active {
                     self.end_rib();
@@ -347,92 +310,52 @@ impl RtPlugin {
                 if !record.status.is_valid() {
                     // E3: stop applying updates, wait for next RIB.
                     self.updates_poisoned = true;
-                    for vp in self.vps.values_mut() {
-                        vp.state = MacroState::Down;
+                    let (dirty, errs) = (&mut self.dirty, &mut self.error_stats);
+                    for (ip, vp) in self.vps.iter_mut() {
+                        vp.on(VpEvent::CorruptUpdate, *ip, record.timestamp, dirty, errs);
                     }
                     return;
                 }
-                for (i, elem) in record.elems().iter().enumerate() {
-                    if !owned(i) {
-                        continue;
-                    }
+                for elem in elems {
+                    let (ip, dirty, errs) =
+                        (elem.peer_address, &mut self.dirty, &mut self.error_stats);
                     match elem.elem_type {
                         ElemType::PeerState => {
-                            // E4: forced transitions.
-                            let rib_active = self.rib_active;
-                            let vp = vp_entry_in(
-                                &mut self.vps,
-                                rib_active,
-                                elem.peer_address,
-                                elem.peer_asn,
-                            );
-                            let established =
-                                elem.new_state.map(|s| s.is_established()).unwrap_or(false);
-                            vp.state = match (established, rib_active) {
-                                (true, true) => MacroState::UpRibApplication,
-                                (true, false) => MacroState::Up,
-                                (false, true) => MacroState::DownRibApplication,
-                                (false, false) => MacroState::Down,
+                            // E4: the state message forces the VP up or
+                            // down (down clears its table); mid-RIB the
+                            // VP then rejoins the dump being applied.
+                            let event = match elem.new_state.is_some_and(|s| s.is_established()) {
+                                true => VpEvent::SessionUp,
+                                false => VpEvent::SessionDown,
                             };
-                            if !established {
-                                // Session lost: the VP's table is no
-                                // longer trustworthy.
-                                for (prefix, cell) in vp.cells.iter_mut() {
-                                    if cell.main.is_some() {
-                                        Self::mark_dirty(
-                                            &mut self.dirty,
-                                            elem.peer_address,
-                                            *prefix,
-                                            &cell.main,
-                                        );
-                                        cell.main = None;
-                                        cell.main_ts = elem.time;
-                                    }
-                                }
+                            let vp = vp_entry(&mut self.vps, self.rib_active, ip, elem.peer_asn);
+                            vp.on(event, ip, elem.time, dirty, errs);
+                            if self.rib_active {
+                                vp.on(VpEvent::RibBegin, ip, elem.time, dirty, errs);
                             }
                         }
-                        ElemType::Announcement if !self.updates_poisoned => {
-                            self.elems_in_bin += 1;
-                            let (Some(prefix), Some(path)) = (elem.prefix, elem.as_path.clone())
-                            else {
-                                continue;
-                            };
-                            let ts = elem.time;
-                            let dirty = &mut self.dirty;
-                            let ip = elem.peer_address;
-                            let vp = vp_entry_in(&mut self.vps, self.rib_active, ip, elem.peer_asn);
-                            let cell = vp.cells.entry(prefix).or_default();
-                            let new = Some(CellRoute { path });
-                            if cell.main != new {
-                                Self::mark_dirty(dirty, ip, prefix, &cell.main);
-                                cell.main = new;
-                            }
-                            cell.main_ts = ts;
-                        }
-                        ElemType::Withdrawal if !self.updates_poisoned => {
-                            self.elems_in_bin += 1;
-                            let Some(prefix) = elem.prefix else { continue };
-                            let ts = elem.time;
-                            let dirty = &mut self.dirty;
-                            let ip = elem.peer_address;
-                            let vp = vp_entry_in(&mut self.vps, self.rib_active, ip, elem.peer_asn);
-                            let cell = vp.cells.entry(prefix).or_default();
-                            if cell.main.is_some() {
-                                Self::mark_dirty(dirty, ip, prefix, &cell.main);
-                                cell.main = None;
-                            }
-                            cell.main_ts = ts;
-                        }
-                        _ => {
+                        ElemType::Announcement | ElemType::Withdrawal => {
                             // Poisoned updates still count as elems
                             // received (they are extracted, not applied).
-                            if matches!(
-                                elem.elem_type,
-                                ElemType::Announcement | ElemType::Withdrawal
-                            ) {
-                                self.elems_in_bin += 1;
+                            self.elems_in_bin += 1;
+                            if self.updates_poisoned {
+                                continue;
                             }
+                            let Some(prefix) = elem.prefix else { continue };
+                            let new = match (elem.elem_type, &elem.as_path) {
+                                (ElemType::Withdrawal, _) => None,
+                                (_, Some(path)) => Some(CellRoute { path: path.clone() }),
+                                (_, None) => continue,
+                            };
+                            let vp = vp_entry(&mut self.vps, self.rib_active, ip, elem.peer_asn);
+                            let cell = vp.cells.entry(prefix).or_default();
+                            if cell.main != new {
+                                mark_dirty(dirty, ip, prefix, &cell.main);
+                                cell.main = new;
+                            }
+                            cell.main_ts = elem.time;
                         }
+                        _ => {}
                     }
                 }
             }
@@ -553,12 +476,7 @@ impl Plugin for RtPlugin {
         for (ip, vp) in vps {
             put_ip(&mut out, ip);
             out.put_u32(vp.asn.0);
-            out.put_u8(match vp.state {
-                MacroState::Down => 0,
-                MacroState::DownRibApplication => 1,
-                MacroState::Up => 2,
-                MacroState::UpRibApplication => 3,
-            });
+            out.put_u8(vp.state.code());
             out.put_u8(vp.rib_seen as u8);
             out.put_u8(vp.check_ok as u8);
             let mut cells: Vec<(&Prefix, &Cell)> = vp.cells.iter().collect();
@@ -641,13 +559,8 @@ impl RtPlugin {
         for _ in 0..n {
             let ip = r.ip()?;
             let asn = Asn(r.u32()?);
-            let state = match r.u8()? {
-                0 => MacroState::Down,
-                1 => MacroState::DownRibApplication,
-                2 => MacroState::Up,
-                3 => MacroState::UpRibApplication,
-                _ => return Err(CodecError::Invalid("rt checkpoint macro state")),
-            };
+            let state = MacroState::from_code(r.u8()?)
+                .ok_or(CodecError::Invalid("rt checkpoint macro state"))?;
             let rib_seen = r.u8()? == 1;
             let check_ok = r.u8()? == 1;
             // prefix + route + main_ts + shadow flag
@@ -853,18 +766,14 @@ fn merge_partial(
     r.finish()
 }
 
-fn vp_entry_in(
-    vps: &mut FxHashMap<IpAddr, VpTable>,
-    rib_active: bool,
-    ip: IpAddr,
-    asn: Asn,
-) -> &mut VpTable {
+/// The VP's table, created `Down` on first sighting; a VP first seen
+/// mid-RIB joins the dump being applied.
+fn vp_entry(vps: &mut FxHashMap<IpAddr, VpTable>, rib: bool, ip: IpAddr, asn: Asn) -> &mut VpTable {
     vps.entry(ip).or_insert_with(|| VpTable {
         asn,
-        state: if rib_active {
-            MacroState::DownRibApplication
-        } else {
-            MacroState::Down
+        state: match rib {
+            true => step(MacroState::Down, VpEvent::RibBegin).0,
+            false => MacroState::Down,
         },
         cells: FxHashMap::default(),
         rib_seen: false,
