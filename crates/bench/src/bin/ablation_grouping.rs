@@ -57,8 +57,7 @@ fn main() {
     let mut inversions_a = 0u64;
     let mut last = 0u64;
     for g in groups.iter().cloned() {
-        let mut m = GroupMerger::open(g, filters.clone());
-        while let Some(rec) = m.next() {
+        for rec in GroupMerger::open(g, filters.clone()) {
             if rec.timestamp < last {
                 inversions_a += 1;
             }
@@ -70,12 +69,12 @@ fn main() {
 
     // (b) Single merge: every file open simultaneously.
     let t = Instant::now();
-    let mut m = GroupMerger::open(files.clone(), filters.clone());
+    let m = GroupMerger::open(files.clone(), filters.clone());
     let single_width = m.width();
     let mut n_b = 0u64;
     let mut inversions_b = 0u64;
     last = 0;
-    while let Some(rec) = m.next() {
+    for rec in m {
         if rec.timestamp < last {
             inversions_b += 1;
         }

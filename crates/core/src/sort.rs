@@ -412,10 +412,13 @@ impl GroupMerger {
     pub fn has_next(&self) -> bool {
         !self.heap.is_empty()
     }
+}
 
-    /// The next record in timestamp order.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<BgpStreamRecord> {
+/// Records in timestamp order.
+impl Iterator for GroupMerger {
+    type Item = BgpStreamRecord;
+
+    fn next(&mut self) -> Option<BgpStreamRecord> {
         let entry = self.heap.pop()?;
         let dump = &mut self.dumps[entry.slot as usize];
         let rec = dump.next(&self.filters, &mut self.scratch)?;
@@ -534,16 +537,11 @@ mod tests {
         assert_eq!(groups[1].len(), 4);
     }
 
-    /// Every record of one dump, unfiltered, through a one-dump merge.
-    fn read_dump(meta: DumpMeta) -> Vec<BgpStreamRecord> {
-        let mut merger = GroupMerger::open(vec![meta], Arc::new(Filters::none().compile()));
-        std::iter::from_fn(|| merger.next()).collect()
-    }
-
     #[test]
     fn missing_file_yields_corrupt_source_record() {
         let m = meta("rrc01", DumpType::Updates, 0, 300);
-        let recs = read_dump(m);
+        let recs: Vec<_> =
+            GroupMerger::open(vec![m], Arc::new(Filters::none().compile())).collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].status, RecordStatus::CorruptedSource);
         assert_eq!(recs[0].position, DumpPosition::Only);
@@ -598,7 +596,8 @@ mod tests {
             path,
             ..meta("rrc01", DumpType::Updates, 0, 900)
         };
-        let recs = read_dump(m);
+        let recs: Vec<_> =
+            GroupMerger::open(vec![m], Arc::new(Filters::none().compile())).collect();
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[2].status, RecordStatus::CorruptedRecord);
         assert_eq!(
@@ -624,7 +623,8 @@ mod tests {
             path,
             ..meta("rrc01", DumpType::Updates, 450, 300)
         };
-        let recs = read_dump(m);
+        let recs: Vec<_> =
+            GroupMerger::open(vec![m], Arc::new(Filters::none().compile())).collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].status, RecordStatus::CorruptedRecord);
         assert_eq!(recs[0].timestamp, 450);
@@ -653,7 +653,7 @@ mod tests {
         assert_eq!(first.timestamp, 100);
         merger.admit(mb);
         assert_eq!(merger.width(), 2);
-        let rest: Vec<u64> = std::iter::from_fn(|| merger.next().map(|r| r.timestamp)).collect();
+        let rest: Vec<u64> = merger.map(|r| r.timestamp).collect();
         assert_eq!(rest, vec![200, 300, 400]);
         std::fs::remove_dir_all(&dir).ok();
     }

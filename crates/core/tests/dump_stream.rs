@@ -5,11 +5,12 @@
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, PathAttributes};
 use bgpstream::sort::GroupMerger;
-use bgpstream::{BgpStream, BgpStreamRecord, Filters, RecordStatus};
+use bgpstream::{BgpStream, Filters, RecordStatus};
 use broker::{DumpMeta, DumpType, Index, LocalBroker};
 use flate_lite::{write::GzEncoder, Compression};
 use mrt::table_dump_v2::TableDumpV2;
@@ -26,12 +27,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     ));
     std::fs::create_dir_all(&d).unwrap();
     d
-}
-
-/// Every record of one dump through a one-dump merge.
-fn read_dump(meta: DumpMeta, filters: &Filters) -> Vec<BgpStreamRecord> {
-    let mut merger = GroupMerger::open(vec![meta], std::sync::Arc::new(filters.compile()));
-    std::iter::from_fn(|| merger.next()).collect()
 }
 
 fn keepalive(ts: u32) -> MrtRecord {
@@ -151,7 +146,11 @@ fn updates_dump_reads_every_record() {
         })
         .collect();
     write_plain(&path, &recs);
-    let out = read_dump(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    let out = GroupMerger::open(
+        vec![meta(&path, DumpType::Updates, "rrc00")],
+        Arc::new(Filters::default().compile()),
+    )
+    .collect::<Vec<_>>();
     assert_eq!(out.len(), 40);
     assert!(
         out.iter().any(|r| !r.elems().is_empty()),
@@ -171,7 +170,11 @@ fn rib_dump_resolves_peers_through_each_table() {
     recs.push(pit(2, 5));
     recs.extend((30..60).map(|i| rib_row(3, i, 5)));
     write_plain(&path, &recs);
-    let out = read_dump(meta(&path, DumpType::Rib, "rrc00"), &Filters::default());
+    let out = GroupMerger::open(
+        vec![meta(&path, DumpType::Rib, "rrc00")],
+        Arc::new(Filters::default().compile()),
+    )
+    .collect::<Vec<_>>();
     assert_eq!(out.len(), recs.len());
     // Peer resolution must actually have happened: 3 then 5 elems per
     // row.
@@ -192,7 +195,11 @@ fn corrupted_tail_ends_with_stamped_placeholder() {
     }
     buf.extend_from_slice(&[0xff; 7]); // truncated garbage tail
     std::fs::write(&path, buf).unwrap();
-    let out = read_dump(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    let out = GroupMerger::open(
+        vec![meta(&path, DumpType::Updates, "rrc00")],
+        Arc::new(Filters::default().compile()),
+    )
+    .collect::<Vec<_>>();
     assert_eq!(out.len(), 11, "10 records + corruption placeholder");
     let last = out.last().unwrap();
     assert_eq!(last.status, RecordStatus::CorruptedRecord);
@@ -208,7 +215,11 @@ fn gzip_compressed_file_reads_every_record() {
     let path = dir.join("updates.mrt.gz");
     let recs: Vec<MrtRecord> = (0..50).map(|i| announce(i, (i % 250) as u8)).collect();
     write_gzip(&path, &recs);
-    let out = read_dump(meta(&path, DumpType::Updates, "rrc00"), &Filters::default());
+    let out = GroupMerger::open(
+        vec![meta(&path, DumpType::Updates, "rrc00")],
+        Arc::new(Filters::default().compile()),
+    )
+    .collect::<Vec<_>>();
     assert_eq!(out.len(), 50);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -223,7 +234,11 @@ fn filters_keep_only_matching_elems() {
     filters
         .prefixes
         .push(("203.0.1.0/24".parse().unwrap(), PrefixMatch::Exact));
-    let out = read_dump(meta(&path, DumpType::Updates, "rrc00"), &filters);
+    let out = GroupMerger::open(
+        vec![meta(&path, DumpType::Updates, "rrc00")],
+        Arc::new(filters.compile()),
+    )
+    .collect::<Vec<_>>();
     // Pushdown must drop non-matching elems: only every-4th
     // announcement hits 203.0.1.0/24.
     let matched = out.iter().filter(|r| !r.elems().is_empty()).count();

@@ -198,9 +198,8 @@ proptest! {
         let filters = Arc::new(Filters::none().compile());
         let mut total = 0usize;
         for group in groups {
-            let mut merger = GroupMerger::open(group, filters.clone());
             let mut ts = Vec::new();
-            while let Some(rec) = merger.next() {
+            for rec in GroupMerger::open(group, filters.clone()) {
                 ts.push(rec.timestamp);
                 total += 1;
             }

@@ -4,6 +4,8 @@
 //! produce exactly the elem/envelope sequence of the old
 //! decode-then-filter path.
 
+use std::sync::Arc;
+
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{AsPath, Asn, BgpMessage, BgpUpdate, Community, PathAttributes, Prefix};
 use bgpstream::elem::extract_into;
@@ -281,13 +283,6 @@ fn write_archive(dir: &std::path::Path, records: &[MrtRecord]) -> DumpMeta {
     }
 }
 
-/// Every record of one dump through a one-dump merge, with `filters`
-/// pushed down into the read.
-fn read_dump(meta: DumpMeta, filters: &Filters) -> Vec<bgpstream::BgpStreamRecord> {
-    let mut merger = GroupMerger::open(vec![meta], std::sync::Arc::new(filters.compile()));
-    std::iter::from_fn(|| merger.next()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
@@ -317,9 +312,9 @@ proptest! {
         }
 
         // Pushdown path: filters applied inside the stream read.
-        let pushed = read_dump(meta.clone(), &filters);
+        let pushed = GroupMerger::open(vec![meta.clone()], Arc::new(filters.compile())).collect::<Vec<_>>();
         // Reference path: read everything, filter after decode.
-        let reference = read_dump(meta, &Filters::none());
+        let reference = GroupMerger::open(vec![meta], Arc::new(Filters::none().compile())).collect::<Vec<_>>();
 
         prop_assert_eq!(pushed.len(), reference.len());
         for (p, r) in pushed.iter().zip(reference.iter()) {
@@ -404,7 +399,7 @@ fn corrupt_tail_keeps_placeholder_semantics_under_filters() {
     filters
         .prefixes
         .push(("10.0.0.0/8".parse().unwrap(), PrefixMatch::MoreSpecific));
-    let recs = read_dump(meta, &filters);
+    let recs = GroupMerger::open(vec![meta], Arc::new(filters.compile())).collect::<Vec<_>>();
     assert_eq!(recs.len(), 3);
     assert_eq!(recs[0].elems().len(), 1);
     assert_eq!(recs[1].elems().len(), 0, "rejected record is elem-less");
@@ -467,8 +462,10 @@ fn content_corrupt_record_poisons_dump_even_when_filtered_out() {
     // A filter that rejects the record outright (wrong peer).
     let mut filters = Filters::none();
     filters.peer_asns.insert(Asn(9));
-    let pushed = read_dump(meta.clone(), &filters);
-    let reference = read_dump(meta, &Filters::none());
+    let pushed =
+        GroupMerger::open(vec![meta.clone()], Arc::new(filters.compile())).collect::<Vec<_>>();
+    let reference =
+        GroupMerger::open(vec![meta], Arc::new(Filters::none().compile())).collect::<Vec<_>>();
     assert_eq!(pushed.len(), reference.len());
     assert_eq!(reference.len(), 1, "corrupt read poisons the dump");
     assert_eq!(pushed[0].status, RecordStatus::CorruptedRecord);
@@ -508,8 +505,10 @@ fn missing_peer_rib_row_stays_flagged_under_filters() {
     filters
         .prefixes
         .push(("192.0.2.0/24".parse().unwrap(), PrefixMatch::Exact));
-    let pushed = read_dump(meta.clone(), &filters);
-    let reference = read_dump(meta, &Filters::none());
+    let pushed =
+        GroupMerger::open(vec![meta.clone()], Arc::new(filters.compile())).collect::<Vec<_>>();
+    let reference =
+        GroupMerger::open(vec![meta], Arc::new(Filters::none().compile())).collect::<Vec<_>>();
     assert_eq!(pushed.len(), 2);
     assert_eq!(pushed[1].status, RecordStatus::CorruptedRecord);
     assert_eq!(reference[1].status, RecordStatus::CorruptedRecord);
@@ -545,7 +544,7 @@ fn selective_filter_yields_empty_envelopes() {
     filters
         .prefixes
         .push(("198.51.100.0/24".parse().unwrap(), PrefixMatch::Any));
-    let recs = read_dump(meta, &filters);
+    let recs = GroupMerger::open(vec![meta], Arc::new(filters.compile())).collect::<Vec<_>>();
     assert_eq!(recs.len(), records.len());
     assert!(recs.iter().all(|r| r.elems().is_empty()));
     assert!(recs.iter().all(|r| r.status == RecordStatus::Valid));
