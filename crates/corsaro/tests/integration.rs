@@ -63,6 +63,7 @@ fn pfxmonitor_detects_simulated_hijacks() {
         .start();
     let mut monitor = PfxMonitor::new(ranges.iter().copied());
     run_pipeline(&mut stream, 300, &mut [&mut monitor]);
+    std::fs::remove_dir_all(&dir).unwrap();
 
     let max_origins = monitor.series.iter().map(|p| p.origins).max().unwrap();
     let baseline: Vec<_> = monitor
@@ -126,6 +127,7 @@ fn rt_plugin_reconstructs_tables_accurately_over_sim() {
         .start();
     let mut rt = RtPlugin::new(&collector);
     run_pipeline(&mut stream, 1800, &mut [&mut rt]);
+    std::fs::remove_dir_all(&dir).unwrap();
 
     // All four VPs reconstructed, tables non-trivial.
     assert_eq!(rt.vp_addrs().len(), 4);

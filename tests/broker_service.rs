@@ -46,7 +46,12 @@ struct Output {
 fn fixture() -> &'static Fixture {
     static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
     FIXTURE.get_or_init(|| {
-        let dir = worlds::scratch_dir("broker-svc");
+        // Statics are never dropped, so the world lives in cargo's
+        // per-target scratch area under a fixed name, cleared here
+        // for each run instead of left behind in the system temp dir.
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("broker-svc");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("create fixture dir");
         let mut world = worlds::quickstart(dir, 31);
         world.sim.run_until(world.info.horizon);
         let manifest = world.sim.manifest().to_vec();
