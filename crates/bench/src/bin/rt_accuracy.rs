@@ -68,7 +68,11 @@ fn main() {
     // silently keeps the stale entries until the RIB comparison
     // exposes them. Bounce times avoid RIB dump instants so the
     // comparison itself is clean.
-    let horizon = scaled(26 * 3600); // a bit over three RIS RIB periods
+    // A bit over three RIS RIB periods. The accuracy check compares a
+    // reconstruction against the next RIB dump, so each collector must
+    // write two: floor the horizon at one RIS period (RouteViews dumps
+    // four times as often) plus an hour of updates past the second.
+    let horizon = scaled(26 * 3600).max(RIS.rib_period + 3600);
     let topo = sim.control_plane().topology().clone();
     let bounce_vp = vps[0].asn;
     let mut sc = Scenario::new();
@@ -127,6 +131,9 @@ fn main() {
             e.cells_mismatched,
             e.error_probability()
         );
+    }
+    for (c, e) in &results {
+        assert!(e.cells_checked > 0, "{c}: no RIB comparison in {horizon} s");
     }
     let ris = results[0].1.error_probability();
     let rv = results[1].1.error_probability();
