@@ -836,6 +836,131 @@ fn exhausted_restart_budget_degrades_to_partial_bins_without_wedging() {
     std::fs::remove_dir_all(&world.dir).ok();
 }
 
+/// A plugin that parks one worker's thread on one record, once: the
+/// worker stops draining its queue without dying, so only the
+/// supervisor's stall rule can recover it. `fired` is shared by every
+/// fork, so the restored replacement sails past the same record.
+struct Wedge {
+    worker: usize,
+    /// Arrival index of the record the wedge parks on.
+    at_record: u64,
+    shard: Option<usize>,
+    seen: u64,
+    fired: Arc<AtomicBool>,
+    release: Arc<AtomicBool>,
+}
+
+/// Lets a parked [`Wedge`] go when dropped, so a test never leaves a
+/// thread parked behind it, not even a failing one.
+struct Release(Arc<AtomicBool>);
+
+impl Drop for Release {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Plugin for Wedge {
+    fn name(&self) -> &'static str {
+        "wedge"
+    }
+
+    fn process_record(&mut self, _record: &bgpstream::BgpStreamRecord) {
+        let here = self.seen;
+        self.seen += 1;
+        if self.shard == Some(self.worker)
+            && here == self.at_record
+            && !self.fired.swap(true, Ordering::SeqCst)
+        {
+            while !self.release.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    fn end_bin(&mut self, _s: u64, _e: u64) {}
+
+    fn partitioning(&self) -> Partitioning {
+        Partitioning::ByPrefix
+    }
+}
+
+impl ShardedPlugin for Wedge {
+    fn fork(&self, shard: usize, _shards: usize) -> Box<dyn ShardedPlugin> {
+        Box::new(Wedge {
+            worker: self.worker,
+            at_record: self.at_record,
+            shard: Some(shard),
+            seen: 0,
+            fired: self.fired.clone(),
+            release: self.release.clone(),
+        })
+    }
+
+    fn take_partial(&mut self) -> Vec<u8> {
+        Vec::new()
+    }
+
+    fn merge_bin(&mut self, _s: u64, _e: u64, _partials: Vec<Vec<u8>>) {}
+}
+
+#[test]
+fn supervisor_restarts_a_wedged_worker_on_the_send_and_drain_paths() {
+    // A worker that hangs (rather than panics) is found by the stall
+    // rule alone: mid-stream, behind a one-batch queue, the
+    // coordinator meets it while the queue is full; in the last bin
+    // it meets it while draining the final partials. Either way the
+    // worker restarts from its checkpoint and nothing is lost.
+    let world = build_world(29);
+    let sequential = run_once(&world, None);
+    let n = sequential.records;
+    assert!(n > 100);
+    for (what, at_record, queue_batches) in [("send", n / 2, 1), ("drain", n - 1, 64)] {
+        let release = Release(Arc::new(AtomicBool::new(false)));
+        let fired = Arc::new(AtomicBool::new(false));
+        let mut wedge = Wedge {
+            worker: 1,
+            at_record,
+            shard: None,
+            seen: 0,
+            fired: fired.clone(),
+            release: release.0.clone(),
+        };
+        let mut stream = BgpStream::builder()
+            .broker_client(LocalBroker::shared(world.index.clone()))
+            .interval(0, Some(world.horizon))
+            .start();
+        let mut plugins = Plugins::new(&world);
+        let mut sharded = plugins.sharded();
+        sharded.push(&mut wedge);
+        let runtime = ShardedRuntime::builder()
+            .workers(2)
+            .bin_size(300)
+            .batch_records(16)
+            .queue_batches(queue_batches)
+            .build();
+        let cfg = corsaro::SupervisorConfig {
+            stall_timeout_ms: 300,
+            clock: bsync::time::Clock::system(),
+            ..test_supervisor_config()
+        };
+        let report = corsaro::Supervisor::new(runtime)
+            .with_config(cfg)
+            .run_live(&mut stream, u64::MAX, None, &mut sharded)
+            .expect("a wedged worker is restarted, not fatal");
+        drop(sharded);
+        assert!(fired.load(Ordering::SeqCst), "{what}: the wedge fired");
+        assert!(report.restarts >= 1, "{what}: the stall was recovered");
+        assert!(report.partial_bins.is_empty(), "{what}: nothing degraded");
+        assert_eq!(
+            sequential,
+            plugins.output(report.records),
+            "{what}: output diverged after a stall restart"
+        );
+    }
+    std::fs::remove_dir_all(&world.dir).ok();
+}
+
 /// A plugin whose shard 0 fork panics on its first owned elem —
 /// simulating a plugin bug (not chaos injection), to pin the typed
 /// error path and the pool-rebuild regression.
