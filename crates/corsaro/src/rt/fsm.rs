@@ -61,6 +61,10 @@ pub(crate) enum VpEvent {
     CorruptUpdate,
     /// A state message reaching Established (E4).
     SessionUp,
+    /// A state message reaching Established while E3 holds updates
+    /// back: the session is up, but the table misses updates until the
+    /// next clean dump.
+    SessionUpPoisoned,
     /// A state message leaving Established (E4).
     SessionDown,
 }
@@ -92,6 +96,7 @@ pub(crate) fn step(state: MacroState, event: VpEvent) -> (MacroState, CellAction
         (_, RibAbsent) => (Down, CellAction::ClearTable),
         (_, CorruptUpdate) => (Down, CellAction::Keep),
         (_, SessionUp) => (Up, CellAction::Keep),
+        (_, SessionUpPoisoned) => (Down, CellAction::Keep),
         (_, SessionDown) => (Down, CellAction::ClearTable),
     }
 }
@@ -103,13 +108,14 @@ mod tests {
     use super::VpEvent::*;
     use super::*;
 
-    const EVENTS: [VpEvent; 7] = [
+    const EVENTS: [VpEvent; 8] = [
         RibBegin,
         RibEnd,
         RibCorrupted,
         RibAbsent,
         CorruptUpdate,
         SessionUp,
+        SessionUpPoisoned,
         SessionDown,
     ];
 
@@ -117,7 +123,7 @@ mod tests {
     /// `DownRibApplication`, `UpRibApplication`, or `Down` after E3.
     /// A row that cannot occur says why.
     #[rustfmt::skip]
-    const TABLE: [(MacroState, VpEvent, MacroState, CellAction, &str); 28] = [
+    const TABLE: [(MacroState, VpEvent, MacroState, CellAction, &str); 32] = [
         (Down, RibBegin, DownRibApplication, Keep,
             "Figure 8: a dump starts on a down VP; also a VP first seen mid-RIB, and E4 down mid-RIB rejoining"),
         (DownRibApplication, RibBegin, DownRibApplication, Keep,
@@ -159,13 +165,21 @@ mod tests {
         (UpRibApplication, CorruptUpdate, Down, Keep,
             "E3 mid-RIB sets Down, not DownRibApplication"),
         (Down, SessionUp, Up, Keep,
-            "E4 up outside a RIB; mid-RIB after E3 the VP then rejoins the dump"),
+            "E4 up outside a RIB, after E4 down, E1 or footnote 5"),
         (DownRibApplication, SessionUp, Up, Keep,
             "E4 up mid-RIB; the VP then rejoins the dump as UpRibApplication"),
         (Up, SessionUp, Up, Keep,
             "E4: a repeated Established message changes nothing"),
         (UpRibApplication, SessionUp, Up, Keep,
             "E4 up mid-RIB; the VP then rejoins the dump as UpRibApplication"),
+        (Down, SessionUpPoisoned, Down, Keep,
+            "E4 up after E3: the table misses updates until the next clean dump; mid-RIB the VP then rejoins it"),
+        (DownRibApplication, SessionUpPoisoned, Down, Keep,
+            "E4 up on a VP first seen mid-RIB after E3; it then rejoins the dump as DownRibApplication"),
+        (Up, SessionUpPoisoned, Down, Keep,
+            "cannot occur: E3 sets every VP Down, and only a clean dump, which ends E3, brings one Up"),
+        (UpRibApplication, SessionUpPoisoned, Down, Keep,
+            "cannot occur: E3 sets every VP Down, and only a clean dump, which ends E3, brings one Up"),
         (Down, SessionDown, Down, ClearTable,
             "E4 down on a down VP: whatever updates built since goes"),
         (DownRibApplication, SessionDown, Down, ClearTable,

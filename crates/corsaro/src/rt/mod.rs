@@ -17,7 +17,9 @@
 //! * **E3** — a corrupted Updates record: stop applying updates and
 //!   wait for the next RIB dump;
 //! * **E4** — session state messages force FSM transitions
-//!   (`Established` → up, anything else → down).
+//!   (`Established` → up, anything else → down); while E3 holds
+//!   updates back, `Established` leaves the VP down until the next
+//!   clean RIB dump.
 //!
 //! At the end of each time bin the plugin counts/publishes **diff
 //! cells** — the changed portion of the reconstructed tables — which
@@ -322,9 +324,11 @@ impl RtPlugin {
                     match elem.elem_type {
                         ElemType::PeerState => {
                             // E4: the state message forces the VP up or
-                            // down (down clears its table); mid-RIB the
-                            // VP then rejoins the dump being applied.
+                            // down (down clears its table; up keeps it
+                            // down while E3 holds updates back); mid-RIB
+                            // the VP then rejoins the dump being applied.
                             let event = match elem.new_state.is_some_and(|s| s.is_established()) {
+                                true if self.updates_poisoned => VpEvent::SessionUpPoisoned,
                                 true => VpEvent::SessionUp,
                                 false => VpEvent::SessionDown,
                             };
@@ -1050,6 +1054,50 @@ mod tests {
             vec![state_elem(300, SessionState::Established)],
         ));
         assert_eq!(rt.vp_state(vp_ip()), Some(MacroState::Up));
+    }
+
+    #[test]
+    fn e4_up_while_updates_are_poisoned_keeps_the_table_unavailable() {
+        // After E3 the table misses updates until the next clean RIB,
+        // whatever the session does: an Established message must not
+        // publish it, and the next RIB must not check it.
+        let mut rt = RtPlugin::new("rrc00");
+        feed_rib(&mut rt, 100, "10.0.0.0/8", &[65001, 137]);
+        let update =
+            |ts, status, elems| rec(ts, DumpType::Updates, DumpPosition::Middle, status, elems);
+        rt.process_record(&update(200, RecordStatus::CorruptedRecord, vec![]));
+        rt.process_record(&update(
+            300,
+            RecordStatus::Valid,
+            vec![state_elem(300, SessionState::Established)],
+        ));
+        let available = |rt: &RtPlugin| rt.vp_state(vp_ip()).is_some_and(|s| s.table_available());
+        assert!(!available(&rt), "E4 up at 300 while poisoned");
+        rt.process_record(&update(
+            400,
+            RecordStatus::Valid,
+            vec![elem(ElemType::Withdrawal, 400, "10.0.0.0/8", &[])],
+        ));
+        assert!(!available(&rt), "after the unapplied withdrawal at 400");
+        assert!(rt.full_cells().is_empty(), "no full table is published");
+        rt.process_record(&rec(
+            500,
+            DumpType::Rib,
+            DumpPosition::Start,
+            RecordStatus::Valid,
+            vec![],
+        ));
+        assert!(!available(&rt), "while RIB 500 is applied");
+        rt.process_record(&rec(
+            500,
+            DumpType::Rib,
+            DumpPosition::End,
+            RecordStatus::Valid,
+            vec![elem(ElemType::RibEntry, 500, "20.0.0.0/8", &[65001, 9])],
+        ));
+        assert_eq!(rt.vp_state(vp_ip()), Some(MacroState::Up));
+        assert_eq!(rt.vp_table_size(vp_ip()), 1, "RIB 500 rebuilt the table");
+        assert_eq!(rt.error_stats.cells_mismatched, 0, "{:?}", rt.error_stats);
     }
 
     #[test]

@@ -241,8 +241,8 @@ fn script() -> Vec<Step> {
         step(
             "E4 up mid-RIB: B stays in the application",
             updates(2000, vec![session(2000, B, Established)]),
-            [(Some(DownRibApplication), 1), (Some(UpRibApplication), 0)],
-            (558, 0x1492_90a1_c697_496d),
+            [(Some(DownRibApplication), 1), (Some(DownRibApplication), 0)],
+            (558, 0xd48a_157f_a5c8_aa17),
         ),
         step(
             "RIB 3 ends clean: A merges, B is absent (footnote 5) and goes Down",
@@ -271,14 +271,14 @@ fn script() -> Vec<Step> {
         step(
             "E4 up mid-RIB after E3 rejoins the application",
             updates(3000, vec![session(3000, A, Established)]),
-            [(Some(UpRibApplication), 2), (Some(Down), 1)],
-            (640, 0x1b1b_612c_d507_d566),
+            [(Some(DownRibApplication), 2), (Some(Down), 1)],
+            (640, 0x2c02_2aec_1f2c_c040),
         ),
         step(
             "RIB rows after E3 still fill shadows",
             rib(3000, Middle, vec![row(3000, B, "11.1.0.0/16")]),
-            [(Some(UpRibApplication), 2), (Some(Down), 1)],
-            (658, 0xac5d_078c_c1b9_ea33),
+            [(Some(DownRibApplication), 2), (Some(Down), 1)],
+            (658, 0x489e_7351_442e_1031),
         ),
         step(
             "RIB 4 ends clean: both merge and come up",
