@@ -36,23 +36,19 @@ use crate::client::{BrokerClient, LeaseId};
 use crate::error::BrokerError;
 use crate::index::{BrokerCursor, Query, Response};
 use crate::live::{LivePoll, ReleasePolicy};
-use crate::service::ServiceConfig;
-use crate::wire::{BrokerRequest, BrokerResponse, RequestEnvelope, ResponseEnvelope};
+use crate::wire::{
+    BrokerRequest, BrokerResponse, RequestEnvelope, ResponseEnvelope, EVENTS_TOPIC, REPLY_PREFIX,
+    REQUEST_TOPIC,
+};
 
-/// Client-side tuning; topics must match the server's
-/// [`ServiceConfig`].
+/// How long one request may wait for its response before reporting
+/// [`BrokerError::Io`].
+const TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Client-side tuning. The topics are fixed by the protocol (see
+/// [`wire`](crate::wire)).
 #[derive(Clone, Debug)]
 pub struct RemoteConfig {
-    /// Topic requests are produced to.
-    pub request_topic: String,
-    /// Reply topic prefix; the client listens on
-    /// `{reply_prefix}{client_id}`.
-    pub reply_prefix: String,
-    /// Topic carrying server change events.
-    pub events_topic: String,
-    /// How long one request may wait for its response before
-    /// reporting [`BrokerError::Io`].
-    pub timeout: Duration,
     /// How many times a [`BrokerError::Busy`] shed is retried before
     /// surfacing.
     pub busy_retries: u32,
@@ -64,12 +60,7 @@ pub struct RemoteConfig {
 
 impl Default for RemoteConfig {
     fn default() -> Self {
-        let service = ServiceConfig::default();
         RemoteConfig {
-            request_topic: service.request_topic,
-            reply_prefix: service.reply_prefix,
-            events_topic: service.events_topic,
-            timeout: Duration::from_secs(10),
             busy_retries: 24,
             busy_backoff: Duration::from_micros(200),
             clock: Clock::system(),
@@ -110,9 +101,9 @@ impl RemoteBroker {
         cfg: RemoteConfig,
     ) -> Self {
         let client = client_id.into();
-        let reply_topic = format!("{}{}", cfg.reply_prefix, client);
+        let reply_topic = format!("{REPLY_PREFIX}{client}");
         cluster.create_topic(&reply_topic, 1);
-        cluster.create_topic(&cfg.events_topic, 1);
+        cluster.create_topic(EVENTS_TOPIC, 1);
         // Start past any replies addressed to a previous incarnation
         // of this client id (crash/resume): stale correlation ids
         // would be skipped anyway, but not reading them is cheaper.
@@ -151,7 +142,7 @@ impl RemoteBroker {
     fn drain_events(&self) {
         loop {
             let off = self.events_offset.load(Ordering::SeqCst);
-            let msgs = self.cluster.fetch(&self.cfg.events_topic, 0, off, 64);
+            let msgs = self.cluster.fetch(EVENTS_TOPIC, 0, off, 64);
             if msgs.is_empty() {
                 return;
             }
@@ -175,9 +166,8 @@ impl RemoteBroker {
         }
         .encode();
         let mut offset = self.reply_offset.lock();
-        self.cluster
-            .produce(&self.cfg.request_topic, &self.client, 0, frame);
-        let timeout_ms = u64::try_from(self.cfg.timeout.as_millis()).unwrap_or(u64::MAX);
+        self.cluster.produce(REQUEST_TOPIC, &self.client, 0, frame);
+        let timeout_ms = u64::try_from(TIMEOUT.as_millis()).unwrap_or(u64::MAX);
         let deadline = self.cfg.clock.now_millis().saturating_add(timeout_ms);
         loop {
             let msgs = self.cluster.fetch(&self.reply_topic, 0, *offset, 64);
@@ -186,8 +176,7 @@ impl RemoteBroker {
                     Duration::from_millis(deadline.saturating_sub(self.cfg.clock.now_millis()));
                 if remaining.is_zero() {
                     return Err(BrokerError::Io(format!(
-                        "request {req_id} to {} timed out after {:?}",
-                        self.cfg.request_topic, self.cfg.timeout
+                        "request {req_id} to {REQUEST_TOPIC} timed out after {TIMEOUT:?}"
                     )));
                 }
                 self.cluster.wait_for(
@@ -316,8 +305,7 @@ impl BrokerClient for RemoteBroker {
             return true;
         }
         let off = self.events_offset.load(Ordering::SeqCst);
-        self.cluster
-            .wait_for(&self.cfg.events_topic, 0, off, timeout);
+        self.cluster.wait_for(EVENTS_TOPIC, 0, off, timeout);
         self.drain_events();
         self.version() > last_version
     }

@@ -46,18 +46,19 @@ use crate::error::BrokerError;
 use crate::index::{BrokerCursor, DumpMeta, Index, Query};
 use crate::lease::LeaseTable;
 use crate::live::LiveCursor;
-use crate::wire::{BrokerRequest, BrokerResponse, RequestEnvelope, ResponseEnvelope};
+use crate::wire::{
+    BrokerRequest, BrokerResponse, RequestEnvelope, ResponseEnvelope, EVENTS_TOPIC, REPLY_PREFIX,
+    REQUEST_TOPIC,
+};
 
-/// Topic layout and service tuning.
+/// Idle wait per loop iteration in [`BrokerService::run`]; bounds the
+/// latency of change-event publication.
+const TICK: Duration = Duration::from_millis(2);
+
+/// Service tuning. The topics are fixed by the protocol (see
+/// [`wire`](crate::wire)).
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Topic all clients produce requests to (single partition: the
-    /// service is the only consumer and preserves arrival order).
-    pub request_topic: String,
-    /// Per-client reply topics are `{reply_prefix}{client}`.
-    pub reply_prefix: String,
-    /// Topic carrying `(index_version, watermark)` change events.
-    pub events_topic: String,
     /// Wall-clock lease TTL: a lease untouched this long is reaped.
     pub lease_ttl: Duration,
     /// Time source for lease liveness. [`Clock::system`] in
@@ -69,22 +70,15 @@ pub struct ServiceConfig {
     pub max_inflight_global: usize,
     /// Max requests per client within one step; excess is `Busy`.
     pub max_inflight_per_client: usize,
-    /// Idle wait per loop iteration in [`BrokerService::run`]; bounds
-    /// the latency of change-event publication.
-    pub tick: Duration,
 }
 
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            request_topic: "broker.requests".into(),
-            reply_prefix: "broker.replies.".into(),
-            events_topic: "broker.events".into(),
             lease_ttl: Duration::from_secs(30),
             clock: Clock::system(),
             max_inflight_global: 512,
             max_inflight_per_client: 64,
-            tick: Duration::from_millis(2),
         }
     }
 }
@@ -252,8 +246,8 @@ impl BrokerService {
     /// A service over `index`, speaking on `cluster` per `cfg`.
     /// Creates the request and events topics (idempotent).
     pub fn new(cluster: Arc<Cluster>, index: Arc<Index>, cfg: ServiceConfig) -> Self {
-        cluster.create_topic(&cfg.request_topic, 1);
-        cluster.create_topic(&cfg.events_topic, 1);
+        cluster.create_topic(REQUEST_TOPIC, 1);
+        cluster.create_topic(EVENTS_TOPIC, 1);
         let view = IndexView::new(index.window());
         let leases = LeaseTable::new(cfg.clock.clone(), cfg.lease_ttl);
         BrokerService {
@@ -294,12 +288,11 @@ impl BrokerService {
             let mut payload = Vec::with_capacity(16);
             payload.extend_from_slice(&self.view.version().to_le_bytes());
             payload.extend_from_slice(&self.view.watermark().to_le_bytes());
-            self.cluster
-                .produce(&self.cfg.events_topic, "version", 0, payload);
+            self.cluster.produce(EVENTS_TOPIC, "version", 0, payload);
         }
         self.reap_expired();
         let batch = self.cluster.fetch(
-            &self.cfg.request_topic,
+            REQUEST_TOPIC,
             0,
             self.req_offset,
             self.cfg.max_inflight_global.saturating_mul(2).max(16),
@@ -338,7 +331,7 @@ impl BrokerService {
                 watermark: self.view.watermark(),
                 body,
             };
-            let topic = format!("{}{}", self.cfg.reply_prefix, env.client);
+            let topic = format!("{REPLY_PREFIX}{}", env.client);
             self.cluster.produce(&topic, &env.client, 0, reply.encode());
         }
         batch.len()
@@ -404,13 +397,13 @@ impl BrokerService {
     }
 
     /// Serve until `shutdown` is raised, blocking up to
-    /// [`ServiceConfig::tick`] per idle iteration. Returns the final
+    /// a 2 ms tick per idle iteration. Returns the final
     /// counters.
     pub fn run(mut self, shutdown: Arc<AtomicBool>) -> ServiceStats {
         while !shutdown.load(Ordering::Relaxed) {
             if self.step() == 0 {
                 self.cluster
-                    .wait_for(&self.cfg.request_topic, 0, self.req_offset, self.cfg.tick);
+                    .wait_for(REQUEST_TOPIC, 0, self.req_offset, TICK);
             }
         }
         // Drain what's already enqueued so shutdown is not lossy for
@@ -579,8 +572,6 @@ mod tests {
             max_inflight_global: 8,
             ..Default::default()
         };
-        let reply_prefix = cfg.reply_prefix.clone();
-        let request_topic = cfg.request_topic.clone();
         let mut svc = BrokerService::new(cluster.clone(), idx, cfg);
         // One client floods 5 identical queries: 2 admitted, 3 Busy.
         for i in 0..5u64 {
@@ -598,12 +589,12 @@ mod tests {
                 },
             }
             .encode();
-            cluster.produce(&request_topic, "flood", 0, frame);
+            cluster.produce(REQUEST_TOPIC, "flood", 0, frame);
         }
         // Plus garbage that must not take the server down.
-        cluster.produce(&request_topic, "x", 0, vec![1, 2, 3]);
+        cluster.produce(REQUEST_TOPIC, "x", 0, vec![1, 2, 3]);
         assert_eq!(svc.step(), 6);
-        let replies = cluster.fetch(&format!("{reply_prefix}flood"), 0, 0, 16);
+        let replies = cluster.fetch(&format!("{REPLY_PREFIX}flood"), 0, 0, 16);
         assert_eq!(replies.len(), 5);
         let mut ok = 0;
         let mut busy = 0;
@@ -631,8 +622,6 @@ mod tests {
             clock: clock.clone(),
             ..Default::default()
         };
-        let request_topic = cfg.request_topic.clone();
-        let reply_prefix = cfg.reply_prefix.clone();
         let mut svc = BrokerService::new(cluster.clone(), idx, cfg);
         let open = RequestEnvelope {
             client: "c".into(),
@@ -643,10 +632,10 @@ mod tests {
                 resume: None,
             },
         };
-        cluster.produce(&request_topic, "c", 0, open.encode());
+        cluster.produce(REQUEST_TOPIC, "c", 0, open.encode());
         svc.step();
         let lease = match ResponseEnvelope::decode(
-            &cluster.fetch(&format!("{reply_prefix}c"), 0, 0, 1)[0].payload,
+            &cluster.fetch(&format!("{REPLY_PREFIX}c"), 0, 0, 1)[0].payload,
         )
         .unwrap()
         .body
@@ -665,9 +654,9 @@ mod tests {
             req_id: 2,
             body: BrokerRequest::PollLive { lease, now: 0 },
         };
-        cluster.produce(&request_topic, "c", 0, poll.encode());
+        cluster.produce(REQUEST_TOPIC, "c", 0, poll.encode());
         svc.step();
-        let last = cluster.fetch(&format!("{reply_prefix}c"), 0, 1, 1);
+        let last = cluster.fetch(&format!("{REPLY_PREFIX}c"), 0, 1, 1);
         assert_eq!(
             ResponseEnvelope::decode(&last[0].payload).unwrap().body,
             BrokerResponse::Error(BrokerError::LeaseExpired)

@@ -38,6 +38,14 @@ use std::path::PathBuf;
 use crate::client::LeaseId;
 use crate::error::BrokerError;
 use crate::index::{DumpMeta, DumpType, Query};
+
+/// Topic every client produces requests to (one partition: the service
+/// is its only consumer and keeps arrival order).
+pub(crate) const REQUEST_TOPIC: &str = "broker.requests";
+/// Each client's replies go to `{REPLY_PREFIX}{client}`.
+pub(crate) const REPLY_PREFIX: &str = "broker.replies.";
+/// Topic carrying `(index_version, watermark)` change events.
+pub(crate) const EVENTS_TOPIC: &str = "broker.events";
 use crate::live::{LivePoll, ReleasePolicy};
 
 /// Protocol version this build speaks.
