@@ -28,8 +28,9 @@
 //! * **`catch-unwind`** — `catch_unwind(` is an isolation boundary
 //!   that silently converts panics into control flow; every use must
 //!   be a reviewed recovery point justified with an inline
-//!   `// xcheck:allow(catch-unwind) — why` (the sharded worker loop
-//!   that feeds the supervisor).
+//!   `// xcheck:allow(catch-unwind) — why` (the shard worker loop in
+//!   `corsaro/src/runtime/session.rs`, whose panics the supervisor in
+//!   `runtime/supervisor.rs` recovers).
 //! * **`buf-getter`** — `bytes::Buf` getters (`.get_u8()` …
 //!   `.get_u128()`) and `.advance(` are forbidden in non-test library
 //!   code of every crate: each panics on short input, and every wire
