@@ -396,9 +396,8 @@ impl BrokerService {
         }
     }
 
-    /// Serve until `shutdown` is raised, blocking up to
-    /// a 2 ms tick per idle iteration. Returns the final
-    /// counters.
+    /// Serve until `shutdown` is raised, blocking up to one 2 ms tick
+    /// per idle iteration. Returns the final counters.
     pub fn run(mut self, shutdown: Arc<AtomicBool>) -> ServiceStats {
         while !shutdown.load(Ordering::Relaxed) {
             if self.step() == 0 {

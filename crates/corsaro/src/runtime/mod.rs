@@ -37,6 +37,10 @@
 //! hash, and the merge consumes partials indexed by `(bin, plugin,
 //! shard)` — no step observes scheduling order.
 //!
+//! The coordinator loop and its workers live in `session`; crash
+//! recovery ([`Supervisor`]) is a layer over it in `supervisor`, and
+//! the crash schedule tests inject ([`Chaos`]) lives in `chaos`.
+//!
 //! ```
 //! use bgpstream::BgpStream;
 //! use broker::{Index, LocalBroker};

@@ -536,7 +536,7 @@ impl Session<'_, '_> {
         (0..self.roots.len())
             .filter_map(|p| {
                 let (shard, shards) = self.placement.shard(p, w)?;
-                let slot = self.placement.base[p] + shard;
+                let slot = self.placement.slot(p, w)?;
                 Some((p, slot, self.roots[p].fork(shard, shards)))
             })
             .collect()
