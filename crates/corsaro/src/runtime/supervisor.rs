@@ -196,7 +196,9 @@ impl SupState {
     }
 
     /// The one stall rule: worker `w` owes acks for messages it was
-    /// sent and has shown no progress for `stall_timeout_ms`.
+    /// sent and has shown no progress for `stall_timeout_ms`, counted
+    /// from its last ack or partial, or from the send that ended an
+    /// idle spell if that came later.
     fn stalled(&self, w: usize, now: u64) -> bool {
         self.sent_seq[w] > self.acked_seq[w]
             && now.saturating_sub(self.last_progress_ms[w]) >= self.cfg.stall_timeout_ms
@@ -231,6 +233,11 @@ impl SupState {
             }
             match shard.try_send(msg) {
                 Ok(()) => {
+                    if self.sent_seq[w] == self.acked_seq[w] {
+                        // The debt starts now: a worker that owed
+                        // nothing was idle, not stalled, however long.
+                        self.last_progress_ms[w] = self.cfg.clock.now_millis();
+                    }
                     self.sent_seq[w] = seq;
                     return Ok(());
                 }
