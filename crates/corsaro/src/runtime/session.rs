@@ -530,16 +530,11 @@ pub(super) struct Session<'a, 'p> {
 }
 
 impl Session<'_, '_> {
-    /// Fresh shard instances of every plugin worker `w` hosts, in
-    /// root order, each with its root index and slot.
-    fn forks(&self, w: usize) -> Vec<(usize, usize, Box<dyn ShardedPlugin>)> {
-        (0..self.roots.len())
-            .filter_map(|p| {
-                let (shard, shards) = self.placement.shard(p, w)?;
-                let slot = self.placement.slot(p, w)?;
-                Some((p, slot, self.roots[p].fork(shard, shards)))
-            })
-            .collect()
+    /// A fresh instance of the shard of plugin `p` that worker `w`
+    /// hosts, if it hosts one.
+    fn fork(&self, p: usize, w: usize) -> Option<Box<dyn ShardedPlugin>> {
+        let (shard, shards) = self.placement.shard(p, w)?;
+        Some(self.roots[p].fork(shard, shards))
     }
 
     /// Worker `w`'s state: the same forks in the same order at every
@@ -552,11 +547,13 @@ impl Session<'_, '_> {
         duties: Option<WorkerKills>,
         res_tx: &Sender<ResMsg>,
     ) -> WorkerState {
-        let plugins: Vec<Hosted> = (self.forks(w).into_iter())
-            .map(|(p, _, plugin)| Hosted {
-                root_idx: p,
-                partitioning: self.placement.parts[p],
-                plugin,
+        let plugins: Vec<Hosted> = (0..self.roots.len())
+            .filter_map(|p| {
+                Some(Hosted {
+                    root_idx: p,
+                    partitioning: self.placement.parts[p],
+                    plugin: self.fork(p, w)?,
+                })
             })
             .collect();
         let needs = |part| plugins.iter().any(|h| h.partitioning == part);
@@ -625,8 +622,16 @@ impl Session<'_, '_> {
     /// must still see `end_bin` before `take_partial`). Marks the bin
     /// [`BinStatus::Partial`].
     fn fill_dead_slots(&self, bin: &mut PendingBin, w: usize) {
-        for (_, slot, mut fork) in self.forks(w) {
-            if bin.slots[slot].is_none() {
+        for p in 0..self.roots.len() {
+            // Fork only for a slot still empty: partials that arrived
+            // before the worker died stay.
+            let Some(slot) = self.placement.slot(p, w) else {
+                continue;
+            };
+            if bin.slots[slot].is_some() {
+                continue;
+            }
+            if let Some(mut fork) = self.fork(p, w) {
                 fork.end_bin(bin.bin_start, bin.bin_end);
                 bin.slots[slot] = Some(fork.take_partial());
                 bin.missing -= 1;
