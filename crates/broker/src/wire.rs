@@ -38,6 +38,7 @@ use std::path::PathBuf;
 use crate::client::LeaseId;
 use crate::error::BrokerError;
 use crate::index::{DumpMeta, DumpType, Query};
+use crate::live::{LivePoll, ReleasePolicy};
 
 /// Topic every client produces requests to (one partition: the service
 /// is its only consumer and keeps arrival order).
@@ -46,7 +47,6 @@ pub(crate) const REQUEST_TOPIC: &str = "broker.requests";
 pub(crate) const REPLY_PREFIX: &str = "broker.replies.";
 /// Topic carrying `(index_version, watermark)` change events.
 pub(crate) const EVENTS_TOPIC: &str = "broker.events";
-use crate::live::{LivePoll, ReleasePolicy};
 
 /// Protocol version this build speaks.
 pub const WIRE_VERSION: u8 = 1;
