@@ -20,9 +20,12 @@ use super::{LiveRunReport, RuntimeError, ShardedPlugin, ShardedRuntime};
 /// timeline.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Restart budget per worker; the attempt after the budget is
-    /// exhausted degrades the worker instead (see
-    /// [`BinStatus`](super::BinStatus)).
+    /// Restart budget per worker: how many restarts in a row may fail
+    /// to get the worker past its failure. The attempt after the budget
+    /// is exhausted degrades the worker instead (see
+    /// [`BinStatus`](super::BinStatus)). A worker that checkpoints past
+    /// every message it had been sent when it last failed has its
+    /// budget back, so far-apart failures in a long run each restart.
     pub max_restarts: u32,
     /// First-restart backoff; doubles per attempt (exponential).
     pub backoff_base_ms: u64,
@@ -150,7 +153,10 @@ pub(super) struct SupState {
     /// Latest valid checkpoint per worker: `(seq of the EndBin it was
     /// taken at, opened frame payloads in hosted-plugin order)`.
     ckpt: Vec<Option<(u64, Vec<Vec<u8>>)>>,
+    /// Restarts in a row per worker, since it last got past a failure.
     attempts: Vec<u32>,
+    /// Per worker, the last seq it had been sent when it last failed.
+    failed_at: Vec<u64>,
     epochs: Vec<u64>,
     /// Replay log: every broadcast message since the oldest checkpoint
     /// any live worker might restart from (batches hold `Arc`s, so an
@@ -176,6 +182,7 @@ impl SupState {
             res_tx,
             ckpt: vec![None; workers],
             attempts: vec![0; workers],
+            failed_at: vec![0; workers],
             epochs: vec![0; workers],
             log: VecDeque::new(),
             sent_seq: vec![0; workers],
@@ -327,6 +334,11 @@ impl SupState {
                 // stays authoritative and replay covers the gap.
                 if let Ok(payloads) = opened {
                     self.ckpt[worker] = Some((seq, payloads));
+                    // Past every message it had when it last failed:
+                    // the worker recovered, and has its budget back.
+                    if seq > self.failed_at[worker] {
+                        self.attempts[worker] = 0;
+                    }
                     // Trim replay entries no live worker can need.
                     let min_seq = (0..s.shards.len())
                         .filter(|&w| s.shards[w].is_some())
@@ -363,6 +375,7 @@ impl SupState {
     /// instead.
     fn restart(&mut self, s: &mut Session, w: usize) -> Result<(), RuntimeError> {
         self.attempts[w] += 1;
+        self.failed_at[w] = self.failed_at[w].max(self.sent_seq[w]);
         self.epochs[w] += 1;
         // Detach rather than join: a *stalled* worker never exits, and
         // a panicked one is poisoned and drains on its own.

@@ -392,6 +392,27 @@ fn run_live_once(
     seed: u64,
     stop: u64,
 ) -> (RunOutput, corsaro::LiveRunReport) {
+    run_live_with(
+        world,
+        workers,
+        plan,
+        chaos,
+        test_supervisor_config(),
+        seed,
+        stop,
+    )
+}
+
+/// [`run_live_once`] with supervision tuned by `cfg`.
+fn run_live_with(
+    world: &World,
+    workers: usize,
+    plan: &collector_sim::FaultPlan,
+    chaos: &corsaro::Chaos,
+    cfg: corsaro::SupervisorConfig,
+    seed: u64,
+    stop: u64,
+) -> (RunOutput, corsaro::LiveRunReport) {
     use bgpstream::Clock;
 
     let live_index = Index::shared();
@@ -432,7 +453,7 @@ fn run_live_once(
             .expect("run_live")
     } else {
         corsaro::Supervisor::new(runtime)
-            .with_config(test_supervisor_config())
+            .with_config(cfg)
             .with_chaos(chaos.clone())
             .run_live(&mut stream, stop, None, &mut plugins.sharded())
             .expect("supervised run_live")
@@ -739,6 +760,38 @@ fn supervised_run_is_byte_identical_under_crash_schedules() {
             "supervised output diverged at workers={workers} crash={crash:?}"
         );
     }
+    std::fs::remove_dir_all(&world.dir).ok();
+}
+
+#[test]
+fn isolated_kills_past_the_restart_budget_each_recover() {
+    // The budget counts restarts in a row that do not get past the
+    // failure. A worker killed once in each of several well-separated
+    // bins checkpoints past every kill before the next one, so it
+    // restarts every time, however many kills there are in all.
+    let world = build_world(83);
+    let stop = stop_after_last_record(&world, 300);
+    let baseline = run_historical_until(&world, stop);
+    let n = baseline.records;
+    let budget = 2u32;
+    let kills = u64::from(budget) + 1;
+    let crash = corsaro::Chaos {
+        kills: (1..=kills)
+            .map(|k| corsaro::KillSpec {
+                worker: 1,
+                at_record: k * n / (kills + 1),
+                times: 1,
+            })
+            .collect(),
+        torn_checkpoints: vec![],
+    };
+    let mut cfg = test_supervisor_config();
+    cfg.max_restarts = budget;
+    let plan = collector_sim::FaultPlan::none();
+    let (live, report) = run_live_with(&world, 2, &plan, &crash, cfg, 11, stop);
+    assert_eq!(report.restarts, kills, "every kill restarts the worker");
+    assert!(report.partial_bins.is_empty(), "no worker degrades");
+    assert_eq!(baseline, live);
     std::fs::remove_dir_all(&world.dir).ok();
 }
 

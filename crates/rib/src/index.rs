@@ -20,7 +20,7 @@ use bgp_types::{Asn, CodecError, Prefix};
 use crate::table::{get_rib_route, skip_rib_route, RibRoute, TABLE_VERSION};
 
 /// [`prefix_sort_key`]'s key: family, then length, then bits.
-type PrefixKey = (bool, u8, u128);
+pub(crate) type PrefixKey = (bool, u8, u128);
 
 /// One vantage point of the directory.
 #[derive(Debug)]
@@ -192,8 +192,16 @@ impl TableIndex {
 
 /// Decode the row whose prefix starts at payload offset `at`.
 pub(crate) fn read_row(payload: &[u8], at: u32) -> Result<(Prefix, RibRoute), CodecError> {
+    let (prefix, mut r) = row_prefix(payload, at)?;
+    Ok((prefix, get_rib_route(&mut r)?))
+}
+
+/// Decode the prefix of the row at payload offset `at`, answering it
+/// with a reader left at the row's route: for a reader that decides
+/// from the prefix whether to decode the route.
+pub(crate) fn row_prefix(payload: &[u8], at: u32) -> Result<(Prefix, Reader<'_>), CodecError> {
     let mut r = reader_at(payload, at);
-    Ok((r.prefix()?, get_rib_route(&mut r)?))
+    Ok((r.prefix()?, r))
 }
 
 /// The sort key of the prefix at payload offset `at`.

@@ -10,32 +10,37 @@
 //! table *as of* the instant (time-travel), [`events`](RibQuery::events)
 //! returns the journal slice (what changed, when).
 //!
-//! Resolution narrows while it reads, never after. It reads the
-//! latest sealed snapshot at or before the instant through the index
-//! the snapshot was opened into once (see [`Snapshot`]): only the
-//! vantage points the query admits, and in each only the rows a prefix
-//! search or the origin's posting list names. It then visits the
-//! journal tail by reference, applying to the admitted cells the
-//! transition rules [`RibTable::apply`] applies to the whole table. An
-//! unnarrowed query is the predicate that admits everything; there is
-//! no second path.
+//! Resolution narrows while it reads, never after, and is one sorted
+//! merge. It lists the rows of the latest sealed snapshot at or before
+//! the instant through the index the snapshot was opened into once
+//! (see [`Snapshot`]): only the vantage points the query admits, and in
+//! each only the rows a prefix search or the origin's posting list
+//! names, in prefix order. It then folds the journal tail, by
+//! reference, into an overlay per vantage point that applies to the
+//! admitted cells the transition rules [`RibTable::apply`] applies to
+//! the whole table, and merges the overlay, sorted once, into the
+//! listed rows: each surviving row is decoded once, straight into the
+//! answer. An unnarrowed query is the predicate that admits
+//! everything; there is no second path.
 //!
 //! [`Snapshot`]: crate::Snapshot
 //!
 //! [`RibTable::apply`]: crate::RibTable::apply
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::net::IpAddr;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bgp_types::codec::{ip_sort_key, prefix_sort_key};
 use bgp_types::trie::PrefixMatch;
 use bgp_types::{Asn, CodecError, Prefix};
+use fxhash::{FxHashMap, FxHashSet};
 
-use crate::index::{read_row, TableIndex};
-use crate::store::RibStore;
-use crate::table::{RibAction, RibEvent, RibRoute, TableRow, TableView};
+use crate::index::{row_prefix, PrefixKey, TableIndex};
+use crate::store::{RibStore, Snapshot};
+use crate::table::{get_rib_route, RibAction, RibEvent, RibRoute, TableRow, TableView};
 
 /// Why a query could not resolve.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -161,20 +166,17 @@ impl RibQuery {
                 watermark,
             });
         }
-        let mut resolver = Resolver::new(self);
-        let from = match store.snapshot_at(at) {
-            Some(snap) => {
-                snap.opened()
-                    .and_then(|(payload, index)| resolver.read(payload, index))
-                    .map_err(RibError::Corrupt)?;
-                snap.at
-            }
-            None => 0,
-        };
+        let snapshot = store.snapshot_at(at);
+        // Opened before the tail is read, so a snapshot that fails to
+        // open fails every query the same way.
+        let opened =
+            (snapshot.as_ref().map(Snapshot::opened).transpose()).map_err(RibError::Corrupt)?;
         // The snapshot holds events with time < from; the journal
         // tail [from, at] is exactly what is missing.
-        store.visit_events_in(from, at, &mut |ev| resolver.apply(ev));
-        Ok(resolver.view(at))
+        let from = snapshot.as_ref().map_or(0, |s| s.at);
+        let mut resolver = Resolver::new(self, opened).map_err(RibError::Corrupt)?;
+        store.visit_events_in(from, at, &mut |ev| resolver.fold(ev));
+        resolver.view(at).map_err(RibError::Corrupt)
     }
 
     /// The journal slice for the [`history`](RibQuery::history)
@@ -212,8 +214,8 @@ impl RibQuery {
             .is_none_or(|(f, mode)| mode.relates(f, prefix))
     }
 
-    fn matches_route(&self, prefix: &Prefix, route: &RibRoute) -> bool {
-        self.matches_prefix(prefix) && self.origin.is_none_or(|o| route.origin_asn() == Some(o))
+    fn matches_origin(&self, route: &RibRoute) -> bool {
+        self.origin.is_none_or(|o| route.origin_asn() == Some(o))
     }
 
     fn matches_event(&self, ev: &RibEvent) -> bool {
@@ -248,117 +250,260 @@ impl RibQuery {
     }
 }
 
-/// One admitted vantage point's admitted rows, keyed canonically.
-struct PeerRows {
-    peer: IpAddr,
+/// One admitted vantage point: the snapshot rows the query's
+/// narrowing names, and what the journal tail did to them.
+struct Vp {
     peer_asn: Asn,
-    rows: BTreeMap<(bool, u8, u128), (Prefix, RibRoute)>,
+    /// A peer-down came in the tail: none of the snapshot rows survive.
+    cleared: bool,
+    /// The snapshot rows, as a range of [`Resolver::offsets`].
+    rows: Range<usize>,
+    /// Under origin narrowing, the prefixes of those rows. Removing a
+    /// cell that is neither among them nor installed by the tail
+    /// removes nothing, and the overlay does not record it.
+    listed: Option<FxHashSet<Cell>>,
+    /// Each cell the tail decided: where in `installs` its last
+    /// admitted route is, or `None` once the tail removed it.
+    cells: FxHashMap<Cell, Option<usize>>,
+    /// The routes the tail installed; one a later event replaced or
+    /// removed is left behind unreferenced.
+    installs: Vec<Option<(Prefix, RibRoute)>>,
 }
 
-/// The one resolution path of [`RibQuery::table`]: the admitted rows
-/// of the snapshot, read through its index, then the journal tail
-/// applied to them, then the rows moved out in canonical
-/// `(collector, peer, prefix)` order.
+/// A cell's [`PrefixKey`], as the overlay hashes it. The Fx hasher's
+/// multiply carries entropy only towards the high bits, and an IPv4
+/// prefix's bits sit at the top of its key: hashed as it is, every IPv4
+/// prefix of one length would share the low hash bits a table picks
+/// its bucket by. So the key is folded to 64 bits and mixed first, with
+/// MurmurHash3's finaliser.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Cell(PrefixKey);
+
+impl Hash for Cell {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (v6, len, bits) = self.0;
+        let mut x = (bits >> 64) as u64 ^ (bits as u64).rotate_left(32);
+        x ^= u64::from(len) << 1 | u64::from(v6);
+        for k in [0xff51_afd7_ed55_8ccd, 0xc4ce_b9fe_1a85_ec53] {
+            x ^= x >> 33;
+            x = x.wrapping_mul(k);
+        }
+        state.write_u64(x ^ x >> 33);
+    }
+}
+
+impl Cell {
+    fn of(prefix: &Prefix) -> Cell {
+        Cell(prefix_sort_key(prefix))
+    }
+}
+
+/// The one resolution path of [`RibQuery::table`]: one sorted merge of
+/// the snapshot's admitted rows with the journal tail.
 ///
-/// On the admitted cells it applies what [`RibTable::apply`] does to
-/// the whole table. Every event of an admitted vantage point sets its
-/// ASN; an announcement the query admits installs its row, one it does
-/// not admit removes the cell (the route it replaced may have been
-/// admitted); a withdrawal removes the cell; peer-down clears the peer.
+/// The snapshot is listed first: for each admitted vantage point, the
+/// payload offsets of the rows the query's narrowing names, in the
+/// index's prefix order. The tail is then folded, by reference, into an
+/// overlay per vantage point that applies to the admitted cells what
+/// [`RibTable::apply`] does to the whole table: every event of an
+/// admitted vantage point sets its ASN; an announcement the query
+/// admits installs its row, one it does not admit removes the cell (the
+/// route it replaced may have been admitted); a withdrawal removes the
+/// cell; peer-down clears the peer. Last, each vantage point in
+/// canonical `(collector, peer)` order walks its listed rows, skips
+/// those whose cell the tail decided, and merges in the tail's
+/// installs; each surviving row is decoded once, straight into the
+/// answer.
 ///
 /// [`RibTable::apply`]: crate::RibTable::apply
-struct Resolver<'q> {
+struct Resolver<'q, 'p> {
     query: &'q RibQuery,
-    /// Admitted vantage points by collector and canonical address.
-    peers: BTreeMap<(Arc<str>, (bool, u128)), PeerRows>,
+    payload: &'p [u8],
+    /// The listed rows' payload offsets, vantage point by vantage point.
+    offsets: Vec<u32>,
+    /// The admitted vantage points, by collector, then address.
+    vps: FxHashMap<Arc<str>, FxHashMap<IpAddr, Vp>>,
 }
 
-impl<'q> Resolver<'q> {
-    fn new(query: &'q RibQuery) -> Self {
-        Resolver {
+impl<'q, 'p> Resolver<'q, 'p> {
+    /// List the rows of `snapshot` the query can admit: only the
+    /// sections it admits, and in each the origin's postings, the
+    /// prefix filter's runs, or every row. The index has already
+    /// applied the table's replacement rules, so each row is final.
+    fn new(
+        query: &'q RibQuery,
+        snapshot: Option<(&'p [u8], &TableIndex)>,
+    ) -> Result<Self, CodecError> {
+        let mut resolver = Resolver {
             query,
-            peers: BTreeMap::new(),
-        }
-    }
-
-    /// Read the admitted rows of a snapshot: only the sections the
-    /// query admits, and in each only the rows its origin or prefix
-    /// narrowing can admit. The index has already applied the table's
-    /// replacement rules, so each row read is final.
-    fn read(&mut self, payload: &[u8], index: &TableIndex) -> Result<(), CodecError> {
+            payload: &[],
+            offsets: Vec::new(),
+            vps: FxHashMap::default(),
+        };
+        let Some((payload, index)) = snapshot else {
+            return Ok(resolver);
+        };
+        resolver.payload = payload;
+        let offsets = &mut resolver.offsets;
         for section in index.sections() {
-            if !self.query.matches_meta(&section.collector, &section.peer) {
+            if !query.matches_meta(&section.collector, &section.peer) {
                 continue;
             }
-            let mut rows = Vec::new();
-            let mut keep = |at: u32| -> Result<(), CodecError> {
-                let (prefix, route) = read_row(payload, at)?;
-                if self.query.matches_route(&prefix, &route) {
-                    rows.push((prefix_sort_key(&prefix), (prefix, route)));
-                }
-                Ok(())
-            };
-            if let Some(origin) = self.query.origin {
-                index.posted(section, origin).try_for_each(&mut keep)?;
-            } else if let Some((filter, mode)) = &self.query.prefix {
+            let start = offsets.len();
+            if let Some(origin) = query.origin {
+                offsets.extend(index.posted(section, origin));
+            } else if let Some((filter, mode)) = &query.prefix {
                 for run in index.matching(payload, section, filter, *mode)? {
-                    run.iter().try_for_each(|&at| keep(at))?;
+                    offsets.extend_from_slice(run);
                 }
             } else {
-                index.rows(section).iter().try_for_each(|&at| keep(at))?;
+                offsets.extend_from_slice(index.rows(section));
             }
-            self.peers.insert(
-                (section.collector.clone(), ip_sort_key(&section.peer)),
-                PeerRows {
-                    peer: section.peer,
+            let rows = start..offsets.len();
+            let listed = match query.origin {
+                Some(_) => Some(
+                    (offsets[rows.clone()].iter())
+                        .map(|&at| Ok(Cell::of(&row_prefix(payload, at)?.0)))
+                        .collect::<Result<_, CodecError>>()?,
+                ),
+                None => None,
+            };
+            (resolver.vps.entry(section.collector.clone()).or_default()).insert(
+                section.peer,
+                Vp {
                     peer_asn: section.peer_asn,
-                    rows: rows.into_iter().collect(),
+                    cleared: false,
+                    rows,
+                    listed,
+                    cells: FxHashMap::default(),
+                    installs: Vec::new(),
                 },
             );
         }
-        Ok(())
+        Ok(resolver)
     }
 
-    /// Apply one journal event to the admitted cells.
-    fn apply(&mut self, ev: &RibEvent) {
-        if !self.query.matches_meta(&ev.collector, &ev.peer) {
+    /// Fold one journal event into its vantage point's overlay.
+    fn fold(&mut self, ev: &RibEvent) {
+        let query = self.query;
+        if !query.matches_meta(&ev.collector, &ev.peer) {
             return;
         }
-        let peer = self
-            .peers
-            .entry((ev.collector.clone(), ip_sort_key(&ev.peer)))
-            .or_insert_with(|| PeerRows {
-                peer: ev.peer,
-                peer_asn: ev.peer_asn,
-                rows: BTreeMap::new(),
-            });
-        peer.peer_asn = ev.peer_asn;
-        match &ev.action {
-            RibAction::Announce { prefix, route } if self.query.matches_route(prefix, route) => {
-                peer.rows
-                    .insert(prefix_sort_key(prefix), (*prefix, route.clone()));
+        let vps = match self.vps.get_mut(&*ev.collector) {
+            Some(vps) => vps,
+            None => self.vps.entry(ev.collector.clone()).or_default(),
+        };
+        let vp = vps.entry(ev.peer).or_insert_with(|| Vp {
+            peer_asn: ev.peer_asn,
+            cleared: false,
+            rows: 0..0,
+            listed: query.origin.map(|_| FxHashSet::default()),
+            cells: FxHashMap::default(),
+            installs: Vec::new(),
+        });
+        vp.peer_asn = ev.peer_asn;
+        let (prefix, route) = match &ev.action {
+            RibAction::Announce { prefix, route } => (prefix, Some(route)),
+            RibAction::Withdraw { prefix } => (prefix, None),
+            RibAction::PeerDown => {
+                vp.cleared = true;
+                vp.cells.clear();
+                vp.installs.clear();
+                return;
             }
-            RibAction::Announce { prefix, .. } | RibAction::Withdraw { prefix } => {
-                peer.rows.remove(&prefix_sort_key(prefix));
+            RibAction::PeerUp => return,
+        };
+        // A cell outside the prefix filter is never in the answer.
+        if !query.matches_prefix(prefix) {
+            return;
+        }
+        let key = Cell::of(prefix);
+        match route.filter(|route| query.matches_origin(route)) {
+            Some(route) => {
+                let install = Some((*prefix, route.clone()));
+                match vp.cells.entry(key).or_default() {
+                    Some(at) => vp.installs[*at] = install,
+                    cell => {
+                        *cell = Some(vp.installs.len());
+                        vp.installs.push(install);
+                    }
+                }
             }
-            RibAction::PeerDown => peer.rows.clear(),
-            RibAction::PeerUp => {}
+            None => match vp.cells.get_mut(&key) {
+                Some(cell) => *cell = None,
+                None if vp.listed.as_ref().is_none_or(|l| l.contains(&key)) => {
+                    vp.cells.insert(key, None);
+                }
+                None => {}
+            },
         }
     }
 
-    /// Move the admitted rows out in canonical order.
-    fn view(self, at: u64) -> TableView {
-        let mut rows = Vec::with_capacity(self.peers.values().map(|p| p.rows.len()).sum());
-        for ((collector, _), peer) in self.peers {
-            rows.extend(peer.rows.into_values().map(|(prefix, route)| TableRow {
-                collector: collector.clone(),
-                peer: peer.peer,
-                peer_asn: peer.peer_asn,
-                prefix,
-                route,
-            }));
+    /// Merge the listed rows with the tail's overlays, in canonical
+    /// `(collector, peer, prefix)` order.
+    fn view(self, at: u64) -> Result<TableView, CodecError> {
+        let mut vps: Vec<_> = (self.vps.into_iter())
+            .flat_map(|(collector, vps)| {
+                vps.into_iter()
+                    .map(move |(peer, vp)| (collector.clone(), peer, vp))
+            })
+            .map(|(collector, peer, mut vp)| {
+                let mut decided: Vec<(PrefixKey, Option<usize>)> =
+                    vp.cells.drain().map(|(cell, at)| (cell.0, at)).collect();
+                decided.sort_unstable_by_key(|&(key, _)| key);
+                if vp.cleared {
+                    vp.rows = 0..0;
+                }
+                (collector, peer, vp, decided)
+            })
+            .collect();
+        vps.sort_unstable_by(|(c1, p1, ..), (c2, p2, ..)| {
+            (&**c1, ip_sort_key(p1)).cmp(&(&**c2, ip_sort_key(p2)))
+        });
+        let len = (vps.iter())
+            .map(|(.., vp, decided)| {
+                vp.rows.len() + decided.iter().filter(|(_, at)| at.is_some()).count()
+            })
+            .sum();
+
+        let (query, payload) = (self.query, self.payload);
+        let mut rows = Vec::with_capacity(len);
+        for (collector, peer, mut vp, decided) in vps {
+            let mut push = |row: Option<(Prefix, RibRoute)>| {
+                if let Some((prefix, route)) = row {
+                    rows.push(TableRow {
+                        collector: collector.clone(),
+                        peer,
+                        peer_asn: vp.peer_asn,
+                        prefix,
+                        route,
+                    });
+                }
+            };
+            let mut installed = |at: Option<usize>| at.and_then(|at| vp.installs[at].take());
+            let mut decided = decided.into_iter().peekable();
+            for &at in &self.offsets[vp.rows] {
+                let (prefix, mut r) = row_prefix(payload, at)?;
+                let key = prefix_sort_key(&prefix);
+                while let Some((_, at)) = decided.next_if(|&(k, _)| k < key) {
+                    push(installed(at));
+                }
+                // The tail decided the cell.
+                if let Some((_, at)) = decided.next_if(|&(k, _)| k == key) {
+                    push(installed(at));
+                    continue;
+                }
+                if !query.matches_prefix(&prefix) {
+                    continue;
+                }
+                let route = get_rib_route(&mut r)?;
+                if query.matches_origin(&route) {
+                    push(Some((prefix, route)));
+                }
+            }
+            decided.for_each(|(_, at)| push(installed(at)));
         }
-        TableView { at, rows }
+        Ok(TableView { at, rows })
     }
 }
 
@@ -368,7 +513,7 @@ mod tests {
     use crate::store::{MemoryRibStore, Snapshot};
     use crate::table::RibTable;
     use bgp_types::codec::seal_frame;
-    use bgp_types::AsPath;
+    use bgp_types::{AsPath, AsPathSegment};
     use std::sync::Arc;
 
     fn announce(
@@ -660,5 +805,263 @@ mod tests {
                 assert_eq!(got.unwrap().encode(), want.encode(), "flip at {at}");
             }
         }
+    }
+
+    fn peer_down(time: u64, collector: &str, peer: &str, asn: u32) -> RibEvent {
+        RibEvent {
+            time,
+            collector: collector.into(),
+            peer: peer.parse().unwrap(),
+            peer_asn: Asn(asn),
+            action: RibAction::PeerDown,
+        }
+    }
+
+    /// A store whose first snapshot, sealed at 100, holds `before`, and
+    /// whose journal goes on with `tail` up to a watermark of 200.
+    fn snapshotted(before: Vec<RibEvent>, tail: Vec<RibEvent>) -> MemoryRibStore {
+        let mut table = RibTable::new();
+        for ev in &before {
+            table.apply(ev);
+        }
+        let store = MemoryRibStore::new();
+        store.publish(100, before, Some(Snapshot::seal(100, &table)));
+        store.publish(200, tail, None);
+        store
+    }
+
+    /// Which rows of the replayed table a query keeps.
+    type Keep<'a> = &'a dyn Fn(&TableRow) -> bool;
+
+    /// Every table query kind at each instant of `at` equals the
+    /// genesis replay through `RibTable::apply`, filtered the same way.
+    fn assert_resolves_as_replay(store: &MemoryRibStore, at: &[u64]) {
+        let p: Prefix = "1.0.0.0/8".parse().unwrap();
+        let peer: IpAddr = "10.0.0.9".parse().unwrap();
+        let kinds: [(RibQuery, Keep); 8] = [
+            (RibQuery::new(), &|_| true),
+            (RibQuery::new().prefix(p), &|r| r.prefix == p),
+            (RibQuery::new().prefix_matching(p, PrefixMatch::Any), &|r| {
+                p.overlaps(&r.prefix)
+            }),
+            (RibQuery::new().origin_asn(Asn(20)), &|r| {
+                r.route.origin_asn() == Some(Asn(20))
+            }),
+            (RibQuery::new().origin_asn(Asn(30)), &|r| {
+                r.route.origin_asn() == Some(Asn(30))
+            }),
+            (RibQuery::new().origin_asn(Asn(20)).prefix(p), &|r| {
+                r.route.origin_asn() == Some(Asn(20)) && r.prefix == p
+            }),
+            (RibQuery::new().peer(peer), &|r| r.peer == peer),
+            (RibQuery::new().collector("rrc01"), &|r| {
+                &*r.collector == "rrc01"
+            }),
+        ];
+        for &t in at {
+            let mut table = RibTable::new();
+            for ev in store.events_in(0, t) {
+                table.apply(&ev);
+            }
+            let full = table.view(t);
+            for (query, keep) in &kinds {
+                let mut want = full.clone();
+                want.rows.retain(keep);
+                let got = query.clone().at(t).table(store).unwrap();
+                assert_eq!(got.encode(), want.encode(), "{query:?} at {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_down_then_a_reannounce_keeps_only_the_reannounced_row() {
+        let store = snapshotted(
+            vec![
+                announce(10, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 20]),
+                announce(11, "rrc01", "10.0.0.9", 65001, "2.0.0.0/8", &[65001, 20]),
+                announce(12, "rrc01", "10.0.0.9", 65001, "3.0.0.0/8", &[65001, 30]),
+                announce(13, "rrc01", "10.0.1.9", 65002, "1.0.0.0/8", &[65002, 20]),
+            ],
+            vec![
+                peer_down(110, "rrc01", "10.0.0.9", 65001),
+                announce(120, "rrc01", "10.0.0.9", 65009, "2.0.0.0/8", &[65009, 30]),
+                announce(130, "rrc01", "10.0.0.9", 65009, "1.0.0.0/8", &[65009, 20]),
+            ],
+        );
+        assert_resolves_as_replay(&store, &[105, 115, 125, 135]);
+        let view = RibQuery::new().at(125).table(&store).unwrap();
+        let peer: IpAddr = "10.0.0.9".parse().unwrap();
+        let rows: Vec<&TableRow> = view.rows.iter().filter(|r| r.peer == peer).collect();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].peer_asn, Asn(65009));
+    }
+
+    #[test]
+    fn tail_only_peers_merge_in_canonical_order() {
+        // Snapshot sections rrc01/10.0.0.5 and rrc01/10.0.0.9; the tail
+        // adds vantage points before, between and after them.
+        let store = snapshotted(
+            vec![
+                announce(10, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 20]),
+                announce(11, "rrc01", "10.0.0.5", 65005, "1.0.0.0/8", &[65005, 20]),
+            ],
+            vec![
+                announce(110, "rrc02", "10.0.0.1", 65010, "1.0.0.0/8", &[65010, 20]),
+                announce(
+                    111,
+                    "rrc01",
+                    "2001:db8::1",
+                    65011,
+                    "1.0.0.0/8",
+                    &[65011, 30],
+                ),
+                announce(112, "rrc01", "10.0.0.7", 65012, "1.0.0.0/8", &[65012, 20]),
+                announce(113, "rrc00", "10.0.0.9", 65013, "1.0.0.0/8", &[65013, 30]),
+                announce(114, "rrc01", "10.0.0.6", 65014, "4.0.0.0/8", &[65014, 20]),
+            ],
+        );
+        assert_resolves_as_replay(&store, &[110, 112, 199]);
+        let view = RibQuery::new().at(199).table(&store).unwrap();
+        let order: Vec<(&str, IpAddr)> =
+            view.rows.iter().map(|r| (&*r.collector, r.peer)).collect();
+        let ip = |s: &str| s.parse::<IpAddr>().unwrap();
+        assert_eq!(
+            order,
+            vec![
+                ("rrc00", ip("10.0.0.9")),
+                ("rrc01", ip("10.0.0.5")),
+                ("rrc01", ip("10.0.0.6")),
+                ("rrc01", ip("10.0.0.7")),
+                ("rrc01", ip("10.0.0.9")),
+                ("rrc01", ip("2001:db8::1")),
+                ("rrc02", ip("10.0.0.1")),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_tail_announcement_with_another_origin_replaces_an_admitted_row() {
+        let store = snapshotted(
+            vec![
+                announce(10, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 20]),
+                announce(11, "rrc01", "10.0.0.9", 65001, "2.0.0.0/8", &[65001, 30]),
+            ],
+            vec![
+                // 1/8 leaves origin 20, 2/8 joins it; then 1/8 comes back.
+                announce(110, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 30]),
+                announce(120, "rrc01", "10.0.0.9", 65001, "2.0.0.0/8", &[65001, 20]),
+                announce(130, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 20]),
+            ],
+        );
+        assert_resolves_as_replay(&store, &[105, 115, 125, 135]);
+        let origin_20 = |t| {
+            let view = RibQuery::new()
+                .origin_asn(Asn(20))
+                .at(t)
+                .table(&store)
+                .unwrap();
+            view.rows
+                .iter()
+                .map(|r| r.prefix.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(origin_20(115), Vec::<String>::new());
+        assert_eq!(origin_20(125), vec!["2.0.0.0/8"]);
+        assert_eq!(origin_20(135), vec!["1.0.0.0/8", "2.0.0.0/8"]);
+    }
+
+    #[test]
+    fn a_withdrawal_of_a_prefix_the_snapshot_lacks_changes_nothing() {
+        let store = snapshotted(
+            vec![announce(
+                10,
+                "rrc01",
+                "10.0.0.9",
+                65001,
+                "1.0.0.0/8",
+                &[65001, 20],
+            )],
+            vec![
+                withdraw(110, "rrc01", "10.0.0.9", 65001, "9.0.0.0/8"),
+                withdraw(111, "rrc01", "10.0.0.9", 65001, "1.0.0.0/16"),
+                // A vantage point the tail only withdraws from.
+                withdraw(112, "rrc01", "10.0.0.8", 65008, "1.0.0.0/8"),
+            ],
+        );
+        assert_resolves_as_replay(&store, &[105, 199]);
+        assert_eq!(RibQuery::new().at(199).table(&store).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn an_instant_below_the_first_snapshot_resolves_from_the_journal() {
+        let store = snapshotted(
+            vec![
+                announce(10, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 20]),
+                announce(20, "rrc01", "10.0.1.9", 65002, "1.0.0.0/8", &[65002, 30]),
+                withdraw(30, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8"),
+                peer_down(40, "rrc01", "10.0.1.9", 65002),
+                announce(50, "rrc01", "10.0.0.9", 65001, "1.0.0.0/8", &[65001, 30]),
+            ],
+            vec![announce(
+                110,
+                "rrc01",
+                "10.0.0.9",
+                65001,
+                "2.0.0.0/8",
+                &[65001, 20],
+            )],
+        );
+        assert!(store.snapshot_at(99).is_none());
+        assert_resolves_as_replay(&store, &[0, 15, 25, 35, 45, 55, 99, 150]);
+    }
+
+    #[test]
+    fn rows_that_share_a_path_beside_an_as_set_path_decode_alike() {
+        let set = RibRoute {
+            path: Some(AsPath::from_segments(vec![
+                AsPathSegment::Sequence(vec![Asn(65001), Asn(20)]),
+                AsPathSegment::Set(vec![Asn(20), Asn(30)]),
+            ])),
+            next_hop: Some("10.0.0.1".parse().unwrap()),
+            communities: Default::default(),
+            updated_at: 14,
+        };
+        let mut before: Vec<RibEvent> = ["1.0.0.0/8", "1.1.0.0/16", "3.0.0.0/8"]
+            .iter()
+            .enumerate()
+            .map(|(i, p)| announce(10 + i as u64, "rrc01", "10.0.0.9", 65001, p, &[65001, 20]))
+            .collect();
+        before.push(RibEvent {
+            action: RibAction::Announce {
+                prefix: "2.0.0.0/8".parse().unwrap(),
+                route: set,
+            },
+            ..announce(14, "rrc01", "10.0.0.9", 65001, "2.0.0.0/8", &[])
+        });
+        before.push(announce(
+            15,
+            "rrc01",
+            "10.0.1.9",
+            65002,
+            "2.0.0.0/8",
+            &[65001, 20],
+        ));
+        let store = snapshotted(
+            before,
+            vec![announce(
+                110,
+                "rrc01",
+                "10.0.0.9",
+                65001,
+                "4.0.0.0/8",
+                &[65001, 20],
+            )],
+        );
+        assert_resolves_as_replay(&store, &[105, 115]);
+        let view = RibQuery::new().at(115).table(&store).unwrap();
+        assert_eq!(view.len(), 6);
+        // An AS_SET at the end of a path leaves its origin undetermined.
+        let origin_20 = RibQuery::new().origin_asn(Asn(20)).at(115);
+        assert_eq!(origin_20.table(&store).unwrap().len(), 5);
     }
 }

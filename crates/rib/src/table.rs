@@ -31,6 +31,11 @@ use crate::index::{read_row, TableIndex};
 /// Table serialization format version.
 pub(crate) const TABLE_VERSION: u8 = 1;
 
+/// About the encoded length of a row's prefix and route, for sizing a
+/// buffer without visiting every route: a four-hop path, a next hop and
+/// two communities.
+const ROW_LEN_GUESS: usize = 18 + (2 + 4 * 4) + (1 + 17) + (2 + 2 * 4) + 8;
+
 /// One selected route as held in a peer's Loc-RIB.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RibRoute {
@@ -359,12 +364,10 @@ impl RibTable {
     }
 
     /// About the length of [`encode`](RibTable::encode)'s output, for
-    /// sizing its buffer without visiting every route: each row taken
-    /// as a four-hop path, a next hop and two communities.
+    /// sizing its buffer without visiting every route.
     fn encoded_len_estimate(&self) -> usize {
         const SECTION: usize = 2 + 16 + 17 + 4 + 1 + 4;
-        const ROW: usize = 18 + (2 + 4 * 4) + (1 + 17) + (2 + 2 * 4) + 8;
-        1 + 4 + SECTION * self.peers.len() + ROW * self.route_count()
+        1 + 4 + SECTION * self.peers.len() + ROW_LEN_GUESS * self.route_count()
     }
 
     /// Append [`encode`](RibTable::encode)'s output to `out`. Each
@@ -490,7 +493,7 @@ impl TableView {
     /// proofs compare (`snapshot+delta` vs full replay must match
     /// byte-for-byte).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = BytesMut::new();
+        let mut out = BytesMut::with_capacity(self.encoded_len_estimate());
         out.put_u64(self.at);
         out.put_u32(narrow(self.rows.len(), "table view row count"));
         for row in &self.rows {
@@ -505,6 +508,14 @@ impl TableView {
             put_rib_route(&mut out, &row.route);
         }
         out.into()
+    }
+
+    /// About the length of [`encode`](TableView::encode)'s output, for
+    /// sizing its buffer without visiting every route: each row's
+    /// collector name taken as 16 bytes.
+    fn encoded_len_estimate(&self) -> usize {
+        const VANTAGE_POINT: usize = 2 + 16 + 17 + 4;
+        8 + 4 + (VANTAGE_POINT + ROW_LEN_GUESS) * self.rows.len()
     }
 }
 
