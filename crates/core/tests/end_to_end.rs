@@ -7,8 +7,10 @@ use std::time::Duration;
 
 use bgp_types::trie::PrefixMatch;
 use bgpstream::sort::partition_overlap_groups;
-use bgpstream::{BgpStream, BgpStreamRecord, Clock, ElemType, RecordStatus, StreamStats};
-use broker::{BrokerCursor, DumpType, Index, LocalBroker, Query};
+use bgpstream::{
+    BatchStep, BgpStream, BgpStreamRecord, Clock, ElemType, RecordStatus, StreamStats,
+};
+use broker::{BrokerCursor, DumpMeta, DumpType, Index, LocalBroker, Query};
 use collector_sim::{standard_collectors, SimConfig, Simulator};
 use topology::control::ControlPlane;
 use topology::events::{Event, EventKind, Scenario};
@@ -351,5 +353,252 @@ fn missing_dump_in_a_middle_group_becomes_one_corrupted_source_record() {
         assert_eq!(s.max_group_width, width);
     }
     assert_eq!(stats.records, got.len() as u64);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// How a reader drains a stream: record by record, or in batches of
+/// at most `k` records.
+#[derive(Clone, Copy, Debug)]
+enum Driver {
+    Records,
+    Batches(usize),
+}
+
+const DRIVERS: [Driver; 4] = [
+    Driver::Records,
+    Driver::Batches(1),
+    Driver::Batches(3),
+    Driver::Batches(64),
+];
+
+/// Read `stream` with `driver` into `out` until it ends or `out`
+/// holds `limit` records. Returns the watermark of every
+/// `BatchStep::Idle` seen.
+fn drain(
+    stream: &mut BgpStream,
+    driver: Driver,
+    limit: usize,
+    out: &mut Vec<BgpStreamRecord>,
+) -> Vec<u64> {
+    let mut idles = Vec::new();
+    while out.len() < limit {
+        match driver {
+            Driver::Records => match stream.next_record() {
+                Some(rec) => out.push(rec),
+                None => break,
+            },
+            Driver::Batches(k) => match stream.next_batch_step(k) {
+                BatchStep::Records(recs) => {
+                    assert!(
+                        !recs.is_empty() && recs.len() <= k,
+                        "batch of {}",
+                        recs.len()
+                    );
+                    out.extend(recs);
+                }
+                BatchStep::Idle { released_through } => idles.push(released_through),
+                BatchStep::End => break,
+            },
+        }
+    }
+    idles
+}
+
+/// Every driver delivered the same records (as `Debug` text) in
+/// non-decreasing time and ended with the same stats. Returns the
+/// common records and stats.
+fn assert_drivers_agree(
+    runs: Vec<(Driver, Vec<BgpStreamRecord>, StreamStats)>,
+) -> (Vec<BgpStreamRecord>, StreamStats) {
+    let text = |recs: &[BgpStreamRecord]| -> Vec<String> {
+        recs.iter().map(|r| format!("{r:?}")).collect()
+    };
+    let mut runs = runs.into_iter();
+    let (first, records, stats) = runs.next().unwrap();
+    assert!(
+        records.windows(2).all(|w| w[0].timestamp <= w[1].timestamp),
+        "{first:?}: timestamps must never decrease"
+    );
+    for (driver, got, got_stats) in runs {
+        assert_eq!(text(&got), text(&records), "{driver:?} vs {first:?}");
+        assert_eq!(
+            format!("{got_stats:?}"),
+            format!("{stats:?}"),
+            "{driver:?} vs {first:?}"
+        );
+    }
+    assert_eq!(stats.records, records.len() as u64);
+    (records, stats)
+}
+
+/// Every dump `idx` lists for `[0, end]`, paging its windows.
+fn all_dumps(idx: &Index, end: u64) -> Vec<DumpMeta> {
+    let query = Query {
+        start: 0,
+        end: Some(end),
+        ..Query::default()
+    };
+    let mut cursor = BrokerCursor { window_start: 0 };
+    let mut dumps = Vec::new();
+    loop {
+        let resp = idx.query(&query, &mut cursor, u64::MAX);
+        dumps.extend(resp.files);
+        if resp.exhausted {
+            return dumps;
+        }
+    }
+}
+
+/// A fresh index with window `window` holding `dumps`.
+fn index_of(window: u64, dumps: &[DumpMeta]) -> Arc<Index> {
+    let idx = Arc::new(Index::with_window(window));
+    for m in dumps {
+        idx.register(m.clone());
+    }
+    idx
+}
+
+#[test]
+fn every_driver_reads_the_same_historical_stream() {
+    // Two broker windows of RIS + RouteViews data.
+    let end = 3 * 3600;
+    let (idx, dir) = build_world("pin-hist", 38, end);
+    let runs = DRIVERS
+        .into_iter()
+        .map(|driver| {
+            let mut stream = BgpStream::builder()
+                .broker_client(LocalBroker::shared(idx.clone()))
+                .interval(0, Some(end))
+                .start();
+            let mut out = Vec::new();
+            let idles = drain(&mut stream, driver, usize::MAX, &mut out);
+            assert!(idles.is_empty(), "a historical stream never idles");
+            (driver, out, stream.stats())
+        })
+        .collect();
+    let (records, stats) = assert_drivers_agree(runs);
+    assert!(stats.groups >= 3, "several overlap groups: {stats:?}");
+    assert!(stats.broker_queries >= 2, "two windows paged: {stats:?}");
+    let collectors: std::collections::HashSet<_> = records.iter().map(|r| r.collector()).collect();
+    assert_eq!(collectors.len(), 2, "both projects: {collectors:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_driver_reads_the_same_live_stream_with_a_straggler() {
+    let (world, dir) = build_world("pin-grace", 39, 3600);
+    let dumps = all_dumps(&world, 3600);
+    // A copy of the first RIS updates dump, published long after its
+    // window was released: the live cursor hands it out as a
+    // straggler.
+    let first = dumps
+        .iter()
+        .find(|m| m.project == "ris" && m.dump_type == DumpType::Updates)
+        .unwrap();
+    let late_dir = dir.join("late");
+    std::fs::create_dir_all(&late_dir).unwrap();
+    let late_path = late_dir.join(first.path.file_name().unwrap());
+    std::fs::copy(&first.path, &late_path).unwrap();
+    let grace = 500;
+    // A fixed clock releasing the first broker window only, so each
+    // drain ends once the released data is delivered.
+    let now = broker::index::DEFAULT_WINDOW + grace + 100;
+    let late = DumpMeta {
+        path: late_path,
+        available_at: now,
+        ..first.clone()
+    };
+    let runs: Vec<_> = DRIVERS
+        .into_iter()
+        .map(|driver| {
+            let idx = index_of(broker::index::DEFAULT_WINDOW, &dumps);
+            let mut stream = BgpStream::builder()
+                .broker_client(LocalBroker::shared(idx.clone()))
+                .live(0)
+                .clock(Clock::Fixed(now))
+                .live_grace(grace)
+                .poll_interval(Duration::from_millis(1))
+                .start();
+            let mut out = Vec::new();
+            let idles = drain(&mut stream, driver, usize::MAX, &mut out);
+            assert!(idles.is_empty(), "a fixed clock ends instead of idling");
+            let before = out.len();
+            assert!(before > 0);
+            assert!(idx.register(late.clone()));
+            drain(&mut stream, driver, usize::MAX, &mut out);
+            assert!(out.len() > before, "{driver:?}: straggler not delivered");
+            // Every straggler record predates what was already
+            // delivered, so each is re-stamped forward.
+            let floor = out[before - 1].timestamp;
+            assert!(late.interval_end() < floor);
+            assert!(out[before..].iter().all(|r| r.timestamp >= floor
+                && r.source == late.source_id()
+                && r.dump_time == late.interval_start));
+            (driver, out, stream.stats())
+        })
+        .collect();
+    assert_drivers_agree(runs);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_driver_reads_the_same_live_stream_across_a_long_gap() {
+    // One-minute broker windows: update dumps in the first 20
+    // minutes, then nothing until the RIB dumps at 24 h. While
+    // records flow the cursor releases one window per record; once
+    // they run out, more than 1 025 empty windows are left, so one
+    // poll sequence reaches the empty-advance guard and yields.
+    let window = 60;
+    let rib_at = 24 * 3600;
+    let (world, dir) = build_world("pin-gap", 40, rib_at + 600);
+    let dumps: Vec<DumpMeta> = all_dumps(&world, rib_at + 600)
+        .into_iter()
+        .filter(|m| match m.dump_type {
+            DumpType::Updates => m.interval_start < 1200,
+            DumpType::Rib => m.interval_start == rib_at,
+        })
+        .collect();
+    let before_end = dumps
+        .iter()
+        .filter(|m| m.interval_start < 1200)
+        .map(|m| m.interval_end())
+        .max()
+        .unwrap();
+    assert!(dumps.iter().any(|m| m.interval_start == rib_at));
+    // A clock at which every dump is published and the RIB's window
+    // released. The live reader never ends, so each driver stops at
+    // the number of records a historical read of the same dumps
+    // yields.
+    let now = dumps.iter().map(|m| m.available_at).max().unwrap();
+    assert!(now >= rib_at + window);
+    let total = BgpStream::builder()
+        .broker_client(LocalBroker::shared(index_of(window, &dumps)))
+        .interval(0, Some(rib_at + 600))
+        .start()
+        .count();
+    let runs: Vec<_> = DRIVERS
+        .into_iter()
+        .map(|driver| {
+            let mut stream = BgpStream::builder()
+                .broker_client(LocalBroker::shared(index_of(window, &dumps)))
+                .live(0)
+                .clock(Clock::manual(now))
+                .live_grace(0)
+                .poll_interval(Duration::from_millis(1))
+                .start();
+            let mut out = Vec::new();
+            let idles = drain(&mut stream, driver, total, &mut out);
+            assert_eq!(out.len(), total, "{driver:?}");
+            if let Driver::Batches(_) = driver {
+                assert!(
+                    idles.iter().any(|&t| t > before_end && t < rib_at),
+                    "{driver:?}: no Idle inside the gap: {idles:?}"
+                );
+            }
+            (driver, out, stream.stats())
+        })
+        .collect();
+    let (records, _) = assert_drivers_agree(runs);
+    assert!(records.iter().any(|r| r.timestamp >= rib_at));
     std::fs::remove_dir_all(&dir).ok();
 }
