@@ -400,7 +400,9 @@ impl ShardedRuntime {
     ///   exit: the current batch is flushed, workers join, and every
     ///   already-closed bin is merged — nothing hangs and no partials
     ///   are lost, but the in-progress bin is *not* closed (it is
-    ///   incomplete by definition).
+    ///   incomplete by definition). Under a [`Supervisor`] this holds
+    ///   too: a worker wedged in the in-progress bin is detached once
+    ///   the stall rule catches it, not waited for.
     ///
     /// The session ends at `stop` with the exact semantics of
     /// [`ShardedRuntime::run_until`] (a record at or after `stop` is

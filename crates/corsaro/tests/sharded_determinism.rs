@@ -1014,6 +1014,82 @@ fn supervisor_restarts_a_wedged_worker_on_the_send_and_drain_paths() {
     std::fs::remove_dir_all(&world.dir).ok();
 }
 
+#[test]
+fn supervised_shutdown_returns_with_a_worker_wedged_in_the_open_bin() {
+    // A live stream that delivers its first broker window and then
+    // idles, binned by the day so no bin closes: the shutdown flag
+    // rises while worker 1 is parked inside the open bin, owing acks
+    // for everything queued behind the wedge. Shutdown does not close
+    // that bin, so the worker is detached once it counts as stalled,
+    // and `run_live` returns.
+    let world = build_world(31);
+    let release = Release(Arc::new(AtomicBool::new(false)));
+    let fired = Arc::new(AtomicBool::new(false));
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = mpsc::channel();
+    let index = world.index.clone();
+    let mut wedge = Wedge {
+        worker: 1,
+        at_record: 10,
+        shard: None,
+        seen: 0,
+        fired: fired.clone(),
+        release: release.0.clone(),
+    };
+    let flag = shutdown.clone();
+    std::thread::spawn(move || {
+        let mut stream = BgpStream::builder()
+            .broker_client(LocalBroker::shared(index))
+            .live(0)
+            .clock(bgpstream::Clock::manual(
+                broker::index::DEFAULT_WINDOW + 600,
+            ))
+            .live_grace(500)
+            .poll_interval(Duration::from_millis(1))
+            .start();
+        let runtime = ShardedRuntime::builder()
+            .workers(2)
+            .bin_size(86_400)
+            .batch_records(16)
+            .queue_batches(1 << 12)
+            .build();
+        let cfg = corsaro::SupervisorConfig {
+            stall_timeout_ms: 500,
+            clock: bsync::time::Clock::system(),
+            ..test_supervisor_config()
+        };
+        let report = corsaro::Supervisor::new(runtime).with_config(cfg).run_live(
+            &mut stream,
+            u64::MAX,
+            Some(&flag),
+            &mut [&mut wedge],
+        );
+        let _ = done_tx.send(report);
+    });
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !fired.load(Ordering::SeqCst) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the wedge never fired"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    shutdown.store(true, Ordering::SeqCst);
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run_live must return after shutdown, not wait on a wedged worker")
+        .expect("shutdown is not an error");
+    assert!(report.shutdown);
+    assert_eq!(report.bins_closed, 0, "the open bin stays open");
+    assert_eq!(
+        report.restarts, 0,
+        "a wedged worker is detached, not restarted"
+    );
+    assert!(report.records > 10);
+    drop(release);
+    std::fs::remove_dir_all(&world.dir).ok();
+}
+
 /// A plugin whose shard 0 fork panics on its first owned elem —
 /// simulating a plugin bug (not chaos injection), to pin the typed
 /// error path and the pool-rebuild regression.
