@@ -4,8 +4,9 @@
 //! The library implements the paper's "client pull" model (§3.3.2):
 //! it alternates between meta-data queries to the broker and reading
 //! the returned dump files, so data is only retrieved when the user is
-//! ready to process it. When a live stream runs dry, the query
-//! mechanism blocks: the stream polls the broker until new data
+//! ready to process it. Both modes share one reading loop: a
+//! historical stream pages the broker's window cursor, a live one
+//! polls its lease and, when it runs dry, blocks until new data
 //! appears.
 
 use bsync::atomic::{AtomicU64, Ordering};
@@ -147,9 +148,8 @@ pub struct BgpStreamBuilder {
     query: Query,
     filters: Filters,
     clock: Clock,
-    live_grace: u64,
     poll: Duration,
-    release: Option<ReleasePolicy>,
+    release: ReleasePolicy,
     resume_lease: Option<LeaseId>,
 }
 
@@ -160,9 +160,8 @@ impl Default for BgpStreamBuilder {
             query: Query::default(),
             filters: Filters::none(),
             clock: Clock::all_published(),
-            live_grace: 300,
             poll: Duration::from_millis(2),
-            release: None,
+            release: ReleasePolicy::Grace(300),
             resume_lease: None,
         }
     }
@@ -235,7 +234,7 @@ impl BgpStreamBuilder {
     /// out-of-order publisher holds window release back instead of
     /// being overtaken by the clock.
     pub fn watermark_release(mut self) -> Self {
-        self.release = Some(ReleasePolicy::Watermark);
+        self.release = ReleasePolicy::Watermark;
         self
     }
 
@@ -297,9 +296,11 @@ impl BgpStreamBuilder {
     /// How long past a broker window's *end* the stream waits before
     /// declaring the window complete in live mode. Must cover the
     /// maximum publication delay of the data provider; smaller values
-    /// trade completeness for latency (§6.2.3's trade-off).
+    /// trade completeness for latency (§6.2.3's trade-off). The
+    /// default is 300 s. Replaces
+    /// [`BgpStreamBuilder::watermark_release`]; the later call wins.
     pub fn live_grace(mut self, seconds: u64) -> Self {
-        self.live_grace = seconds;
+        self.release = ReleasePolicy::Grace(seconds);
         self
     }
 
@@ -330,9 +331,6 @@ impl BgpStreamBuilder {
             .interface
             .unwrap_or_else(|| DataInterface::client(LocalBroker::shared(Index::shared())));
         let client = iface.into_client()?;
-        let cursor = BrokerCursor {
-            window_start: self.query.start,
-        };
         // Repeatable setters and `filter_string` can push the same
         // term twice; dedup so the broker query carries each at most
         // once (order-preserving).
@@ -344,25 +342,24 @@ impl BgpStreamBuilder {
         // every group merger shares the same trie/bitset form and its
         // record-level prefilter.
         let compiled = Arc::new(self.filters.compile());
-        let live = query.end.is_none();
-        let release = self
-            .release
-            .unwrap_or(ReleasePolicy::Grace(self.live_grace));
-        let lease = if live {
-            Some(client.open_live(&query, release, self.resume_lease)?)
-        } else {
-            None
-        };
         let released_through = query.start;
+        let source = if query.end.is_none() {
+            let lease = client.open_live(&query, self.release, self.resume_lease)?;
+            Source::Live {
+                lease,
+                due_version: 0,
+            }
+        } else {
+            let cursor = BrokerCursor {
+                window_start: query.start,
+            };
+            Source::Pages { query, cursor }
+        };
         Ok(BgpStream {
             client,
-            cursor,
-            live,
-            lease,
+            source,
             released_through,
             last_delivered_ts: 0,
-            last_polled_version: None,
-            query,
             filters: Arc::new(self.filters),
             compiled,
             clock: self.clock,
@@ -390,22 +387,38 @@ fn dedup_preserving<T: PartialEq>(v: &mut Vec<T>) {
     }
 }
 
-/// The reading-phase stream.
+/// Where the reading loop gets files, chosen once in
+/// [`BgpStreamBuilder::try_start`] from the interval end.
+enum Source {
+    /// Historical: the query and its window cursor, paged forward
+    /// once every queued file has been read.
+    Pages { query: Query, cursor: BrokerCursor },
+    /// Live: the broker holds the incremental cursor (windowed
+    /// release, cross-poll dedup, completeness watermark) under
+    /// `lease`, so a crashed client can resume exactly-once via
+    /// [`BgpStreamBuilder::resume_live_lease`].
+    Live {
+        lease: LeaseId,
+        /// The index version from which the next poll is due: one past
+        /// the one the last poll saw, or that one itself after a poll
+        /// crossed a window boundary. Until then polls are skipped
+        /// while local buffers hold data, so the steady-state
+        /// per-record cost is one version load.
+        due_version: u64,
+    },
+}
+
+/// The reading-phase stream. Both modes read through one loop over
+/// their source — the historical window cursor or the live lease — and
+/// [`BgpStream::next_record`] and [`BgpStream::next_batch_step`] drive
+/// the same step of it.
 pub struct BgpStream {
     /// The broker behind its client abstraction: in-process
     /// ([`broker::LocalBroker`]) or served over the message queue
     /// ([`broker::RemoteBroker`]) — the reading phase is identical
     /// through either.
     client: Arc<dyn BrokerClient>,
-    query: Query,
-    cursor: BrokerCursor,
-    live: bool,
-    /// The live session lease: the broker holds the incremental
-    /// cursor (windowed release, cross-poll dedup, completeness
-    /// watermark) server-side under this id, so a crashed client can
-    /// resume exactly-once via
-    /// [`BgpStreamBuilder::resume_live_lease`].
-    lease: Option<LeaseId>,
+    source: Source,
     /// Completeness watermark from the live cursor: every record with
     /// a timestamp below this has been released to the stream (live
     /// mode; tracks the interval start otherwise).
@@ -415,9 +428,6 @@ pub struct BgpStream {
     /// behind the merge (or a corrupted-read placeholder racing
     /// another dump) is re-stamped rather than moving time backwards.
     last_delivered_ts: u64,
-    /// Index version as of the last live poll; polling is skipped
-    /// while the version is unchanged and local buffers hold data.
-    last_polled_version: Option<u64>,
     filters: Arc<Filters>,
     /// The reading-phase compiled form of `filters` (tries, bitsets,
     /// record-level prefilter), built once in `try_start`.
@@ -441,7 +451,7 @@ pub struct BgpStream {
     elem_cursor: Option<(std::vec::IntoIter<crate::elem::BgpStreamElem>, ElemSource)>,
 }
 
-/// Outcome of one non-blocking [`BgpStream::pump`] step.
+/// Outcome of one [`BgpStream::pump`] (or [`BgpStream::step`]) call.
 enum Pump {
     /// A record was produced.
     Record(BgpStreamRecord),
@@ -509,7 +519,10 @@ impl BgpStream {
     /// [`BgpStreamBuilder::resume_live_lease`]. `None` for historical
     /// streams.
     pub fn live_lease(&self) -> Option<LeaseId> {
-        self.lease
+        match self.source {
+            Source::Live { lease, .. } => Some(lease),
+            Source::Pages { .. } => None,
+        }
     }
 
     /// The broker error that terminated this stream, if any. A live
@@ -527,42 +540,48 @@ impl BgpStream {
     /// so it returns `None` only if the clock is `Fixed` and no more
     /// data can ever appear.
     pub fn next_record(&mut self) -> Option<BgpStreamRecord> {
-        if let Some(rec) = self.lookahead.pop_front() {
-            self.stats.records += 1;
-            return Some(rec);
-        }
         loop {
-            match self.pump() {
-                Pump::Record(rec) => {
-                    self.stats.records += 1;
-                    return Some(rec);
-                }
+            match self.step(true) {
+                Pump::Record(rec) => return Some(rec),
                 Pump::End => return None,
-                Pump::Idle => {
-                    if !self.wait_idle() {
-                        return None;
-                    }
-                }
+                Pump::Idle => {}
             }
         }
     }
 
-    /// Wait out a [`Pump::Idle`]: promise the watermark — it becomes a
-    /// delivery floor, so stragglers may not undercut it afterwards —
-    /// then block until a new publication (or watermark advance) or
-    /// one poll interval passes. Returns false when the stream can
-    /// never make progress: a fixed clock and no new index version.
-    fn wait_idle(&mut self) -> bool {
-        self.promise_released_through();
-        let v = self.client.version();
-        let _ = self.client.wait_for_new(v, self.poll);
-        !(matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v)
+    /// One delivery step of both drivers: records handed back by
+    /// [`BgpStream::unread`] first, then the reading loop, with a
+    /// delivered record counted here, once. With `wait`, an `Idle` is
+    /// waited out: the watermark is promised — it becomes a delivery
+    /// floor, so stragglers may not undercut it afterwards — then the
+    /// step blocks until a new publication (or watermark advance) or
+    /// one poll interval passes. It ends the stream when nothing can
+    /// ever change: a fixed clock and no new index version.
+    fn step(&mut self, wait: bool) -> Pump {
+        let step = match self.lookahead.pop_front() {
+            Some(rec) => Pump::Record(rec),
+            None => self.pump(),
+        };
+        match step {
+            Pump::Record(_) => self.stats.records += 1,
+            Pump::Idle if wait => {
+                self.promise_released_through();
+                let v = self.client.version();
+                let _ = self.client.wait_for_new(v, self.poll);
+                if matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v {
+                    return Pump::End;
+                }
+            }
+            Pump::Idle | Pump::End => {}
+        }
+        step
     }
 
-    /// One non-blocking reading-phase step: drain the current merge,
-    /// install queued groups, and (live) fold in newly published
-    /// dumps. Never sleeps; `Pump::Idle` means "nothing buffered and
-    /// nothing releasable right now".
+    /// The reading loop of both modes, one non-blocking step: a live
+    /// source polls its lease first, so stragglers join the running
+    /// merge before it drains; then the merge drains and queued groups
+    /// open; once both are used up, a historical source pages its
+    /// cursor and a live one reports `Idle`. Never sleeps.
     fn pump(&mut self) -> Pump {
         // Guard against unbounded in-call window advancement: a
         // cursor whose every window is releasable (e.g. the provider
@@ -576,35 +595,24 @@ impl BgpStream {
         loop {
             // Live: fold in anything newly published since the last
             // poll. Skipped while the index is unchanged and local
-            // buffers still hold data, so the steady-state per-record
-            // cost is one version load.
-            if self.live {
+            // buffers still hold data.
+            let mut advanced = false;
+            if let Source::Live { lease, due_version } = &mut self.source {
                 let version = self.client.version();
                 let drained = self.merger.is_none() && self.groups.is_empty();
-                if self.last_polled_version != Some(version) || drained {
-                    self.last_polled_version = Some(version);
-                    let now = self.clock.now();
-                    // xcheck:allow(unwrap) — set when live mode was entered
-                    let lease = self.lease.expect("live stream holds a lease");
-                    let poll = match self.client.poll_live(lease, now) {
+                if version >= *due_version || drained {
+                    *due_version = version + 1;
+                    let poll = match self.client.poll_live(*lease, self.clock.now()) {
                         Ok(poll) => poll,
                         // Transient overload: back off — the caller's
                         // idle path waits one poll interval, and the
                         // next pump retries the same lease.
                         Err(BrokerError::Busy) => return Pump::Idle,
-                        // Terminal (lease expired, broker gone):
-                        // record the cause and end the stream.
-                        Err(e) => {
-                            self.last_error = Some(e);
-                            self.exhausted = true;
-                            return Pump::End;
-                        }
+                        // Terminal (lease expired, broker gone).
+                        Err(e) => return self.fail(e),
                     };
                     self.released_through = poll.released_through;
                     let productive = !poll.files.is_empty() || !poll.late.is_empty();
-                    if poll.advanced {
-                        self.stats.broker_queries += 1;
-                    }
                     if !poll.late.is_empty() {
                         // Stragglers surfaced behind the cursor: admit
                         // them into the running merge so their
@@ -617,8 +625,7 @@ impl BgpStream {
                                 self.stats.files_opened += 1;
                                 m.admit(meta);
                             }
-                            let w = self.merger.as_ref().map(|m| m.width()).unwrap_or(0);
-                            self.stats.max_group_width = self.stats.max_group_width.max(w);
+                            self.stats.max_group_width = self.stats.max_group_width.max(m.width());
                         } else {
                             for group in partition_overlap_groups(&poll.late).into_iter().rev() {
                                 self.groups.push_front(group);
@@ -630,9 +637,12 @@ impl BgpStream {
                     }
                     if poll.advanced {
                         // A window boundary was crossed (possibly
-                        // empty): re-poll before concluding idleness —
-                        // the next window may already be releasable.
-                        self.last_polled_version = None;
+                        // empty): the next window may already be
+                        // releasable, so poll again before draining
+                        // further or concluding idleness.
+                        *due_version = version;
+                        advanced = true;
+                        self.stats.broker_queries += 1;
                         if productive {
                             empty_advances = 0;
                         } else {
@@ -656,29 +666,22 @@ impl BgpStream {
             if self.exhausted {
                 return Pump::End;
             }
-            if self.live {
-                if self.last_polled_version.is_none() {
-                    // An advanced (possibly empty) window: loop to
-                    // poll for the next one immediately.
+            let Source::Pages { query, cursor } = &mut self.source else {
+                if advanced {
                     continue;
                 }
                 return Pump::Idle;
-            }
-            // Historical: page the broker window cursor forward.
-            let now = self.clock.now();
-            self.stats.broker_queries += 1;
-            // Any error here is terminal — including `Busy`, which the
+            };
+            // Historical: page the broker window cursor forward. Any
+            // error here is terminal — including `Busy`, which the
             // remote client only surfaces after exhausting its own
             // retries. Ending with `last_error` set keeps a shed
             // historical stream distinguishable from a cleanly
             // exhausted one.
-            let resp = match self.client.query(&self.query, &mut self.cursor, now) {
+            self.stats.broker_queries += 1;
+            let resp = match self.client.query(query, cursor, self.clock.now()) {
                 Ok(resp) => resp,
-                Err(e) => {
-                    self.last_error = Some(e);
-                    self.exhausted = true;
-                    return Pump::End;
-                }
+                Err(e) => return self.fail(e),
             };
             if resp.exhausted {
                 self.exhausted = true;
@@ -689,6 +692,14 @@ impl BgpStream {
                 return Pump::End;
             }
         }
+    }
+
+    /// End the stream on broker error `e`, recording the cause for
+    /// [`BgpStream::last_error`].
+    fn fail(&mut self, e: BrokerError) -> Pump {
+        self.last_error = Some(e);
+        self.exhausted = true;
+        Pump::End
     }
 
     /// Enforce end-to-end timestamp monotonicity on delivery: a record
@@ -775,44 +786,28 @@ impl BgpStream {
         }
         let mut out: Vec<BgpStreamRecord> = Vec::new();
         while out.len() < max {
-            if let Some(rec) = self.lookahead.pop_front() {
-                self.stats.records += 1;
-                out.push(rec);
-                continue;
-            }
             // Once at least one record is in hand, only continue
-            // while another is ready without asking the broker: the
-            // current merger has one primed, or a group is queued
-            // locally (opening it reads files, never waits on a poll).
-            if !out.is_empty() {
-                let ready = self.merger.as_ref().map(|m| m.has_next()).unwrap_or(false)
-                    || !self.groups.is_empty();
-                if !ready {
-                    break;
-                }
+            // while another is ready without asking the broker: one
+            // handed back, one primed in the current merger, or a
+            // queued group (opening it reads files, never waits on a
+            // poll).
+            if !out.is_empty()
+                && self.lookahead.is_empty()
+                && !self.merger.as_ref().is_some_and(GroupMerger::has_next)
+                && self.groups.is_empty()
+            {
+                break;
             }
-            match self.pump() {
-                Pump::Record(rec) => {
-                    self.stats.records += 1;
-                    out.push(rec);
-                }
-                Pump::End => {
-                    if out.is_empty() {
-                        return BatchStep::End;
-                    }
-                    break;
-                }
+            // Only an empty batch waits out `Idle` (bounded), then
+            // hands control back.
+            match self.step(out.is_empty()) {
+                Pump::Record(rec) => out.push(rec),
+                _ if !out.is_empty() => break,
+                Pump::End => return BatchStep::End,
                 Pump::Idle => {
-                    if !out.is_empty() {
-                        break;
-                    }
-                    // Bounded block, then hand control back.
-                    if !self.wait_idle() {
-                        return BatchStep::End;
-                    }
                     return BatchStep::Idle {
                         released_through: self.released_through(),
-                    };
+                    }
                 }
             }
         }
@@ -951,12 +946,15 @@ mod tests {
             .unwrap()
             .interval(0, Some(10))
             .start();
-        assert_eq!(s.query.projects, vec!["ris".to_string()]);
+        let Source::Pages { query, .. } = &s.source else {
+            panic!("a bounded interval pages the broker");
+        };
+        assert_eq!(query.projects, vec!["ris".to_string()]);
         assert_eq!(
-            s.query.collectors,
+            query.collectors,
             vec!["rrc00".to_string(), "rrc01".to_string()]
         );
-        assert_eq!(s.query.dump_types, vec![DumpType::Rib]);
+        assert_eq!(query.dump_types, vec![DumpType::Rib]);
     }
 
     #[test]
@@ -1121,20 +1119,18 @@ mod tests {
             .live(100)
             .poll_interval(Duration::from_millis(7))
             .start();
-        assert!(s.live);
-        assert_eq!(s.query.end, None);
+        assert!(matches!(s.source, Source::Live { .. }));
         assert_eq!(s.poll, Duration::from_millis(7));
         let open = BgpStream::builder()
             .broker_client(LocalBroker::shared(Index::shared()))
             .interval(100, None)
             .start();
-        assert!(open.live);
+        assert!(matches!(open.source, Source::Live { .. }));
         let h = BgpStream::builder()
             .broker_client(LocalBroker::shared(Index::shared()))
             .interval(100, Some(200))
             .start();
-        assert!(!h.live);
-        assert_eq!(h.query.end, Some(200));
+        assert!(matches!(&h.source, Source::Pages { query, .. } if query.end == Some(200)));
     }
 
     #[test]
