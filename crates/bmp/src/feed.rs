@@ -245,8 +245,7 @@ mod tests {
             0,
             300,
         );
-        let mut reader = BmpReader::new(&wire[..]);
-        while let Some(msg) = reader.next() {
+        for msg in BmpReader::new(&wire[..]) {
             feed.ingest(msg.expect("well-formed wire"));
         }
         let files = feed.finish();

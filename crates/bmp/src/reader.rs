@@ -100,11 +100,27 @@ impl<R: Read> BmpReader<R> {
         self.messages_read
     }
 
+    /// Drain the stream; returns decoded messages and the first error,
+    /// if any.
+    pub fn read_all(self) -> (Vec<BmpMessage>, Option<BmpError>) {
+        let mut msgs = Vec::new();
+        for r in self {
+            match r {
+                Ok(m) => msgs.push(m),
+                Err(e) => return (msgs, Some(e)),
+            }
+        }
+        (msgs, None)
+    }
+}
+
+impl<R: Read> Iterator for BmpReader<R> {
+    type Item = Result<BmpMessage, BmpError>;
+
     /// Pull the next message. `None` means clean end-of-stream;
     /// `Some(Err(_))` is a corrupted read, after which the reader
     /// yields nothing further (framing is lost).
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<Result<BmpMessage, BmpError>> {
+    fn next(&mut self) -> Option<Result<BmpMessage, BmpError>> {
         if self.poisoned {
             return None;
         }
@@ -153,19 +169,6 @@ impl<R: Read> BmpReader<R> {
                 Some(Err(e))
             }
         }
-    }
-
-    /// Drain the stream; returns decoded messages and the first error,
-    /// if any.
-    pub fn read_all(mut self) -> (Vec<BmpMessage>, Option<BmpError>) {
-        let mut msgs = Vec::new();
-        while let Some(r) = self.next() {
-            match r {
-                Ok(m) => msgs.push(m),
-                Err(e) => return (msgs, Some(e)),
-            }
-        }
-        (msgs, None)
     }
 }
 

@@ -235,10 +235,9 @@ pub fn bridge_stream<R: std::io::Read>(
     local_ip: IpAddr,
 ) -> (Vec<MrtRecord>, Option<crate::reader::BmpError>) {
     let mut station = MonitoringStation::new(local_asn, local_ip);
-    let mut bmp = crate::reader::BmpReader::new(reader);
     let mut records = Vec::new();
     let mut first_err = None;
-    while let Some(r) = bmp.next() {
+    for r in crate::reader::BmpReader::new(reader) {
         match r {
             Ok(msg) => {
                 for ev in station.ingest(msg) {

@@ -134,8 +134,7 @@ proptest! {
     /// or returns an error.
     #[test]
     fn reader_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut reader = BmpReader::new(&bytes[..]);
-        while let Some(r) = reader.next() {
+        for r in BmpReader::new(&bytes[..]) {
             if r.is_err() {
                 break;
             }

@@ -91,9 +91,8 @@ fn main() {
 
     // ---- Station side ------------------------------------------------
     let mut station = MonitoringStation::new(Asn(64512), "192.0.2.254".parse().unwrap());
-    let mut reader = BmpReader::new(&wire[..]);
     let mut bridged = Vec::new();
-    while let Some(msg) = reader.next() {
+    for msg in BmpReader::new(&wire[..]) {
         let msg = msg.expect("well-formed stream");
         for ev in station.ingest(msg) {
             match ev {
