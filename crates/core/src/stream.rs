@@ -613,28 +613,24 @@ impl BgpStream {
                     };
                     self.released_through = poll.released_through;
                     let productive = !poll.files.is_empty() || !poll.late.is_empty();
-                    if !poll.late.is_empty() {
-                        // Stragglers surfaced behind the cursor: admit
-                        // them into the running merge so their
-                        // still-future records interleave in order
-                        // (past ones are re-stamped on delivery);
-                        // without a running merge they form their own
-                        // groups, delivered before anything queued.
-                        if let Some(m) = self.merger.as_mut() {
-                            for meta in poll.late {
-                                self.stats.files_opened += 1;
-                                m.admit(meta);
-                            }
-                            self.stats.max_group_width = self.stats.max_group_width.max(m.width());
-                        } else {
-                            for group in partition_overlap_groups(&poll.late).into_iter().rev() {
-                                self.groups.push_front(group);
-                            }
+                    // Stragglers surfaced behind the cursor: admit them
+                    // into the running merge so their still-future
+                    // records interleave in order (past ones are
+                    // re-stamped on delivery); without a running merge
+                    // they form their own groups, delivered before
+                    // anything queued.
+                    if let Some(m) = self.merger.as_mut() {
+                        for meta in poll.late {
+                            self.stats.files_opened += 1;
+                            m.admit(meta);
+                        }
+                        self.stats.max_group_width = self.stats.max_group_width.max(m.width());
+                    } else {
+                        for group in partition_overlap_groups(&poll.late).into_iter().rev() {
+                            self.groups.push_front(group);
                         }
                     }
-                    if !poll.files.is_empty() {
-                        self.groups.extend(partition_overlap_groups(&poll.files));
-                    }
+                    self.groups.extend(partition_overlap_groups(&poll.files));
                     if poll.advanced {
                         // A window boundary was crossed (possibly
                         // empty): the next window may already be
@@ -660,7 +656,12 @@ impl BgpStream {
                 }
                 self.merger = None;
             }
-            if self.install_next_merger() {
+            if let Some(group) = self.groups.pop_front() {
+                let merger = GroupMerger::open(group, self.compiled.clone());
+                self.stats.files_opened += merger.width() as u64;
+                self.stats.groups += 1;
+                self.stats.max_group_width = self.stats.max_group_width.max(merger.width());
+                self.merger = Some(merger);
                 continue;
             }
             if self.exhausted {
@@ -731,20 +732,6 @@ impl BgpStream {
         if self.released_through != u64::MAX {
             self.last_delivered_ts = self.last_delivered_ts.max(self.released_through);
         }
-    }
-
-    /// Open the next queued overlap group and install its merger.
-    /// Returns false when no group is queued.
-    fn install_next_merger(&mut self) -> bool {
-        let Some(group) = self.groups.pop_front() else {
-            return false;
-        };
-        let merger = GroupMerger::open(group, self.compiled.clone());
-        self.stats.files_opened += merger.width() as u64;
-        self.stats.groups += 1;
-        self.stats.max_group_width = self.stats.max_group_width.max(merger.width());
-        self.merger = Some(merger);
-        true
     }
 
     /// Hand already-pulled records back to the stream; subsequent

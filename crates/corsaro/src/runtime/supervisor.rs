@@ -420,25 +420,19 @@ impl SupState {
 
     /// Supervised end of session: crashes and stalls on the final bins
     /// are still recovered here; only once nothing is pending do the
-    /// workers retire. A worker retires by joining once it owes no
-    /// acks. One that the stall rule catches still owing is wedged in
-    /// the open bin, which a shutdown leaves unclosed, so it is
-    /// detached rather than restarted.
+    /// workers retire, each joined once it owes no acks. One the stall
+    /// rule catches still owing is wedged in the open bin, which
+    /// shutdown leaves unclosed: it is detached, not restarted.
     pub(super) fn finish(mut self, mut s: Session) -> Result<LiveRunReport, RuntimeError> {
         self.drain_results(&mut s, true)?;
         while s.shards.iter().any(Option::is_some) {
             let now = self.cfg.clock.now_millis();
             for w in 0..s.shards.len() {
                 let owes = self.sent_seq[w] > self.acked_seq[w];
-                if owes && !self.stalled(w, now) {
-                    continue;
-                }
-                if let Some(shard) = s.shards[w].take() {
-                    if owes {
-                        shard.detach();
-                    } else {
-                        shard.join();
-                    }
+                match s.shards[w].take() {
+                    Some(shard) if !owes => shard.join(),
+                    Some(shard) if self.stalled(w, now) => shard.detach(),
+                    shard => s.shards[w] = shard,
                 }
             }
             match s.res_rx.try_recv() {
