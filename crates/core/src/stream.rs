@@ -549,7 +549,8 @@ impl BgpStream {
         }
     }
 
-    /// One delivery step of both drivers: records handed back by
+    /// The delivery step [`BgpStream::next_record`] and
+    /// [`BgpStream::next_batch_step`] share: records handed back by
     /// [`BgpStream::unread`] first, then the reading loop, with a
     /// delivered record counted here, once. With `wait`, an `Idle` is
     /// waited out: the watermark is promised — it becomes a delivery
