@@ -4,7 +4,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bsync::{Condvar, Mutex};
+use bsync::{Condvar, Mutex, MutexGuard};
 
 /// RIB snapshot or Updates dump.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -142,7 +142,9 @@ pub struct Response {
 /// (§3.3.4).
 pub const DEFAULT_WINDOW: u64 = 2 * 3600;
 
-struct Inner {
+/// The index state behind its lock; [`Index::lock`] hands the live
+/// cursor one consistent view of it for a whole poll.
+pub(crate) struct Inner {
     entries: Vec<DumpMeta>,
     /// Every registered entry, so an exact re-publication of a dump
     /// (same `DumpMeta` field for field) is recognised and ignored —
@@ -157,7 +159,72 @@ struct Inner {
     /// dump with `interval_start < watermark` matching its feed has
     /// been registered. 0 = no watermark support (time/grace-based
     /// live release applies instead).
-    watermark: u64,
+    pub(crate) watermark: u64,
+}
+
+impl Inner {
+    /// The `interval_start` of the first entry at or after position
+    /// `from` that matches `query`, is visible by `now` and starts at
+    /// or after `t`: where a cursor's next file lies. The historical
+    /// query fast-forwards over empty windows to it, and the live
+    /// cursor crosses the releasable windows before it.
+    pub(crate) fn next_start(&self, query: &Query, from: usize, t: u64, now: u64) -> Option<u64> {
+        self.entries[from..]
+            .iter()
+            .filter(|m| m.available_at <= now && m.interval_start >= t && query.matches(m))
+            .map(|m| m.interval_start)
+            .min()
+    }
+
+    /// Scan for live delivery: every entry matching `query`, visible
+    /// by `now`, with `interval_start` in `[query.start,
+    /// release_before)`, whose position is not yet marked in
+    /// `delivered`. Marks and returns them. Positions are stable
+    /// (entries are append-only and deduped), so a dump is delivered
+    /// to a given cursor exactly once no matter how often it is
+    /// re-published or how late it appears. Paths are not yet
+    /// rewritten through the mirror set ([`Index::rewrite_mirrors`]).
+    ///
+    /// `frontier` is the cursor's skip hint: the number of leading
+    /// entries already delivered. It is advanced here, so over a
+    /// long-lived live session (where delivery is a growing prefix of
+    /// the append-only list) the steady-state scan cost is O(new
+    /// entries), not O(all entries ever registered). Entries behind
+    /// the frontier left undelivered (filtered out, or still awaiting
+    /// release) keep the frontier pinned and are simply rescanned.
+    pub(crate) fn scan_undelivered(
+        &self,
+        query: &Query,
+        delivered: &mut Vec<bool>,
+        frontier: &mut usize,
+        release_before: u64,
+        now: u64,
+    ) -> Vec<DumpMeta> {
+        delivered.resize(self.entries.len(), false);
+        let mut out: Vec<DumpMeta> = Vec::new();
+        for (pos, m) in self.entries.iter().enumerate().skip(*frontier) {
+            if delivered[pos] {
+                continue;
+            }
+            // Permanently out of scope for this cursor (the query is
+            // fixed for the stream's lifetime): resolve the slot so it
+            // never pins the frontier.
+            if !query.matches(m) || m.interval_end() < query.start {
+                delivered[pos] = true;
+                continue;
+            }
+            // Transiently undeliverable: unpublished or not released.
+            if m.available_at > now || m.interval_start >= release_before {
+                continue;
+            }
+            delivered[pos] = true;
+            out.push(m.clone());
+        }
+        while *frontier < delivered.len() && delivered[*frontier] {
+            *frontier += 1;
+        }
+        out
+    }
 }
 
 /// The meta-data store. Thread-safe; live consumers can block on
@@ -300,67 +367,10 @@ impl Index {
         }
     }
 
-    /// Whether any entry matching `query` has `interval_start >= t`
-    /// (used by the live cursor to detect that a feed declared
-    /// complete has nothing left beyond its cursor).
-    pub(crate) fn has_entry_at_or_after(&self, query: &Query, t: u64) -> bool {
-        self.inner
-            .lock()
-            .entries
-            .iter()
-            .any(|m| m.interval_start >= t && query.matches(m))
-    }
-
-    /// Scan for live delivery: every entry matching `query`, visible
-    /// by `now`, with `interval_start` in `[query.start,
-    /// release_before)`, whose position is not yet marked in
-    /// `delivered`. Marks and returns them. Positions are stable
-    /// (entries are append-only and deduped), so a dump is delivered
-    /// to a given cursor exactly once no matter how often it is
-    /// re-published or how late it appears.
-    ///
-    /// `frontier` is the cursor's skip hint: the number of leading
-    /// entries already delivered. It is advanced here, so over a
-    /// long-lived live session (where delivery is a growing prefix of
-    /// the append-only list) the steady-state scan cost is O(new
-    /// entries), not O(all entries ever registered). Entries behind
-    /// the frontier left undelivered (filtered out, or still awaiting
-    /// release) keep the frontier pinned and are simply rescanned.
-    pub(crate) fn scan_undelivered(
-        &self,
-        query: &Query,
-        delivered: &mut Vec<bool>,
-        frontier: &mut usize,
-        release_before: u64,
-        now: u64,
-    ) -> Vec<DumpMeta> {
-        let inner = self.inner.lock();
-        delivered.resize(inner.entries.len(), false);
-        let mut out: Vec<DumpMeta> = Vec::new();
-        for (pos, m) in inner.entries.iter().enumerate().skip(*frontier) {
-            if delivered[pos] {
-                continue;
-            }
-            // Permanently out of scope for this cursor (the query is
-            // fixed for the stream's lifetime): resolve the slot so it
-            // never pins the frontier.
-            if !query.matches(m) || m.interval_end() < query.start {
-                delivered[pos] = true;
-                continue;
-            }
-            // Transiently undeliverable: unpublished or not released.
-            if m.available_at > now || m.interval_start >= release_before {
-                continue;
-            }
-            delivered[pos] = true;
-            out.push(m.clone());
-        }
-        while *frontier < delivered.len() && delivered[*frontier] {
-            *frontier += 1;
-        }
-        drop(inner);
-        self.rewrite_mirrors(&mut out);
-        out
+    /// The index state under its lock, so a live poll's lookup and
+    /// release scan see one publication state and watermark.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock()
     }
 
     /// The response window span in seconds (how much data one query
@@ -402,22 +412,16 @@ impl Index {
         if files.is_empty() {
             if let Some(e) = query.end {
                 // Historical query, empty window: fast-forward the
-                // cursor over file-less time, directly to the window
-                // holding the next matching file — or past the end if
-                // none exists. Without this, a query whose end lies
-                // far beyond the archive (e.g. "-w 0," to the end of
-                // time) would page through astronomically many empty
-                // windows. Live queries never skip: future publications
-                // may fill the gap.
-                let next = inner
-                    .entries
-                    .iter()
-                    .filter(|m| m.available_at <= now)
-                    .filter(|m| query.matches(m))
-                    .filter(|m| m.interval_start >= w_end)
-                    .map(|m| m.interval_start)
-                    .min();
-                cursor.window_start = match next {
+                // cursor over file-less time, directly to the next
+                // matching file — or past the end if none exists.
+                // Without this, a query whose end lies far beyond the
+                // archive (e.g. "-w 0," to the end of time) would page
+                // through astronomically many empty windows. An
+                // open-ended query never skips here, since future
+                // publications may fill the gap; live streams read
+                // through a `LiveCursor`, which crosses only windows
+                // its release policy has closed.
+                cursor.window_start = match inner.next_start(query, 0, w_end, now) {
                     Some(s) if s <= e => s,
                     _ => e.saturating_add(1),
                 };

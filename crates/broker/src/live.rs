@@ -52,9 +52,10 @@ pub enum ReleasePolicy {
 /// One poll's outcome.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LivePoll {
-    /// Files of the window released by this poll (at most one window
-    /// advances per poll, so batches group exactly as a historical
-    /// windowed query would).
+    /// Files of the window released by this poll: at most one window
+    /// of files per poll, so batches group exactly as a historical
+    /// windowed query would. Empty means nothing more is releasable
+    /// until the clock, the watermark or the index moves.
     pub files: Vec<DumpMeta>,
     /// Dumps that surfaced *behind* the cursor since the last poll:
     /// late publications under [`ReleasePolicy::Grace`]. Delivered
@@ -62,12 +63,10 @@ pub struct LivePoll {
     /// how to merge them (the stream admits them into its current
     /// merge).
     pub late: Vec<DumpMeta>,
-    /// True when a window boundary was crossed (even if it held no
-    /// files); the caller should poll again before blocking.
-    pub advanced: bool,
     /// Everything with `interval_start` below this has either been
     /// delivered or will surface only in `late`; downstream bins with
-    /// `end <= released_through` can close.
+    /// `end <= released_through` can close. One poll may move it over
+    /// many windows that hold no file.
     pub released_through: u64,
 }
 
@@ -109,26 +108,16 @@ impl LiveCursor {
         self.window_start
     }
 
-    /// Whether the next window can be released at virtual time `now`.
-    fn releasable(&self, now: u64) -> bool {
-        if self.window_start == u64::MAX {
-            // Feed declared complete and fully released: no further
-            // windows exist; surprise registrations (a provider
-            // breaking its own completeness claim) still surface
-            // through the straggler sweep.
-            return false;
-        }
-        let w_end = self.window_start.saturating_add(self.index.window());
-        match self.policy {
-            ReleasePolicy::Grace(grace) => now >= w_end.saturating_add(grace),
-            ReleasePolicy::Watermark => self.index.watermark() >= w_end,
-        }
-    }
-
-    /// One incremental poll at virtual time `now`: release at most one
-    /// window (collecting its files), then sweep for stragglers behind
-    /// the cursor. Every dump is delivered exactly once per cursor, no
-    /// matter how often it is re-published.
+    /// One incremental poll at virtual time `now`. It crosses every
+    /// releasable window that holds no file visible at `now`, landing
+    /// on the grid window (`query.start + k·span`) of the next visible
+    /// file or on the first window not yet releasable — or on
+    /// `u64::MAX` once every window is releasable and none holds a
+    /// file (a watermark parked at `u64::MAX`: the feed is complete).
+    /// Then it releases at most one window of files or, when none is
+    /// releasable, sweeps for stragglers behind the cursor. Lookup and
+    /// release see one index state. Every dump is delivered exactly
+    /// once per cursor, no matter how often it is re-published.
     pub fn poll(&mut self, now: u64) -> LivePoll {
         // Visibility gate: under the grace policy, `available_at`
         // models the provider's publication delay against the clock.
@@ -140,49 +129,55 @@ impl LiveCursor {
             ReleasePolicy::Grace(_) => now,
             ReleasePolicy::Watermark => u64::MAX,
         };
-        let mut out = LivePoll::default();
-        if self.releasable(now) {
-            let w_end = self.window_start.saturating_add(self.index.window());
-            out.files = self.index.scan_undelivered(
-                &self.query,
-                &mut self.delivered,
-                &mut self.frontier,
-                w_end,
-                vis_now,
-            );
-            self.window_start = w_end;
-            out.advanced = true;
-            // Feed-complete short-circuit: a provider that parked the
-            // watermark at `u64::MAX` has declared "nothing more,
-            // ever". Once no matching dump remains at or beyond the
-            // cursor, stepping window by window through the empty
-            // eternity is meaningless — jump the watermark to the end
-            // of time so consumers see `released_through == u64::MAX`
-            // and can treat the session as complete. (Data windows
-            // still release one per poll first, preserving historical
-            // batching.)
-            if self.policy == ReleasePolicy::Watermark
-                && self.index.watermark() == u64::MAX
-                && !self
-                    .index
-                    .has_entry_at_or_after(&self.query, self.window_start)
-            {
-                self.window_start = u64::MAX;
-            }
-        } else {
-            // No window released: sweep for dumps that appeared behind
-            // the cursor since the last poll (late publications past
-            // the grace, or re-publications — the latter dedup away).
-            out.late = self.index.scan_undelivered(
-                &self.query,
-                &mut self.delivered,
-                &mut self.frontier,
-                self.window_start,
-                vis_now,
-            );
+        let span = self.index.window();
+        let inner = self.index.lock();
+        // Every window ending at or before `limit` is releasable.
+        let limit = match self.policy {
+            ReleasePolicy::Grace(grace) => now.saturating_sub(grace),
+            ReleasePolicy::Watermark => inner.watermark,
+        };
+        let releasable = |w: u64| w != u64::MAX && w.saturating_add(span) <= limit;
+        let w = self.window_start;
+        if releasable(w) {
+            let first_closed = if limit == u64::MAX {
+                u64::MAX
+            } else {
+                w + (limit - w) / span * span
+            };
+            // Entries behind the frontier are delivered or out of
+            // scope, so none of them starts at or after the cursor.
+            self.window_start = match inner.next_start(&self.query, self.frontier, w, vis_now) {
+                Some(s) => (w + (s - w) / span * span).min(first_closed),
+                None => first_closed,
+            };
         }
-        out.released_through = self.window_start;
-        out
+        // Release at most one window of files. With none releasable
+        // the scan only sweeps for dumps that appeared behind the
+        // cursor since the last poll (late publications past the
+        // grace, or re-publications — the latter dedup away).
+        let release = releasable(self.window_start);
+        if release {
+            self.window_start = self.window_start.saturating_add(span);
+        }
+        let mut found = inner.scan_undelivered(
+            &self.query,
+            &mut self.delivered,
+            &mut self.frontier,
+            self.window_start,
+            vis_now,
+        );
+        drop(inner);
+        self.index.rewrite_mirrors(&mut found);
+        let (files, late) = if release {
+            (found, Vec::new())
+        } else {
+            (Vec::new(), found)
+        };
+        LivePoll {
+            files,
+            late,
+            released_through: self.window_start,
+        }
     }
 
     /// Block until the index changes (new publication or watermark
@@ -229,11 +224,10 @@ mod tests {
         let mut cur = cursor(&idx, ReleasePolicy::Grace(500));
         // Before span+grace: nothing releases.
         let p = cur.poll(3600);
-        assert!(!p.advanced && p.files.is_empty() && p.late.is_empty());
+        assert!(p.files.is_empty() && p.late.is_empty());
         assert_eq!(p.released_through, 0);
         // At 4100 the window [0, 3600) is complete per the grace model.
         let p = cur.poll(4100);
-        assert!(p.advanced);
         assert_eq!(p.files.len(), 2);
         assert_eq!(p.released_through, 3600);
     }
@@ -246,10 +240,10 @@ mod tests {
         // Clock far ahead, but the provider has not vouched for the
         // window: a stalled publisher must hold release back.
         let p = cur.poll(u64::MAX);
-        assert!(!p.advanced && p.files.is_empty());
+        assert!(p.files.is_empty());
+        assert_eq!(p.released_through, 0);
         idx.advance_watermark(3600);
         let p = cur.poll(u64::MAX);
-        assert!(p.advanced);
         assert_eq!(p.files.len(), 1);
         assert_eq!(p.released_through, 3600);
     }
@@ -262,13 +256,18 @@ mod tests {
         idx.advance_watermark(7200);
         let mut cur = cursor(&idx, ReleasePolicy::Watermark);
         let p1 = cur.poll(u64::MAX);
-        assert!(p1.advanced);
         assert_eq!(p1.files.len(), 1);
         assert_eq!(p1.files[0].interval_start, 0);
+        assert_eq!(p1.released_through, 3600);
         let p2 = cur.poll(u64::MAX);
-        assert!(p2.advanced);
         assert_eq!(p2.files.len(), 1);
         assert_eq!(p2.files[0].interval_start, 3600);
+        assert_eq!(p2.released_through, 7200);
+        // Nothing more is releasable: an empty poll leaves the
+        // watermark where it was.
+        let p3 = cur.poll(u64::MAX);
+        assert!(p3.files.is_empty() && p3.late.is_empty());
+        assert_eq!(p3.released_through, 7200);
     }
 
     #[test]
@@ -300,8 +299,11 @@ mod tests {
     fn late_publication_behind_cursor_surfaces_as_straggler_once() {
         let idx = Arc::new(Index::with_window(3600));
         let mut cur = cursor(&idx, ReleasePolicy::Grace(100));
-        assert!(cur.poll(3700).advanced); // window [0,3600) released empty
-                                          // A dump for that window published far beyond the grace.
+        // Window [0,3600) is crossed empty.
+        let p = cur.poll(3700);
+        assert!(p.files.is_empty());
+        assert_eq!(p.released_through, 3600);
+        // A dump for that window published far beyond the grace.
         let m = meta("rrc01", 300, 5000);
         idx.register(m.clone());
         let p = cur.poll(5000);
@@ -309,6 +311,50 @@ mod tests {
         assert!(p.files.is_empty());
         // ...and never again.
         assert!(cur.poll(5100).late.is_empty());
+    }
+
+    #[test]
+    fn a_gap_of_empty_windows_is_crossed_in_one_poll() {
+        // Files at 0 and 36 000 (windows 0 and 10 of a 3 600 s grid):
+        // whichever policy releases them, one poll crosses the nine
+        // empty windows between and releases the next one of files.
+        for policy in [ReleasePolicy::Grace(0), ReleasePolicy::Watermark] {
+            let idx = Arc::new(Index::with_window(3600));
+            idx.register(meta("rrc01", 0, 0));
+            idx.register(meta("rrc01", 36_000, 36_000));
+            idx.advance_watermark(20 * 3600);
+            let mut cur = cursor(&idx, policy);
+            let p = cur.poll(20 * 3600);
+            assert_eq!(p.files.len(), 1, "{policy:?}");
+            assert_eq!(p.released_through, 3600, "{policy:?}");
+            let p = cur.poll(20 * 3600);
+            assert_eq!(p.files, vec![meta("rrc01", 36_000, 36_000)], "{policy:?}");
+            assert_eq!(p.released_through, 39_600, "{policy:?}");
+            // The rest of the releasable time is crossed at once and
+            // stays on the grid.
+            let p = cur.poll(20 * 3600);
+            assert!(p.files.is_empty() && p.late.is_empty(), "{policy:?}");
+            assert_eq!(p.released_through, 20 * 3600, "{policy:?}");
+        }
+        // Under Grace, a window whose only file is not yet published
+        // at `now` holds no visible file and is crossed; the file
+        // surfaces later as a straggler, exactly once.
+        let idx = Arc::new(Index::with_window(3600));
+        let hidden = meta("rrc01", 3600, 50_000);
+        idx.register(hidden.clone());
+        idx.register(meta("rrc01", 36_000, 36_000));
+        let mut cur = cursor(&idx, ReleasePolicy::Grace(0));
+        let p = cur.poll(40_000);
+        assert_eq!(p.files, vec![meta("rrc01", 36_000, 36_000)]);
+        assert_eq!(p.released_through, 39_600);
+        let p = cur.poll(50_000);
+        assert_eq!(p.late, vec![hidden]);
+        assert!(p.files.is_empty());
+        assert_eq!(p.released_through, 46_800);
+        for now in [50_000, 60_000, 90_000] {
+            let p = cur.poll(now);
+            assert!(p.files.is_empty() && p.late.is_empty(), "now={now}: {p:?}");
+        }
     }
 
     #[test]

@@ -23,8 +23,7 @@
 //! response := ver:u8 req_id:u64 index_version:u64 watermark:u64 kind:u8 body
 //!   kind 0 Query      { files:vec<meta> exhausted:u8 next_window_start:u64 }
 //!   kind 1 LiveOpened { lease:u64 }
-//!   kind 2 Live       { files:vec<meta> late:vec<meta> advanced:u8
-//!                       released_through:u64 }
+//!   kind 2 Live       { files:vec<meta> late:vec<meta> released_through:u64 }
 //!   kind 3 Renewed
 //!   kind 4 Closed
 //!   kind 5 Error      { code:u8 msg:str }
@@ -49,7 +48,7 @@ pub(crate) const REPLY_PREFIX: &str = "broker.replies.";
 pub(crate) const EVENTS_TOPIC: &str = "broker.events";
 
 /// Protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// One client request frame.
 #[derive(Clone, PartialEq, Debug)]
@@ -300,7 +299,6 @@ impl ResponseEnvelope {
                 out.push(2);
                 put_metas(&mut out, &poll.files);
                 put_metas(&mut out, &poll.late);
-                out.push(u8::from(poll.advanced));
                 put_u64(&mut out, poll.released_through);
             }
             BrokerResponse::Renewed => out.push(3),
@@ -509,7 +507,6 @@ impl ResponseEnvelope {
             2 => BrokerResponse::Live(LivePoll {
                 files: r.metas()?,
                 late: r.metas()?,
-                advanced: r.u8()? != 0,
                 released_through: r.u64()?,
             }),
             3 => BrokerResponse::Renewed,
@@ -617,7 +614,6 @@ mod tests {
             BrokerResponse::Live(LivePoll {
                 files: vec![sample_meta(0)],
                 late: vec![sample_meta(300)],
-                advanced: true,
                 released_through: 3600,
             }),
             BrokerResponse::Renewed,
@@ -668,7 +664,7 @@ mod tests {
             Err(BrokerError::Malformed(_))
         ));
         assert!(matches!(
-            ResponseEnvelope::decode(&[1, 0]),
+            ResponseEnvelope::decode(&[WIRE_VERSION, 0]),
             Err(BrokerError::Malformed(_))
         ));
     }

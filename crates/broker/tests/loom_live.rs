@@ -88,6 +88,53 @@ fn live_cursor_is_exactly_once_under_concurrent_republication() {
     assert!(report.iterations > 1, "must explore multiple interleavings");
 }
 
+/// A publisher registers a dump into a window past a gap of empty
+/// windows, then advances the watermark over it, while the poller
+/// crosses the gap. The poll's lookup and release scan read the
+/// watermark and the entries under one lock, so no interleaving may
+/// cross the dump's window without releasing it: it is delivered
+/// exactly once, in order, as a released file — never lost and never
+/// a straggler.
+#[test]
+fn crossing_a_gap_never_skips_a_dump_registered_into_it() {
+    let report = explore(&budget(), || {
+        let idx = Arc::new(Index::with_window(100));
+        idx.register(meta(10));
+        idx.advance_watermark(100);
+        let table = Arc::new(LeaseTable::immortal(Clock::manual(0)));
+        let id = table.open(LiveCursor::new(
+            idx.clone(),
+            Query::default(),
+            ReleasePolicy::Watermark,
+        ));
+        let publisher = bsync::thread::spawn_named("pub", {
+            let idx = idx.clone();
+            move || {
+                idx.register(meta(550));
+                idx.advance_watermark(1_000);
+            }
+        });
+        let mut files: Vec<u64> = Vec::new();
+        let mut late: Vec<u64> = Vec::new();
+        let mut poll = || {
+            if let Some(poll) = table.with_lease(id, |c| c.poll(u64::MAX)) {
+                files.extend(poll.files.iter().map(|m| m.interval_start));
+                late.extend(poll.late.iter().map(|m| m.interval_start));
+            }
+        };
+        poll();
+        poll();
+        publisher.join().expect("publisher ran");
+        for _ in 0..3 {
+            poll();
+        }
+        assert_eq!(files, vec![10, 550], "released files (late: {late:?})");
+        assert!(late.is_empty(), "straggler behind the watermark: {late:?}");
+    })
+    .expect("no interleaving may skip or double a dump past the gap");
+    assert!(report.iterations > 1, "must explore multiple interleavings");
+}
+
 /// Canary: a delivered-set that is consulted and updated in two
 /// separate lock acquisitions. Two pollers draining the same session
 /// can both see "not yet delivered" and both deliver — the checker

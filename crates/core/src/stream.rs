@@ -72,7 +72,8 @@ impl Clock {
 /// Stream statistics (exposed for the §3.3.4 sorting-cost analysis).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamStats {
-    /// Broker queries issued.
+    /// Broker queries issued: historical pages, and live polls that
+    /// moved the completeness watermark.
     pub broker_queries: u64,
     /// Dump files opened.
     pub files_opened: u64,
@@ -399,11 +400,10 @@ enum Source {
     /// [`BgpStreamBuilder::resume_live_lease`].
     Live {
         lease: LeaseId,
-        /// The index version from which the next poll is due: one past
-        /// the one the last poll saw, or that one itself after a poll
-        /// crossed a window boundary. Until then polls are skipped
-        /// while local buffers hold data, so the steady-state
-        /// per-record cost is one version load.
+        /// One past the index version the last poll saw. While local
+        /// buffers hold data the lease is polled again only once the
+        /// index reaches it, so the steady-state per-record cost is
+        /// one version load; once they drain it is polled regardless.
         due_version: u64,
     },
 }
@@ -457,6 +457,10 @@ enum Pump {
     Record(BgpStreamRecord),
     /// Nothing buffered and nothing releasable right now (live mode).
     Idle,
+    /// The broker shed a live poll ([`BrokerError::Busy`]): like
+    /// `Idle`, but what is releasable is unknown, so it never ends a
+    /// stream.
+    Busy,
     /// The stream is exhausted (historical interval end).
     End,
 }
@@ -538,13 +542,14 @@ impl BgpStream {
     /// Historical mode returns `None` when the interval is exhausted.
     /// Live mode blocks (broker polling) until new data is published,
     /// so it returns `None` only if the clock is `Fixed` and no more
-    /// data can ever appear.
+    /// data can ever appear (or the broker failed, see
+    /// [`BgpStream::last_error`]).
     pub fn next_record(&mut self) -> Option<BgpStreamRecord> {
         loop {
             match self.step(true) {
                 Pump::Record(rec) => return Some(rec),
                 Pump::End => return None,
-                Pump::Idle => {}
+                Pump::Idle | Pump::Busy => {}
             }
         }
     }
@@ -557,7 +562,9 @@ impl BgpStream {
     /// floor, so stragglers may not undercut it afterwards — then the
     /// step blocks until a new publication (or watermark advance) or
     /// one poll interval passes. It ends the stream when nothing can
-    /// ever change: a fixed clock and no new index version.
+    /// ever change: a fixed clock, an answered poll with nothing
+    /// releasable and no new index version. A shed poll is waited out
+    /// the same way but answers nothing, so it never ends the stream.
     fn step(&mut self, wait: bool) -> Pump {
         let step = match self.lookahead.pop_front() {
             Some(rec) => Pump::Record(rec),
@@ -565,89 +572,36 @@ impl BgpStream {
         };
         match step {
             Pump::Record(_) => self.stats.records += 1,
-            Pump::Idle if wait => {
+            Pump::Idle | Pump::Busy if wait => {
                 self.promise_released_through();
                 let v = self.client.version();
                 let _ = self.client.wait_for_new(v, self.poll);
-                if matches!(self.clock, Clock::Fixed(_)) && self.client.version() == v {
+                if matches!(step, Pump::Idle)
+                    && matches!(self.clock, Clock::Fixed(_))
+                    && self.client.version() == v
+                {
                     return Pump::End;
                 }
             }
-            Pump::Idle | Pump::End => {}
+            Pump::Idle | Pump::Busy | Pump::End => {}
         }
         step
     }
 
     /// The reading loop of both modes, one non-blocking step: a live
-    /// source polls its lease first, so stragglers join the running
-    /// merge before it drains; then the merge drains and queued groups
-    /// open; once both are used up, a historical source pages its
-    /// cursor and a live one reports `Idle`. Never sleeps.
+    /// source with data buffered polls its lease on a new index
+    /// version, so stragglers join the running merge before it drains;
+    /// then the merge drains and queued groups open; once both are
+    /// used up, a historical source pages its cursor and a live one
+    /// polls its lease, reporting `Idle` when the poll hands out
+    /// nothing. Never sleeps.
     fn pump(&mut self) -> Pump {
-        // Guard against unbounded in-call window advancement: a
-        // cursor whose every window is releasable (e.g. the provider
-        // finished and parked the watermark at `u64::MAX`) would
-        // otherwise spin here forever releasing empty windows. After a
-        // long run of file-less windows, yield `Idle` — callers regain
-        // control (live bin closing, shutdown checks) and the next
-        // pump call picks up where this one left off.
-        const MAX_EMPTY_ADVANCES: u32 = 1024;
-        let mut empty_advances = 0u32;
         loop {
-            // Live: fold in anything newly published since the last
-            // poll. Skipped while the index is unchanged and local
-            // buffers still hold data.
-            let mut advanced = false;
-            if let Source::Live { lease, due_version } = &mut self.source {
-                let version = self.client.version();
+            if let Source::Live { due_version, .. } = self.source {
                 let drained = self.merger.is_none() && self.groups.is_empty();
-                if version >= *due_version || drained {
-                    *due_version = version + 1;
-                    let poll = match self.client.poll_live(*lease, self.clock.now()) {
-                        Ok(poll) => poll,
-                        // Transient overload: back off — the caller's
-                        // idle path waits one poll interval, and the
-                        // next pump retries the same lease.
-                        Err(BrokerError::Busy) => return Pump::Idle,
-                        // Terminal (lease expired, broker gone).
-                        Err(e) => return self.fail(e),
-                    };
-                    self.released_through = poll.released_through;
-                    let productive = !poll.files.is_empty() || !poll.late.is_empty();
-                    // Stragglers surfaced behind the cursor: admit them
-                    // into the running merge so their still-future
-                    // records interleave in order (past ones are
-                    // re-stamped on delivery); without a running merge
-                    // they form their own groups, delivered before
-                    // anything queued.
-                    if let Some(m) = self.merger.as_mut() {
-                        for meta in poll.late {
-                            self.stats.files_opened += 1;
-                            m.admit(meta);
-                        }
-                        self.stats.max_group_width = self.stats.max_group_width.max(m.width());
-                    } else {
-                        for group in partition_overlap_groups(&poll.late).into_iter().rev() {
-                            self.groups.push_front(group);
-                        }
-                    }
-                    self.groups.extend(partition_overlap_groups(&poll.files));
-                    if poll.advanced {
-                        // A window boundary was crossed (possibly
-                        // empty): the next window may already be
-                        // releasable, so poll again before draining
-                        // further or concluding idleness.
-                        *due_version = version;
-                        advanced = true;
-                        self.stats.broker_queries += 1;
-                        if productive {
-                            empty_advances = 0;
-                        } else {
-                            empty_advances += 1;
-                            if empty_advances > MAX_EMPTY_ADVANCES {
-                                return Pump::Idle;
-                            }
-                        }
+                if !drained && self.client.version() >= due_version {
+                    if let Err(stop) = self.poll_live() {
+                        return stop;
                     }
                 }
             }
@@ -669,10 +623,14 @@ impl BgpStream {
                 return Pump::End;
             }
             let Source::Pages { query, cursor } = &mut self.source else {
-                if advanced {
-                    continue;
+                // Live and drained: poll, as a historical source pages.
+                // A poll that hands out nothing means nothing more is
+                // releasable.
+                match self.poll_live() {
+                    Ok(true) => continue,
+                    Ok(false) => return Pump::Idle,
+                    Err(stop) => return stop,
                 }
-                return Pump::Idle;
             };
             // Historical: page the broker window cursor forward. Any
             // error here is terminal — including `Busy`, which the
@@ -694,6 +652,45 @@ impl BgpStream {
                 return Pump::End;
             }
         }
+    }
+
+    /// Poll the live lease once and queue what it hands out; whether
+    /// it handed out any file, or the step to return when the broker
+    /// shed the poll (`Busy`: retried after the idle wait) or failed
+    /// (terminal: lease expired, broker gone).
+    fn poll_live(&mut self) -> Result<bool, Pump> {
+        let Source::Live { lease, due_version } = &mut self.source else {
+            return Ok(false);
+        };
+        *due_version = self.client.version() + 1;
+        let poll = match self.client.poll_live(*lease, self.clock.now()) {
+            Ok(poll) => poll,
+            Err(BrokerError::Busy) => return Err(Pump::Busy),
+            Err(e) => return Err(self.fail(e)),
+        };
+        if poll.released_through != self.released_through {
+            self.stats.broker_queries += 1;
+            self.released_through = poll.released_through;
+        }
+        let got = !poll.files.is_empty() || !poll.late.is_empty();
+        // Stragglers surfaced behind the cursor: admit them into the
+        // running merge so their still-future records interleave in
+        // order (past ones are re-stamped on delivery); without a
+        // running merge they form their own groups, delivered before
+        // anything queued.
+        if let Some(m) = self.merger.as_mut() {
+            for meta in poll.late {
+                self.stats.files_opened += 1;
+                m.admit(meta);
+            }
+            self.stats.max_group_width = self.stats.max_group_width.max(m.width());
+        } else {
+            for group in partition_overlap_groups(&poll.late).into_iter().rev() {
+                self.groups.push_front(group);
+            }
+        }
+        self.groups.extend(partition_overlap_groups(&poll.files));
+        Ok(got)
     }
 
     /// End the stream on broker error `e`, recording the cause for
@@ -792,7 +789,7 @@ impl BgpStream {
                 Pump::Record(rec) => out.push(rec),
                 _ if !out.is_empty() => break,
                 Pump::End => return BatchStep::End,
-                Pump::Idle => {
+                Pump::Idle | Pump::Busy => {
                     return BatchStep::Idle {
                         released_through: self.released_through(),
                     }
@@ -1365,6 +1362,82 @@ mod tests {
             .start();
         assert_eq!(s.live_lease(), None);
         assert!(s.last_error().is_none());
+    }
+
+    /// A local broker that sheds (`Busy`) the first live poll, as a
+    /// remote client does once its own retries run out.
+    struct ShedFirstPoll {
+        broker: Arc<LocalBroker>,
+        shed: bsync::atomic::AtomicBool,
+    }
+
+    impl BrokerClient for ShedFirstPoll {
+        fn query(
+            &self,
+            query: &Query,
+            cursor: &mut BrokerCursor,
+            now: u64,
+        ) -> Result<broker::Response, BrokerError> {
+            self.broker.query(query, cursor, now)
+        }
+
+        fn open_live(
+            &self,
+            query: &Query,
+            policy: ReleasePolicy,
+            resume: Option<LeaseId>,
+        ) -> Result<LeaseId, BrokerError> {
+            self.broker.open_live(query, policy, resume)
+        }
+
+        fn poll_live(&self, lease: LeaseId, now: u64) -> Result<broker::LivePoll, BrokerError> {
+            if !self.shed.swap(true, Ordering::SeqCst) {
+                return Err(BrokerError::Busy);
+            }
+            self.broker.poll_live(lease, now)
+        }
+
+        fn renew_lease(&self, lease: LeaseId) -> Result<(), BrokerError> {
+            self.broker.renew_lease(lease)
+        }
+
+        fn close_lease(&self, lease: LeaseId) -> Result<(), BrokerError> {
+            self.broker.close_lease(lease)
+        }
+
+        fn version(&self) -> u64 {
+            self.broker.version()
+        }
+
+        fn wait_for_new(&self, last_version: u64, timeout: Duration) -> bool {
+            self.broker.wait_for_new(last_version, timeout)
+        }
+    }
+
+    #[test]
+    fn a_shed_poll_does_not_end_a_fixed_clock_live_stream() {
+        // A shed poll says nothing about what is releasable, so only
+        // the `Idle` of an answered poll may end a fixed-clock stream.
+        let dir = scratch("shed");
+        let path = write_keepalives(&dir, "u.mrt", &[10, 20, 30]);
+        let idx = one_file_index(&path, 0, 300, 40);
+        let client = Arc::new(ShedFirstPoll {
+            broker: LocalBroker::shared(idx),
+            shed: bsync::atomic::AtomicBool::new(false),
+        });
+        let mut s = BgpStream::builder()
+            .broker_client(client)
+            .live(0)
+            .clock(Clock::Fixed(broker::index::DEFAULT_WINDOW))
+            .live_grace(0)
+            .poll_interval(Duration::from_millis(1))
+            .start();
+        let got: Vec<u64> = std::iter::from_fn(|| s.next_record())
+            .map(|r| r.timestamp)
+            .collect();
+        assert_eq!(got, vec![10, 20, 30]);
+        assert!(s.last_error().is_none());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

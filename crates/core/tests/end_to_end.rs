@@ -544,10 +544,13 @@ fn every_driver_reads_the_same_live_stream_with_a_straggler() {
 #[test]
 fn every_driver_reads_the_same_live_stream_across_a_long_gap() {
     // One-minute broker windows: update dumps in the first 20
-    // minutes, then nothing until the RIB dumps at 24 h. While
-    // records flow the cursor releases one window per record; once
-    // they run out, more than 1 025 empty windows are left, so one
-    // poll sequence reaches the empty-advance guard and yields.
+    // minutes, then nothing until the RIB dumps at 24 h, more than
+    // 1 400 empty windows later. One live poll crosses every
+    // releasable window that holds no file, so the gap costs no
+    // polls of its own: a fixed-clock stream, which ends once a
+    // poll finds nothing releasable, still reaches the RIB records,
+    // and a live stream counts one broker query per window of files
+    // (plus at most the crossing to the end of releasable time).
     let window = 60;
     let rib_at = 24 * 3600;
     let (world, dir) = build_world("pin-gap", 40, rib_at + 600);
@@ -558,17 +561,16 @@ fn every_driver_reads_the_same_live_stream_across_a_long_gap() {
             DumpType::Rib => m.interval_start == rib_at,
         })
         .collect();
-    let before_end = dumps
-        .iter()
-        .filter(|m| m.interval_start < 1200)
-        .map(|m| m.interval_end())
-        .max()
-        .unwrap();
     assert!(dumps.iter().any(|m| m.interval_start == rib_at));
+    let windows_with_files = dumps
+        .iter()
+        .map(|m| m.interval_start / window)
+        .collect::<std::collections::HashSet<_>>()
+        .len() as u64;
     // A clock at which every dump is published and the RIB's window
-    // released. The live reader never ends, so each driver stops at
-    // the number of records a historical read of the same dumps
-    // yields.
+    // released. A manual-clock live reader never ends, so each driver
+    // stops at the number of records a historical read of the same
+    // dumps yields.
     let now = dumps.iter().map(|m| m.available_at).max().unwrap();
     assert!(now >= rib_at + window);
     let total = BgpStream::builder()
@@ -576,29 +578,40 @@ fn every_driver_reads_the_same_live_stream_across_a_long_gap() {
         .interval(0, Some(rib_at + 600))
         .start()
         .count();
-    let runs: Vec<_> = DRIVERS
-        .into_iter()
-        .map(|driver| {
-            let mut stream = BgpStream::builder()
-                .broker_client(LocalBroker::shared(index_of(window, &dumps)))
-                .live(0)
-                .clock(Clock::manual(now))
-                .live_grace(0)
-                .poll_interval(Duration::from_millis(1))
-                .start();
-            let mut out = Vec::new();
-            let idles = drain(&mut stream, driver, total, &mut out);
-            assert_eq!(out.len(), total, "{driver:?}");
-            if let Driver::Batches(_) = driver {
+    let mut reads = Vec::new();
+    for (name, clock) in [("manual", Clock::manual(now)), ("fixed", Clock::Fixed(now))] {
+        let runs: Vec<_> = DRIVERS
+            .into_iter()
+            .map(|driver| {
+                let mut stream = BgpStream::builder()
+                    .broker_client(LocalBroker::shared(index_of(window, &dumps)))
+                    .live(0)
+                    .clock(clock.clone())
+                    .live_grace(0)
+                    .poll_interval(Duration::from_millis(1))
+                    .start();
+                let mut out = Vec::new();
+                drain(&mut stream, driver, total, &mut out);
+                assert_eq!(out.len(), total, "{driver:?} on a {name} clock");
+                let stats = stream.stats();
                 assert!(
-                    idles.iter().any(|&t| t > before_end && t < rib_at),
-                    "{driver:?}: no Idle inside the gap: {idles:?}"
+                    stats.broker_queries <= windows_with_files + 2,
+                    "{driver:?} on a {name} clock: {} broker queries for \
+                     {windows_with_files} windows of files",
+                    stats.broker_queries
                 );
-            }
-            (driver, out, stream.stats())
-        })
-        .collect();
-    let (records, _) = assert_drivers_agree(runs);
-    assert!(records.iter().any(|r| r.timestamp >= rib_at));
+                (driver, out, stats)
+            })
+            .collect();
+        reads.push(assert_drivers_agree(runs));
+    }
+    let (fixed, fixed_stats) = reads.pop().unwrap();
+    let (manual, manual_stats) = reads.pop().unwrap();
+    assert!(manual.iter().any(|r| r.timestamp >= rib_at));
+    assert_eq!(
+        format!("{fixed:?} {fixed_stats:?}"),
+        format!("{manual:?} {manual_stats:?}"),
+        "a fixed clock reads what a manual one does"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
